@@ -222,8 +222,7 @@ def phase1(candidates, cache):
         query = f'"the {cand["surface"]}" OR "a {cand["surface"]}"'
         count = cache.count(query)
         head_count = cache.count(cand["head_target"])
-        threshold = head_count // 10_000
-        if count > 0 and count >= threshold:
+        if count > 0 and count * 10_000 >= head_count:
             accepted.append((cand, count))
     if not accepted:
         return None

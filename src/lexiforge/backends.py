@@ -2,7 +2,9 @@
 
 * HttpBackend — generic HTTP search API client with rate limiting and retry.
 * LocalIndexBackend — positional inverted index over a local document
-  collection; counts are true document counts, not engine estimates.
+  collection; counts are true document counts, not engine estimates. A
+  phrase is matched by walking the rarest of its tokens' postings and
+  testing the others for membership, then checking word positions.
 * CacheOnlyBackend — read-only replay of a cache file; any miss errors.
 """
 
@@ -31,7 +33,7 @@ SNIPPET_MAX_CHARS = 300
 
 def tokenize(text: str) -> list[str]:
     """Lowercased maximal letter runs; punctuation and digits split tokens."""
-    return [m.group(0).lower() for m in WORD_RE.finditer(text)]
+    return [t.lower() for t in WORD_RE.findall(text)]
 
 
 class LocalIndexBackend:
@@ -68,8 +70,15 @@ class LocalIndexBackend:
             "text": doc["text"],
         }
         self._docs.append(record)
+        positions = self._positions
         for pos, token in enumerate(tokenize(record["text"])):
-            self._positions.setdefault(token, {}).setdefault(idx, []).append(pos)
+            postings = positions.get(token)
+            if postings is None:
+                positions[token] = {idx: [pos]}
+            elif idx in postings:
+                postings[idx].append(pos)
+            else:
+                postings[idx] = [pos]
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -78,29 +87,33 @@ class LocalIndexBackend:
         tokens = tokenize(phrase)
         if not tokens:
             return set()
-        first = self._positions.get(tokens[0])
-        if first is None:
-            return set()
-        candidates = set(first)
-        for token in tokens[1:]:
-            postings = self._positions.get(token)
-            if postings is None:
+        postings = []
+        for token in tokens:
+            docs = self._positions.get(token)
+            if docs is None:
                 return set()
-            candidates &= set(postings)
+            postings.append(docs)
+        # Intersecting key views walks the smaller side and tests membership
+        # in the larger, so the rarest token's postings bound the work.
+        candidates = min(postings, key=len).keys()
+        for docs in postings:
+            candidates = candidates & docs.keys()
+        if len(tokens) == 1:
+            return candidates
+        first, later = postings[0], postings[1:]
         hits = set()
         for doc_idx in candidates:
-            starts = self._positions[tokens[0]][doc_idx]
-            for start in starts:
-                if all(
-                    start + offset in self._position_set(token, doc_idx)
-                    for offset, token in enumerate(tokens[1:], start=1)
-                ):
+            later_positions = [docs[doc_idx] for docs in later]
+            for start in first[doc_idx]:
+                pos = start
+                for positions in later_positions:
+                    pos += 1
+                    if pos not in positions:
+                        break
+                else:
                     hits.add(doc_idx)
                     break
         return hits
-
-    def _position_set(self, token: str, doc_idx: int) -> set[int]:
-        return set(self._positions.get(token, {}).get(doc_idx, ()))
 
     def _query_docs(self, query: str) -> set[int]:
         docs: set[int] = set()

@@ -14,10 +14,11 @@ from __future__ import annotations
 import enum
 import json
 import logging
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
+from typing import BinaryIO, Protocol
 
 log = logging.getLogger(__name__)
 
@@ -108,12 +109,18 @@ class ResponseCache:
     Record layout: kind, phrase1, phrase2 (empty when absent), language,
     limit, then the JSON payload, all tab-separated. Corrupt lines are
     skipped with a warning so the query can simply be re-issued.
+
+    The file is opened for appending once, on the first ``put``, and
+    flushed after every record, so a crash loses at most the record being
+    written. A torn last line left by such a crash is closed off with a
+    newline before the first append, so it cannot swallow the next record.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple, int | list[Snippet]] = {}
         self._lock = threading.Lock()
+        self._append: BinaryIO | None = None
         if self.path.exists():
             self._load()
 
@@ -148,8 +155,30 @@ class ResponseCache:
         record = "\t".join([kind, p1, p2, lang, limit, _encode_response(value)])
         with self._lock:
             self._entries[query.cache_key()] = value
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(record + "\n")
+            fh = self._append_handle()
+            fh.write((record + "\n").encode("utf-8"))
+            fh.flush()
+
+    def _append_handle(self) -> BinaryIO:
+        """The open append handle; caller holds the lock."""
+        if self._append is None:
+            fh = open(self.path, "a+b")
+            if fh.seek(0, os.SEEK_END) > 0:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
+            self._append = fh
+        return self._append
+
+    def close(self) -> None:
+        """Close the append handle; a later ``put`` opens it again."""
+        with self._lock:
+            self._close_append()
+
+    def _close_append(self) -> None:
+        if self._append is not None:
+            self._append.close()
+            self._append = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -169,6 +198,8 @@ class ResponseCache:
             with open(tmp, "w", encoding="utf-8") as fh:
                 for record in records:
                     fh.write(record + "\n")
+            # Later puts must reach the new file, not the replaced inode.
+            self._close_append()
             tmp.replace(self.path)
             return len(records)
 

@@ -1,9 +1,10 @@
 """Frequency validation for non-polysemous compositional candidates.
 
 A candidate passes when its web count reaches one ten-thousandth of the
-count of its translated head noun (floor division). Among passing
-candidates the most frequent one wins, so each source unit yields at most
-one translation.
+count of its translated head noun, compared exactly in integers
+(``count * 10_000 >= head count``); the reported threshold is that ratio
+rounded up. Among passing candidates the most frequent one wins, so each
+source unit yields at most one translation.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def frequency_verdict(
     A candidate never observed on the web (count 0) is always rejected,
     even when a zero head count would make the threshold trivially 0.
     """
-    threshold = head_target_count // THRESHOLD_DIVISOR
-    accepted = candidate_count > 0 and candidate_count >= threshold
+    threshold = -(-head_target_count // THRESHOLD_DIVISOR)
+    accepted = candidate_count > 0 and candidate_count * THRESHOLD_DIVISOR >= head_target_count
     return FrequencyVerdict(candidate, candidate_count, head_target_count, threshold, accepted)
 
 

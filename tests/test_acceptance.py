@@ -260,6 +260,9 @@ def test_criterion_10_threshold_ratio_invariance():
         first = frequency_verdict(midnight_mass_candidates()[0], count, head)
         second = frequency_verdict(midnight_mass_candidates()[0], count * 10, head * 10)
         assert first.accepted == second.accepted
+    # just below the ratio: 1 / 10,200 < 1 / 10,000 at every scale
+    for factor in (1, 50):
+        assert not frequency_verdict(midnight_mass_candidates()[0], factor, 10_200 * factor).accepted
     passed(10)
 
 

@@ -2,9 +2,15 @@ import json
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from lexiforge.backends import CacheOnlyBackend, HttpBackend, LocalIndexBackend, tokenize
+from lexiforge.backends import (
+    WORD_RE,
+    CacheOnlyBackend,
+    HttpBackend,
+    LocalIndexBackend,
+    tokenize,
+)
 from lexiforge.oracle import (
     OracleError,
     OracleQuery,
@@ -119,6 +125,62 @@ def test_mixed_snippets_filter_language(index):
     assert len(oracle.snippets("messe de minuit", 1000)) == 2
 
 
+@given(st.text())
+def test_tokenize_equals_match_object_form(text):
+    assert tokenize(text) == [m.group(0).lower() for m in WORD_RE.finditer(text)]
+
+
+VOCAB = ["de", "la", "caisse", "fund"]
+vocab_phrases = st.lists(st.sampled_from(VOCAB + ["absent"]), min_size=1, max_size=3).map(" ".join)
+
+
+def scan_docs(texts, phrase):
+    """Documents whose token list holds the phrase's tokens contiguously."""
+    want = phrase.split()
+    hits = set()
+    for idx, text in enumerate(texts):
+        tokens = text.split()
+        if any(tokens[k : k + len(want)] == want for k in range(len(tokens))):
+            hits.add(idx)
+    return hits
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["fr", "en"]), st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.lists(vocab_phrases, min_size=1, max_size=3),
+    st.integers(1, 4),
+)
+@example(
+    [("fr", ["de", "la", "de", "la"]), ("en", ["la", "de", "la", "de"]), ("fr", ["de", "de", "la"])],
+    ["de la de", "de", "absent", "la de la de la"],
+    2,
+)
+def test_local_index_matches_brute_force_scan(docs, query_phrases, limit):
+    texts = [" ".join(words) for _, words in docs]
+    index = LocalIndexBackend(
+        {"id": f"d{i}", "lang": lang, "text": text} for i, ((lang, _), text) in enumerate(zip(docs, texts))
+    )
+    for phrase in query_phrases:
+        hits = sorted(scan_docs(texts, phrase))
+        assert index.execute(OracleQuery(QueryKind.PHRASE_COUNT, (phrase,))) == len(hits)
+        snippets = index.execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
+        assert [s.doc_id for s in snippets] == [f"d{i}" for i in hits][:limit]
+        mixed = index.execute(
+            OracleQuery(QueryKind.MIXED_SNIPPETS, (phrase,), lang_restrict="en", limit=limit)
+        )
+        assert [s.doc_id for s in mixed] == [f"d{i}" for i in hits if docs[i][0] == "en"][:limit]
+    first, last = query_phrases[0], query_phrases[-1]
+    pair = index.execute(OracleQuery(QueryKind.PAIR_COUNT, (first, last)))
+    assert pair == len(scan_docs(texts, first) & scan_docs(texts, last))
+    union = set().union(*(scan_docs(texts, p) for p in query_phrases))
+    or_query = " OR ".join(f'"{p}"' for p in query_phrases)
+    assert index.execute(OracleQuery(QueryKind.PHRASE_COUNT, (or_query,))) == len(union)
+
+
 def test_jsonl_roundtrip(tmp_path, index):
     path = tmp_path / "docs.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
@@ -198,6 +260,35 @@ def test_compact_dedupes_file(tmp_path):
     assert cache.compact() == 1
     assert ResponseCache(path).get(q) == 3
     assert len(path.read_text().splitlines()) == 1
+
+
+def test_torn_tail_does_not_swallow_next_record(tmp_path):
+    path = tmp_path / "run.cache"
+    path.write_text('PHRASE_COUNT\tok\t\t-\t-\t7\nSNIPPETS\ttorn\t\t-\t5\t[["half a rec', encoding="utf-8")
+    fresh = OracleQuery(QueryKind.PHRASE_COUNT, ("fresh",))
+    cache = ResponseCache(path)
+    cache.put(fresh, 9)
+    cache.close()
+    reloaded = ResponseCache(path)
+    assert reloaded.get(fresh) == 9
+    assert reloaded.get(OracleQuery(QueryKind.PHRASE_COUNT, ("ok",))) == 7
+    assert len(reloaded) == 2
+
+
+def test_put_after_compact_reaches_new_file(tmp_path):
+    path = tmp_path / "run.cache"
+    q = OracleQuery(QueryKind.PHRASE_COUNT, ("phrase",))
+    later = OracleQuery(QueryKind.PHRASE_COUNT, ("later",))
+    cache = ResponseCache(path)
+    cache.put(q, 1)
+    cache.put(q, 2)
+    cache.compact()
+    cache.put(later, 5)
+    cache.close()
+    reloaded = ResponseCache(path)
+    assert reloaded.get(q) == 2
+    assert reloaded.get(later) == 5
+    assert len(path.read_text().splitlines()) == 2
 
 
 def test_cache_only_backend_replays_and_errors(tmp_path):

@@ -31,7 +31,7 @@ def test_midnight_mass_worked_example():
     by_surface = {v.candidate.target_surface: v for v in verdicts}
     accepted = by_surface["midnight mass"]
     rejected = by_surface["mass of midnight"]
-    # stated rule: floor(764,000,000 / 10,000) = 76,400
+    # stated rule: 764,000,000 / 10,000 = 76,400
     assert accepted.threshold == 76_400
     assert accepted.candidate_count == 336_000
     assert accepted.accepted

@@ -294,7 +294,12 @@ def test_select_tie_broken_by_web_count():
     assert best.target_surface == "many"
 
 
-@given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=6))
+# Jaccard scores are intersection / union of lemma counts, so they are
+# ratios i/u of small integers, never arbitrary floats such as subnormals.
+jaccard_values = st.integers(1, 100).flatmap(lambda u: st.integers(0, u).map(lambda i: i / u))
+
+
+@given(st.lists(st.tuples(jaccard_values, jaccard_values), min_size=1, max_size=6))
 def test_select_invariant_under_monotone_rescaling(pairs):
     ulc = caisse_centrale()
     base = [
