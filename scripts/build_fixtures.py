@@ -357,48 +357,50 @@ def record_and_verify():
         cache_path.unlink()
     backend = LocalIndexBackend.from_jsonl(DATA_DIR / "docs.jsonl")
     oracle = SearchOracle(backend, ResponseCache(cache_path))
+    try:
+        units = extract_ulcs(corpus, 10)
+        verdicts = filter_ulcs(units, oracle, literal_min=2, article_min=1)
+        kept = [v.ulc for v in verdicts if v.accepted]
+        rejected = [v.ulc.surface for v in verdicts if not v.accepted]
+        print(f"extracted {len(units)}, kept {len(kept)}, rejected {rejected}")
+        assert rejected == ["machine simple"], rejected
+        assert len(kept) == 20, len(kept)
 
-    units = extract_ulcs(corpus, 10)
-    verdicts = filter_ulcs(units, oracle, literal_min=2, article_min=1)
-    kept = [v.ulc for v in verdicts if v.accepted]
-    rejected = [v.ulc.surface for v in verdicts if not v.accepted]
-    print(f"extracted {len(units)}, kept {len(kept)}, rejected {rejected}")
-    assert rejected == ["machine simple"], rejected
-    assert len(kept) == 20, len(kept)
+        with open(DATA_DIR / "ulcs.tsv", "w", encoding="utf-8") as fh:
+            write_ulcs(kept, fh)
 
-    with open(DATA_DIR / "ulcs.tsv", "w", encoding="utf-8") as fh:
-        write_ulcs(kept, fh)
+        ctx = WorldContext(
+            oracle=oracle,
+            dictionary=dictionary,
+            source_lang="fr",
+            target_lang="en",
+            source_tagger=default_tagger("fr"),
+            target_tagger=default_tagger("en"),
+            source_stopwords=load_stopwords("fr"),
+            target_stopwords=load_stopwords("en"),
+        )
+        report = run_pipeline(kept, dictionary, ctx, PipelineSettings(workers=4))
 
-    ctx = WorldContext(
-        oracle=oracle,
-        dictionary=dictionary,
-        source_lang="fr",
-        target_lang="en",
-        source_tagger=default_tagger("fr"),
-        target_tagger=default_tagger("en"),
-        source_stopwords=load_stopwords("fr"),
-        target_stopwords=load_stopwords("en"),
-    )
-    report = run_pipeline(kept, dictionary, ctx, PipelineSettings(workers=4))
+        failures = []
+        for record in report.records:
+            expected_phase, expected_translation = EXPECTED[record.source.surface]
+            actual = (record.phase.value, record.translation)
+            if actual != (expected_phase, expected_translation):
+                failures.append(f"{record.source.surface}: expected {expected_phase}/"
+                                f"{expected_translation}, got {actual}")
+            print(f"  {record.source.surface:28s} -> {record.phase.value:15s} {record.translation}")
+        if failures:
+            sys.exit("FIXTURE VERIFICATION FAILED:\n" + "\n".join(failures))
 
-    failures = []
-    for record in report.records:
-        expected_phase, expected_translation = EXPECTED[record.source.surface]
-        actual = (record.phase.value, record.translation)
-        if actual != (expected_phase, expected_translation):
-            failures.append(f"{record.source.surface}: expected {expected_phase}/"
-                            f"{expected_translation}, got {actual}")
-        print(f"  {record.source.surface:28s} -> {record.phase.value:15s} {record.translation}")
-    if failures:
-        sys.exit("FIXTURE VERIFICATION FAILED:\n" + "\n".join(failures))
-
-    gold_lines = []
-    for record in report.records:
-        if record.translation is not None:
-            grade = GOLD_GRADES.get(record.translation, "A")
-            gold_lines.append(f"{record.source.surface}\t{record.translation}\t{grade}")
-    (DATA_DIR / "gold.tsv").write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
-    print(f"cache entries recorded: {len(oracle._cache)}")
+        gold_lines = []
+        for record in report.records:
+            if record.translation is not None:
+                grade = GOLD_GRADES.get(record.translation, "A")
+                gold_lines.append(f"{record.source.surface}\t{record.translation}\t{grade}")
+        (DATA_DIR / "gold.tsv").write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
+        print(f"cache entries recorded: {len(oracle._cache)}")
+    finally:
+        oracle.close()
 
 
 def main():

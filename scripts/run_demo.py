@@ -53,13 +53,16 @@ def main():
     print(f"corpus: {corpus.doc_count} documents, {corpus.token_count()} tokens")
     units = extract_ulcs(corpus)
     print(f"pattern extraction: {len(units)} recurrent units")
-    verdicts = filter_ulcs(units, oracle, literal_min=2, article_min=1)
-    kept = [v.ulc for v in verdicts if v.accepted]
-    print(f"web frequency filter: {len(kept)} kept, {len(units) - len(kept)} rejected")
+    try:
+        verdicts = filter_ulcs(units, oracle, literal_min=2, article_min=1)
+        kept = [v.ulc for v in verdicts if v.accepted]
+        print(f"web frequency filter: {len(kept)} kept, {len(units) - len(kept)} rejected")
 
-    start = time.perf_counter()
-    report = run_pipeline(kept, dictionary, build_context(oracle, dictionary), PipelineSettings())
-    elapsed = time.perf_counter() - start
+        start = time.perf_counter()
+        report = run_pipeline(kept, dictionary, build_context(oracle, dictionary), PipelineSettings())
+        elapsed = time.perf_counter() - start
+    finally:
+        oracle.close()
     print(f"\ncascade finished in {elapsed:.2f}s ({oracle.backend_calls} backend calls)\n")
 
     for record in report.records:
@@ -78,7 +81,10 @@ def main():
 
     # offline replay from the cache written above
     replay_oracle = SearchOracle(None, ResponseCache(cache_path), offline=True)
-    replay = run_pipeline(kept, dictionary, build_context(replay_oracle, dictionary), PipelineSettings())
+    try:
+        replay = run_pipeline(kept, dictionary, build_context(replay_oracle, dictionary), PipelineSettings())
+    finally:
+        replay_oracle.close()
     identical = [
         (r.source.surface, r.translation, r.phase) for r in replay.records
     ] == [(r.source.surface, r.translation, r.phase) for r in report.records]

@@ -23,6 +23,7 @@ from .oracle import (
     QueryKind,
     ResponseCache,
     Snippet,
+    is_count,
     split_or_query,
 )
 
@@ -242,11 +243,16 @@ class HttpBackend:
     def _parse(query: OracleQuery, payload: dict) -> int | list[Snippet]:
         if query.kind in (QueryKind.PHRASE_COUNT, QueryKind.PAIR_COUNT):
             count = payload.get("count")
-            if not isinstance(count, int):
+            if not is_count(count):
                 raise OracleError(f"malformed count response: {payload!r}")
             return count
         snippets = payload.get("snippets")
         if not isinstance(snippets, list):
             raise OracleError(f"malformed snippet response: {payload!r}")
         limit = query.limit or len(snippets)
-        return [Snippet(s["text"], s.get("doc_id")) for s in snippets[:limit]]
+        parsed = []
+        for entry in snippets[:limit]:
+            if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
+                raise OracleError(f"malformed snippet response: {entry!r}")
+            parsed.append(Snippet(entry["text"], entry.get("doc_id")))
+        return parsed

@@ -129,9 +129,12 @@ def cmd_extract(args: argparse.Namespace) -> int:
     units = extract_ulcs(corpus, cfg.corpus_freq_min)
 
     oracle = build_oracle(cfg)
-    verdicts = filter_ulcs(
-        units, oracle, cfg.literal_freq_min, cfg.article_freq_min, cfg.max_ulcs
-    )
+    try:
+        verdicts = filter_ulcs(
+            units, oracle, cfg.literal_freq_min, cfg.article_freq_min, cfg.max_ulcs
+        )
+    finally:
+        oracle.close()
     kept = [v.ulc for v in verdicts if v.status is not FilterStatus.REJECTED]
     unresolved = sum(1 for v in verdicts if v.status is FilterStatus.UNRESOLVED_ORACLE)
 
@@ -160,8 +163,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
             corpus = parse_tagged_corpus(fh, build_tagset(cfg))
         units = extract_ulcs(corpus, cfg.corpus_freq_min)
 
-    oracle = build_oracle(cfg)
-    ctx = build_world_context(cfg, oracle, dictionary)
     settings = PipelineSettings(
         use_an=cfg.use_an,
         phase3_snippet_limit=cfg.phase3_snippet_limit,
@@ -173,7 +174,12 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if args.phase:
         units = _restrict_to_phase(units, dictionary, args.phase)
 
-    report = run_pipeline(units, dictionary, ctx, settings)
+    oracle = build_oracle(cfg)
+    try:
+        ctx = build_world_context(cfg, oracle, dictionary)
+        report = run_pipeline(units, dictionary, ctx, settings)
+    finally:
+        oracle.close()
     lexicon_path, summary_path = write_report(report, cfg.output_dir)
     translated = len(report.translated())
     print(f"{translated}/{len(report.records)} units translated -> {lexicon_path}")
@@ -218,19 +224,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_world(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    oracle = build_oracle(cfg)
     tagger = (
         LexiconTagger.from_file(args.tagger) if args.tagger else default_tagger(args.lang)
     )
-    world = build_lexical_world(
-        args.phrase,
-        args.lang,
-        oracle,
-        tagger,
-        load_stopwords(args.lang),
-        snippet_limit=cfg.snippet_limit,
-        world_size=cfg.world_size,
-    )
+    oracle = build_oracle(cfg)
+    try:
+        world = build_lexical_world(
+            args.phrase,
+            args.lang,
+            oracle,
+            tagger,
+            load_stopwords(args.lang),
+            snippet_limit=cfg.snippet_limit,
+            world_size=cfg.world_size,
+        )
+    finally:
+        oracle.close()
     write_world(world, sys.stdout)
     return EXIT_OK
 

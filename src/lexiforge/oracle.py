@@ -34,14 +34,14 @@ class QueryKind(enum.Enum):
     MIXED_SNIPPETS = "MIXED_SNIPPETS"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Snippet:
     text: str
     doc_id: str | None = None
 
     def __post_init__(self):
-        if not self.text:
-            raise ValueError("empty snippet text")
+        if not isinstance(self.text, str) or not self.text:
+            raise ValueError("snippet text must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,18 @@ def _encode_response(value: int | list[Snippet]) -> str:
     return json.dumps([[s.text, s.doc_id] for s in value], ensure_ascii=False)
 
 
+def is_count(value: object) -> bool:
+    """A hit count: a non-negative int; JSON ``true`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _decode_response(payload: str) -> int | list[Snippet]:
     value = json.loads(payload)
-    if isinstance(value, int):
+    if is_count(value):
         return value
+    # Otherwise a list of [text, doc_id] lists; Snippet checks the text.
+    if not isinstance(value, list) or set(map(type, value)) - {list}:
+        raise ValueError("payload is neither a count nor a snippet list")
     return [Snippet(text, doc_id) for text, doc_id in value]
 
 
@@ -228,6 +236,11 @@ class SearchOracle:
         self._inflight: dict[tuple, threading.Event] = {}
         self._slots = threading.Semaphore(max(1, max_parallel))
         self.backend_calls = 0
+
+    def close(self) -> None:
+        """Close the response cache's append handle, if any."""
+        if self._cache is not None:
+            self._cache.close()
 
     @property
     def backend_name(self) -> str:

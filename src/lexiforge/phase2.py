@@ -11,6 +11,7 @@ bilingual dictionary and scored with a per-category Jaccard index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence, TextIO
 
 from .dictionary import BilingualDictionary
@@ -43,16 +44,36 @@ class LexicalWorld:
         return tuple(lemma for lemma, _ in self.adjectives)
 
 
+def _jaccard(overlap: tuple[int, int]) -> Fraction:
+    intersection, union = overlap
+    return Fraction(intersection, union) if union else Fraction(0)
+
+
 @dataclass(frozen=True)
 class WorldSimilarity:
-    noun_jaccard: float
-    adj_jaccard: float
+    """Per-category Jaccard, kept as exact (intersection, union) counts."""
+
+    noun_overlap: tuple[int, int]
+    adj_overlap: tuple[int, int]
     matched_nouns: tuple[tuple[str, str], ...]
     matched_adjs: tuple[tuple[str, str], ...]
 
     @property
+    def noun_jaccard(self) -> float:
+        return float(_jaccard(self.noun_overlap))
+
+    @property
+    def adj_jaccard(self) -> float:
+        return float(_jaccard(self.adj_overlap))
+
+    @property
     def combined(self) -> float:
         return (self.noun_jaccard + self.adj_jaccard) / 2.0
+
+    @property
+    def exact_combined(self) -> Fraction:
+        """The combined score without rounding, for ranking."""
+        return (_jaccard(self.noun_overlap) + _jaccard(self.adj_overlap)) / 2
 
 
 @dataclass
@@ -141,14 +162,13 @@ def build_lexical_world(
 
     noun_freq: dict[str, int] = {}
     adj_freq: dict[str, int] = {}
-    for snippet in snippets:
-        for lemma, pos in tagger.tag(snippet.text):
-            if lemma in stopwords or lemma in excluded:
-                continue
-            if pos == "NOUN":
-                noun_freq[lemma] = noun_freq.get(lemma, 0) + 1
-            elif pos == "ADJ":
-                adj_freq[lemma] = adj_freq.get(lemma, 0) + 1
+    for (lemma, pos), n in tagger.count(s.text for s in snippets).items():
+        if lemma in stopwords or lemma in excluded:
+            continue
+        if pos == "NOUN":
+            noun_freq[lemma] = n
+        elif pos == "ADJ":
+            adj_freq[lemma] = n
 
     def top(freqs: dict[str, int]) -> tuple[tuple[str, int], ...]:
         ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -162,7 +182,7 @@ def _match_category(
     target_lemmas: Sequence[str],
     dictionary: BilingualDictionary,
     pos: str,
-) -> tuple[float, tuple[tuple[str, str], ...]]:
+) -> tuple[tuple[int, int], tuple[tuple[str, str], ...]]:
     target_set = {t.lower() for t in target_lemmas}
     matches = []
     for lemma in source_lemmas:
@@ -176,8 +196,7 @@ def _match_category(
     # union twice, or the score could exceed 1.
     matched_targets = {t for _, t in matches}
     union = len(source_lemmas) + len(target_lemmas) - len(matched_targets)
-    score = intersection / union if union else 0.0
-    return score, tuple(matches)
+    return (intersection, union), tuple(matches)
 
 
 def compare_worlds(
@@ -191,13 +210,13 @@ def compare_worlds(
     |target| minus the distinct matched target lemmas. Scores stay in
     [0, 1] and are 0 when a category is empty on both sides.
     """
-    noun_score, noun_matches = _match_category(
+    noun_overlap, noun_matches = _match_category(
         source.noun_lemmas(), target.noun_lemmas(), dictionary, "NOUN"
     )
-    adj_score, adj_matches = _match_category(
+    adj_overlap, adj_matches = _match_category(
         source.adjective_lemmas(), target.adjective_lemmas(), dictionary, "ADJ"
     )
-    return WorldSimilarity(noun_score, adj_score, noun_matches, adj_matches)
+    return WorldSimilarity(noun_overlap, adj_overlap, noun_matches, adj_matches)
 
 
 def select_translation(
@@ -206,7 +225,9 @@ def select_translation(
     adj_jaccard_min: float = DEFAULT_ADJ_JACCARD_MIN,
 ) -> CandidateTranslation | None:
     """Highest combined score among candidates clearing both thresholds;
-    ties go to the candidate with the higher phrase count."""
+    ties go to the candidate with the higher phrase count. Scores are
+    compared as exact fractions, so a tie is never decided by float
+    rounding (1/10 + 2/10 ties 3/10 + 0)."""
     eligible = [
         (candidate, similarity)
         for candidate, similarity in scored
@@ -217,7 +238,7 @@ def select_translation(
         return None
     eligible.sort(
         key=lambda pair: (
-            -pair[1].combined,
+            -pair[1].exact_combined,
             -pair[0].scores.get("web_count", 0.0),
             pair[0].target_surface,
         )

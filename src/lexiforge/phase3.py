@@ -70,11 +70,19 @@ def _bigram_allowed(
     return all(t not in source_stopwords and t not in source_tokens for t in bigram)
 
 
-def _count_bigrams(
+RankedBigrams = list[tuple[tuple[str, str], int]]
+
+
+def rank_bigrams(
     snippets: Sequence[Snippet],
-    source_tokens: set[str],
-    source_stopwords: frozenset[str],
-) -> dict[tuple[str, str], int]:
+    ulc: SourceUlc,
+    source_stopwords: frozenset[str] = frozenset(),
+) -> RankedBigrams:
+    """Adjacent-token bigrams of the snippets with their counts, most
+    frequent first, then alphabetically. Bigrams holding a source stopword
+    or a token of the source phrase are left out. Both miners read this one
+    ranking."""
+    source_tokens = set(tokenize(ulc.surface))
     counts: dict[tuple[str, str], int] = {}
     for snippet in snippets:
         tokens = tokenize(snippet.text)
@@ -82,20 +90,16 @@ def _count_bigrams(
             bigram = (tokens[i], tokens[i + 1])
             if _bigram_allowed(bigram, source_tokens, source_stopwords):
                 counts[bigram] = counts.get(bigram, 0) + 1
-    return counts
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def find_cognates(
-    snippets: Sequence[Snippet],
-    ulc: SourceUlc,
-    source_stopwords: frozenset[str] = frozenset(),
-) -> list[CandidateTranslation]:
+def find_cognates(ranked: RankedBigrams, ulc: SourceUlc) -> list[CandidateTranslation]:
     """Bigram candidates anchored on a cognate of one of the constituents.
 
     A snippet token is a cognate match when its first four normalized
     characters equal those of a constituent; constituents shorter than four
-    characters are skipped. Candidates are the bigrams containing at least
-    one cognate token, ranked by how often they recur across the snippets.
+    characters are skipped. Candidates are the bigrams of ``ranked``
+    containing at least one cognate token, in its order.
     """
     prefixes: dict[str, str] = {}
     for constituent in ulc.content_lemmas():
@@ -105,11 +109,8 @@ def find_cognates(
     if not prefixes:
         return []
 
-    source_tokens = set(tokenize(ulc.surface))
-    bigram_counts = _count_bigrams(snippets, source_tokens, source_stopwords)
-
     candidates = []
-    for bigram, count in sorted(bigram_counts.items(), key=lambda kv: (-kv[1], kv[0])):
+    for bigram, count in ranked:
         matched = next((p for p in prefixes if any(cognate_prefix(t) == p for t in bigram)), None)
         if matched is None:
             continue
@@ -127,17 +128,13 @@ def find_cognates(
 
 
 def find_frequent_pairs(
-    snippets: Sequence[Snippet],
+    ranked: RankedBigrams,
     ulc: SourceUlc,
-    source_stopwords: frozenset[str] = frozenset(),
     min_pair_freq: int = DEFAULT_MIN_PAIR_FREQ,
     top_pairs: int = DEFAULT_TOP_PAIRS,
 ) -> list[CandidateTranslation]:
-    """The most recurrent bigrams of the raw snippets, as candidates."""
-    source_tokens = set(tokenize(ulc.surface))
-    bigram_counts = _count_bigrams(snippets, source_tokens, source_stopwords)
-    ranked = sorted(bigram_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
+    """The ``top_pairs`` most recurrent bigrams of ``ranked`` seen at least
+    ``min_pair_freq`` times, as candidates."""
     candidates = []
     for bigram, count in ranked:
         if count < min_pair_freq:
@@ -199,7 +196,8 @@ def run_phase3(
     if not snippets:
         return Phase3Result(None, 0, [], [], [])
 
-    cognates = find_cognates(snippets, ulc, source_stopwords)
+    ranked = rank_bigrams(snippets, ulc, source_stopwords)
+    cognates = find_cognates(ranked, ulc)
     unresolved: list[CandidateTranslation] = []
     if cognates:
         result = validate_mined(cognates, ulc, ctx)
@@ -207,7 +205,7 @@ def run_phase3(
         if result.winner is not None:
             return Phase3Result(result.winner, len(snippets), cognates, [], unresolved)
 
-    pairs = find_frequent_pairs(snippets, ulc, source_stopwords, min_pair_freq, top_pairs)
+    pairs = find_frequent_pairs(ranked, ulc, min_pair_freq, top_pairs)
     winner = None
     if pairs:
         result = validate_mined(pairs, ulc, ctx)

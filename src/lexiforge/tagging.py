@@ -1,14 +1,27 @@
 """Snippet tagging for lexical-world construction.
 
-Snippet text is noisy, so the tagger interface is deliberately small: take
-raw text, return (lemma, coarse pos) pairs. Production setups can plug a
-real tagger; the shipped fallback looks words up in a flat lexicon file
+Snippet text is noisy, so the tagger interface is deliberately small:
+``tag`` takes raw text and returns (lemma, coarse pos) pairs in order, and
+``count`` takes many texts and returns how often each (lemma, pos) pair
+occurs across all of them: exactly the totals of counting ``tag(t)`` for
+every text ``t``. World building only needs those totals, so a tagger may
+compute them however it likes. Production setups can plug a real tagger;
+one that reads context can implement ``count`` as a ``Counter`` over its
+own ``tag`` output.
+
+The shipped fallback looks words up in a flat lexicon file
 (``surface<TAB>pos<TAB>lemma``) and tags everything unknown as OTHER, which
-keeps it out of the noun/adjective worlds.
+keeps it out of the noun/adjective worlds. It tags each word on its own and
+no word spans whitespace, so its ``count`` splits the texts on whitespace,
+counts the distinct chunks, and tags each distinct chunk only once per
+tagger: the result is kept in a memo that lives as long as the tagger, one
+entry per distinct chunk. Snippets repeat most of their chunks across
+worlds, so the memo holds far fewer entries than the chunks it counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Protocol, TextIO
@@ -21,14 +34,23 @@ class SnippetTagger(Protocol):
         """(lemma, pos) for each token of ``text``, in order."""
         ...
 
+    def count(self, texts: Iterable[str]) -> dict[tuple[str, str], int]:
+        """Occurrences of each (lemma, pos) over the tokens of all ``texts``;
+        equal to a ``Counter`` over ``tag(t)`` for every ``t``."""
+        ...
+
 
 class LexiconTagger:
-    """Word-list tagger: surface form -> (pos, lemma), unknown -> OTHER."""
+    """Word-list tagger: surface form -> (lemma, pos), unknown -> OTHER."""
 
     def __init__(self, entries: Iterable[tuple[str, str, str]]):
         self._table: dict[str, tuple[str, str]] = {}
         for surface, pos, lemma in entries:
-            self._table[surface.lower()] = (pos, lemma.lower())
+            self._table[surface.lower()] = (lemma.lower(), pos)
+        # Whitespace-free chunk -> its tags. Concurrent workers may both
+        # miss and store the same chunk; the second write stores an equal
+        # value, so no lock is needed.
+        self._chunk_tags: dict[str, tuple[tuple[str, str], ...]] = {}
 
     @classmethod
     def from_file(cls, source: TextIO | str | Path) -> "LexiconTagger":
@@ -47,11 +69,23 @@ class LexiconTagger:
         return cls(entries)
 
     def tag(self, text: str) -> list[tuple[str, str]]:
-        tagged = []
-        for token in tokenize(text):
-            pos, lemma = self._table.get(token, ("OTHER", token))
-            tagged.append((lemma, pos))
-        return tagged
+        table = self._table
+        # Known words share their table entry's tuple.
+        return [table.get(token) or (token, "OTHER") for token in tokenize(text)]
+
+    def count(self, texts: Iterable[str]) -> dict[tuple[str, str], int]:
+        # Exact because tokens are letter runs: none contains or crosses
+        # whitespace, so tagging each chunk alone gives the same tokens.
+        chunks = Counter(" ".join(texts).split())
+        memo = self._chunk_tags
+        totals: dict[tuple[str, str], int] = {}
+        for chunk, n in chunks.items():
+            tags = memo.get(chunk)
+            if tags is None:
+                tags = memo[chunk] = tuple(self.tag(chunk))
+            for pair in tags:
+                totals[pair] = totals.get(pair, 0) + n
+        return totals
 
     def __len__(self) -> int:
         return len(self._table)

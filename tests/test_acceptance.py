@@ -17,7 +17,13 @@ from lexiforge.generation import TranslationRule, generate_candidates
 from lexiforge.oracle import SearchOracle, Snippet
 from lexiforge.phase1 import frequency_verdict, validate_by_frequency
 from lexiforge.phase2 import LexicalWorld, compare_worlds, ratio_filter
-from lexiforge.phase3 import cognate_prefix, find_cognates, find_frequent_pairs, is_cognate_pair
+from lexiforge.phase3 import (
+    cognate_prefix,
+    find_cognates,
+    find_frequent_pairs,
+    is_cognate_pair,
+    rank_bigrams,
+)
 from lexiforge.pipeline import Phase, PipelineSettings, run_pipeline
 
 from conftest import FakeBackend, make_dictionary, make_ulc
@@ -168,7 +174,8 @@ def test_criterion_05_cognate_rule():
         assert is_cognate_pair("café", "cafe")
         assert cognate_prefix("art") is None
         ulc = make_ulc("lit", "or", UlcPattern.NOUN_ADJ, "lit or")  # constituents < 4 letters
-        assert find_cognates([Snippet("litany oracle litany oracle")], ulc) == []
+        ranked = rank_bigrams([Snippet("litany oracle litany oracle")], ulc)
+        assert find_cognates(ranked, ulc) == []
     passed(5)
 
 
@@ -185,7 +192,8 @@ def test_criterion_06_frequent_pairs_equal_brute_force():
                 for _ in range(size)
             ]
             snippets = [Snippet(t, str(i)) for i, t in enumerate(texts)]
-            mined = find_frequent_pairs(snippets, ulc, stops, min_pair_freq=1, top_pairs=10**9)
+            ranked = rank_bigrams(snippets, ulc, stops)
+            mined = find_frequent_pairs(ranked, ulc, min_pair_freq=1, top_pairs=10**9)
             got = {tuple(c.target_surface.split()): c.evidence for c in mined}
             assert got == brute_force_bigrams(texts, excluded)
     passed(6)

@@ -1,4 +1,6 @@
+import gc
 import shutil
+import warnings
 from pathlib import Path
 
 
@@ -210,3 +212,26 @@ def test_local_backend_end_to_end_without_cache(tmp_path, capsys):
         for line in (DATA / "golden_lexicon.tsv").read_text(encoding="utf-8").splitlines()
     ]
     assert produced == golden
+
+
+def test_translate_with_cache_leaves_no_open_file(tmp_path, capsys):
+    cache = tmp_path / "run.cache"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _, _ = run(
+            [
+                "translate",
+                "--ulcs", str(DATA / "ulcs.tsv"),
+                "--dictionary", str(DATA / "dictionary.tsv"),
+                "--config", str(DATA / "run.config"),
+                "--backend", "local",
+                "--docs", str(DATA / "docs.jsonl"),
+                "--cache", str(cache),
+                "--out-dir", str(tmp_path / "live"),
+            ],
+            capsys,
+        )
+        gc.collect()
+    assert code == 0
+    assert cache.stat().st_size > 0
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the oracle's hot kernels (pytest-benchmark).
+"""Micro-benchmarks of the hot kernels (pytest-benchmark): index lookups,
+cache appends and lexical-world building.
 
 Few rounds each, so they add well under a second to the suite; the
 end-to-end numbers come from ``perfbench/run.py``.
@@ -9,10 +10,15 @@ import random
 import pytest
 
 from lexiforge.backends import LocalIndexBackend
-from lexiforge.oracle import OracleQuery, QueryKind, ResponseCache
+from lexiforge.oracle import OracleQuery, QueryKind, ResponseCache, SearchOracle
+from lexiforge.phase2 import build_lexical_world
+from lexiforge.tagging import LexiconTagger
+
+from conftest import FakeBackend
 
 FUNCTION_WORDS = ["de", "la", "le", "et", "des", "les", "du", "en"]
 CONTENT_WORDS = [f"mot{i}" for i in range(300)] + ["caisse", "centrale"]
+STOPWORDS = frozenset(FUNCTION_WORDS)
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +57,29 @@ def test_bench_thousand_cache_puts(benchmark, tmp_path):
 
     cache = benchmark.pedantic(put_all, setup=fresh_cache, rounds=3)
     assert len(ResponseCache(cache.path)) == 1_000
+
+
+def test_bench_world_from_thousand_snippets(benchmark):
+    # 1,000 snippets of 30 words over a 900-word vocabulary: most chunks
+    # repeat, as in the snippets of real phrases.
+    rng = random.Random(7)
+    letters = "abcdefghijklmnopqrst"
+    nouns = [f"n{a}{b}" for a in letters for b in letters]
+    adjectives = [f"j{a}{b}" for a in letters for b in letters[:10]]
+    entries = [(n, "NOUN", n) for n in nouns] + [(j, "ADJ", j) for j in adjectives]
+    vocabulary = nouns + adjectives + FUNCTION_WORDS * 30
+    texts = [
+        " ".join(rng.choice(vocabulary) + rng.choice(["", "", ",", "."]) for _ in range(30))
+        for _ in range(1_000)
+    ]
+    oracle = SearchOracle(FakeBackend().snips("caisse centrale", 1_000, texts))
+
+    def fresh_tagger():
+        return (LexiconTagger(entries),), {}
+
+    def build(tagger):
+        return build_lexical_world("caisse centrale", "fr", oracle, tagger, STOPWORDS)
+
+    world = benchmark.pedantic(build, setup=fresh_tagger, rounds=3)
+    assert world.snippet_count == 1_000
+    assert len(world.nouns) == 50 and len(world.adjectives) == 50

@@ -196,6 +196,7 @@ def test_cache_roundtrip_single_backend_call(tmp_path):
     oracle = SearchOracle(backend, cache)
     assert oracle.phrase_count("midnight mass") == 336_000
     assert oracle.phrase_count("midnight mass") == 336_000
+    oracle.close()
     assert backend.calls == 1
 
 
@@ -207,6 +208,7 @@ def test_cache_file_reload_identical(tmp_path):
     oracle.phrase_count("midnight mass")
     oracle.phrase_count("mass of midnight")
     first = oracle.mixed_snippets("souris d'agneau", "en", 5)
+    oracle.close()
 
     reloaded = SearchOracle(None, ResponseCache(path), offline=True)
     assert reloaded.phrase_count("midnight mass") == 336_000
@@ -226,6 +228,7 @@ def test_pair_key_is_order_insensitive(tmp_path):
     oracle = SearchOracle(backend, ResponseCache(tmp_path / "c"))
     assert oracle.pair_count("caisse centrale", "central fund") == 4
     assert oracle.pair_count("central fund", "caisse centrale") == 4
+    oracle.close()
     assert backend.calls == 1
 
 
@@ -234,6 +237,7 @@ def test_corrupt_cache_lines_skipped(tmp_path):
     good = OracleQuery(QueryKind.PHRASE_COUNT, ("ok",))
     cache = ResponseCache(path)
     cache.put(good, 7)
+    cache.close()
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("PHRASE_COUNT\tbroken\n")  # wrong field count
         fh.write("PHRASE_COUNT\tbad\t\t-\t-\tnot-json\n")
@@ -242,12 +246,31 @@ def test_corrupt_cache_lines_skipped(tmp_path):
     assert reloaded.get(good) == 7
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        "PHRASE_COUNT\tbool\t\t-\t-\ttrue",
+        "PHRASE_COUNT\tnegative\t\t-\t-\t-3",
+        "SNIPPETS\tno text\t\t-\t5\t[[null, \"d1\"]]",
+        "SNIPPETS\tnumeric text\t\t-\t5\t[[7, \"d1\"]]",
+        "SNIPPETS\tobject\t\t-\t5\t{\"ab\": 1}",
+    ],
+)
+def test_cache_records_with_bad_payloads_skipped(tmp_path, record):
+    path = tmp_path / "run.cache"
+    path.write_text("PHRASE_COUNT\tok\t\t-\t-\t7\n" + record + "\n", encoding="utf-8")
+    reloaded = ResponseCache(path)
+    assert len(reloaded) == 1
+    assert reloaded.get(OracleQuery(QueryKind.PHRASE_COUNT, ("ok",))) == 7
+
+
 def test_last_write_wins(tmp_path):
     path = tmp_path / "run.cache"
     q = OracleQuery(QueryKind.PHRASE_COUNT, ("phrase",))
     cache = ResponseCache(path)
     cache.put(q, 1)
     cache.put(q, 2)
+    cache.close()
     assert ResponseCache(path).get(q) == 2
 
 
@@ -295,6 +318,7 @@ def test_cache_only_backend_replays_and_errors(tmp_path):
     path = tmp_path / "fixture.cache"
     recording = ResponseCache(path)
     recording.put(OracleQuery(QueryKind.PHRASE_COUNT, ("known",)), 42)
+    recording.close()
     backend = CacheOnlyBackend(path)
     oracle = SearchOracle(backend)
     assert oracle.phrase_count("known") == 42
@@ -309,6 +333,7 @@ def test_warm_cache_replay_issues_zero_backend_calls(tmp_path):
     queries = [f"phrase {i}" for i in range(200)]
     for q in queries:
         oracle.phrase_count(q)
+    oracle.close()
     assert backend.calls == 200
 
     fresh_backend = FakeBackend(default_count=5)
@@ -369,6 +394,7 @@ def test_concurrent_identical_queries_deduplicated(tmp_path):
         t.start()
     for t in threads:
         t.join()
+    oracle.close()
     assert results == [9] * 8
     assert backend.calls == 1
 
@@ -426,3 +452,29 @@ def test_http_backend_gives_up_with_oracle_error(monkeypatch):
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, max_retries=3, session=session)
     with pytest.raises(OracleError):
         backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",)))
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        (QueryKind.PHRASE_COUNT, {"count": True}),
+        (QueryKind.PHRASE_COUNT, {"count": -1}),
+        (QueryKind.PAIR_COUNT, {"count": False}),
+        (QueryKind.SNIPPETS, {"snippets": [{"doc_id": "d1"}]}),
+        (QueryKind.SNIPPETS, {"snippets": [{"text": 7, "doc_id": "d1"}]}),
+        (QueryKind.SNIPPETS, {"snippets": ["bare text"]}),
+    ],
+)
+def test_http_backend_rejects_malformed_payloads(kind, payload):
+    phrases = ("a", "b") if kind is QueryKind.PAIR_COUNT else ("a",)
+    query = OracleQuery(kind, phrases, limit=None if kind is not QueryKind.SNIPPETS else 5)
+    session = StubSession([StubResponse(200, payload)])
+    backend = HttpBackend("https://search.example/api", rate_per_sec=0, max_retries=1, session=session)
+    with pytest.raises(OracleError, match="malformed"):
+        backend.execute(query)
+
+
+def test_http_backend_accepts_zero_count():
+    session = StubSession([StubResponse(200, {"count": 0})])
+    backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
+    assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 0

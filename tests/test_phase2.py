@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexiforge.dictionary import BilingualDictionary
 from lexiforge.extraction import UlcPattern
@@ -98,21 +98,21 @@ def test_ratio_filter_equality_survives():
     assert len(survivors) == 1
 
 
-FR_TAGGER = LexiconTagger(
-    [
-        ("pension", "NOUN", "pension"),
-        ("pensions", "NOUN", "pension"),
-        ("argent", "NOUN", "argent"),
-        ("banque", "NOUN", "banque"),
-        ("financière", "ADJ", "financier"),
-        ("mensuelle", "ADJ", "mensuel"),
-        ("caisse", "NOUN", "caisse"),
-        ("retraite", "NOUN", "retraite"),
-        ("verse", "VERB", "verser"),
-        ("la", "DET", "le"),
-        ("une", "DET", "un"),
-    ]
-)
+FR_ENTRIES = [
+    ("pension", "NOUN", "pension"),
+    ("pensions", "NOUN", "pension"),
+    ("argent", "NOUN", "argent"),
+    ("banque", "NOUN", "banque"),
+    ("financière", "ADJ", "financier"),
+    ("mensuelle", "ADJ", "mensuel"),
+    ("caisse", "NOUN", "caisse"),
+    ("retraite", "NOUN", "retraite"),
+    ("verse", "VERB", "verser"),
+    ("la", "DET", "le"),
+    ("une", "DET", "un"),
+]
+
+FR_TAGGER = LexiconTagger(FR_ENTRIES)
 
 
 def test_build_world_matches_hand_count():
@@ -158,6 +158,52 @@ def test_world_with_only_verbs_is_empty():
     backend = FakeBackend().snips("x y", 1000, ["court court court"])
     world = build_lexical_world("x y", "fr", SearchOracle(backend), tagger)
     assert world.nouns == () and world.adjectives == ()
+
+
+def reference_world(phrase, texts, tagger, stopwords, exclude_lemmas, world_size):
+    """Per-snippet reference: tag every snippet token by token."""
+    excluded = {w.lower() for w in exclude_lemmas} | {lemma for lemma, _ in tagger.tag(phrase)}
+    freqs = {"NOUN": {}, "ADJ": {}}
+    for text in texts:
+        for lemma, pos in tagger.tag(text):
+            if pos in freqs and lemma not in stopwords and lemma not in excluded:
+                freqs[pos][lemma] = freqs[pos].get(lemma, 0) + 1
+
+    def top(f):
+        return tuple(sorted(f.items(), key=lambda kv: (-kv[1], kv[0]))[:world_size])
+
+    return top(freqs["NOUN"]), top(freqs["ADJ"])
+
+
+WORLD_WORDS = ["pension", "Pensions", "banque", "argent", "financière", "mensuelle",
+               "caisse", "retraite", "verse", "la", "une", "inconnu", "l'argent", "2banque"]
+WORLD_SEPARATORS = [" ", "  ", "\u00a0", "\n", ", ", ".", "-", "\x1c"]
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(WORLD_WORDS), st.sampled_from(WORLD_SEPARATORS)),
+            max_size=12,
+        ),
+        max_size=8,
+    ),
+    st.integers(1, 4),
+)
+def test_build_world_matches_per_snippet_reference(snippet_words, world_size):
+    texts = ["".join(word + sep for word, sep in words) or "." for words in snippet_words]
+    stopwords = frozenset({"le", "un"})
+    backend = FakeBackend().snips("caisse de retraite", 1000, texts)
+    tagger = LexiconTagger(FR_ENTRIES)
+    world = build_lexical_world(
+        "caisse de retraite", "fr", SearchOracle(backend), tagger, stopwords,
+        exclude_lemmas=["Argent"], world_size=world_size,
+    )
+    nouns, adjectives = reference_world(
+        "caisse de retraite", texts, tagger, stopwords, ["Argent"], world_size
+    )
+    assert (world.nouns, world.adjectives) == (nouns, adjectives)
+    assert world.snippet_count == len(texts)
 
 
 def test_zero_snippets_give_empty_world():
@@ -258,15 +304,16 @@ def test_compare_worlds_permutation_invariant(data, rng):
     assert base.noun_jaccard == pytest.approx(again.noun_jaccard)
 
 
-def scored(ulc, surface, noun_j, adj_j, web=0.0):
+def scored(ulc, surface, noun, adj, web=0.0):
+    """noun, adj: (intersection, union) of each category."""
     c = cand(ulc, surface, web_count=web)
-    return (c, WorldSimilarity(noun_j, adj_j, (), ()))
+    return (c, WorldSimilarity(noun, adj, (), ()))
 
 
 def test_select_argmax_of_combined():
     ulc = caisse_centrale()
     best = select_translation(
-        [scored(ulc, "low", 0.2, 0.2), scored(ulc, "high", 0.35, 0.35)],
+        [scored(ulc, "low", (1, 5), (1, 5)), scored(ulc, "high", (7, 20), (7, 20))],
         noun_jaccard_min=0.0,
         adj_jaccard_min=0.0,
     )
@@ -277,7 +324,7 @@ def test_select_thresholds_forward_none():
     ulc = caisse_centrale()
     assert (
         select_translation(
-            [scored(ulc, "weak", 0.01, 0.9)], noun_jaccard_min=0.05, adj_jaccard_min=0.05
+            [scored(ulc, "weak", (1, 100), (9, 10))], noun_jaccard_min=0.05, adj_jaccard_min=0.05
         )
         is None
     )
@@ -287,26 +334,56 @@ def test_select_thresholds_forward_none():
 def test_select_tie_broken_by_web_count():
     ulc = caisse_centrale()
     best = select_translation(
-        [scored(ulc, "few", 0.3, 0.3, web=10), scored(ulc, "many", 0.3, 0.3, web=99)],
+        [
+            scored(ulc, "few", (3, 10), (3, 10), web=10),
+            scored(ulc, "many", (3, 10), (3, 10), web=99),
+        ],
         0.0,
         0.0,
     )
     assert best.target_surface == "many"
 
 
-# Jaccard scores are intersection / union of lemma counts, so they are
-# ratios i/u of small integers, never arbitrary floats such as subnormals.
-jaccard_values = st.integers(1, 100).flatmap(lambda u: st.integers(0, u).map(lambda i: i / u))
+def test_select_exact_tie_broken_by_web_count():
+    # 1/10 + 2/10 is 0.30000000000000004 in floats, above 3/10 + 0; the
+    # scores tie exactly, so the higher web count must win.
+    ulc = caisse_centrale()
+    best = select_translation(
+        [
+            scored(ulc, "rounded-up", (1, 10), (2, 10), web=10),
+            scored(ulc, "exact", (3, 10), (0, 10), web=99),
+        ],
+        0.0,
+        0.0,
+    )
+    assert best.target_surface == "exact"
 
 
-@given(st.lists(st.tuples(jaccard_values, jaccard_values), min_size=1, max_size=6))
+# Jaccard scores are intersection / union of lemma counts: (i, u) with
+# 0 <= i <= u.
+overlaps = st.integers(1, 100).flatmap(lambda u: st.tuples(st.integers(0, u), st.just(u)))
+
+
+def halved_plus_tenth(overlap):
+    # i/u / 2 + 1/10 == (5i + u) / 10u, still an exact ratio.
+    i, u = overlap
+    return (5 * i + u, 10 * u)
+
+
+@given(st.lists(st.tuples(overlaps, overlaps), min_size=1, max_size=6))
+@example([((1, 17), (1, 17)), ((0, 17), (2, 17))])
 def test_select_invariant_under_monotone_rescaling(pairs):
     ulc = caisse_centrale()
     base = [
-        scored(ulc, f"c{i}", nj, aj, web=i) for i, (nj, aj) in enumerate(pairs)
+        scored(ulc, f"c{i}", noun, adj, web=i) for i, (noun, adj) in enumerate(pairs)
     ]
     rescaled = [
-        (c, WorldSimilarity(s.noun_jaccard / 2 + 0.1, s.adj_jaccard / 2 + 0.1, (), ()))
+        (
+            c,
+            WorldSimilarity(
+                halved_plus_tenth(s.noun_overlap), halved_plus_tenth(s.adj_overlap), (), ()
+            ),
+        )
         for c, s in base
     ]
     first = select_translation(base, 0.0, 0.0)

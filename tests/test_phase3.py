@@ -14,6 +14,7 @@ from lexiforge.phase3 import (
     find_frequent_pairs,
     is_cognate_pair,
     normalize_token,
+    rank_bigrams,
     run_phase3,
 )
 from lexiforge.tagging import LexiconTagger
@@ -25,6 +26,14 @@ FR_STOPS = frozenset({"le", "la", "les", "de", "d", "un", "une", "est", "et"})
 
 def snips(*texts):
     return [Snippet(t, str(i)) for i, t in enumerate(texts)]
+
+
+def cognates_of(snippets, ulc, stops=FR_STOPS):
+    return find_cognates(rank_bigrams(snippets, ulc, stops), ulc)
+
+
+def frequent_pairs_of(snippets, ulc, stops=FR_STOPS, **kwargs):
+    return find_frequent_pairs(rank_bigrams(snippets, ulc, stops), ulc, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -65,7 +74,7 @@ def test_find_cognates_nucleic_acid():
         "Un acide nucléique is a nucleic acid molecule.",
         "The nucleic acid in every cell.",
     )
-    cands = find_cognates(snippets, ulc, FR_STOPS)
+    cands = cognates_of(snippets, ulc)
     assert cands
     top = cands[0]
     assert top.target_surface == "nucleic acid"
@@ -78,19 +87,19 @@ def test_cognate_excludes_source_tokens_themselves():
     # The French constituents appear in the snippet but cannot become
     # candidates; only genuine target-side tokens qualify.
     ulc = make_ulc("acide", "nucléique", UlcPattern.NOUN_ADJ, "acide nucléique")
-    cands = find_cognates(snips("acide nucléique acide nucléique"), ulc, FR_STOPS)
+    cands = cognates_of(snips("acide nucléique acide nucléique"), ulc)
     assert cands == []
 
 
 def test_short_constituents_yield_no_cognates():
     ulc = make_ulc("vie", "or", UlcPattern.NOUN_ADJ, "vie or")  # both < 4 letters
-    cands = find_cognates(snips("vial oral viol"), ulc, FR_STOPS)
+    cands = cognates_of(snips("vial oral viol"), ulc)
     assert cands == []
 
 
 def test_cognate_diacritic_insensitive_both_sides():
     ulc = make_ulc("café", "noir", UlcPattern.NOUN_ADJ, "café noir")
-    cands = find_cognates(snips("A cafe noir crème CAFE culture"), ulc, FR_STOPS)
+    cands = cognates_of(snips("A cafe noir crème CAFE culture"), ulc)
     assert any(
         c.matched_prefix == "cafe" and "cafe" in c.target_surface for c in cands
     )
@@ -116,7 +125,7 @@ LAMB_TEXTS = [
 
 def test_frequent_pairs_top_candidate_is_lamb_shank():
     ulc = make_ulc("souris", "agneau", UlcPattern.NOUN_D_NOUN, "souris d'agneau")
-    cands = find_frequent_pairs(snips(*LAMB_TEXTS), ulc, FR_STOPS, min_pair_freq=2)
+    cands = frequent_pairs_of(snips(*LAMB_TEXTS), ulc, min_pair_freq=2)
     assert cands[0].target_surface == "lamb shank"
     assert cands[0].evidence == 3
     assert cands[0].origin is CandidateOrigin.FREQUENT_PAIR
@@ -124,9 +133,7 @@ def test_frequent_pairs_top_candidate_is_lamb_shank():
 
 def test_frequent_pairs_match_brute_force_counts():
     ulc = make_ulc("souris", "agneau", UlcPattern.NOUN_D_NOUN, "souris d'agneau")
-    cands = find_frequent_pairs(
-        snips(*LAMB_TEXTS), ulc, FR_STOPS, min_pair_freq=1, top_pairs=10_000
-    )
+    cands = frequent_pairs_of(snips(*LAMB_TEXTS), ulc, min_pair_freq=1, top_pairs=10_000)
     excluded = FR_STOPS | {"souris", "d", "agneau"}
     brute = brute_force_bigrams(LAMB_TEXTS, excluded)
     assert {tuple(c.target_surface.split()): c.evidence for c in cands} == brute
@@ -142,7 +149,7 @@ def test_frequent_pairs_match_brute_force_counts():
 def test_random_snippets_bigram_counts_equal_brute_force(token_lists):
     texts = [" ".join(tokens) for tokens in token_lists]
     ulc = make_ulc("tête", "chose", UlcPattern.NOUN_DE_NOUN, "tête de chose")
-    cands = find_frequent_pairs(snips(*texts), ulc, FR_STOPS, min_pair_freq=1, top_pairs=10_000)
+    cands = frequent_pairs_of(snips(*texts), ulc, min_pair_freq=1, top_pairs=10_000)
     excluded = FR_STOPS | {"tête", "de", "chose"}
     assert {tuple(c.target_surface.split()): c.evidence for c in cands} == brute_force_bigrams(
         texts, excluded
@@ -151,8 +158,8 @@ def test_random_snippets_bigram_counts_equal_brute_force(token_lists):
 
 def test_bigrams_with_stopwords_or_source_tokens_excluded():
     ulc = make_ulc("souris", "agneau", UlcPattern.NOUN_D_NOUN, "souris d'agneau")
-    cands = find_frequent_pairs(
-        snips("la souris agneau braised braised agneau"), ulc, FR_STOPS, min_pair_freq=1
+    cands = frequent_pairs_of(
+        snips("la souris agneau braised braised agneau"), ulc, min_pair_freq=1
     )
     surfaces = {c.target_surface for c in cands}
     assert "la souris" not in surfaces
@@ -162,7 +169,7 @@ def test_bigrams_with_stopwords_or_source_tokens_excluded():
 
 def test_min_evidence_default_two():
     ulc = make_ulc("souris", "agneau", UlcPattern.NOUN_D_NOUN, "souris d'agneau")
-    cands = find_frequent_pairs(snips("unique bigram here"), ulc, FR_STOPS)
+    cands = frequent_pairs_of(snips("unique bigram here"), ulc)
     assert cands == []
 
 
@@ -225,14 +232,37 @@ def test_run_phase3_cognates_take_precedence():
     assert result.pair_candidates == []
 
 
+def test_run_phase3_counts_bigrams_once_for_both_miners(monkeypatch):
+    import lexiforge.phase3 as phase3
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rank_bigrams(*args, **kwargs)
+
+    monkeypatch.setattr(phase3, "rank_bigrams", counted)
+    ulc = make_ulc("viande", "tendre", UlcPattern.NOUN_ADJ, "viande tendre", literal_freq=1)
+    backend = FakeBackend(default_count=0)
+    backend.snips(
+        "viande tendre", 1000,
+        ["Viande tendre means tender meat.", "Very tender meat indeed, tender meat."],
+        lang="en",
+    )
+    # no pair shares a document: cognates fail validation, pair mining runs
+    result = run_phase3(ulc, _phase3_context(backend), FR_STOPS)
+    assert result.winner is None
+    assert result.cognate_candidates and result.pair_candidates
+    assert len(calls) == 1
+
+
 def test_mined_log_format(tmp_path):
     from lexiforge.phase3 import write_mined_log
 
     ulc = make_ulc("acide", "nucléique", UlcPattern.NOUN_ADJ, "acide nucléique")
-    cognates = find_cognates(
+    cognates = cognates_of(
         snips("Un acide nucléique is a nucleic acid molecule.", "The nucleic acid story."),
         ulc,
-        FR_STOPS,
     )
     path = tmp_path / "mined.tsv"
     with open(path, "w", encoding="utf-8") as fh:

@@ -254,11 +254,13 @@ def test_warm_cache_pipeline_replay_zero_backend_calls(tmp_path):
     ctx = make_ctx(backend, dictionary)
     ctx.oracle = SearchOracle(backend, cache)
     first = run_pipeline(units, dictionary, ctx, PipelineSettings())
+    ctx.oracle.close()
 
     fresh_units, fresh_dictionary, fresh_backend = build_50_clu_fixture()
     replay_ctx = make_ctx(fresh_backend, fresh_dictionary)
     replay_ctx.oracle = SearchOracle(fresh_backend, ResponseCache(tmp_path / "warm.cache"))
     replay = run_pipeline(fresh_units, fresh_dictionary, replay_ctx, PipelineSettings())
+    replay_ctx.oracle.close()
     assert fresh_backend.calls == 0
     assert [(r.source.key, r.translation, r.phase) for r in replay.records] == [
         (r.source.key, r.translation, r.phase) for r in first.records

@@ -1,6 +1,10 @@
 import io
+import sys
+import threading
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lexiforge.backends import tokenize
 from lexiforge.tagging import LexiconTagger, default_tagger, load_stopwords
@@ -17,6 +21,69 @@ def test_lexicon_tagger_lemmatizes_and_defaults_to_other():
         ("musical", "ADJ"),
         ("inconnue", "OTHER"),
     ]
+
+
+COUNT_ENTRIES = [
+    ("ambiance", "NOUN", "ambiance"),
+    ("musicale", "ADJ", "musical"),
+    ("musical", "ADJ", "musical"),
+    ("istanbul", "NOUN", "istanbul"),
+    ("abc", "NOUN", "abc"),
+]
+
+
+def reference_count(tagger, texts):
+    return Counter(pair for text in texts for pair in tagger.tag(text))
+
+
+@given(st.lists(st.text(), max_size=6))
+@example(["ambiance\u00a0musicale", "Ambiance\x1cmusical\u2028AMBIANCE"])
+@example(["İstanbul istanbul İSTANBUL", "ab3c abc a_bc abc9", "x\u00a0"])
+@example(["MuSiCaLe", "musicale", "musicale musicale"])
+@example(["", " ", "\t\n", "ambiance", "ambiance"])
+def test_count_equals_counter_over_tag(texts):
+    tagger = LexiconTagger(COUNT_ENTRIES)
+    # Twice: the second call reads every chunk from the memo.
+    assert tagger.count(texts) == reference_count(tagger, texts)
+    assert tagger.count(texts) == reference_count(tagger, texts)
+
+
+def test_count_sums_over_texts():
+    tagger = LexiconTagger([("musicale", "ADJ", "musical")])
+    assert tagger.count(["musicale ambiance"]) == {("musical", "ADJ"): 1, ("ambiance", "OTHER"): 1}
+    assert tagger.count(["musicale, musicale"]) == {("musical", "ADJ"): 2}
+
+
+def test_count_is_exact_with_concurrent_callers():
+    # Pipeline workers share one tagger and its memo; an unlucky race may
+    # tag a chunk twice but must never change a total. Every round starts
+    # the threads together on a cold memo full of multi-token chunks.
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    texts = [
+        " ".join(f"ambiance-{a}{b}-musicale-{b}{a}-abc" for b in letters) for a in letters
+    ]
+    expected = reference_count(LexiconTagger(COUNT_ENTRIES), texts)
+    results = []
+
+    def work(tagger, barrier):
+        barrier.wait(timeout=10)
+        results.append(tagger.count(texts))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            tagger, barrier = LexiconTagger(COUNT_ENTRIES), threading.Barrier(4)
+            threads = [threading.Thread(target=work, args=(tagger, barrier)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 20
+    assert all(result == expected for result in results)
 
 
 def test_lexicon_tagger_from_file_rejects_bad_lines():
