@@ -1,11 +1,8 @@
 """Interchangeable search backends.
 
 * HttpBackend — generic HTTP search API client with rate limiting and retry.
-* LocalIndexBackend — positional inverted index over a local document
-  collection; counts are true document counts, not engine estimates. A
-  phrase is matched by walking the rarest of its tokens' postings and
-  testing the others for membership, then checking word positions.
-* CacheOnlyBackend — read-only replay of a cache file; any miss errors.
+* LocalIndexBackend — document index over a local collection; counts are
+  true document counts, not engine estimates.
 """
 
 from __future__ import annotations
@@ -17,11 +14,11 @@ import time
 from pathlib import Path
 from typing import Iterable
 
+from .config import InputError
 from .oracle import (
     OracleError,
     OracleQuery,
     QueryKind,
-    ResponseCache,
     Snippet,
     is_count,
     split_or_query,
@@ -43,13 +40,18 @@ class LocalIndexBackend:
     Documents are dicts with ``id``, ``lang`` and ``text`` keys (or one JSON
     object per line in a file). Phrase counts are numbers of documents
     containing the phrase; OR-queries count the union of their disjuncts.
+    Each token maps to the set of documents holding it, and each document
+    keeps its lowercased tokens as one space-delimited string. A phrase
+    intersects its tokens' sets, rarest first, and keeps the documents whose
+    string contains the phrase's tokens as a space-delimited run.
     """
 
     name = "local-index"
 
     def __init__(self, documents: Iterable[dict]):
-        self._docs: list[dict] = []
-        self._positions: dict[str, dict[int, list[int]]] = {}
+        self._docs: list[tuple[str, str, str]] = []  # (id, lang, text)
+        self._token_docs: dict[str, set[int]] = {}
+        self._spaced: list[str] = []
         for doc in documents:
             self._add(doc)
 
@@ -57,64 +59,56 @@ class LocalIndexBackend:
     def from_jsonl(cls, path: str | Path) -> "LocalIndexBackend":
         docs = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    docs.append(json.loads(line))
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(path, lineno, f"invalid JSON: {exc.msg}") from None
+                if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
+                    raise InputError(path, lineno, 'expected an object with a string "text"')
+                docs.append(doc)
         return cls(docs)
 
     def _add(self, doc: dict):
         idx = len(self._docs)
-        record = {
-            "id": str(doc.get("id", idx)),
-            "lang": doc.get("lang", ""),
-            "text": doc["text"],
-        }
-        self._docs.append(record)
-        positions = self._positions
-        for pos, token in enumerate(tokenize(record["text"])):
-            postings = positions.get(token)
-            if postings is None:
-                positions[token] = {idx: [pos]}
-            elif idx in postings:
-                postings[idx].append(pos)
+        self._docs.append((str(doc.get("id", idx)), doc.get("lang", ""), doc["text"]))
+        # Equal to lowercasing each token: a space is neither cased nor
+        # case-ignorable, so it ends a final-sigma context as a token end does.
+        joined = " ".join(WORD_RE.findall(doc["text"])).lower()
+        self._spaced.append(f" {joined} ")
+        token_docs = self._token_docs
+        for token in set(joined.split(" ")) if joined else ():
+            docs = token_docs.get(token)
+            if docs is None:
+                token_docs[token] = {idx}
             else:
-                postings[idx] = [pos]
+                docs.add(idx)
 
     def __len__(self) -> int:
         return len(self._docs)
 
     def _phrase_docs(self, phrase: str) -> set[int]:
+        """Indexes of the documents holding the phrase, in a fresh set."""
         tokens = tokenize(phrase)
         if not tokens:
             return set()
         postings = []
         for token in tokens:
-            docs = self._positions.get(token)
+            docs = self._token_docs.get(token)
             if docs is None:
                 return set()
             postings.append(docs)
-        # Intersecting key views walks the smaller side and tests membership
-        # in the larger, so the rarest token's postings bound the work.
-        candidates = min(postings, key=len).keys()
-        for docs in postings:
-            candidates = candidates & docs.keys()
         if len(tokens) == 1:
-            return candidates
-        first, later = postings[0], postings[1:]
-        hits = set()
-        for doc_idx in candidates:
-            later_positions = [docs[doc_idx] for docs in later]
-            for start in first[doc_idx]:
-                pos = start
-                for positions in later_positions:
-                    pos += 1
-                    if pos not in positions:
-                        break
-                else:
-                    hits.add(doc_idx)
-                    break
-        return hits
+            return set(postings[0])
+        postings.sort(key=len)  # an intersection walks its smaller side
+        candidates = postings[0].intersection(*postings[1:])
+        # No token holds a space, so a space-delimited substring is exactly
+        # a contiguous run of tokens.
+        needle = f" {' '.join(tokens)} "
+        spaced = self._spaced
+        return {idx for idx in candidates if needle in spaced[idx]}
 
     def _query_docs(self, query: str) -> set[int]:
         docs: set[int] = set()
@@ -123,12 +117,11 @@ class LocalIndexBackend:
         return docs
 
     def _snippet(self, doc_idx: int) -> Snippet:
-        doc = self._docs[doc_idx]
-        text = doc["text"]
+        doc_id, _, text = self._docs[doc_idx]
         if len(text) > SNIPPET_MAX_CHARS:
             cut = text.rfind(" ", 0, SNIPPET_MAX_CHARS)
             text = text[: cut if cut > 0 else SNIPPET_MAX_CHARS]
-        return Snippet(text, doc["id"])
+        return Snippet(text, doc_id)
 
     def execute(self, query: OracleQuery) -> int | list[Snippet]:
         if query.kind is QueryKind.PHRASE_COUNT:
@@ -138,23 +131,8 @@ class LocalIndexBackend:
             return len(self._query_docs(a) & self._query_docs(b))
         hits = sorted(self._query_docs(query.phrases[0]))
         if query.kind is QueryKind.MIXED_SNIPPETS:
-            hits = [i for i in hits if self._docs[i]["lang"] == query.lang_restrict]
+            hits = [i for i in hits if self._docs[i][1] == query.lang_restrict]
         return [self._snippet(i) for i in hits[: query.limit]]
-
-
-class CacheOnlyBackend:
-    """Replays a recorded cache file; never touches the network."""
-
-    name = "fixture-cache"
-
-    def __init__(self, path: str | Path):
-        self._cache = ResponseCache(path)
-
-    def execute(self, query: OracleQuery) -> int | list[Snippet]:
-        value = self._cache.get(query)
-        if value is None:
-            raise OracleError(f"fixture cache has no entry for {query.cache_key()}")
-        return value
 
 
 class HttpBackend:
@@ -163,8 +141,11 @@ class HttpBackend:
     Request: GET ``endpoint`` with params ``kind`` (count|pair|snippets|
     mixed), ``q``, optionally ``q2``, ``lang``, ``limit`` and ``key``.
     Response: ``{"count": N}`` or ``{"snippets": [{"text": ..., "doc_id":
-    ...}, ...]}``. Requests are rate limited and retried with backoff;
-    persistent failure surfaces as a retriable OracleError.
+    ...}, ...]}``. Requests are rate limited. A client error (4xx) other
+    than 408 and 429, and a 200 with a malformed payload, fail on the first
+    response; other statuses, timeouts and connection failures are retried
+    with backoff. Either way the failure surfaces as an OracleError, which
+    a later run may retry.
     """
 
     name = "http"
@@ -223,24 +204,31 @@ class HttpBackend:
         params = self._params(query)
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
+            if attempt:
+                time.sleep(min(2.0 ** (attempt - 1) * 0.5, 8.0))
             self._throttle()
             try:
                 response = self._session.get(self.endpoint, params=params, timeout=self.timeout)
-                if response.status_code >= 500:
-                    raise OracleError(f"server error {response.status_code}")
-                if response.status_code != 200:
-                    raise OracleError(f"request failed with status {response.status_code}")
-                return self._parse(query, response.json())
-            except OracleError as exc:
+            except Exception as exc:  # connection errors and timeouts are retried
                 last_error = exc
-            except Exception as exc:  # connection/timeout/JSON errors
-                last_error = exc
-            if attempt + 1 < self.max_retries:
-                time.sleep(min(2.0**attempt * 0.5, 8.0))
+                continue
+            if response.status_code == 200:
+                return self._parse(query, response)
+            last_error = OracleError(f"request failed with status {response.status_code}")
+            # Asking again cannot change a client error's answer, except for
+            # a request timeout or a rate limit.
+            if 400 <= response.status_code < 500 and response.status_code not in (408, 429):
+                raise last_error
         raise OracleError(f"backend unavailable after {self.max_retries} attempts: {last_error}")
 
     @staticmethod
-    def _parse(query: OracleQuery, payload: dict) -> int | list[Snippet]:
+    def _parse(query: OracleQuery, response) -> int | list[Snippet]:
+        try:
+            payload = response.json()
+        except ValueError:  # a body that is not JSON
+            payload = None
+        if not isinstance(payload, dict):
+            raise OracleError(f"malformed response: {payload!r}")
         if query.kind in (QueryKind.PHRASE_COUNT, QueryKind.PAIR_COUNT):
             count = payload.get("count")
             if not is_count(count):

@@ -14,8 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from .backends import CacheOnlyBackend, HttpBackend, LocalIndexBackend
-from .config import API_KEY_ENV, ConfigError, RunConfig, load_config
+from .backends import HttpBackend, LocalIndexBackend
+from .config import API_KEY_ENV, ConfigError, InputError, RunConfig, load_config
 from .corpus import CorpusParseError, Tagset, parse_tagged_corpus
 from .dictionary import load_dictionary
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
@@ -32,16 +32,14 @@ EXIT_UNRESOLVED = 3
 
 def build_oracle(cfg: RunConfig) -> SearchOracle:
     cache = ResponseCache(cfg.cache_path) if cfg.cache_path else None
-    if cfg.offline:
+    if cfg.offline or cfg.backend == "cache":
         if cache is None:
             raise ConfigError("--offline requires oracle.cache")
         return SearchOracle(None, cache, offline=True)
     if cfg.backend == "local":
         backend = LocalIndexBackend.from_jsonl(cfg.docs_path)
-    elif cfg.backend == "http":
-        backend = HttpBackend(cfg.endpoint, cfg.api_key, cfg.rate_per_sec)
     else:
-        backend = CacheOnlyBackend(cfg.cache_path)
+        backend = HttpBackend(cfg.endpoint, cfg.api_key, cfg.rate_per_sec)
     return SearchOracle(backend, cache, max_parallel=cfg.parallelism)
 
 
@@ -326,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorpusParseError, GoldError) as exc:
+    except (ConfigError, CorpusParseError, GoldError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:

@@ -29,6 +29,13 @@ class ConfigError(ValueError):
     pass
 
 
+class InputError(ValueError):
+    """A malformed line in an input file, reported as ``path:line: msg``."""
+
+    def __init__(self, path: str | Path, lineno: int, msg: str):
+        super().__init__(f"{path}:{lineno}: {msg}")
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:

@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
+from .config import InputError
 from .corpus import Sentence, TaggedCorpus
 
 if TYPE_CHECKING:
@@ -226,6 +227,7 @@ def write_ulcs(units: Iterable[SourceUlc], out: TextIO) -> None:
 
 
 def read_ulcs(source: TextIO) -> list[SourceUlc]:
+    path = getattr(source, "name", "<units>")
     units = []
     for lineno, raw_line in enumerate(source, start=1):
         line = raw_line.rstrip("\n")
@@ -233,10 +235,10 @@ def read_ulcs(source: TextIO) -> list[SourceUlc]:
             continue
         fields = line.split("\t")
         if len(fields) != 7:
-            raise ValueError(f"line {lineno}: expected 7 fields, got {len(fields)}")
+            raise InputError(path, lineno, f"expected 7 fields, got {len(fields)}")
         head, modifier, pattern, surface, freq, literal, article = fields
-        units.append(
-            SourceUlc(
+        try:
+            unit = SourceUlc(
                 head,
                 modifier,
                 UlcPattern(pattern),
@@ -245,5 +247,7 @@ def read_ulcs(source: TextIO) -> list[SourceUlc]:
                 None if literal == "-" else int(literal),
                 None if article == "-" else int(article),
             )
-        )
+        except ValueError as exc:
+            raise InputError(path, lineno, str(exc)) from None
+        units.append(unit)
     return units

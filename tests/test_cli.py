@@ -235,3 +235,66 @@ def test_translate_with_cache_leaves_no_open_file(tmp_path, capsys):
     assert code == 0
     assert cache.stat().st_size > 0
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_cache_backend_replays_like_offline(tmp_path, capsys):
+    argv = translate_args(tmp_path / "cache")
+    argv[argv.index("--offline")] = "--backend=cache"
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    run(translate_args(tmp_path / "offline"), capsys)
+    for name in ("lexicon.tsv", "summary.tsv"):
+        assert (tmp_path / "cache" / name).read_bytes() == (tmp_path / "offline" / name).read_bytes()
+
+    cold = tmp_path / "cold.cache"
+    cold.touch()
+    code, _, err = run(
+        ["translate", "--ulcs", str(DATA / "ulcs.tsv"), "--dictionary", str(DATA / "dictionary.tsv"),
+         "--backend", "cache", "--cache", str(cold), "--out-dir", str(tmp_path / "cold")],
+        capsys,
+    )
+    assert code == 3
+    assert "unresolved" in err
+
+
+def translate_with_docs(tmp_path, docs_lines):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text("".join(line + "\n" for line in docs_lines), encoding="utf-8")
+    return docs, [
+        "translate",
+        "--ulcs", str(DATA / "ulcs.tsv"),
+        "--dictionary", str(DATA / "dictionary.tsv"),
+        "--backend", "local",
+        "--docs", str(docs),
+        "--out-dir", str(tmp_path / "out"),
+    ]
+
+
+def test_docs_line_with_broken_json_exits_2_with_line_number(tmp_path, capsys):
+    docs, argv = translate_with_docs(
+        tmp_path, ['{"id": "d1", "lang": "fr", "text": "la caisse"}', "", '{"id": "d2", "text": '],
+    )
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {docs}:3: invalid JSON")
+
+
+def test_docs_line_without_text_exits_2_with_line_number(tmp_path, capsys):
+    docs, argv = translate_with_docs(tmp_path, ['{"id": "d1", "lang": "fr"}'])
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == f'error: {docs}:1: expected an object with a string "text"\n'
+
+
+def test_unit_file_with_non_integer_frequency_exits_2_with_line_number(tmp_path, capsys):
+    lines = (DATA / "ulcs.tsv").read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split("\t")
+    fields[4] = "twelve"
+    lines[1] = "\t".join(fields)
+    ulcs = tmp_path / "ulcs.tsv"
+    ulcs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = translate_args(tmp_path / "out")
+    argv[argv.index("--ulcs") + 1] = str(ulcs)
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {ulcs}:2: ") and "'twelve'" in err

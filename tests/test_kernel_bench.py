@@ -1,5 +1,5 @@
-"""Micro-benchmarks of the hot kernels (pytest-benchmark): index lookups,
-cache appends and lexical-world building.
+"""Micro-benchmarks of the hot kernels (pytest-benchmark): index building
+and lookups, cache appends and lexical-world building.
 
 Few rounds each, so they add well under a second to the suite; the
 end-to-end numbers come from ``perfbench/run.py``.
@@ -22,7 +22,7 @@ STOPWORDS = frozenset(FUNCTION_WORDS)
 
 
 @pytest.fixture(scope="module")
-def frequent_token_index():
+def thousand_docs():
     rng = random.Random(5)
     docs = []
     for i in range(1_000):
@@ -33,7 +33,17 @@ def frequent_token_index():
         if i % 10 == 0:
             words[10:13] = ["la", "caisse", "centrale"]
         docs.append({"id": f"d{i}", "lang": "fr", "text": " ".join(words)})
-    return LocalIndexBackend(docs)
+    return docs
+
+
+@pytest.fixture(scope="module")
+def frequent_token_index(thousand_docs):
+    return LocalIndexBackend(thousand_docs)
+
+
+def test_bench_index_build(benchmark, thousand_docs):
+    index = benchmark.pedantic(LocalIndexBackend, args=(thousand_docs,), rounds=3)
+    assert len(index) == 1_000
 
 
 def test_bench_phrase_count_led_by_frequent_token(benchmark, frequent_token_index):

@@ -6,11 +6,12 @@ from hypothesis import example, given, strategies as st
 
 from lexiforge.backends import (
     WORD_RE,
-    CacheOnlyBackend,
     HttpBackend,
     LocalIndexBackend,
     tokenize,
 )
+from lexiforge.cli import build_oracle
+from lexiforge.config import RunConfig
 from lexiforge.oracle import (
     OracleError,
     OracleQuery,
@@ -126,32 +127,42 @@ def test_mixed_snippets_filter_language(index):
 
 
 @given(st.text())
+@example("ΟΔΟΣ ΣΑ ΟΔΟΣΣ")
+@example("İstanbul\xa0İ ǅungla ǄUNGLA")
 def test_tokenize_equals_match_object_form(text):
-    assert tokenize(text) == [m.group(0).lower() for m in WORD_RE.finditer(text)]
+    tokens = [m.group(0).lower() for m in WORD_RE.finditer(text)]
+    assert tokenize(text) == tokens
+    # The index lowercases each document's tokens joined by spaces at once.
+    assert " ".join(WORD_RE.findall(text)).lower() == " ".join(tokens)
 
 
 VOCAB = ["de", "la", "caisse", "fund"]
 vocab_phrases = st.lists(st.sampled_from(VOCAB + ["absent"]), min_size=1, max_size=3).map(" ".join)
 
 
-def scan_docs(texts, phrase):
-    """Documents whose token list holds the phrase's tokens contiguously."""
-    want = phrase.split()
+def scan_docs(texts, query):
+    """Documents whose token list holds one of the query's disjuncts as a
+    contiguous run of tokens."""
+    token_lists = [tokenize(text) for text in texts]
     hits = set()
-    for idx, text in enumerate(texts):
-        tokens = text.split()
-        if any(tokens[k : k + len(want)] == want for k in range(len(tokens))):
-            hits.add(idx)
+    for phrase in split_or_query(query):
+        want = tokenize(phrase)
+        for idx, tokens in enumerate(token_lists):
+            if want and any(tokens[k : k + len(want)] == want for k in range(len(tokens))):
+                hits.add(idx)
     return hits
 
 
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["fr", "en"]), st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8)),
+        st.tuples(
+            st.sampled_from(["fr", "en"]),
+            st.lists(st.one_of(st.sampled_from(VOCAB), st.text()), min_size=1, max_size=8),
+        ),
         min_size=1,
         max_size=12,
     ),
-    st.lists(vocab_phrases, min_size=1, max_size=3),
+    st.lists(st.one_of(vocab_phrases, st.text(min_size=1)), min_size=1, max_size=3),
     st.integers(1, 4),
 )
 @example(
@@ -159,8 +170,19 @@ def scan_docs(texts, phrase):
     ["de la de", "de", "absent", "la de la de la"],
     2,
 )
+@example(
+    [
+        ("fr", ["ΟΔΟΣ ΣΑ", "de"]),
+        ("en", ["İstanbul\xa0la", "caisse"]),
+        ("fr", ["ǅungla,fund", "ǄUNGLA"]),
+        ("en", ["la caisse de la caisse de la", "fund"]),
+        ("fr", ["caisse la caisses de lac"]),
+    ],
+    ["οδος σα", "İSTANBUL LA CAISSE", "ǆungla fund ǆungla", "la caisse de la", "de la"],
+    3,
+)
 def test_local_index_matches_brute_force_scan(docs, query_phrases, limit):
-    texts = [" ".join(words) for _, words in docs]
+    texts = [" ".join(pieces) for _, pieces in docs]
     index = LocalIndexBackend(
         {"id": f"d{i}", "lang": lang, "text": text} for i, ((lang, _), text) in enumerate(zip(docs, texts))
     )
@@ -176,9 +198,37 @@ def test_local_index_matches_brute_force_scan(docs, query_phrases, limit):
     first, last = query_phrases[0], query_phrases[-1]
     pair = index.execute(OracleQuery(QueryKind.PAIR_COUNT, (first, last)))
     assert pair == len(scan_docs(texts, first) & scan_docs(texts, last))
-    union = set().union(*(scan_docs(texts, p) for p in query_phrases))
     or_query = " OR ".join(f'"{p}"' for p in query_phrases)
-    assert index.execute(OracleQuery(QueryKind.PHRASE_COUNT, (or_query,))) == len(union)
+    assert index.execute(OracleQuery(QueryKind.PHRASE_COUNT, (or_query,))) == len(scan_docs(texts, or_query))
+
+
+def test_index_matches_across_case_and_separators():
+    texts = [
+        "ΟΔΟΣ ΣΑ",  # final sigma only where a token ends
+        "İstanbul\xa0la caisse",  # dotted capital I lowercases to two code points
+        "ǅungla,fund",  # titlecase digraph
+        "la caisse de la caisse de la",  # a phrase repeated, overlapping itself
+        "caisse la caisses de lac",  # both tokens present, only as prefixes of others
+    ]
+    oracle = SearchOracle(LocalIndexBackend({"id": str(i), "text": t} for i, t in enumerate(texts)))
+    assert oracle.phrase_count("οδος σα") == 1
+    assert oracle.phrase_count("ΟΔΟΣ") == 1
+    assert oracle.phrase_count("οδοσ") == 0
+    assert oracle.phrase_count("İSTANBUL LA CAISSE") == 1
+    assert oracle.phrase_count("istanbul") == 0
+    assert oracle.phrase_count("ǆungla fund") == 1
+    assert oracle.phrase_count("de la caisse de la") == 1
+    assert oracle.phrase_count("la caisse") == 2
+    assert oracle.phrase_count("de la") == 1
+    assert oracle.phrase_count("caisse la") == 1
+
+
+def test_single_token_lookup_hands_out_a_fresh_set(index):
+    hits = index._phrase_docs("caisse")
+    assert hits == {0, 3}
+    hits.add(7)
+    assert index._phrase_docs("caisse") == {0, 3}
+    assert SearchOracle(index).phrase_count("caisse") == 2
 
 
 def test_jsonl_roundtrip(tmp_path, index):
@@ -319,11 +369,12 @@ def test_cache_only_backend_replays_and_errors(tmp_path):
     recording = ResponseCache(path)
     recording.put(OracleQuery(QueryKind.PHRASE_COUNT, ("known",)), 42)
     recording.close()
-    backend = CacheOnlyBackend(path)
-    oracle = SearchOracle(backend)
+    oracle = build_oracle(RunConfig(backend="cache", cache_path=str(path)))
+    assert oracle.backend_name == "cache-only"
     assert oracle.phrase_count("known") == 42
     with pytest.raises(OracleError):
         oracle.phrase_count("unknown")
+    oracle.close()
 
 
 def test_warm_cache_replay_issues_zero_backend_calls(tmp_path):
@@ -415,7 +466,10 @@ class StubSession:
 
     def get(self, url, params=None, timeout=None):
         self.requests.append((url, dict(params or {})))
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 def test_http_backend_count_roundtrip():
@@ -444,6 +498,35 @@ def test_http_backend_retries_server_errors(monkeypatch):
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
     assert len(session.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "response",
+    [StubResponse(404, {}), StubResponse(403, {}), StubResponse(200, {"count": True}), StubResponse(200, [3])],
+)
+def test_http_backend_fails_fast_on_client_errors_and_bad_payloads(monkeypatch, response):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    session = StubSession([response] * 3)
+    backend = HttpBackend("https://search.example/api", rate_per_sec=0, max_retries=3, session=session)
+    with pytest.raises(OracleError):
+        backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",)))
+    assert len(session.requests) == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [StubResponse(503, {}), StubResponse(408, {}), StubResponse(429, {}), TimeoutError("read timed out")],
+)
+def test_http_backend_retries_transient_failures(monkeypatch, failure):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    session = StubSession([failure, StubResponse(200, {"count": 3})])
+    backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
+    assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
+    assert len(session.requests) == 2
+    assert sleeps == [0.5]
 
 
 def test_http_backend_gives_up_with_oracle_error(monkeypatch):
