@@ -14,14 +14,12 @@ import json
 import sys
 from pathlib import Path
 
-from lexiforge.backends import LocalIndexBackend
+from lexiforge.cli import build_oracle, build_world_context
+from lexiforge.config import load_config
 from lexiforge.corpus import parse_tagged_corpus
 from lexiforge.dictionary import load_dictionary
 from lexiforge.extraction import extract_ulcs, filter_ulcs, write_ulcs
-from lexiforge.oracle import ResponseCache, SearchOracle
-from lexiforge.phase2 import WorldContext
-from lexiforge.pipeline import PipelineSettings, run_pipeline
-from lexiforge.tagging import default_tagger, load_stopwords
+from lexiforge.pipeline import run_pipeline
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -355,11 +353,16 @@ def record_and_verify():
     cache_path = DATA_DIR / "e2e.cache"
     if cache_path.exists():
         cache_path.unlink()
-    backend = LocalIndexBackend.from_jsonl(DATA_DIR / "docs.jsonl")
-    oracle = SearchOracle(backend, ResponseCache(cache_path))
+    cfg = load_config(
+        DATA_DIR / "run.config",
+        {"docs_path": str(DATA_DIR / "docs.jsonl"), "cache_path": str(cache_path)},
+    )
+    oracle = build_oracle(cfg)
     try:
-        units = extract_ulcs(corpus, 10)
-        verdicts = filter_ulcs(units, oracle, literal_min=2, article_min=1)
+        units = extract_ulcs(corpus, cfg.corpus_freq_min)
+        verdicts = filter_ulcs(
+            units, oracle, cfg.literal_freq_min, cfg.article_freq_min, cfg.max_ulcs
+        )
         kept = [v.ulc for v in verdicts if v.accepted]
         rejected = [v.ulc.surface for v in verdicts if not v.accepted]
         print(f"extracted {len(units)}, kept {len(kept)}, rejected {rejected}")
@@ -369,17 +372,7 @@ def record_and_verify():
         with open(DATA_DIR / "ulcs.tsv", "w", encoding="utf-8") as fh:
             write_ulcs(kept, fh)
 
-        ctx = WorldContext(
-            oracle=oracle,
-            dictionary=dictionary,
-            source_lang="fr",
-            target_lang="en",
-            source_tagger=default_tagger("fr"),
-            target_tagger=default_tagger("en"),
-            source_stopwords=load_stopwords("fr"),
-            target_stopwords=load_stopwords("en"),
-        )
-        report = run_pipeline(kept, dictionary, ctx, PipelineSettings(workers=4))
+        report = run_pipeline(kept, build_world_context(cfg, oracle, dictionary))
 
         failures = []
         for record in report.records:

@@ -11,31 +11,17 @@ Usage:  python3 scripts/run_demo.py [output_dir]
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from lexiforge.backends import LocalIndexBackend
+from lexiforge.cli import build_oracle, build_world_context
+from lexiforge.config import load_config
 from lexiforge.corpus import parse_tagged_corpus
 from lexiforge.dictionary import load_dictionary
 from lexiforge.extraction import extract_ulcs, filter_ulcs
-from lexiforge.oracle import ResponseCache, SearchOracle
-from lexiforge.phase2 import WorldContext
-from lexiforge.pipeline import PipelineSettings, run_pipeline, write_report
-from lexiforge.tagging import default_tagger, load_stopwords
+from lexiforge.pipeline import run_pipeline, write_report
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
-
-
-def build_context(oracle, dictionary):
-    return WorldContext(
-        oracle=oracle,
-        dictionary=dictionary,
-        source_lang="fr",
-        target_lang="en",
-        source_tagger=default_tagger("fr"),
-        target_tagger=default_tagger("en"),
-        source_stopwords=load_stopwords("fr"),
-        target_stopwords=load_stopwords("en"),
-    )
 
 
 def main():
@@ -47,19 +33,24 @@ def main():
     if cache_path.exists():
         cache_path.unlink()
 
-    backend = LocalIndexBackend.from_jsonl(DATA / "docs.jsonl")
-    oracle = SearchOracle(backend, ResponseCache(cache_path))
+    # the fixture's desk-scale web thresholds, over the local collection
+    cfg = load_config(
+        DATA / "run.config", {"docs_path": str(DATA / "docs.jsonl"), "cache_path": str(cache_path)}
+    )
+    oracle = build_oracle(cfg)
 
     print(f"corpus: {corpus.doc_count} documents, {corpus.token_count()} tokens")
-    units = extract_ulcs(corpus)
+    units = extract_ulcs(corpus, cfg.corpus_freq_min)
     print(f"pattern extraction: {len(units)} recurrent units")
     try:
-        verdicts = filter_ulcs(units, oracle, literal_min=2, article_min=1)
+        verdicts = filter_ulcs(
+            units, oracle, cfg.literal_freq_min, cfg.article_freq_min, cfg.max_ulcs
+        )
         kept = [v.ulc for v in verdicts if v.accepted]
         print(f"web frequency filter: {len(kept)} kept, {len(units) - len(kept)} rejected")
 
         start = time.perf_counter()
-        report = run_pipeline(kept, dictionary, build_context(oracle, dictionary), PipelineSettings())
+        report = run_pipeline(kept, build_world_context(cfg, oracle, dictionary))
         elapsed = time.perf_counter() - start
     finally:
         oracle.close()
@@ -80,9 +71,9 @@ def main():
     print(f"\nlexicon -> {lexicon}\nsummary -> {summary_file}")
 
     # offline replay from the cache written above
-    replay_oracle = SearchOracle(None, ResponseCache(cache_path), offline=True)
+    replay_oracle = build_oracle(replace(cfg, offline=True))
     try:
-        replay = run_pipeline(kept, dictionary, build_context(replay_oracle, dictionary), PipelineSettings())
+        replay = run_pipeline(kept, build_world_context(cfg, replay_oracle, dictionary))
     finally:
         replay_oracle.close()
     identical = [

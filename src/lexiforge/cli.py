@@ -10,17 +10,17 @@ error, 3 finished but some units are still unresolved at the oracle.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .backends import HttpBackend, LocalIndexBackend
-from .config import API_KEY_ENV, ConfigError, InputError, RunConfig, load_config
+from .config import ConfigError, InputError, RunConfig, load_config
 from .corpus import CorpusParseError, Tagset, parse_tagged_corpus
 from .dictionary import load_dictionary
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
 from .oracle import ResponseCache, SearchOracle
-from .pipeline import PipelineSettings, read_lexicon, run_pipeline, write_report
+from .pipeline import read_lexicon, run_pipeline, write_report
 from .evaluation import GoldError, compute_metrics, format_metrics, load_gold
 from .phase2 import WorldContext, build_lexical_world, write_world
 from .tagging import LexiconTagger, default_tagger, load_stopwords
@@ -50,62 +50,30 @@ def build_tagset(cfg: RunConfig) -> Tagset:
     return tagset
 
 
+def _tagger(lexicon_path: str | None, lang: str) -> LexiconTagger:
+    return LexiconTagger.from_file(lexicon_path) if lexicon_path else default_tagger(lang)
+
+
 def build_world_context(cfg: RunConfig, oracle: SearchOracle, dictionary) -> WorldContext:
-    source_tagger = (
-        LexiconTagger.from_file(cfg.source_tagger_path)
-        if cfg.source_tagger_path
-        else default_tagger(cfg.source_lang)
-    )
-    target_tagger = (
-        LexiconTagger.from_file(cfg.target_tagger_path)
-        if cfg.target_tagger_path
-        else default_tagger(cfg.target_lang)
-    )
     return WorldContext(
-        oracle=oracle,
-        dictionary=dictionary,
-        source_lang=cfg.source_lang,
-        target_lang=cfg.target_lang,
-        source_tagger=source_tagger,
-        target_tagger=target_tagger,
-        source_stopwords=load_stopwords(cfg.source_lang),
-        target_stopwords=load_stopwords(cfg.target_lang),
-        snippet_limit=cfg.snippet_limit,
-        world_size=cfg.world_size,
-        noun_jaccard_min=cfg.noun_jaccard_min,
-        adj_jaccard_min=cfg.adj_jaccard_min,
-        pair_top_k=cfg.pair_top_k,
+        cfg,
+        oracle,
+        dictionary,
+        _tagger(cfg.source_tagger_path, cfg.source_lang),
+        _tagger(cfg.target_tagger_path, cfg.target_lang),
+        load_stopwords(cfg.source_lang),
+        load_stopwords(cfg.target_lang),
     )
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    # Flags that set a RunConfig field are parsed into an attribute of the
+    # field's name and are None when not given.
+    settings = {f.name for f in fields(RunConfig)}
     overrides = {
-        "corpus": "corpus_path",
-        "dictionary": "dictionary_path",
-        "cache": "cache_path",
-        "docs": "docs_path",
-        "backend": "backend",
-        "endpoint": "endpoint",
-        "out_dir": "output_dir",
-        "max_ulcs": "max_ulcs",
-        "workers": "workers",
-        "source_lang": "source_lang",
-        "target_lang": "target_lang",
-        "tagset": "tagset_name",
+        name: value for name, value in vars(args).items() if name in settings and value is not None
     }
-    for arg_name, attr in overrides.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "offline", False):
-        cfg.offline = True
-    if getattr(args, "use_an", False):
-        cfg.use_an = True
-    if os.environ.get(API_KEY_ENV):
-        cfg.api_key = os.environ[API_KEY_ENV]
-    cfg.source_tagger_path = getattr(args, "source_tagger", None)
-    cfg.target_tagger_path = getattr(args, "target_tagger", None)
+    cfg = load_config(args.config, overrides)
     cfg.validate()
     return cfg
 
@@ -161,21 +129,13 @@ def cmd_translate(args: argparse.Namespace) -> int:
             corpus = parse_tagged_corpus(fh, build_tagset(cfg))
         units = extract_ulcs(corpus, cfg.corpus_freq_min)
 
-    settings = PipelineSettings(
-        use_an=cfg.use_an,
-        phase3_snippet_limit=cfg.phase3_snippet_limit,
-        phase3_min_pair_freq=cfg.min_pair_freq,
-        phase3_top_pairs=cfg.top_pairs,
-        workers=cfg.workers,
-    )
-
     if args.phase:
         units = _restrict_to_phase(units, dictionary, args.phase)
 
     oracle = build_oracle(cfg)
     try:
         ctx = build_world_context(cfg, oracle, dictionary)
-        report = run_pipeline(units, dictionary, ctx, settings)
+        report = run_pipeline(units, ctx)
     finally:
         oracle.close()
     lexicon_path, summary_path = write_report(report, cfg.output_dir)
@@ -222,9 +182,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_world(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    tagger = (
-        LexiconTagger.from_file(args.tagger) if args.tagger else default_tagger(args.lang)
-    )
+    tagger = _tagger(args.tagger, args.lang)
     oracle = build_oracle(cfg)
     try:
         world = build_lexical_world(
@@ -267,35 +225,35 @@ def make_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, needs_dict: bool = False):
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--cache", help="response cache file")
+        p.add_argument("--cache", dest="cache_path", help="response cache file")
         p.add_argument("--backend", choices=("local", "http", "cache"))
-        p.add_argument("--docs", help="document collection (JSONL) for the local backend")
+        p.add_argument("--docs", dest="docs_path", help="document collection (JSONL) for the local backend")
         p.add_argument("--endpoint", help="HTTP search API endpoint")
-        p.add_argument("--offline", action="store_true", help="never call a backend")
+        p.add_argument("--offline", action="store_true", default=None, help="never call a backend")
         p.add_argument("--source-lang", dest="source_lang")
         p.add_argument("--target-lang", dest="target_lang")
         if needs_dict:
-            p.add_argument("--dictionary", help="bilingual dictionary file")
+            p.add_argument("--dictionary", dest="dictionary_path", help="bilingual dictionary file")
 
     p_extract = sub.add_parser("extract", help="extract and web-filter source units")
     add_common(p_extract)
-    p_extract.add_argument("--corpus", help="tagged corpus file")
-    p_extract.add_argument("--tagset", help="tagset name (coarse, treetagger-fr)")
+    p_extract.add_argument("--corpus", dest="corpus_path", help="tagged corpus file")
+    p_extract.add_argument("--tagset", dest="tagset_name", help="tagset name (coarse, treetagger-fr)")
     p_extract.add_argument("--max-ulcs", dest="max_ulcs", type=int)
     p_extract.add_argument("--out", help="output unit file")
     p_extract.set_defaults(func=cmd_extract)
 
     p_translate = sub.add_parser("translate", help="run the translation cascade")
     add_common(p_translate, needs_dict=True)
-    p_translate.add_argument("--corpus", help="tagged corpus file")
+    p_translate.add_argument("--corpus", dest="corpus_path", help="tagged corpus file")
     p_translate.add_argument("--ulcs", help="pre-extracted unit file")
-    p_translate.add_argument("--tagset", help="tagset name (coarse, treetagger-fr)")
-    p_translate.add_argument("--out-dir", dest="out_dir", help="report output directory")
+    p_translate.add_argument("--tagset", dest="tagset_name", help="tagset name (coarse, treetagger-fr)")
+    p_translate.add_argument("--out-dir", dest="output_dir", help="report output directory")
     p_translate.add_argument("--phase", type=int, choices=(1, 2, 3), help="restrict to units eligible for one phase")
     p_translate.add_argument("--workers", type=int)
-    p_translate.add_argument("--use-an", dest="use_an", action="store_true", help='use "an" before vowels in validation queries')
-    p_translate.add_argument("--source-tagger", help="snippet tagger lexicon for the source language")
-    p_translate.add_argument("--target-tagger", help="snippet tagger lexicon for the target language")
+    p_translate.add_argument("--use-an", dest="use_an", action="store_true", default=None, help='use "an" before vowels in validation queries')
+    p_translate.add_argument("--source-tagger", dest="source_tagger_path", help="snippet tagger lexicon for the source language")
+    p_translate.add_argument("--target-tagger", dest="target_tagger_path", help="snippet tagger lexicon for the target language")
     p_translate.set_defaults(func=cmd_translate)
 
     p_eval = sub.add_parser("evaluate", help="score a lexicon against gold grades")

@@ -36,8 +36,10 @@ class InputError(ValueError):
         super().__init__(f"{path}:{lineno}: {msg}")
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
+def parse_config_file(path: str | Path) -> dict[str, object]:
+    """RunConfig attribute -> typed value for each line of a config file."""
+    values: dict[str, object] = {}
+    tagset_overrides: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.strip()
@@ -45,8 +47,19 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key.startswith("tagset."):
+                tagset_overrides[key[len("tagset.") :]] = value
+                continue
+            attr = KEY_MAP.get(key)
+            if attr is None:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[attr] = _coerce(attr, value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+    if tagset_overrides:
+        values["tagset_overrides"] = tagset_overrides
     return values
 
 
@@ -84,8 +97,10 @@ KEY_MAP = {
 _ATTR_TO_KEY = {attr: key for key, attr in KEY_MAP.items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run, with its default; built once by ``load_config``."""
+
     corpus_path: str | None = None
     dictionary_path: str | None = None
     output_dir: str = "out"
@@ -125,42 +140,17 @@ class RunConfig:
     source_tagger_path: str | None = None
     target_tagger_path: str | None = None
 
-    def apply_mapping(self, values: Mapping[str, str]) -> None:
-        for key, raw in values.items():
-            if key.startswith("tagset."):
-                self.tagset_overrides[key[len("tagset.") :]] = raw
-                continue
-            attr = KEY_MAP.get(key)
-            if attr is None:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(self, attr, _coerce(attr, raw, type(getattr(self, attr))))
-        if os.environ.get(API_KEY_ENV):
-            self.api_key = os.environ[API_KEY_ENV]
-
     def validate(self) -> None:
         if self.backend not in BACKENDS:
             raise ConfigError(f"oracle.backend must be one of {BACKENDS}")
-        for attr in (
-            "corpus_freq_min",
-            "literal_freq_min",
-            "article_freq_min",
-            "snippet_limit",
-            "world_size",
-            "noun_jaccard_min",
-            "adj_jaccard_min",
-            "phase3_snippet_limit",
-            "min_pair_freq",
-            "top_pairs",
-            "rate_per_sec",
-            "parallelism",
-            "workers",
-        ):
-            if getattr(self, attr) < 0:
-                raise ConfigError(f"{_ATTR_TO_KEY.get(attr, attr)} must be non-negative")
-        for attr in ("max_ulcs", "pair_top_k"):
+        # Every numeric setting is a count, rate or threshold.
+        for attr in KEY_MAP.values():
             value = getattr(self, attr)
-            if value is not None and value < 0:
-                raise ConfigError(f"{_ATTR_TO_KEY.get(attr, attr)} must be non-negative")
+            if isinstance(value, (int, float)) and not isinstance(value, bool) and value < 0:
+                raise ConfigError(f"{_ATTR_TO_KEY[attr]} must be non-negative")
+        for attr in ("snippet_limit", "phase3_snippet_limit"):
+            if getattr(self, attr) < 1:
+                raise ConfigError(f"{_ATTR_TO_KEY[attr]} must be at least 1")
         if self.backend == "http" and not self.endpoint and not self.offline:
             raise ConfigError("http backend requires oracle.endpoint")
         if self.backend == "local" and not self.docs_path and not self.offline:
@@ -181,15 +171,16 @@ class RunConfig:
             out.write(f"tagset.{raw} = {coarse}\n")
 
 
-def _coerce(attr: str, raw: str, current_type: type):
+def _coerce(attr: str, raw: str):
     if attr in ("max_ulcs", "pair_top_k"):
         return None if raw.lower() in ("", "none", "off") else int(raw)
+    current_type = type(getattr(_DEFAULTS, attr))
     if current_type is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"cannot parse boolean from {raw!r}")
+        raise ValueError(f"cannot parse boolean from {raw!r}")
     if current_type is int:
         return int(raw)
     if current_type is float:
@@ -197,8 +188,17 @@ def _coerce(attr: str, raw: str, current_type: type):
     return raw
 
 
-def load_config(path: str | Path | None = None) -> RunConfig:
-    config = RunConfig()
-    if path is not None:
-        config.apply_mapping(parse_config_file(path))
-    return config
+_DEFAULTS = RunConfig()
+
+
+def load_config(
+    path: str | Path | None = None, overrides: Mapping[str, object] | None = None
+) -> RunConfig:
+    """Build a run's settings once: defaults, then the config file at
+    ``path``, then ``overrides`` (attribute -> value, e.g. CLI flags), then
+    the API key from the environment."""
+    values = parse_config_file(path) if path is not None else {}
+    values.update(overrides or {})
+    if os.environ.get(API_KEY_ENV):
+        values["api_key"] = os.environ[API_KEY_ENV]
+    return RunConfig(**values)

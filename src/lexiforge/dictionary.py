@@ -17,13 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
+from .config import InputError
 from .extraction import SourceUlc, UlcPattern
 
 LINK_WORDS = {"de", "d'", "d’"}
-
-
-class DictionaryParseError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -105,11 +102,13 @@ def _multiword_pair(lemma_field: str) -> tuple[str, str] | None:
 
 
 def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
-    """Load a dictionary file; duplicate (lemma, pos) entries are merged."""
+    """Load a dictionary file; duplicate (lemma, pos) entries are merged.
+    A malformed line raises ``InputError`` naming the file and line."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
             return load_dictionary(fh)
 
+    path = getattr(source, "name", "<dictionary>")
     dictionary = BilingualDictionary()
     for lineno, raw_line in enumerate(source, start=1):
         line = raw_line.strip()
@@ -117,9 +116,7 @@ def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise DictionaryParseError(
-                f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
+            raise InputError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
         lemma, pos, translation_field = (f.strip() for f in fields)
         translations = []
         for t in translation_field.split("|"):
@@ -127,13 +124,12 @@ def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
             if t and t not in translations:
                 translations.append(t)
         if not lemma or not pos or not translations:
-            raise DictionaryParseError(f"line {lineno}: empty field")
+            raise InputError(path, lineno, "empty field")
         if "_" in lemma:
             pair = _multiword_pair(lemma)
             if pair is None:
-                raise DictionaryParseError(
-                    f"line {lineno}: multiword lemma {lemma!r} does not reduce to a"
-                    " (head, modifier) pair"
+                raise InputError(
+                    path, lineno, f"multiword lemma {lemma!r} does not reduce to a (head, modifier) pair"
                 )
             dictionary._add_multiword(pair, tuple(t.replace("_", " ") for t in translations))
         else:

@@ -3,8 +3,8 @@
 Three contiguous, within-sentence patterns are recognized: NOUN+ADJ,
 NOUN+"de"+NOUN and NOUN+"d'"+NOUN. The head is the first noun; inflection is
 collapsed by matching on lemmas. Candidates are kept when they recur in the
-corpus (>= 10 by default) and, in a second step, when a search oracle sees
-the phrase often enough on the open web.
+corpus (``extract.corpus_freq_min``) and, in a second step, when a search
+oracle sees the phrase often enough on the open web.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ D_APOSTROPHE_SURFACES = {"d'", "d’"}
 # Article set for the "article-preceded" web-frequency test; the elided form
 # attaches without a space.
 ARTICLES = ("le", "la", "l'", "les", "un", "une")
-
-DEFAULT_CORPUS_FREQ_MIN = 10
-DEFAULT_LITERAL_FREQ_MIN = 10_000
-DEFAULT_ARTICLE_FREQ_MIN = 1_000
 
 
 class UlcPattern(enum.Enum):
@@ -111,9 +107,7 @@ def _match_at(sentence: Sentence, i: int) -> tuple[UlcPattern, str, str, str] | 
     return None
 
 
-def extract_ulcs(
-    corpus: TaggedCorpus, min_corpus_freq: int = DEFAULT_CORPUS_FREQ_MIN
-) -> list[SourceUlc]:
+def extract_ulcs(corpus: TaggedCorpus, min_corpus_freq: int) -> list[SourceUlc]:
     """Scan the corpus for pattern matches and keep the recurrent ones.
 
     Results are de-duplicated on (head, modifier, pattern); inflectional
@@ -160,8 +154,8 @@ def build_article_query(surface: str) -> str:
 def web_filter_ulc(
     ulc: SourceUlc,
     oracle: "SearchOracle",
-    literal_min: int = DEFAULT_LITERAL_FREQ_MIN,
-    article_min: int = DEFAULT_ARTICLE_FREQ_MIN,
+    literal_min: int,
+    article_min: int,
 ) -> WebFilterVerdict:
     """Accept a unit when the oracle sees it often enough, both bare and
     preceded by an article. Oracle failures leave the unit unresolved rather
@@ -183,9 +177,9 @@ def web_filter_ulc(
 def filter_ulcs(
     ulcs: Sequence[SourceUlc],
     oracle: "SearchOracle",
-    literal_min: int = DEFAULT_LITERAL_FREQ_MIN,
-    article_min: int = DEFAULT_ARTICLE_FREQ_MIN,
-    max_ulcs: int | None = None,
+    literal_min: int,
+    article_min: int,
+    max_ulcs: int | None,
 ) -> list[WebFilterVerdict]:
     """Web-filter every unit; an optional cap keeps only the N accepted units
     with the highest literal web counts."""

@@ -10,7 +10,7 @@ source unit yields at most one translation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from .generation import CandidateTranslation, TranslationRule, build_validation_query
 from .oracle import SearchOracle
@@ -50,7 +50,7 @@ def frequency_verdict(
 def validate_by_frequency(
     candidates: Sequence[CandidateTranslation],
     oracle: SearchOracle,
-    use_an: bool = False,
+    use_an: bool,
 ) -> tuple[CandidateTranslation | None, list[FrequencyVerdict]]:
     """Score one unit's candidates and pick the single winner, if any.
 
@@ -80,21 +80,3 @@ def validate_by_frequency(
     )
     return accepted[0].candidate, verdicts
 
-
-def write_verdicts(verdicts: Sequence[FrequencyVerdict], out: TextIO) -> None:
-    """One tab-separated line per candidate with all verdict fields."""
-    for v in verdicts:
-        out.write(
-            "\t".join(
-                [
-                    v.candidate.source.surface,
-                    v.candidate.target_surface,
-                    v.candidate.rule.value if v.candidate.rule else "-",
-                    str(v.candidate_count),
-                    str(v.head_target_count),
-                    str(v.threshold),
-                    "accept" if v.accepted else "reject",
-                ]
-            )
-            + "\n"
-        )

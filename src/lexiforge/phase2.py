@@ -3,27 +3,25 @@
 Candidates are first thinned by two cheap web filters (the pair must
 co-occur in at least one document; the target phrase must be at least as
 frequent as the source phrase). The survivors are then compared to the
-source unit through "lexical worlds": the top-50 noun and top-50 adjective
-lemmas of up to 1,000 search snippets, matched across languages through the
-bilingual dictionary and scored with a per-category Jaccard index.
+source unit through "lexical worlds": the most frequent noun and adjective
+lemmas (top 50 in the paper, ``phase2.world_size``) of the search snippets
+for the phrase (up to 1,000, ``phase2.snippet_limit``), matched across
+languages through the bilingual dictionary and scored with a per-category
+Jaccard index. ``run_phase2`` reads these settings from ``ctx.cfg``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
+from .config import RunConfig
 from .dictionary import BilingualDictionary
 from .extraction import SourceUlc
 from .generation import CandidateTranslation
 from .oracle import OracleError, SearchOracle
 from .tagging import SnippetTagger
-
-DEFAULT_SNIPPET_LIMIT = 1_000
-DEFAULT_WORLD_SIZE = 50
-DEFAULT_NOUN_JACCARD_MIN = 0.05
-DEFAULT_ADJ_JACCARD_MIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -85,13 +83,14 @@ class Phase2Result:
     scored: list[tuple[CandidateTranslation, WorldSimilarity]]
 
 
-def parallel_pair_filter(
-    source_surface: str,
+def _keep_counted(
     candidates: Sequence[CandidateTranslation],
-    oracle: SearchOracle,
-    top_k: int | None = None,
+    count_of: Callable[[str], int],
+    score: str,
+    minimum: int,
 ) -> tuple[list[CandidateTranslation], list[CandidateTranslation]]:
-    """Keep candidates whose (source, candidate) pair shares a document.
+    """Record each candidate's ``count_of(target surface)`` as ``score`` and
+    keep those counted at least ``minimum`` times.
 
     Returns (survivors, unresolved); unresolved candidates hit an oracle
     failure and are excluded from this run but not rejected.
@@ -100,13 +99,27 @@ def parallel_pair_filter(
     unresolved = []
     for candidate in candidates:
         try:
-            count = oracle.pair_count(source_surface, candidate.target_surface)
+            count = count_of(candidate.target_surface)
         except OracleError:
             unresolved.append(candidate)
             continue
-        candidate.scores["pair_count"] = float(count)
-        if count >= 1:
+        candidate.scores[score] = float(count)
+        if count >= minimum:
             survivors.append(candidate)
+    return survivors, unresolved
+
+
+def parallel_pair_filter(
+    source_surface: str,
+    candidates: Sequence[CandidateTranslation],
+    oracle: SearchOracle,
+    top_k: int | None,
+) -> tuple[list[CandidateTranslation], list[CandidateTranslation]]:
+    """Keep candidates whose (source, candidate) pair shares a document,
+    optionally only the ``top_k`` with the most shared documents."""
+    survivors, unresolved = _keep_counted(
+        candidates, lambda target: oracle.pair_count(source_surface, target), "pair_count", 1
+    )
     if top_k is not None and top_k > 0:
         ranked = sorted(
             survivors,
@@ -124,18 +137,7 @@ def ratio_filter(
 ) -> tuple[list[CandidateTranslation], list[CandidateTranslation]]:
     """Exclude candidates strictly less frequent than the source phrase;
     equality survives."""
-    survivors = []
-    unresolved = []
-    for candidate in candidates:
-        try:
-            count = oracle.phrase_count(candidate.target_surface)
-        except OracleError:
-            unresolved.append(candidate)
-            continue
-        candidate.scores["web_count"] = float(count)
-        if count >= source_count:
-            survivors.append(candidate)
-    return survivors, unresolved
+    return _keep_counted(candidates, oracle.phrase_count, "web_count", source_count)
 
 
 def build_lexical_world(
@@ -145,8 +147,9 @@ def build_lexical_world(
     tagger: SnippetTagger,
     stopwords: frozenset[str] = frozenset(),
     exclude_lemmas: Iterable[str] = (),
-    snippet_limit: int = DEFAULT_SNIPPET_LIMIT,
-    world_size: int = DEFAULT_WORLD_SIZE,
+    *,
+    snippet_limit: int,
+    world_size: int,
 ) -> LexicalWorld:
     """Fetch snippets for the exact phrase and profile their vocabulary.
 
@@ -221,8 +224,8 @@ def compare_worlds(
 
 def select_translation(
     scored: Sequence[tuple[CandidateTranslation, WorldSimilarity]],
-    noun_jaccard_min: float = DEFAULT_NOUN_JACCARD_MIN,
-    adj_jaccard_min: float = DEFAULT_ADJ_JACCARD_MIN,
+    noun_jaccard_min: float,
+    adj_jaccard_min: float,
 ) -> CandidateTranslation | None:
     """Highest combined score among candidates clearing both thresholds;
     ties go to the candidate with the higher phrase count. Scores are
@@ -248,21 +251,16 @@ def select_translation(
 
 @dataclass
 class WorldContext:
-    """Everything world construction needs, bundled per run."""
+    """A run's settings and the collaborators the phases share: the oracle,
+    the dictionary, and each language's snippet tagger and stopwords."""
 
+    cfg: RunConfig
     oracle: SearchOracle
     dictionary: BilingualDictionary
-    source_lang: str
-    target_lang: str
     source_tagger: SnippetTagger
     target_tagger: SnippetTagger
     source_stopwords: frozenset[str] = frozenset()
     target_stopwords: frozenset[str] = frozenset()
-    snippet_limit: int = DEFAULT_SNIPPET_LIMIT
-    world_size: int = DEFAULT_WORLD_SIZE
-    noun_jaccard_min: float = DEFAULT_NOUN_JACCARD_MIN
-    adj_jaccard_min: float = DEFAULT_ADJ_JACCARD_MIN
-    pair_top_k: int | None = None
 
 
 def run_phase2(
@@ -271,10 +269,11 @@ def run_phase2(
     ctx: WorldContext,
 ) -> Phase2Result:
     """Full phase-2 cascade for one unit: pair filter, ratio filter,
-    world comparison, selection."""
-    oracle = ctx.oracle
+    world comparison, selection, with the ``phase2.*`` settings of
+    ``ctx.cfg``."""
+    oracle, cfg = ctx.oracle, ctx.cfg
     pair_survivors, unresolved = parallel_pair_filter(
-        ulc.surface, candidates, oracle, ctx.pair_top_k
+        ulc.surface, candidates, oracle, cfg.pair_top_k
     )
 
     ratio_survivors: list[CandidateTranslation] = []
@@ -290,23 +289,23 @@ def run_phase2(
     if ratio_survivors:
         source_world = build_lexical_world(
             ulc.surface,
-            ctx.source_lang,
+            cfg.source_lang,
             oracle,
             ctx.source_tagger,
             ctx.source_stopwords,
             exclude_lemmas=ulc.content_lemmas(),
-            snippet_limit=ctx.snippet_limit,
-            world_size=ctx.world_size,
+            snippet_limit=cfg.snippet_limit,
+            world_size=cfg.world_size,
         )
         for candidate in ratio_survivors:
             target_world = build_lexical_world(
                 candidate.target_surface,
-                ctx.target_lang,
+                cfg.target_lang,
                 oracle,
                 ctx.target_tagger,
                 ctx.target_stopwords,
-                snippet_limit=ctx.snippet_limit,
-                world_size=ctx.world_size,
+                snippet_limit=cfg.snippet_limit,
+                world_size=cfg.world_size,
             )
             similarity = compare_worlds(source_world, target_world, ctx.dictionary)
             candidate.scores["noun_jaccard"] = similarity.noun_jaccard
@@ -314,7 +313,7 @@ def run_phase2(
             candidate.scores["combined_jaccard"] = similarity.combined
             scored.append((candidate, similarity))
 
-    winner = select_translation(scored, ctx.noun_jaccard_min, ctx.adj_jaccard_min)
+    winner = select_translation(scored, cfg.noun_jaccard_min, cfg.adj_jaccard_min)
     return Phase2Result(winner, pair_survivors, ratio_survivors, unresolved, scored)
 
 

@@ -18,12 +18,10 @@ from typing import Sequence
 from .backends import tokenize
 from .extraction import SourceUlc
 from .generation import CandidateOrigin, CandidateTranslation
-from .oracle import SearchOracle, Snippet
-from .phase2 import Phase2Result, WorldContext, run_phase2
+from .oracle import Snippet
+from .phase2 import WorldContext, run_phase2
 
 COGNATE_PREFIX_LEN = 4
-DEFAULT_MIN_PAIR_FREQ = 2
-DEFAULT_TOP_PAIRS = 10
 
 
 @dataclass
@@ -53,13 +51,6 @@ def cognate_prefix(word: str) -> str | None:
 def is_cognate_pair(source_word: str, target_word: str) -> bool:
     prefix = cognate_prefix(source_word)
     return prefix is not None and cognate_prefix(target_word) == prefix
-
-
-def collect_mixed_snippets(
-    ulc: SourceUlc, oracle: SearchOracle, target_lang: str, limit: int = 1_000
-) -> list[Snippet]:
-    """Snippets from target-language pages that contain the source phrase."""
-    return oracle.mixed_snippets(ulc.surface, target_lang, limit)
 
 
 def _bigram_allowed(
@@ -130,13 +121,15 @@ def find_cognates(ranked: RankedBigrams, ulc: SourceUlc) -> list[CandidateTransl
 def find_frequent_pairs(
     ranked: RankedBigrams,
     ulc: SourceUlc,
-    min_pair_freq: int = DEFAULT_MIN_PAIR_FREQ,
-    top_pairs: int = DEFAULT_TOP_PAIRS,
+    min_pair_freq: int,
+    top_pairs: int,
 ) -> list[CandidateTranslation]:
     """The ``top_pairs`` most recurrent bigrams of ``ranked`` seen at least
     ``min_pair_freq`` times, as candidates."""
     candidates = []
     for bigram, count in ranked:
+        if len(candidates) >= top_pairs:
+            break
         if count < min_pair_freq:
             continue
         candidate = MinedCandidate(
@@ -148,18 +141,7 @@ def find_frequent_pairs(
         )
         candidate.scores["evidence"] = float(count)
         candidates.append(candidate)
-        if len(candidates) >= top_pairs:
-            break
     return candidates
-
-
-def validate_mined(
-    candidates: Sequence[CandidateTranslation],
-    ulc: SourceUlc,
-    ctx: WorldContext,
-) -> Phase2Result:
-    """Run mined candidates through the phase-2 validation cascade."""
-    return run_phase2(ulc, candidates, ctx)
 
 
 @dataclass
@@ -171,44 +153,29 @@ class Phase3Result:
     unresolved: list[CandidateTranslation]
 
 
-def write_mined_log(candidates: Sequence[MinedCandidate], out) -> None:
-    """Tab-separated mining log: candidate, origin, evidence, prefix."""
-    for c in candidates:
-        out.write(
-            "\t".join(
-                [c.target_surface, c.origin.value, str(c.evidence), c.matched_prefix or "-"]
-            )
-            + "\n"
-        )
-
-
-def run_phase3(
-    ulc: SourceUlc,
-    ctx: WorldContext,
-    source_stopwords: frozenset[str] = frozenset(),
-    snippet_limit: int = 1_000,
-    min_pair_freq: int = DEFAULT_MIN_PAIR_FREQ,
-    top_pairs: int = DEFAULT_TOP_PAIRS,
-) -> Phase3Result:
+def run_phase3(ulc: SourceUlc, ctx: WorldContext) -> Phase3Result:
     """Mine and validate: cognates first, frequent pairs only if cognates
-    yield no validated translation."""
-    snippets = collect_mixed_snippets(ulc, ctx.oracle, ctx.target_lang, snippet_limit)
+    yield no validated translation. Snippets come from target-language pages
+    that contain the source phrase; the ``phase3.*`` settings come from
+    ``ctx.cfg``, and mined candidates go through ``run_phase2``."""
+    cfg = ctx.cfg
+    snippets = ctx.oracle.mixed_snippets(ulc.surface, cfg.target_lang, cfg.phase3_snippet_limit)
     if not snippets:
         return Phase3Result(None, 0, [], [], [])
 
-    ranked = rank_bigrams(snippets, ulc, source_stopwords)
+    ranked = rank_bigrams(snippets, ulc, ctx.source_stopwords)
     cognates = find_cognates(ranked, ulc)
     unresolved: list[CandidateTranslation] = []
     if cognates:
-        result = validate_mined(cognates, ulc, ctx)
+        result = run_phase2(ulc, cognates, ctx)
         unresolved.extend(result.unresolved)
         if result.winner is not None:
             return Phase3Result(result.winner, len(snippets), cognates, [], unresolved)
 
-    pairs = find_frequent_pairs(ranked, ulc, min_pair_freq, top_pairs)
+    pairs = find_frequent_pairs(ranked, ulc, cfg.min_pair_freq, cfg.top_pairs)
     winner = None
     if pairs:
-        result = validate_mined(pairs, ulc, ctx)
+        result = run_phase2(ulc, pairs, ctx)
         unresolved.extend(result.unresolved)
         winner = result.winner
     return Phase3Result(winner, len(snippets), cognates, pairs, unresolved)

@@ -5,7 +5,8 @@ multiword dictionary entries keep that translation outright; units whose
 constituents are unambiguous go to the frequency phase; ambiguous ones to
 the lexical-world phase; units with unknown constituents straight to
 snippet mining. A phase that produces nothing hands the unit to the next
-one, so every unit ends in exactly one terminal state.
+one, so every unit ends in exactly one terminal state. The phases share one
+``WorldContext`` and read every setting from its ``cfg``, a ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .dictionary import BilingualDictionary, UlcClassKind, classify_ulc
+from .config import InputError
+from .dictionary import UlcClassKind, classify_ulc
 from .extraction import SourceUlc, UlcPattern
 from .generation import CandidateOrigin, CandidateTranslation, generate_candidates
 from .oracle import OracleError
@@ -86,29 +88,15 @@ class TranslationReport:
         }
 
 
-@dataclass
-class PipelineSettings:
-    use_an: bool = False
-    phase3_snippet_limit: int = 1_000
-    phase3_min_pair_freq: int = 2
-    phase3_top_pairs: int = 10
-    workers: int = 4
-
-
 def _record_for_winner(
     ulc: SourceUlc, winner: CandidateTranslation, phase: Phase
 ) -> TranslationRecord:
     return TranslationRecord(ulc, winner.target_surface, phase, dict(winner.scores))
 
 
-def translate_ulc(
-    ulc: SourceUlc,
-    dictionary: BilingualDictionary,
-    ctx: WorldContext,
-    settings: PipelineSettings,
-) -> TranslationRecord:
+def translate_ulc(ulc: SourceUlc, ctx: WorldContext) -> TranslationRecord:
     """Route one unit through the cascade to its terminal state."""
-    classification = classify_ulc(ulc, dictionary)
+    classification = classify_ulc(ulc, ctx.dictionary)
     if classification.dictionary_translation is not None:
         return TranslationRecord(
             ulc, classification.dictionary_translation, Phase.DICTIONARY
@@ -116,11 +104,11 @@ def translate_ulc(
 
     try:
         if classification.kind is not UlcClassKind.UNKNOWN:
-            candidates = generate_candidates(ulc, dictionary)
+            candidates = generate_candidates(ulc, ctx.dictionary)
 
             if classification.kind is UlcClassKind.NON_POLYSEMOUS:
                 winner, _verdicts = validate_by_frequency(
-                    candidates, ctx.oracle, settings.use_an
+                    candidates, ctx.oracle, ctx.cfg.use_an
                 )
                 if winner is not None:
                     return _record_for_winner(ulc, winner, Phase.PHASE1)
@@ -133,14 +121,7 @@ def translate_ulc(
                     f"{len(result.unresolved)} candidates unresolved for {ulc.surface!r}"
                 )
 
-        phase3 = run_phase3(
-            ulc,
-            ctx,
-            ctx.source_stopwords,
-            settings.phase3_snippet_limit,
-            settings.phase3_min_pair_freq,
-            settings.phase3_top_pairs,
-        )
+        phase3 = run_phase3(ulc, ctx)
         if phase3.winner is not None:
             phase = (
                 Phase.PHASE3_COGNATE
@@ -157,22 +138,16 @@ def translate_ulc(
         return TranslationRecord(ulc, None, Phase.UNRESOLVED_ORACLE)
 
 
-def run_pipeline(
-    ulcs: Sequence[SourceUlc],
-    dictionary: BilingualDictionary,
-    ctx: WorldContext,
-    settings: PipelineSettings | None = None,
-) -> TranslationReport:
-    """Translate every unit; records come back ordered by source surface
-    regardless of scheduling, so warm-cache runs are reproducible."""
-    settings = settings or PipelineSettings()
-    if settings.workers > 1 and len(ulcs) > 1:
-        with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-            records = list(
-                pool.map(lambda u: translate_ulc(u, dictionary, ctx, settings), ulcs)
-            )
+def run_pipeline(ulcs: Sequence[SourceUlc], ctx: WorldContext) -> TranslationReport:
+    """Translate every unit, ``pipeline.workers`` at a time; records come
+    back ordered by source surface regardless of scheduling, so warm-cache
+    runs are reproducible."""
+    workers = ctx.cfg.workers
+    if workers > 1 and len(ulcs) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(lambda u: translate_ulc(u, ctx), ulcs))
     else:
-        records = [translate_ulc(u, dictionary, ctx, settings) for u in ulcs]
+        records = [translate_ulc(u, ctx) for u in ulcs]
     records.sort(key=lambda r: (r.source.surface, r.source.pattern.value))
     return TranslationReport(records)
 
@@ -254,13 +229,13 @@ def read_lexicon(path: str | Path) -> TranslationReport:
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
+                raise InputError(path, lineno, f"expected 4 fields, got {len(fields)}")
             surface, translation, phase, _scores = fields
-            records.append(
-                TranslationRecord(
-                    _ulc_from_surface(surface),
-                    translation or None,
-                    Phase(phase),
+            try:
+                record = TranslationRecord(
+                    _ulc_from_surface(surface), translation or None, Phase(phase)
                 )
-            )
+            except ValueError as exc:
+                raise InputError(path, lineno, str(exc)) from None
+            records.append(record)
     return TranslationReport(records)

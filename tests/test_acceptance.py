@@ -24,9 +24,9 @@ from lexiforge.phase3 import (
     is_cognate_pair,
     rank_bigrams,
 )
-from lexiforge.pipeline import Phase, PipelineSettings, run_pipeline
+from lexiforge.pipeline import Phase, run_pipeline
 
-from conftest import FakeBackend, make_dictionary, make_ulc
+from conftest import CFG, FakeBackend, make_dictionary, make_ulc
 from test_phase2 import brute_force_jaccard, cand
 from test_phase3 import brute_force_bigrams
 from test_pipeline import build_50_clu_fixture, make_ctx
@@ -95,7 +95,7 @@ def midnight_mass_candidates():
 
 def test_criterion_01_phase1_worked_example():
     with timed(1.0):
-        winner, verdicts = validate_by_frequency(midnight_mass_candidates(), midnight_mass_oracle())
+        winner, verdicts = validate_by_frequency(midnight_mass_candidates(), midnight_mass_oracle(), CFG.use_an)
         assert winner is not None and winner.target_surface == "midnight mass"
         by_surface = {v.candidate.target_surface: v for v in verdicts}
         assert by_surface["midnight mass"].accepted
@@ -201,7 +201,7 @@ def test_criterion_06_frequent_pairs_equal_brute_force():
 
 def test_criterion_07_pipeline_partition():
     units, dictionary, backend = build_50_clu_fixture()
-    report = run_pipeline(units, dictionary, make_ctx(backend, dictionary), PipelineSettings())
+    report = run_pipeline(units, make_ctx(backend, dictionary))
     assert len(report.records) == 50
     counts = report.phase_counts()
     assert sum(counts.values()) == 50
@@ -253,10 +253,10 @@ def test_criterion_09_evaluation_arithmetic():
 
 def test_criterion_10_threshold_ratio_invariance():
     base_winner, base_verdicts = validate_by_frequency(
-        midnight_mass_candidates(), midnight_mass_oracle(scale=1)
+        midnight_mass_candidates(), midnight_mass_oracle(scale=1), CFG.use_an
     )
     scaled_winner, scaled_verdicts = validate_by_frequency(
-        midnight_mass_candidates(), midnight_mass_oracle(scale=10)
+        midnight_mass_candidates(), midnight_mass_oracle(scale=10), CFG.use_an
     )
     assert base_winner.target_surface == scaled_winner.target_surface
     assert [(v.candidate.target_surface, v.accepted) for v in base_verdicts] == [

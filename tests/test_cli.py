@@ -3,8 +3,15 @@ import shutil
 import warnings
 from pathlib import Path
 
+import pytest
 
+import lexiforge.cli as cli
+import lexiforge.phase2 as phase2
+import lexiforge.phase3 as phase3
 from lexiforge.cli import main
+from lexiforge.oracle import QueryKind, SearchOracle, Snippet
+
+from conftest import FakeBackend
 
 DATA = Path(__file__).parent / "data"
 
@@ -298,3 +305,150 @@ def test_unit_file_with_non_integer_frequency_exits_2_with_line_number(tmp_path,
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith(f"error: {ulcs}:2: ") and "'twelve'" in err
+
+
+def test_dictionary_line_with_one_field_exits_2_with_line_number(tmp_path, capsys):
+    dictionary = tmp_path / "dictionary.tsv"
+    dictionary.write_text("caisse\n", encoding="utf-8")
+    argv = translate_args(tmp_path / "out")
+    argv[argv.index("--dictionary") + 1] = str(dictionary)
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == f"error: {dictionary}:1: expected 3 tab-separated fields, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "oracle.parallelism = two",
+        "phase2.noun_jaccard_min = low",
+        "extract.max_ulcs = many",
+        "generation.use_an = maybe",
+    ],
+)
+def test_config_value_of_wrong_type_exits_2_with_line_number(tmp_path, capsys, line):
+    config = tmp_path / "run.config"
+    config.write_text(f"lang.source = fr\n{line}\n", encoding="utf-8")
+    argv = translate_args(tmp_path / "out")
+    argv[argv.index("--config") + 1] = str(config)
+    code, _, err = run(argv, capsys)
+    key, _, value = line.partition(" = ")
+    assert code == 2
+    assert err.startswith(f"error: {config}:2: {key}: ") and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    ["caisse claire\tsnare drum\tDICTIONARY", "caisse claire\tsnare drum\tPHASE9\t-"],
+)
+def test_lexicon_line_malformed_exits_2_with_line_number(tmp_path, capsys, bad_line):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(f"messe de minuit\tmidnight mass\tPHASE1\t-\n{bad_line}\n", encoding="utf-8")
+    code, _, err = run(
+        ["evaluate", "--lexicon", str(lexicon), "--gold", str(DATA / "gold.tsv")], capsys
+    )
+    assert code == 2
+    assert err.startswith(f"error: {lexicon}:2: ")
+
+
+NOUNS = [f"nom{letter}" for letter in "abcdefghijkl"]
+ADJECTIVES = [f"adj{letter}" for letter in "abcdefghi"]
+# mixed snippets per unit: five bigrams seen five times each, or two bigrams
+# seen three times and three seen twice
+MIXED = {
+    "zorglub vertical": ["kilo lima", "mike november", "oscar papa", "quebec romeo",
+                         "sierra tango"] * 5,
+    "bidule horizontal": ["kilo lima", "mike november"] * 3
+    + ["oscar papa", "quebec romeo", "sierra tango"] * 2,
+}
+
+
+class AnsweringBackend(FakeBackend):
+    """Answers every query and records it: counts of 5 and 1, snippets
+    holding 12 nouns and 9 adjectives, and the mixed snippets above."""
+
+    def execute(self, query):
+        self.seen.append(query)
+        if query.kind is QueryKind.PHRASE_COUNT:
+            return 5
+        if query.kind is QueryKind.PAIR_COUNT:
+            return 1
+        if query.kind is QueryKind.SNIPPETS:
+            texts = [" ".join(NOUNS + ADJECTIVES)] * 3
+        else:
+            texts = MIXED.get(query.phrases[0], [])
+        return [Snippet(t, str(i)) for i, t in enumerate(texts)]
+
+
+def test_each_setting_reaches_the_code_that_uses_it(tmp_path, capsys, monkeypatch):
+    # Distinct non-default values, so that a setting read in the wrong place
+    # shows up as a wrong limit or size.
+    config = tmp_path / "run.config"
+    config.write_text(
+        "phase2.snippet_limit = 37\n"
+        "phase3.snippet_limit = 23\n"
+        "phase2.world_size = 7\n"
+        "phase3.top_pairs = 4\n"
+        "phase3.min_pair_freq = 3\n"
+        "phase2.pair_top_k = 2\n"
+        "pipeline.workers = 1\n",
+        encoding="utf-8",
+    )
+    ulcs = tmp_path / "ulcs.tsv"
+    ulcs.write_text(
+        "".join(
+            f"{head}\t{mod}\tNOUN_ADJ\t{head} {surface_mod}\t10\t5\t5\n"
+            for head, mod, surface_mod in [
+                ("caisse", "central", "centrale"),
+                ("zorglub", "vertical", "vertical"),
+                ("bidule", "horizontal", "horizontal"),
+            ]
+        ),
+        encoding="utf-8",
+    )
+    dictionary = tmp_path / "dictionary.tsv"
+    dictionary.write_text("caisse\tNOUN\tdrum|fund|case\ncentral\tADJ\tcentral\n", encoding="utf-8")
+    tagger = tmp_path / "tagger.tsv"
+    tagger.write_text(
+        "".join(f"{w}\tNOUN\t{w}\n" for w in NOUNS) + "".join(f"{w}\tADJ\t{w}\n" for w in ADJECTIVES),
+        encoding="utf-8",
+    )
+
+    backend = AnsweringBackend()
+    monkeypatch.setattr(cli, "build_oracle", lambda cfg: SearchOracle(backend))
+    seen = {"worlds": [], "pair_survivors": [], "mined": []}
+
+    def recording(module, name, key, part=lambda result: result):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            seen[key].append(part(result))
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(phase2, "build_lexical_world", "worlds")
+    recording(phase2, "parallel_pair_filter", "pair_survivors", part=lambda result: result[0])
+    recording(phase3, "find_frequent_pairs", "mined")
+
+    code, _, _ = run(
+        ["translate", "--config", str(config), "--ulcs", str(ulcs), "--dictionary", str(dictionary),
+         "--backend", "local", "--docs", str(tmp_path / "unused.jsonl"),
+         "--source-tagger", str(tagger), "--target-tagger", str(tagger),
+         "--out-dir", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 0
+
+    limits = {
+        kind: {q.limit for q in backend.seen if q.kind is kind}
+        for kind in (QueryKind.SNIPPETS, QueryKind.MIXED_SNIPPETS)
+    }
+    assert limits == {QueryKind.SNIPPETS: {37}, QueryKind.MIXED_SNIPPETS: {23}}
+    assert seen["worlds"]
+    assert all(len(w.nouns) == 7 and len(w.adjectives) == 7 for w in seen["worlds"])
+    # three generated candidates and every mined list share documents; two are kept
+    assert seen["pair_survivors"] and all(len(s) == 2 for s in seen["pair_survivors"])
+    assert sorted(len(pairs) for pairs in seen["mined"]) == [2, 4]
+    assert all(c.evidence >= 3 for pairs in seen["mined"] for c in pairs)

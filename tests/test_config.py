@@ -67,6 +67,13 @@ def test_validate_rejects_negative_thresholds():
         cfg.validate()
 
 
+@pytest.mark.parametrize("attr, key", [("snippet_limit", "phase2"), ("phase3_snippet_limit", "phase3")])
+def test_validate_rejects_zero_snippet_limit(attr, key):
+    cfg = RunConfig(backend="cache", cache_path="x", **{attr: 0})
+    with pytest.raises(ConfigError, match=f"{key}.snippet_limit must be at least 1"):
+        cfg.validate()
+
+
 def test_env_var_overrides_api_key(tmp_path, monkeypatch):
     path = write_config(tmp_path, "oracle.api_key = from-file\n")
     monkeypatch.setenv(API_KEY_ENV, "from-env")

@@ -3,10 +3,10 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from lexiforge.config import InputError
 from lexiforge.dictionary import (
     BilingualDictionary,
     DictEntry,
-    DictionaryParseError,
     UlcClassKind,
     classify_ulc,
     load_dictionary,
@@ -49,7 +49,7 @@ def test_duplicate_entries_merge_with_union():
 
 
 def test_malformed_line_reports_number():
-    with pytest.raises(DictionaryParseError, match="line 2"):
+    with pytest.raises(InputError, match=":2: "):
         load_dictionary(io.StringIO("a\tNOUN\tx\nbad line\n"))
 
 

@@ -15,7 +15,7 @@ from lexiforge.extraction import (
 )
 from lexiforge.oracle import SearchOracle
 
-from conftest import FakeBackend, make_ulc, tok
+from conftest import CFG, FakeBackend, make_ulc, tok
 
 
 def corpus_of(sentences):
@@ -29,7 +29,7 @@ def sent_noun_de_noun(head="appareil", mod="chauffage", link="de"):
 
 def test_noun_de_noun_repeated_12_times():
     corpus = corpus_of([sent_noun_de_noun() for _ in range(12)])
-    units = extract_ulcs(corpus)
+    units = extract_ulcs(corpus, CFG.corpus_freq_min)
     assert len(units) == 1
     unit = units[0]
     assert (unit.head_lemma, unit.modifier_lemma) == ("appareil", "chauffage")
@@ -43,7 +43,7 @@ def test_d_apostrophe_pattern_distinct_from_de():
         [tok("appareil", "NOUN"), tok("d'", "PREP", "de"), tok("imagerie", "NOUN")]
         for _ in range(10)
     ]
-    units = extract_ulcs(corpus_of(sentences))
+    units = extract_ulcs(corpus_of(sentences), CFG.corpus_freq_min)
     assert units[0].pattern is UlcPattern.NOUN_D_NOUN
     assert units[0].surface == "appareil d'imagerie"
 
@@ -52,14 +52,14 @@ def test_non_contiguous_noun_adj_not_matched():
     sentences = [
         [tok("appareil", "NOUN"), tok("très", "ADV"), tok("grand", "ADJ")] for _ in range(20)
     ]
-    assert extract_ulcs(corpus_of(sentences)) == []
+    assert extract_ulcs(corpus_of(sentences), CFG.corpus_freq_min) == []
 
 
 def test_threshold_excludes_units_at_9():
     corpus = corpus_of([sent_noun_de_noun() for _ in range(9)])
-    assert extract_ulcs(corpus) == []
+    assert extract_ulcs(corpus, CFG.corpus_freq_min) == []
     corpus = corpus_of([sent_noun_de_noun() for _ in range(10)])
-    assert len(extract_ulcs(corpus)) == 1
+    assert len(extract_ulcs(corpus, CFG.corpus_freq_min)) == 1
 
 
 def test_no_match_across_sentence_boundary():
@@ -68,7 +68,7 @@ def test_no_match_across_sentence_boundary():
         [tok("appareil", "NOUN"), tok(".", "SENT", ".")],
         [tok("de", "PREP"), tok("chauffage", "NOUN")],
     ] * 10
-    assert extract_ulcs(corpus_of(sentences)) == []
+    assert extract_ulcs(corpus_of(sentences), CFG.corpus_freq_min) == []
 
 
 def test_overlapping_patterns_both_extracted():
@@ -79,7 +79,7 @@ def test_overlapping_patterns_both_extracted():
         tok("chauffage", "NOUN"),
         tok("central", "ADJ"),
     ]
-    units = extract_ulcs(corpus_of([sentence] * 10))
+    units = extract_ulcs(corpus_of([sentence] * 10), CFG.corpus_freq_min)
     keys = {(u.head_lemma, u.modifier_lemma, u.pattern) for u in units}
     assert keys == {
         ("appareil", "chauffage", UlcPattern.NOUN_DE_NOUN),
@@ -91,7 +91,7 @@ def test_lemma_variants_pool_counts_and_keep_majority_surface():
     feminine = [tok("ambiance", "NOUN"), tok("musicale", "ADJ", "musical")]
     plural = [tok("ambiances", "NOUN", "ambiance"), tok("musicales", "ADJ", "musical")]
     corpus = corpus_of([feminine] * 7 + [plural] * 4)
-    (unit,) = extract_ulcs(corpus)
+    (unit,) = extract_ulcs(corpus, CFG.corpus_freq_min)
     assert unit.corpus_freq == 11
     assert unit.surface == "ambiance musicale"
     assert unit.modifier_lemma == "musical"
@@ -103,13 +103,13 @@ def test_extraction_order_independent_of_document_order():
         + [[tok("caisse", "NOUN"), tok("claire", "ADJ", "clair")] for _ in range(15)]
         + [[tok("institut", "NOUN"), tok("de", "PREP"), tok("psychologie", "NOUN")] for _ in range(12)]
     )
-    base = extract_ulcs(corpus_of(sentences))
+    base = extract_ulcs(corpus_of(sentences), CFG.corpus_freq_min)
     for seed in (1, 2, 3):
         shuffled = sentences[:]
         random.Random(seed).shuffle(shuffled)
-        assert extract_ulcs(corpus_of(shuffled)) == base
+        assert extract_ulcs(corpus_of(shuffled), CFG.corpus_freq_min) == base
     # idempotence
-    assert extract_ulcs(corpus_of(sentences)) == base
+    assert extract_ulcs(corpus_of(sentences), CFG.corpus_freq_min) == base
 
 
 def test_deterministic_ordering_by_freq_then_surface():
@@ -118,7 +118,7 @@ def test_deterministic_ordering_by_freq_then_surface():
         + [[tok("a", "NOUN"), tok("x", "ADJ")]] * 10
         + [[tok("c", "NOUN"), tok("x", "ADJ")]] * 11
     )
-    units = extract_ulcs(corpus_of(sentences))
+    units = extract_ulcs(corpus_of(sentences), CFG.corpus_freq_min)
     assert [u.surface for u in units] == ["c x", "a x", "b x"]
 
 
@@ -149,7 +149,8 @@ def oracle_with_counts(surface, literal, article):
 )
 def test_web_filter_thresholds(literal, article, expected):
     ulc = make_ulc("appareil", "chauffage")
-    verdict = web_filter_ulc(ulc, oracle_with_counts(ulc.surface, literal, article))
+    oracle = oracle_with_counts(ulc.surface, literal, article)
+    verdict = web_filter_ulc(ulc, oracle, CFG.literal_freq_min, CFG.article_freq_min)
     assert verdict.status is expected
     if expected is not FilterStatus.UNRESOLVED_ORACLE:
         assert verdict.ulc.oracle_literal_freq == literal
@@ -158,16 +159,17 @@ def test_web_filter_thresholds(literal, article, expected):
 
 def test_web_filter_oracle_failure_marks_unresolved():
     ulc = make_ulc("appareil", "chauffage")
-    verdict = web_filter_ulc(ulc, SearchOracle(FakeBackend()))  # no responses registered
+    oracle = SearchOracle(FakeBackend())  # no responses registered
+    verdict = web_filter_ulc(ulc, oracle, CFG.literal_freq_min, CFG.article_freq_min)
     assert verdict.status is FilterStatus.UNRESOLVED_ORACLE
     assert verdict.ulc.oracle_literal_freq is None
 
 
 def test_accepted_units_meet_all_three_thresholds():
     corpus = corpus_of([sent_noun_de_noun() for _ in range(12)])
-    units = extract_ulcs(corpus)
+    units = extract_ulcs(corpus, CFG.corpus_freq_min)
     oracle = oracle_with_counts("appareil de chauffage", 20_000, 3_000)
-    verdicts = filter_ulcs(units, oracle)
+    verdicts = filter_ulcs(units, oracle, CFG.literal_freq_min, CFG.article_freq_min, CFG.max_ulcs)
     for v in verdicts:
         if v.accepted:
             assert v.ulc.corpus_freq >= 10
@@ -180,7 +182,9 @@ def test_max_ulcs_cap_keeps_highest_literal_counts():
     backend = FakeBackend()
     backend.count("a b", 50_000).count(build_article_query("a b"), 2_000)
     backend.count("c d", 90_000).count(build_article_query("c d"), 2_000)
-    verdicts = filter_ulcs(units, SearchOracle(backend), max_ulcs=1)
+    verdicts = filter_ulcs(
+        units, SearchOracle(backend), CFG.literal_freq_min, CFG.article_freq_min, max_ulcs=1
+    )
     accepted = [v.ulc.surface for v in verdicts if v.accepted]
     assert accepted == ["c d"]
 
@@ -197,7 +201,7 @@ def test_pattern_totals_match_brute_force_recount():
         + [[tok("souris", "NOUN"), tok("d'", "PREP", "de"), tok("agneau", "NOUN")]] * 10
     )
     corpus = corpus_of(sentences)
-    units = extract_ulcs(corpus)
+    units = extract_ulcs(corpus, CFG.corpus_freq_min)
 
     # brute-force recount straight off the sentence list
     expected = {UlcPattern.NOUN_ADJ: 0, UlcPattern.NOUN_DE_NOUN: 0, UlcPattern.NOUN_D_NOUN: 0}

@@ -14,7 +14,7 @@ from lexiforge.oracle import OracleQuery, QueryKind, ResponseCache, SearchOracle
 from lexiforge.phase2 import build_lexical_world
 from lexiforge.tagging import LexiconTagger
 
-from conftest import FakeBackend
+from conftest import CFG, FakeBackend
 
 FUNCTION_WORDS = ["de", "la", "le", "et", "des", "les", "du", "en"]
 CONTENT_WORDS = [f"mot{i}" for i in range(300)] + ["caisse", "centrale"]
@@ -88,7 +88,10 @@ def test_bench_world_from_thousand_snippets(benchmark):
         return (LexiconTagger(entries),), {}
 
     def build(tagger):
-        return build_lexical_world("caisse centrale", "fr", oracle, tagger, STOPWORDS)
+        return build_lexical_world(
+            "caisse centrale", "fr", oracle, tagger, STOPWORDS,
+            snippet_limit=CFG.snippet_limit, world_size=CFG.world_size,
+        )
 
     world = benchmark.pedantic(build, setup=fresh_tagger, rounds=3)
     assert world.snippet_count == 1_000

@@ -4,9 +4,9 @@ from hypothesis import given, strategies as st
 from lexiforge.extraction import UlcPattern
 from lexiforge.generation import TranslationRule, generate_candidates
 from lexiforge.oracle import OracleError, SearchOracle
-from lexiforge.phase1 import frequency_verdict, validate_by_frequency, write_verdicts
+from lexiforge.phase1 import frequency_verdict, validate_by_frequency
 
-from conftest import FakeBackend, make_dictionary, make_ulc
+from conftest import CFG, FakeBackend, make_dictionary, make_ulc
 
 MASS_COUNT = 764_000_000
 MIDNIGHT_MASS_COUNT = 336_000
@@ -26,7 +26,7 @@ def midnight_mass_setup(scale=1):
 
 def test_midnight_mass_worked_example():
     cands, oracle = midnight_mass_setup()
-    winner, verdicts = validate_by_frequency(cands, oracle)
+    winner, verdicts = validate_by_frequency(cands, oracle, CFG.use_an)
     assert winner.target_surface == "midnight mass"
     by_surface = {v.candidate.target_surface: v for v in verdicts}
     accepted = by_surface["midnight mass"]
@@ -63,7 +63,7 @@ def test_highest_count_wins_among_accepted():
     backend.count("institute", 100_000)
     backend.count('"the institute of psychology" OR "a institute of psychology"', 5_000)
     backend.count('"the psychology institute" OR "a psychology institute"', 7_000)
-    winner, verdicts = validate_by_frequency(cands, SearchOracle(backend))
+    winner, verdicts = validate_by_frequency(cands, SearchOracle(backend), CFG.use_an)
     assert winner.target_surface == "psychology institute"
     # verified against a direct max() over the accepted verdicts
     accepted = [v for v in verdicts if v.accepted]
@@ -78,23 +78,23 @@ def test_tie_broken_by_rule_priority_n2n1_first():
     backend.count("institute", 0)
     backend.count('"the institute of psychology" OR "a institute of psychology"', 5_000)
     backend.count('"the psychology institute" OR "a psychology institute"', 5_000)
-    winner, _ = validate_by_frequency(cands, SearchOracle(backend))
+    winner, _ = validate_by_frequency(cands, SearchOracle(backend), CFG.use_an)
     assert winner.rule is TranslationRule.N2_N1
 
 
 def test_oracle_failure_propagates():
     cands, _ = midnight_mass_setup()
     with pytest.raises(OracleError):
-        validate_by_frequency(cands, SearchOracle(FakeBackend()))
+        validate_by_frequency(cands, SearchOracle(FakeBackend()), CFG.use_an)
 
 
 @pytest.mark.parametrize("scale", [1, 10, 1000])
 def test_scaling_all_counts_preserves_decisions(scale):
     cands, oracle = midnight_mass_setup(scale)
-    winner, verdicts = validate_by_frequency(cands, oracle)
+    winner, verdicts = validate_by_frequency(cands, oracle, CFG.use_an)
     assert winner.target_surface == "midnight mass"
     assert [v.accepted for v in verdicts] == [
-        v.accepted for v in validate_by_frequency(*midnight_mass_setup())[1]
+        v.accepted for v in validate_by_frequency(*midnight_mass_setup(), CFG.use_an)[1]
     ]
 
 
@@ -107,23 +107,13 @@ def test_ratio_invariance_property(candidate_count, head_count, factor):
 
 def test_rejected_candidates_not_in_output():
     cands, oracle = midnight_mass_setup()
-    winner, verdicts = validate_by_frequency(cands, oracle)
+    winner, verdicts = validate_by_frequency(cands, oracle, CFG.use_an)
     rejected_surfaces = {v.candidate.target_surface for v in verdicts if not v.accepted}
     assert winner.target_surface not in rejected_surfaces
 
 
 def test_kept_never_exceeds_generated_per_pattern():
     cands, oracle = midnight_mass_setup()
-    _, verdicts = validate_by_frequency(cands, oracle)
+    _, verdicts = validate_by_frequency(cands, oracle, CFG.use_an)
     assert sum(1 for v in verdicts if v.accepted) <= len(cands)
 
-
-def test_verdict_log_format(tmp_path):
-    cands, oracle = midnight_mass_setup()
-    _, verdicts = validate_by_frequency(cands, oracle)
-    path = tmp_path / "verdicts.tsv"
-    with open(path, "w", encoding="utf-8") as fh:
-        write_verdicts(verdicts, fh)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(verdicts)
-    assert all(len(line.split("\t")) == 7 for line in lines)

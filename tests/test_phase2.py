@@ -21,7 +21,7 @@ from lexiforge.phase2 import (
 )
 from lexiforge.tagging import LexiconTagger
 
-from conftest import FakeBackend, make_dictionary, make_ulc
+from conftest import CFG, FakeBackend, make_dictionary, make_ulc
 
 
 def cand(ulc, surface, rule=TranslationRule.ADJ_N, **scores):
@@ -40,7 +40,9 @@ def test_pair_filter_keeps_cooccurring_candidates():
     backend = FakeBackend()
     backend.pair("caisse centrale", "central fund", 4)
     backend.pair("caisse centrale", "central drum", 0)
-    survivors, unresolved = parallel_pair_filter("caisse centrale", candidates, SearchOracle(backend))
+    survivors, unresolved = parallel_pair_filter(
+        "caisse centrale", candidates, SearchOracle(backend), CFG.pair_top_k
+    )
     assert [c.target_surface for c in survivors] == ["central fund"]
     assert unresolved == []
     assert survivors[0].scores["pair_count"] == 4
@@ -51,13 +53,13 @@ def test_pair_filter_threshold_is_one():
     backend = FakeBackend()
     backend.pair("caisse centrale", "central case", 1)
     survivors, _ = parallel_pair_filter(
-        "caisse centrale", [cand(ulc, "central case")], SearchOracle(backend)
+        "caisse centrale", [cand(ulc, "central case")], SearchOracle(backend), CFG.pair_top_k
     )
     assert len(survivors) == 1
 
 
 def test_pair_filter_empty_input():
-    assert parallel_pair_filter("x", [], SearchOracle(FakeBackend())) == ([], [])
+    assert parallel_pair_filter("x", [], SearchOracle(FakeBackend()), CFG.pair_top_k) == ([], [])
 
 
 def test_pair_filter_unresolved_kept_separately():
@@ -65,7 +67,9 @@ def test_pair_filter_unresolved_kept_separately():
     backend = FakeBackend()
     backend.pair("caisse centrale", "central fund", 2)
     candidates = [cand(ulc, "central fund"), cand(ulc, "central case")]
-    survivors, unresolved = parallel_pair_filter("caisse centrale", candidates, SearchOracle(backend))
+    survivors, unresolved = parallel_pair_filter(
+        "caisse centrale", candidates, SearchOracle(backend), CFG.pair_top_k
+    )
     assert [c.target_surface for c in survivors] == ["central fund"]
     assert [c.target_surface for c in unresolved] == ["central case"]
 
@@ -128,6 +132,8 @@ def test_build_world_matches_hand_count():
         SearchOracle(backend),
         FR_TAGGER,
         stopwords=frozenset({"le", "un", "de", "la", "une", "et"}),
+        snippet_limit=CFG.snippet_limit,
+        world_size=CFG.world_size,
     )
     # brute-force recount: pension 4, banque 2, argent 1; caisse/retraite excluded
     assert world.nouns == (("pension", 4), ("banque", 2), ("argent", 1))
@@ -139,7 +145,8 @@ def test_build_world_snippet_count_and_truncation():
     texts = [f"pension {i}" for i in range(40)]
     backend = FakeBackend().snips("caisse de retraite", 1000, texts)
     world = build_lexical_world(
-        "caisse de retraite", "fr", SearchOracle(backend), FR_TAGGER
+        "caisse de retraite", "fr", SearchOracle(backend), FR_TAGGER,
+        snippet_limit=CFG.snippet_limit, world_size=CFG.world_size,
     )
     assert world.snippet_count == 40
 
@@ -149,14 +156,20 @@ def test_build_world_top_50_cut():
     names = ["n" + a + b for a in "abcdefgh" for b in "abcdefgh"][:60]
     tagger = LexiconTagger([(n, "NOUN", n) for n in names])
     backend = FakeBackend().snips("x y", 1000, [" ".join(names)])
-    world = build_lexical_world("x y", "fr", SearchOracle(backend), tagger)
+    world = build_lexical_world(
+        "x y", "fr", SearchOracle(backend), tagger,
+        snippet_limit=CFG.snippet_limit, world_size=CFG.world_size,
+    )
     assert len(world.nouns) == 50
 
 
 def test_world_with_only_verbs_is_empty():
     tagger = LexiconTagger([("court", "VERB", "courir")])
     backend = FakeBackend().snips("x y", 1000, ["court court court"])
-    world = build_lexical_world("x y", "fr", SearchOracle(backend), tagger)
+    world = build_lexical_world(
+        "x y", "fr", SearchOracle(backend), tagger,
+        snippet_limit=CFG.snippet_limit, world_size=CFG.world_size,
+    )
     assert world.nouns == () and world.adjectives == ()
 
 
@@ -197,7 +210,7 @@ def test_build_world_matches_per_snippet_reference(snippet_words, world_size):
     tagger = LexiconTagger(FR_ENTRIES)
     world = build_lexical_world(
         "caisse de retraite", "fr", SearchOracle(backend), tagger, stopwords,
-        exclude_lemmas=["Argent"], world_size=world_size,
+        exclude_lemmas=["Argent"], snippet_limit=CFG.snippet_limit, world_size=world_size,
     )
     nouns, adjectives = reference_world(
         "caisse de retraite", texts, tagger, stopwords, ["Argent"], world_size
@@ -208,7 +221,10 @@ def test_build_world_matches_per_snippet_reference(snippet_words, world_size):
 
 def test_zero_snippets_give_empty_world():
     backend = FakeBackend().snips("x y", 1000, [])
-    world = build_lexical_world("x y", "fr", SearchOracle(backend), FR_TAGGER)
+    world = build_lexical_world(
+        "x y", "fr", SearchOracle(backend), FR_TAGGER,
+        snippet_limit=CFG.snippet_limit, world_size=CFG.world_size,
+    )
     assert world.snippet_count == 0
     assert world.nouns == ()
 
@@ -400,7 +416,7 @@ def test_filters_compose_monotonically():
     backend.count("central case", 10)
     candidates = [cand(ulc, s) for s in ("central fund", "central case", "central drum")]
     oracle = SearchOracle(backend)
-    pair_survivors, _ = parallel_pair_filter("caisse centrale", candidates, oracle)
+    pair_survivors, _ = parallel_pair_filter("caisse centrale", candidates, oracle, CFG.pair_top_k)
     ratio_survivors, _ = ratio_filter(pair_survivors, 100, oracle)
     assert set(c.target_surface for c in ratio_survivors) <= set(
         c.target_surface for c in pair_survivors
@@ -435,10 +451,9 @@ def test_run_phase2_end_to_end_selects_central_fund():
          ("money", "NOUN", "money"), ("fund", "NOUN", "fund"), ("central", "ADJ", "central")]
     )
     ctx = WorldContext(
+        cfg=CFG,
         oracle=SearchOracle(backend),
         dictionary=d,
-        source_lang="fr",
-        target_lang="en",
         source_tagger=fr_tagger,
         target_tagger=en_tagger,
     )

@@ -5,11 +5,10 @@ from hypothesis import given, strategies as st
 
 from lexiforge.extraction import UlcPattern
 from lexiforge.generation import CandidateOrigin
-from lexiforge.oracle import SearchOracle, Snippet
+from lexiforge.oracle import QueryKind, SearchOracle, Snippet
 from lexiforge.phase2 import WorldContext
 from lexiforge.phase3 import (
     cognate_prefix,
-    collect_mixed_snippets,
     find_cognates,
     find_frequent_pairs,
     is_cognate_pair,
@@ -19,7 +18,7 @@ from lexiforge.phase3 import (
 )
 from lexiforge.tagging import LexiconTagger
 
-from conftest import FakeBackend, make_dictionary, make_ulc
+from conftest import CFG, FakeBackend, make_dictionary, make_ulc
 
 FR_STOPS = frozenset({"le", "la", "les", "de", "d", "un", "une", "est", "et"})
 
@@ -32,8 +31,10 @@ def cognates_of(snippets, ulc, stops=FR_STOPS):
     return find_cognates(rank_bigrams(snippets, ulc, stops), ulc)
 
 
-def frequent_pairs_of(snippets, ulc, stops=FR_STOPS, **kwargs):
-    return find_frequent_pairs(rank_bigrams(snippets, ulc, stops), ulc, **kwargs)
+def frequent_pairs_of(
+    snippets, ulc, stops=FR_STOPS, min_pair_freq=CFG.min_pair_freq, top_pairs=CFG.top_pairs
+):
+    return find_frequent_pairs(rank_bigrams(snippets, ulc, stops), ulc, min_pair_freq, top_pairs)
 
 
 @pytest.mark.parametrize(
@@ -58,14 +59,17 @@ def test_normalization_strips_diacritics_and_case():
     assert cognate_prefix("écran") == "ecra"
 
 
-def test_collect_mixed_snippets_routes_query():
+def test_run_phase3_routes_mixed_snippet_query():
     ulc = make_ulc("souris", "agneau", UlcPattern.NOUN_D_NOUN, "souris d'agneau")
-    backend = FakeBackend().snips(
+    backend = FakeBackend(default_count=0).snips(
         "souris d'agneau", 1000, ["Souris d'agneau is lamb shank."] * 7, lang="en"
     )
-    result = collect_mixed_snippets(ulc, SearchOracle(backend), "en", 1000)
-    assert len(result) == 7
-    assert all(s.text for s in result)
+    result = run_phase3(ulc, _phase3_context(backend))
+    first = backend.seen[0]
+    assert (first.kind, first.phrases, first.lang_restrict, first.limit) == (
+        QueryKind.MIXED_SNIPPETS, ("souris d'agneau",), "en", 1000
+    )
+    assert result.snippet_count == 7
 
 
 def test_find_cognates_nucleic_acid():
@@ -167,6 +171,13 @@ def test_bigrams_with_stopwords_or_source_tokens_excluded():
     assert "braised braised" in surfaces
 
 
+def test_top_pairs_bounds_the_mined_list():
+    ulc = make_ulc("souris", "agneau", UlcPattern.NOUN_D_NOUN, "souris d'agneau")
+    for top_pairs in (0, 1, 3):
+        cands = frequent_pairs_of(snips(*LAMB_TEXTS), ulc, min_pair_freq=1, top_pairs=top_pairs)
+        assert len(cands) == top_pairs
+
+
 def test_min_evidence_default_two():
     ulc = make_ulc("souris", "agneau", UlcPattern.NOUN_D_NOUN, "souris d'agneau")
     cands = frequent_pairs_of(snips("unique bigram here"), ulc)
@@ -187,12 +198,12 @@ def _phase3_context(backend, dictionary=None):
          ("doux", "ADJ", ["soft"])]
     )
     return WorldContext(
+        cfg=CFG,
         oracle=SearchOracle(backend),
         dictionary=d,
-        source_lang="fr",
-        target_lang="en",
         source_tagger=fr_tagger,
         target_tagger=en_tagger,
+        source_stopwords=FR_STOPS,
     )
 
 
@@ -205,7 +216,7 @@ def test_run_phase3_full_pair_path():
     backend.count("lamb shank", 5)
     backend.snips("souris d'agneau", 1000, ["La viande du plat, tendre viande."])
     backend.snips("lamb shank", 1000, ["Tender meat, a tender dish of meat."])
-    result = run_phase3(ulc, _phase3_context(backend), FR_STOPS)
+    result = run_phase3(ulc, _phase3_context(backend))
     assert result.winner is not None
     assert result.winner.target_surface == "lamb shank"
     assert result.winner.origin is CandidateOrigin.FREQUENT_PAIR
@@ -224,7 +235,7 @@ def test_run_phase3_cognates_take_precedence():
     backend.count("tender meat", 4)
     backend.snips("viande tendre", 1000, ["La viande douce du plat."])
     backend.snips("tender meat", 1000, ["A soft dish of meat."])
-    result = run_phase3(ulc, _phase3_context(backend), FR_STOPS)
+    result = run_phase3(ulc, _phase3_context(backend))
     assert result.winner.target_surface == "tender meat"
     assert result.winner.origin is CandidateOrigin.COGNATE
     assert result.winner.matched_prefix == "tend"
@@ -250,37 +261,31 @@ def test_run_phase3_counts_bigrams_once_for_both_miners(monkeypatch):
         lang="en",
     )
     # no pair shares a document: cognates fail validation, pair mining runs
-    result = run_phase3(ulc, _phase3_context(backend), FR_STOPS)
+    result = run_phase3(ulc, _phase3_context(backend))
     assert result.winner is None
     assert result.cognate_candidates and result.pair_candidates
     assert len(calls) == 1
 
 
-def test_mined_log_format(tmp_path):
-    from lexiforge.phase3 import write_mined_log
-
+def test_cognate_candidates_carry_evidence_and_prefix():
     ulc = make_ulc("acide", "nucléique", UlcPattern.NOUN_ADJ, "acide nucléique")
     cognates = cognates_of(
         snips("Un acide nucléique is a nucleic acid molecule.", "The nucleic acid story."),
         ulc,
     )
-    path = tmp_path / "mined.tsv"
-    with open(path, "w", encoding="utf-8") as fh:
-        write_mined_log(cognates, fh)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines
-    first = lines[0].split("\t")
-    assert first[0] == "nucleic acid"
-    assert first[1] == "COGNATE"
-    assert first[2] == "2"
-    assert first[3] in ("nucl", "acid")
+    assert cognates
+    first = cognates[0]
+    assert first.target_surface == "nucleic acid"
+    assert first.origin is CandidateOrigin.COGNATE
+    assert first.evidence == 2
+    assert first.matched_prefix in ("nucl", "acid")
 
 
 def test_run_phase3_zero_snippets_untranslated():
     ulc = make_ulc("appareil", "argentin", UlcPattern.NOUN_ADJ, "appareil argentin")
     backend = FakeBackend(default_count=0)
     backend.snips("appareil argentin", 1000, [], lang="en")
-    result = run_phase3(ulc, _phase3_context(backend), FR_STOPS)
+    result = run_phase3(ulc, _phase3_context(backend))
     assert result.winner is None
     assert result.snippet_count == 0
 
@@ -290,6 +295,6 @@ def test_run_phase3_all_candidates_fail_filters():
     backend = FakeBackend(default_count=0)
     backend.snips("souris d'agneau", 1000, LAMB_TEXTS, lang="en")
     # pair count zero for everything -> no survivors anywhere
-    result = run_phase3(ulc, _phase3_context(backend), FR_STOPS)
+    result = run_phase3(ulc, _phase3_context(backend))
     assert result.winner is None
     assert result.pair_candidates  # mining happened, validation failed

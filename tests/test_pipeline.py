@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from lexiforge.dictionary import BilingualDictionary
@@ -5,10 +7,8 @@ from lexiforge.extraction import UlcPattern
 from lexiforge.generation import build_validation_query
 from lexiforge.oracle import QueryKind, ResponseCache, SearchOracle
 from lexiforge.phase2 import WorldContext
-from lexiforge.phase2 import WorldContext
 from lexiforge.pipeline import (
     Phase,
-    PipelineSettings,
     TranslationRecord,
     read_lexicon,
     run_pipeline,
@@ -17,7 +17,7 @@ from lexiforge.pipeline import (
 )
 from lexiforge.tagging import LexiconTagger
 
-from conftest import FakeBackend, make_dictionary, make_ulc
+from conftest import CFG, FakeBackend, make_dictionary, make_ulc
 
 FR_TAGGER = LexiconTagger(
     [("banque", "NOUN", "banque"), ("argent", "NOUN", "argent"),
@@ -36,12 +36,11 @@ WORLD_DICT_ENTRIES = [
 ]
 
 
-def make_ctx(backend, dictionary):
+def make_ctx(backend, dictionary, **settings):
     return WorldContext(
+        cfg=replace(CFG, **settings),
         oracle=SearchOracle(backend),
         dictionary=dictionary,
-        source_lang="fr",
-        target_lang="en",
         source_tagger=FR_TAGGER,
         target_tagger=EN_TAGGER,
         source_stopwords=frozenset({"le", "la", "de", "d", "un", "une"}),
@@ -63,7 +62,7 @@ def test_dictionary_units_short_circuit():
     )
     backend = FakeBackend()  # raising backend: any query would error
     ulc = make_ulc("caisse", "clair", UlcPattern.NOUN_ADJ, "caisse claire")
-    record = translate_ulc(ulc, d, make_ctx(backend, d), PipelineSettings())
+    record = translate_ulc(ulc, make_ctx(backend, d))
     assert record.phase is Phase.DICTIONARY
     assert record.translation == "snare drum"
     assert backend.calls == 0
@@ -75,7 +74,7 @@ def test_non_polysemous_unit_wins_at_phase1_without_later_queries():
     backend = FakeBackend()
     backend.count('"the musical atmosphere" OR "a musical atmosphere"', 500)
     backend.count("atmosphere", 100_000)
-    record = translate_ulc(ulc, d, make_ctx(backend, d), PipelineSettings())
+    record = translate_ulc(ulc, make_ctx(backend, d))
     assert record.phase is Phase.PHASE1
     assert record.translation == "musical atmosphere"
     assert all(q.kind is QueryKind.PHRASE_COUNT for q in backend.seen)
@@ -90,7 +89,7 @@ def test_polysemous_unit_routed_to_phase2():
                    literal_freq=2)
     backend = FakeBackend(default_count=0)
     register_phase2_win(backend, "caisse de retraite", "retirement fund")
-    record = translate_ulc(ulc, d, make_ctx(backend, d), PipelineSettings())
+    record = translate_ulc(ulc, make_ctx(backend, d))
     assert record.phase is Phase.PHASE2
     assert record.translation == "retirement fund"
     # no phase-1 validation query was ever issued for a polysemous unit
@@ -117,7 +116,7 @@ def test_phase1_failure_cascades_through_phase2_to_phase3():
     backend.count("lamb shank", 3)
     backend.snips("souris d'agneau", 1000, ["La banque financière."])
     backend.snips("lamb shank", 1000, ["The financial bank."])
-    record = translate_ulc(ulc, d, make_ctx(backend, d), PipelineSettings())
+    record = translate_ulc(ulc, make_ctx(backend, d))
     assert record.phase is Phase.PHASE3_PAIR
     assert record.translation == "lamb shank"
 
@@ -126,7 +125,7 @@ def test_unknown_unit_with_no_snippets_untranslated():
     d = BilingualDictionary()
     ulc = make_ulc("appareil", "argentin", UlcPattern.NOUN_ADJ, "appareil argentin")
     backend = FakeBackend(default_count=0)
-    record = translate_ulc(ulc, d, make_ctx(backend, d), PipelineSettings())
+    record = translate_ulc(ulc, make_ctx(backend, d))
     assert record.phase is Phase.UNTRANSLATED
     assert record.translation is None
 
@@ -134,7 +133,7 @@ def test_unknown_unit_with_no_snippets_untranslated():
 def test_oracle_failure_yields_unresolved_record():
     d = make_dictionary([("messe", "NOUN", ["mass"]), ("minuit", "NOUN", ["midnight"])])
     ulc = make_ulc("messe", "minuit", UlcPattern.NOUN_DE_NOUN)
-    record = translate_ulc(ulc, d, make_ctx(FakeBackend(), d), PipelineSettings())
+    record = translate_ulc(ulc, make_ctx(FakeBackend(), d))
     assert record.phase is Phase.UNRESOLVED_ORACLE
     assert record.translation is None
 
@@ -205,7 +204,7 @@ def build_50_clu_fixture():
 def test_partition_50_clu_fixture():
     units, dictionary, backend = build_50_clu_fixture()
     assert len(units) == 50
-    report = run_pipeline(units, dictionary, make_ctx(backend, dictionary), PipelineSettings(workers=4))
+    report = run_pipeline(units, make_ctx(backend, dictionary, workers=4))
     assert len(report.records) == 50
     counts = report.phase_counts()
     assert sum(counts.values()) == 50
@@ -226,8 +225,8 @@ def test_partition_50_clu_fixture():
 def test_pipeline_deterministic_across_worker_counts():
     units, dictionary, backend = build_50_clu_fixture()
     ctx = make_ctx(backend, dictionary)
-    serial = run_pipeline(units, dictionary, ctx, PipelineSettings(workers=1))
-    threaded = run_pipeline(units, dictionary, ctx, PipelineSettings(workers=8))
+    serial = run_pipeline(units, replace(ctx, cfg=replace(CFG, workers=1)))
+    threaded = run_pipeline(units, replace(ctx, cfg=replace(CFG, workers=8)))
     assert [(r.source.key, r.translation, r.phase) for r in serial.records] == [
         (r.source.key, r.translation, r.phase) for r in threaded.records
     ]
@@ -236,9 +235,9 @@ def test_pipeline_deterministic_across_worker_counts():
 def test_write_report_deterministic_and_readable(tmp_path):
     units, dictionary, backend = build_50_clu_fixture()
     ctx = make_ctx(backend, dictionary)
-    report = run_pipeline(units, dictionary, ctx, PipelineSettings())
+    report = run_pipeline(units, ctx)
     lex1, sum1 = write_report(report, tmp_path / "run1")
-    report2 = run_pipeline(units, dictionary, ctx, PipelineSettings())
+    report2 = run_pipeline(units, ctx)
     lex2, sum2 = write_report(report2, tmp_path / "run2")
     assert lex1.read_bytes() == lex2.read_bytes()
     assert sum1.read_bytes() == sum2.read_bytes()
@@ -253,13 +252,13 @@ def test_warm_cache_pipeline_replay_zero_backend_calls(tmp_path):
     cache = ResponseCache(tmp_path / "warm.cache")
     ctx = make_ctx(backend, dictionary)
     ctx.oracle = SearchOracle(backend, cache)
-    first = run_pipeline(units, dictionary, ctx, PipelineSettings())
+    first = run_pipeline(units, ctx)
     ctx.oracle.close()
 
     fresh_units, fresh_dictionary, fresh_backend = build_50_clu_fixture()
     replay_ctx = make_ctx(fresh_backend, fresh_dictionary)
     replay_ctx.oracle = SearchOracle(fresh_backend, ResponseCache(tmp_path / "warm.cache"))
-    replay = run_pipeline(fresh_units, fresh_dictionary, replay_ctx, PipelineSettings())
+    replay = run_pipeline(fresh_units, replay_ctx)
     replay_ctx.oracle.close()
     assert fresh_backend.calls == 0
     assert [(r.source.key, r.translation, r.phase) for r in replay.records] == [
@@ -279,7 +278,7 @@ def test_write_report_empty_input(tmp_path):
 
 def test_lexicon_ordering_by_source_surface(tmp_path):
     units, dictionary, backend = build_50_clu_fixture()
-    report = run_pipeline(units, dictionary, make_ctx(backend, dictionary), PipelineSettings())
+    report = run_pipeline(units, make_ctx(backend, dictionary))
     lex, _ = write_report(report, tmp_path)
     surfaces = [line.split("\t")[0] for line in lex.read_text().splitlines()]
     assert surfaces == sorted(surfaces)
