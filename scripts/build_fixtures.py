@@ -391,7 +391,9 @@ def record_and_verify():
                 grade = GOLD_GRADES.get(record.translation, "A")
                 gold_lines.append(f"{record.source.surface}\t{record.translation}\t{grade}")
         (DATA_DIR / "gold.tsv").write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
-        print(f"cache entries recorded: {len(oracle._cache)}")
+        # Workers record in scheduling order; sorting by key makes the file
+        # the same on every regeneration.
+        print(f"cache entries recorded: {oracle._cache.compact()}")
     finally:
         oracle.close()
 

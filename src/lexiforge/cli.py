@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .backends import HttpBackend, LocalIndexBackend
-from .config import ConfigError, InputError, RunConfig, load_config
+from .config import ConfigError, InputError, RunConfig, load_config, open_utf8
 from .corpus import CorpusParseError, Tagset, parse_tagged_corpus
 from .dictionary import load_dictionary
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
@@ -90,7 +90,7 @@ def _require_file(path: str | None, what: str) -> Path:
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     corpus_file = _require_file(cfg.corpus_path, "corpus file")
-    with open(corpus_file, encoding="utf-8") as fh:
+    with open_utf8(corpus_file) as fh:
         corpus = parse_tagged_corpus(fh, build_tagset(cfg))
     units = extract_ulcs(corpus, cfg.corpus_freq_min)
 
@@ -121,11 +121,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(dict_file)
 
     if args.ulcs:
-        with open(_require_file(args.ulcs, "unit file"), encoding="utf-8") as fh:
+        with open_utf8(_require_file(args.ulcs, "unit file")) as fh:
             units = read_ulcs(fh)
     else:
         corpus_file = _require_file(cfg.corpus_path, "corpus file")
-        with open(corpus_file, encoding="utf-8") as fh:
+        with open_utf8(corpus_file) as fh:
             corpus = parse_tagged_corpus(fh, build_tagset(cfg))
         units = extract_ulcs(corpus, cfg.corpus_freq_min)
 

@@ -16,9 +16,10 @@ LEXIFORGE_ORACLE_KEY environment variable, which wins over both.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping, TextIO
 
 API_KEY_ENV = "LEXIFORGE_ORACLE_KEY"
 
@@ -36,11 +37,28 @@ class InputError(ValueError):
         super().__init__(f"{path}:{lineno}: {msg}")
 
 
+@contextmanager
+def open_utf8(path: str | Path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading. A byte sequence that is not
+    UTF-8 raises ``InputError`` naming its line; only that error path
+    re-reads the file, as bytes, to find the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(path, data.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
+        raise
+
+
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """RunConfig attribute -> typed value for each line of a config file."""
     values: dict[str, object] = {}
     tagset_overrides: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):

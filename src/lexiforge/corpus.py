@@ -184,41 +184,50 @@ def parse_tagged_corpus(
         sentences = []
         doc_id = None
 
+    # Token lines repeat heavily; each distinct line is parsed once and its
+    # (frozen) token shared. Only a line's first occurrence can raise.
+    parsed: dict[str, TaggedToken] = {}
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            close_sentence()
-            continue
-        if line.startswith(DOC_PREFIX) and (
-            line == DOC_PREFIX or line[len(DOC_PREFIX)] in (" ", "\t")
-        ):
-            close_document()
-            new_id = line[len(DOC_PREFIX) :].strip()
-            doc_id = new_id if new_id else str(len(documents))
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise CorpusParseError(
-                f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-            )
-        surface, raw_tag, lemma = (f.strip() for f in fields)
-        try:
-            pos = tagset.resolve(raw_tag)
-        except KeyError:
-            raise CorpusParseError(f"line {lineno}: unknown tag {raw_tag!r}") from None
-        try:
-            token = TaggedToken(surface, pos, lemma)
-        except ValueError as exc:
-            raise CorpusParseError(f"line {lineno}: {exc}") from None
+        token = parsed.get(line)
+        if token is None:
+            if not line.strip():
+                close_sentence()
+                continue
+            if line.startswith(DOC_PREFIX) and (
+                line == DOC_PREFIX or line[len(DOC_PREFIX)] in (" ", "\t")
+            ):
+                close_document()
+                new_id = line[len(DOC_PREFIX) :].strip()
+                doc_id = new_id if new_id else str(len(documents))
+                continue
+            token = parsed[line] = _parse_token_line(line, lineno, tagset)
         tokens.append(token)
         saw_tokens = True
-        if pos == "SENT":
+        if token.pos == "SENT":
             close_sentence()
 
     close_document()
     if not saw_tokens and not documents:
         return TaggedCorpus(())
     return TaggedCorpus(tuple(documents))
+
+
+def _parse_token_line(line: str, lineno: int, tagset: Tagset) -> TaggedToken:
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise CorpusParseError(
+            f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
+        )
+    surface, raw_tag, lemma = (f.strip() for f in fields)
+    try:
+        pos = tagset.resolve(raw_tag)
+    except KeyError:
+        raise CorpusParseError(f"line {lineno}: unknown tag {raw_tag!r}") from None
+    try:
+        return TaggedToken(surface, pos, lemma)
+    except ValueError as exc:
+        raise CorpusParseError(f"line {lineno}: {exc}") from None
 
 
 def phrase_frequency(corpus: TaggedCorpus, lemmas: Sequence[str]) -> int:

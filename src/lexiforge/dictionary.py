@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .config import InputError
+from .config import InputError, open_utf8
 from .extraction import SourceUlc, UlcPattern
 
 LINK_WORDS = {"de", "d'", "d’"}
@@ -105,7 +105,7 @@ def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
     """Load a dictionary file; duplicate (lemma, pos) entries are merged.
     A malformed line raises ``InputError`` naming the file and line."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open_utf8(source) as fh:
             return load_dictionary(fh)
 
     path = getattr(source, "name", "<dictionary>")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, TextIO
 
+from .config import open_utf8
 from .pipeline import TranslationReport
 
 GRADES = ("A", "B", "C")
@@ -47,7 +48,7 @@ class Metrics:
 
 def load_gold(source: TextIO | str | Path) -> dict[tuple[str, str], str]:
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
+        with open_utf8(source) as fh:
             return load_gold(fh)
     gold: dict[tuple[str, str], str] = {}
     for lineno, raw_line in enumerate(source, start=1):
@@ -72,7 +73,9 @@ def compute_metrics(
     """Precision/recall plus per-grade and per-phase breakdowns.
 
     Every translated record must have a grade for its exact (source,
-    translation) pair; missing pairs raise GoldError listing them all.
+    translation) pair; missing pairs raise GoldError listing them all. A
+    given ``total_sources`` must be at least the number of acceptable
+    translations, so that recall stays within [0, 1].
     """
     translated = report.translated()
     missing = [
@@ -93,9 +96,13 @@ def compute_metrics(
         if grade in ("A", "B"):
             per_phase[record.phase.value] = per_phase.get(record.phase.value, 0) + 1
 
+    acceptable = grade_counts["A"] + grade_counts["B"]
     if total_sources is None:
         total_sources = len(report.records)
-    acceptable = grade_counts["A"] + grade_counts["B"]
+    elif total_sources < acceptable:  # also every negative total
+        raise GoldError(
+            f"total sources {total_sources} is below the {acceptable} acceptable translations"
+        )
     precision = acceptable / len(translated) if translated else 0.0
     recall = acceptable / total_sources if total_sources else 0.0
     return Metrics(len(translated), total_sources, grade_counts, precision, recall, per_phase)

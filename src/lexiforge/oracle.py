@@ -238,9 +238,13 @@ class SearchOracle:
         self.backend_calls = 0
 
     def close(self) -> None:
-        """Close the response cache's append handle, if any."""
+        """Close the response cache's append handle and the backend's
+        connections, if any."""
         if self._cache is not None:
             self._cache.close()
+        close_backend = getattr(self._backend, "close", None)
+        if close_backend is not None:
+            close_backend()
 
     @property
     def backend_name(self) -> str:

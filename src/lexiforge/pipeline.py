@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .config import InputError
+from .config import InputError, open_utf8
 from .dictionary import UlcClassKind, classify_ulc
 from .extraction import SourceUlc, UlcPattern
 from .generation import CandidateOrigin, CandidateTranslation, generate_candidates
@@ -222,7 +222,7 @@ def _ulc_from_surface(surface: str) -> SourceUlc:
 def read_lexicon(path: str | Path) -> TranslationReport:
     """Load a written lexicon back into a report, e.g. for evaluation."""
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.rstrip("\n")
             if not line.strip():

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, TextIO
 
 from .backends import tokenize
+from .config import open_utf8
 
 
 class SnippetTagger(Protocol):
@@ -55,7 +56,7 @@ class LexiconTagger:
     @classmethod
     def from_file(cls, source: TextIO | str | Path) -> "LexiconTagger":
         if isinstance(source, (str, Path)):
-            with open(source, encoding="utf-8") as fh:
+            with open_utf8(source) as fh:
                 return cls.from_file(fh)
         entries = []
         for line in source:

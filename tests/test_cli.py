@@ -452,3 +452,66 @@ def test_each_setting_reaches_the_code_that_uses_it(tmp_path, capsys, monkeypatc
     assert seen["pair_survivors"] and all(len(s) == 2 for s in seen["pair_survivors"])
     assert sorted(len(pairs) for pairs in seen["mined"]) == [2, 4]
     assert all(c.evidence >= 3 for pairs in seen["mined"] for c in pairs)
+
+
+def with_bad_byte(source, lineno, dest):
+    """Copy ``source`` to ``dest`` with a byte that is not UTF-8 ending line
+    ``lineno``."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1].rstrip(b"\n") + b" caf\xe9\n"
+    dest.write_bytes(b"".join(lines))
+    return dest
+
+
+def evaluate_args(tmp_path, lexicon=None, gold=DATA / "gold.tsv"):
+    if lexicon is None:
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("messe de minuit\tmidnight mass\tPHASE1\t-\n", encoding="utf-8")
+    return ["evaluate", "--lexicon", str(lexicon), "--gold", str(gold)]
+
+
+def extract_args(tmp_path, corpus):
+    return ["extract", "--corpus", str(corpus), "--config", str(DATA / "run.config"), "--offline",
+            "--cache", str(DATA / "e2e.cache"), "--out", str(tmp_path / "ulcs.tsv")]
+
+
+def replaced(argv, flag, value):
+    argv[argv.index(flag) + 1] = str(value)
+    return argv
+
+
+TAGGER_FR = Path(cli.__file__).parent / "data" / "tagger_fr.tsv"
+
+
+@pytest.mark.parametrize(
+    "source, lineno, make_argv",
+    [
+        (DATA / "corpus.tsv", 1000, lambda tmp, bad: extract_args(tmp, bad)),
+        (DATA / "ulcs.tsv", 2, lambda tmp, bad: replaced(translate_args(tmp / "out"), "--ulcs", bad)),
+        (DATA / "docs.jsonl", 100, lambda tmp, bad: replaced(translate_with_docs(tmp, [])[1], "--docs", bad)),
+        (DATA / "dictionary.tsv", 3, lambda tmp, bad: replaced(translate_args(tmp / "out"), "--dictionary", bad)),
+        (TAGGER_FR, 4, lambda tmp, bad: translate_args(tmp / "out", ["--source-tagger", str(bad)])),
+        (DATA / "golden_lexicon.tsv", 5, lambda tmp, bad: evaluate_args(tmp, lexicon=bad)),
+        (DATA / "gold.tsv", 6, lambda tmp, bad: evaluate_args(tmp, gold=bad)),
+        (DATA / "run.config", 7, lambda tmp, bad: replaced(translate_args(tmp / "out"), "--config", bad)),
+    ],
+    ids=["corpus", "units", "docs", "dictionary", "tagger", "lexicon", "gold", "config"],
+)
+def test_input_that_is_not_utf8_exits_2_with_line_number(tmp_path, capsys, source, lineno, make_argv):
+    bad = with_bad_byte(source, lineno, tmp_path / f"bad-{source.name}")
+    code, _, err = run(make_argv(tmp_path, bad), capsys)
+    assert code == 2
+    assert err == f"error: {bad}:{lineno}: not valid UTF-8\n"
+
+
+@pytest.mark.parametrize("total", ["-5", "3"])
+def test_evaluate_rejects_a_total_below_the_acceptable_translations(tmp_path, capsys, total):
+    run(translate_args(tmp_path / "run"), capsys)
+    code, out, err = run(
+        ["evaluate", "--lexicon", str(tmp_path / "run" / "lexicon.tsv"),
+         "--gold", str(DATA / "gold.tsv"), "--total-sources", total],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: total sources {total} is below the 17 acceptable translations\n"

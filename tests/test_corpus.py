@@ -181,3 +181,76 @@ def test_per_sentence_counts_sum_to_corpus_count(corpus, phrase):
         )
         per_sentence += phrase_frequency(single, phrase)
     assert per_sentence == phrase_frequency(corpus, phrase)
+
+
+def per_line_parse(lines, tagset):
+    """Reference parse without a memo: every line is classified on its own,
+    then the documents are assembled from the classes."""
+    from lexiforge.corpus import Document
+
+    documents, sentences, tokens = [], [], []
+    doc_id = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            kind = "blank"
+        elif line.split("\t")[0].split(" ")[0] == "#DOC":
+            kind = "doc"
+        else:
+            kind = "token"
+        if kind != "token" and tokens:
+            sentences.append(tuple(tokens))
+            tokens = []
+        if kind == "doc":
+            if doc_id is not None or sentences:
+                documents.append(Document(doc_id if doc_id is not None else "0", tuple(sentences)))
+            sentences = []
+            doc_id = line[4:].strip() or str(len(documents))
+        elif kind == "token":
+            fields = [f.strip() for f in line.split("\t")]
+            if len(fields) != 3:
+                raise CorpusParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            if fields[1] not in tagset.mapping:
+                raise CorpusParseError(f"line {lineno}: unknown tag {fields[1]!r}")
+            try:
+                token = TaggedToken(fields[0], tagset.mapping[fields[1]], fields[2])
+            except ValueError as exc:
+                raise CorpusParseError(f"line {lineno}: {exc}") from None
+            tokens.append(token)
+            if token.pos == "SENT":
+                sentences.append(tuple(tokens))
+                tokens = []
+    if tokens:
+        sentences.append(tuple(tokens))
+    if doc_id is not None or sentences:
+        documents.append(Document(doc_id if doc_id is not None else "0", tuple(sentences)))
+    return TaggedCorpus(tuple(documents))
+
+
+CORPUS_LINES = st.sampled_from(
+    [
+        "la\tDET\tle", "caisse\tNOUN\tcaisse", "claire\tADJ\tclair", "claire\tADJ\tclair\r",
+        " de \tPRP\t de", ".\tSENT\t.", "", "  \t", "#DOC d1", "#DOC", "#DOC\td2", "#DOCX\tNOUN\tx",
+        "une ligne", "x\tBOGUS\tx", "x\tNOUN\t", "a\tNOUN\tb\tc",
+    ]
+)
+
+
+@given(st.lists(CORPUS_LINES, max_size=40))
+def test_memo_parse_equals_per_line_parse(lines):
+    tagset = Tagset.treetagger_french()
+    stream = [line + "\n" for line in lines]
+    try:
+        expected = per_line_parse(stream, tagset)
+    except CorpusParseError as exc:
+        with pytest.raises(CorpusParseError) as raised:
+            parse_tagged_corpus(stream, tagset)
+        assert str(raised.value) == str(exc)
+    else:
+        assert parse_tagged_corpus(stream, tagset) == expected
+
+
+def test_repeated_lines_share_one_token():
+    corpus = parse_tagged_corpus(FIXTURE)
+    machines = [tok for sent in corpus.iter_sentences() for tok in sent if tok.lemma == "machine"]
+    assert len(machines) == 2 and machines[0] is machines[1]

@@ -1,15 +1,17 @@
-"""Micro-benchmarks of the hot kernels (pytest-benchmark): index building
-and lookups, cache appends and lexical-world building.
+"""Micro-benchmarks of the hot kernels (pytest-benchmark): corpus parsing,
+index building and lookups, cache appends and lexical-world building.
 
 Few rounds each, so they add well under a second to the suite; the
 end-to-end numbers come from ``perfbench/run.py``.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 from lexiforge.backends import LocalIndexBackend
+from lexiforge.corpus import parse_tagged_corpus
 from lexiforge.oracle import OracleQuery, QueryKind, ResponseCache, SearchOracle
 from lexiforge.phase2 import build_lexical_world
 from lexiforge.tagging import LexiconTagger
@@ -96,3 +98,11 @@ def test_bench_world_from_thousand_snippets(benchmark):
     world = benchmark.pedantic(build, setup=fresh_tagger, rounds=3)
     assert world.snippet_count == 1_000
     assert len(world.nouns) == 50 and len(world.adjectives) == 50
+
+
+def test_bench_parse_corpus(benchmark):
+    # The fixture corpus ten times over: 12,740 lines, most of them repeats,
+    # as in a real tagged corpus.
+    lines = (Path(__file__).parent / "data" / "corpus.tsv").read_text(encoding="utf-8").splitlines(True) * 10
+    corpus = benchmark.pedantic(parse_tagged_corpus, args=(lines,), rounds=3)
+    assert corpus.token_count() == 10 * parse_tagged_corpus(lines[: len(lines) // 10]).token_count()

@@ -1,5 +1,7 @@
+import email.utils
 import json
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -395,8 +397,6 @@ def test_warm_cache_replay_issues_zero_backend_calls(tmp_path):
 
 
 def test_backend_parallelism_is_bounded(tmp_path):
-    import time
-
     class TrackingBackend(FakeBackend):
         def __init__(self):
             super().__init__(default_count=1)
@@ -451,9 +451,10 @@ def test_concurrent_identical_queries_deduplicated(tmp_path):
 
 
 class StubResponse:
-    def __init__(self, status_code, payload):
+    def __init__(self, status_code, payload, headers=None):
         self.status_code = status_code
         self._payload = payload
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -527,6 +528,48 @@ def test_http_backend_retries_transient_failures(monkeypatch, failure):
     assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
     assert len(session.requests) == 2
     assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_http_backend_waits_as_long_as_retry_after_asks(monkeypatch, status):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    session = StubSession([StubResponse(status, {}, {"Retry-After": "2"}), StubResponse(200, {"count": 3})])
+    backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
+    assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
+    assert len(session.requests) == 2
+    assert sleeps == [2.0]
+
+
+def test_http_backend_retry_after_as_http_date(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    later = email.utils.formatdate(time.time() + 4, usegmt=True)
+    session = StubSession([StubResponse(429, {}, {"Retry-After": later}), StubResponse(200, {"count": 3})])
+    backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
+    assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
+    assert len(sleeps) == 1 and 2.0 < sleeps[0] <= 4.0
+
+
+def test_http_backend_shorter_retry_after_keeps_the_backoff(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    session = StubSession([StubResponse(503, {}, {"Retry-After": "0"}), StubResponse(200, {"count": 3})])
+    backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
+    assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
+    assert sleeps == [0.5]
+
+
+@pytest.mark.parametrize("retry_after", ["3600", "9"])
+def test_http_backend_fails_at_once_when_retry_after_exceeds_the_cap(monkeypatch, retry_after):
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    session = StubSession([StubResponse(429, {}, {"Retry-After": retry_after})] * 3)
+    backend = HttpBackend("https://search.example/api", rate_per_sec=0, max_retries=3, session=session)
+    with pytest.raises(OracleError, match=f"retry after {retry_after} s"):
+        backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",)))
+    assert len(session.requests) == 1
+    assert sleeps == []
 
 
 def test_http_backend_gives_up_with_oracle_error(monkeypatch):
