@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .backends import HttpBackend, LocalIndexBackend
 from .config import ConfigError, InputError, RunConfig, load_config, open_utf8
-from .corpus import CorpusParseError, Tagset, parse_tagged_corpus
+from .corpus import Tagset, parse_tagged_corpus
 from .dictionary import load_dictionary
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
 from .oracle import ResponseCache, SearchOracle
@@ -35,7 +35,7 @@ def build_oracle(cfg: RunConfig) -> SearchOracle:
     if cfg.offline or cfg.backend == "cache":
         if cache is None:
             raise ConfigError("--offline requires oracle.cache")
-        return SearchOracle(None, cache, offline=True)
+        return SearchOracle(None, cache)
     if cfg.backend == "local":
         backend = LocalIndexBackend.from_jsonl(cfg.docs_path)
     else:
@@ -121,8 +121,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     dictionary = load_dictionary(dict_file)
 
     if args.ulcs:
-        with open_utf8(_require_file(args.ulcs, "unit file")) as fh:
-            units = read_ulcs(fh)
+        units = read_ulcs(_require_file(args.ulcs, "unit file"))
     else:
         corpus_file = _require_file(cfg.corpus_path, "corpus file")
         with open_utf8(corpus_file) as fh:
@@ -171,12 +170,7 @@ def _restrict_to_phase(units, dictionary, phase: int):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = load_gold(_require_file(args.gold, "gold file"))
     report = read_lexicon(_require_file(args.lexicon, "lexicon file"))
-    try:
-        metrics = compute_metrics(report, gold, args.total_sources)
-    except GoldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    sys.stdout.write(format_metrics(metrics))
+    sys.stdout.write(format_metrics(compute_metrics(report, gold, args.total_sources)))
     return EXIT_OK
 
 
@@ -282,10 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CorpusParseError, GoldError, InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, GoldError, InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -54,6 +54,31 @@ def open_utf8(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def read_rows(source: TextIO | str | Path, n_fields: int) -> Iterator[tuple[str, int, list[str]]]:
+    """``(path, lineno, fields)`` for each row of a tab-separated input file.
+
+    ``source`` is a path, opened through ``open_utf8``, or an open stream,
+    named by its ``name``. Every such file follows one rule: each line is
+    stripped, blank and ``#`` lines are skipped, and the rest is split on
+    tabs into stripped fields. A row without ``n_fields`` fields raises
+    ``InputError``."""
+    if isinstance(source, (str, Path)):
+        with open_utf8(source) as fh:
+            yield from read_rows(fh, n_fields)
+        return
+    path = getattr(source, "name", "<input>")
+    for lineno, raw_line in enumerate(source, start=1):
+        line = raw_line.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise InputError(
+                path, lineno, f"expected {n_fields} tab-separated fields, got {len(fields)}"
+            )
+        yield path, lineno, [f.strip() for f in fields]
+
+
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """RunConfig attribute -> typed value for each line of a config file."""
     values: dict[str, object] = {}

@@ -13,6 +13,8 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .config import InputError
+
 # Coarse word classes used by the pattern matcher. Raw tagger tags are mapped
 # onto these at parse time; the mapping is configurable per tagger.
 COARSE_TAGS = frozenset(
@@ -20,10 +22,6 @@ COARSE_TAGS = frozenset(
 )
 
 DOC_PREFIX = "#DOC"
-
-
-class CorpusParseError(ValueError):
-    """Raised on malformed corpus input; message carries the line number."""
 
 
 @dataclass(frozen=True)
@@ -154,11 +152,12 @@ def parse_tagged_corpus(
     """Parse token-per-line tagger output into a TaggedCorpus.
 
     ``source`` may be an open text stream, a string, or an iterable of lines.
-    Malformed lines and tags missing from the tagset raise CorpusParseError
-    with the offending line number.
+    Malformed lines and tags missing from the tagset raise ``InputError``
+    naming the stream (``<corpus>`` when it has no name) and the line.
     """
     if tagset is None:
         tagset = Tagset.coarse()
+    path = getattr(source, "name", "<corpus>")
     if isinstance(source, str):
         lines: Iterable[str] = io.StringIO(source)
     else:
@@ -201,7 +200,7 @@ def parse_tagged_corpus(
                 new_id = line[len(DOC_PREFIX) :].strip()
                 doc_id = new_id if new_id else str(len(documents))
                 continue
-            token = parsed[line] = _parse_token_line(line, lineno, tagset)
+            token = parsed[line] = _parse_token_line(line, path, lineno, tagset)
         tokens.append(token)
         saw_tokens = True
         if token.pos == "SENT":
@@ -213,21 +212,19 @@ def parse_tagged_corpus(
     return TaggedCorpus(tuple(documents))
 
 
-def _parse_token_line(line: str, lineno: int, tagset: Tagset) -> TaggedToken:
+def _parse_token_line(line: str, path: str, lineno: int, tagset: Tagset) -> TaggedToken:
     fields = line.split("\t")
     if len(fields) != 3:
-        raise CorpusParseError(
-            f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-        )
+        raise InputError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
     surface, raw_tag, lemma = (f.strip() for f in fields)
     try:
         pos = tagset.resolve(raw_tag)
     except KeyError:
-        raise CorpusParseError(f"line {lineno}: unknown tag {raw_tag!r}") from None
+        raise InputError(path, lineno, f"unknown tag {raw_tag!r}") from None
     try:
         return TaggedToken(surface, pos, lemma)
     except ValueError as exc:
-        raise CorpusParseError(f"line {lineno}: {exc}") from None
+        raise InputError(path, lineno, str(exc)) from None
 
 
 def phrase_frequency(corpus: TaggedCorpus, lemmas: Sequence[str]) -> int:

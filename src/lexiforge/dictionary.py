@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .config import InputError, open_utf8
+from .config import InputError, read_rows
 from .extraction import SourceUlc, UlcPattern
 
 LINK_WORDS = {"de", "d'", "d’"}
@@ -104,20 +104,8 @@ def _multiword_pair(lemma_field: str) -> tuple[str, str] | None:
 def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
     """Load a dictionary file; duplicate (lemma, pos) entries are merged.
     A malformed line raises ``InputError`` naming the file and line."""
-    if isinstance(source, (str, Path)):
-        with open_utf8(source) as fh:
-            return load_dictionary(fh)
-
-    path = getattr(source, "name", "<dictionary>")
     dictionary = BilingualDictionary()
-    for lineno, raw_line in enumerate(source, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise InputError(path, lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-        lemma, pos, translation_field = (f.strip() for f in fields)
+    for path, lineno, (lemma, pos, translation_field) in read_rows(source, 3):
         translations = []
         for t in translation_field.split("|"):
             t = t.strip()

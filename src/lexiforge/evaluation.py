@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, TextIO
 
-from .config import open_utf8
+from .config import InputError, read_rows
 from .pipeline import TranslationReport
 
 GRADES = ("A", "B", "C")
 
 
 class GoldError(ValueError):
-    pass
+    """A gold file that does not cover a report, or a bad source total."""
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,10 @@ class Metrics:
 
 
 def load_gold(source: TextIO | str | Path) -> dict[tuple[str, str], str]:
-    if isinstance(source, (str, Path)):
-        with open_utf8(source) as fh:
-            return load_gold(fh)
     gold: dict[tuple[str, str], str] = {}
-    for lineno, raw_line in enumerate(source, start=1):
-        line = raw_line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise GoldError(f"line {lineno}: expected 3 tab-separated fields")
-        source_surface, translation, grade = (f.strip() for f in fields)
+    for path, lineno, (source_surface, translation, grade) in read_rows(source, 3):
         if grade not in GRADES:
-            raise GoldError(f"line {lineno}: bad grade {grade!r}")
+            raise InputError(path, lineno, f"bad grade {grade!r}")
         gold[(source_surface, translation)] = grade
     return gold
 
@@ -103,8 +93,7 @@ def compute_metrics(
         raise GoldError(
             f"total sources {total_sources} is below the {acceptable} acceptable translations"
         )
-    precision = acceptable / len(translated) if translated else 0.0
-    recall = acceptable / total_sources if total_sources else 0.0
+    precision, recall = metrics_from_grades(grade_counts, total_sources)
     return Metrics(len(translated), total_sources, grade_counts, precision, recall, per_phase)
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
-from .config import InputError
+from .config import InputError, read_rows
 from .corpus import Sentence, TaggedCorpus
 
 if TYPE_CHECKING:
@@ -220,16 +221,9 @@ def write_ulcs(units: Iterable[SourceUlc], out: TextIO) -> None:
         )
 
 
-def read_ulcs(source: TextIO) -> list[SourceUlc]:
-    path = getattr(source, "name", "<units>")
+def read_ulcs(source: TextIO | str | Path) -> list[SourceUlc]:
     units = []
-    for lineno, raw_line in enumerate(source, start=1):
-        line = raw_line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 7:
-            raise InputError(path, lineno, f"expected 7 fields, got {len(fields)}")
+    for path, lineno, fields in read_rows(source, 7):
         head, modifier, pattern, surface, freq, literal, article = fields
         try:
             unit = SourceUlc(

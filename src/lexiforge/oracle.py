@@ -111,6 +111,13 @@ def _decode_response(payload: str) -> int | list[Snippet]:
     return [Snippet(text, doc_id) for text, doc_id in value]
 
 
+def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list[Snippet]) -> str:
+    """One cache file line, newline included, for a ``cache_key`` and its value."""
+    kind, phrases, lang, limit = key
+    p2 = phrases[1] if len(phrases) > 1 else ""
+    return "\t".join([kind, phrases[0], p2, lang, limit, _encode_response(value)]) + "\n"
+
+
 class ResponseCache:
     """Append-only response cache, one record per line, last write wins.
 
@@ -133,20 +140,18 @@ class ResponseCache:
             self._load()
 
     def _load(self):
-        with open(self.path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 6:
-                    log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
-                    continue
-                kind, p1, p2, lang, limit, payload = fields
+        # Read as bytes and decode each line once, so that a record that is
+        # not UTF-8 is skipped like any other corrupt record.
+        with open(self.path, "rb") as fh:
+            for lineno, raw_line in enumerate(fh, start=1):
                 try:
+                    line = raw_line.decode("utf-8").rstrip("\r\n")
+                    if not line:
+                        continue
+                    kind, p1, p2, lang, limit, payload = line.split("\t")
                     QueryKind(kind)
                     value = _decode_response(payload)
-                except (ValueError, json.JSONDecodeError, TypeError):
+                except (ValueError, TypeError):
                     log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
                     continue
                 phrases = (p1,) if not p2 else (p1, p2)
@@ -157,14 +162,12 @@ class ResponseCache:
             return self._entries.get(query.cache_key())
 
     def put(self, query: OracleQuery, value: int | list[Snippet]) -> None:
-        kind, phrases, lang, limit = query.cache_key()
-        p1 = phrases[0]
-        p2 = phrases[1] if len(phrases) > 1 else ""
-        record = "\t".join([kind, p1, p2, lang, limit, _encode_response(value)])
+        key = query.cache_key()
+        record = _format_record(key, value)
         with self._lock:
-            self._entries[query.cache_key()] = value
+            self._entries[key] = value
             fh = self._append_handle()
-            fh.write((record + "\n").encode("utf-8"))
+            fh.write(record.encode("utf-8"))
             fh.flush()
 
     def _append_handle(self) -> BinaryIO:
@@ -195,17 +198,10 @@ class ResponseCache:
     def compact(self) -> int:
         """Rewrite the file with one record per key; returns records kept."""
         with self._lock:
-            records = []
-            for (kind, phrases, lang, limit), value in sorted(
-                self._entries.items(), key=lambda kv: kv[0]
-            ):
-                p1 = phrases[0]
-                p2 = phrases[1] if len(phrases) > 1 else ""
-                records.append("\t".join([kind, p1, p2, lang, limit, _encode_response(value)]))
+            records = [_format_record(key, self._entries[key]) for key in sorted(self._entries)]
             tmp = self.path.with_suffix(self.path.suffix + ".tmp")
             with open(tmp, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(record + "\n")
+                fh.writelines(records)
             # Later puts must reach the new file, not the replaced inode.
             self._close_append()
             tmp.replace(self.path)
@@ -216,22 +212,20 @@ class SearchOracle:
     """Thread-safe front end combining a backend with the response cache.
 
     Identical in-flight queries are de-duplicated so concurrent callers
-    trigger at most one backend call per distinct query. With ``offline``
-    set, cache misses raise OracleError instead of reaching the backend.
+    trigger at most one backend call per distinct query. Without a
+    backend the oracle replays the cache only: a miss raises OracleError.
     """
 
     def __init__(
         self,
         backend: Backend | None,
         cache: ResponseCache | None = None,
-        offline: bool = False,
         max_parallel: int = 4,
     ):
         if backend is None and cache is None:
             raise ValueError("need a backend or a cache")
         self._backend = backend
         self._cache = cache
-        self._offline = offline
         self._lock = threading.Lock()
         self._inflight: dict[tuple, threading.Event] = {}
         self._slots = threading.Semaphore(max(1, max_parallel))
@@ -246,18 +240,12 @@ class SearchOracle:
         if close_backend is not None:
             close_backend()
 
-    @property
-    def backend_name(self) -> str:
-        if self._offline or self._backend is None:
-            return "cache-only"
-        return self._backend.name
-
     def execute(self, query: OracleQuery) -> int | list[Snippet]:
         if self._cache is not None:
             cached = self._cache.get(query)
             if cached is not None:
                 return cached
-        if self._offline or self._backend is None:
+        if self._backend is None:
             raise OracleError(f"offline: no cached response for {query.cache_key()}")
 
         key = query.cache_key()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .config import InputError, open_utf8
+from .config import InputError, read_rows
 from .dictionary import UlcClassKind, classify_ulc
 from .extraction import SourceUlc, UlcPattern
 from .generation import CandidateOrigin, CandidateTranslation, generate_candidates
@@ -222,20 +222,10 @@ def _ulc_from_surface(surface: str) -> SourceUlc:
 def read_lexicon(path: str | Path) -> TranslationReport:
     """Load a written lexicon back into a report, e.g. for evaluation."""
     records = []
-    with open_utf8(path) as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise InputError(path, lineno, f"expected 4 fields, got {len(fields)}")
-            surface, translation, phase, _scores = fields
-            try:
-                record = TranslationRecord(
-                    _ulc_from_surface(surface), translation or None, Phase(phase)
-                )
-            except ValueError as exc:
-                raise InputError(path, lineno, str(exc)) from None
-            records.append(record)
+    for path, lineno, (surface, translation, phase, _scores) in read_rows(path, 4):
+        try:
+            record = TranslationRecord(_ulc_from_surface(surface), translation or None, Phase(phase))
+        except ValueError as exc:
+            raise InputError(path, lineno, str(exc)) from None
+        records.append(record)
     return TranslationReport(records)

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, TextIO
 
 from .backends import tokenize
-from .config import open_utf8
+from .config import read_rows
 
 
 class SnippetTagger(Protocol):
@@ -55,19 +55,7 @@ class LexiconTagger:
 
     @classmethod
     def from_file(cls, source: TextIO | str | Path) -> "LexiconTagger":
-        if isinstance(source, (str, Path)):
-            with open_utf8(source) as fh:
-                return cls.from_file(fh)
-        entries = []
-        for line in source:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"bad tagger lexicon line: {line!r}")
-            entries.append((fields[0], fields[1], fields[2]))
-        return cls(entries)
+        return cls(fields for _, _, fields in read_rows(source, 3))
 
     def tag(self, text: str) -> list[tuple[str, str]]:
         table = self._table
@@ -96,12 +84,9 @@ def _data_text(filename: str) -> str:
     return resources.files("lexiforge.data").joinpath(filename).read_text(encoding="utf-8")
 
 
-def load_stopwords(lang: str, path: str | Path | None = None) -> frozenset[str]:
+def load_stopwords(lang: str) -> frozenset[str]:
     """Stopword set for ``lang``; ships lists for fr and en."""
-    if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-    else:
-        text = _data_text(f"stopwords_{lang}.txt")
+    text = _data_text(f"stopwords_{lang}.txt")
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
 
 

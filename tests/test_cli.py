@@ -1,9 +1,15 @@
 import gc
+import io
+import logging
+import re
 import shutil
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import lexiforge.cli as cli
 import lexiforge.phase2 as phase2
@@ -515,3 +521,86 @@ def test_evaluate_rejects_a_total_below_the_acceptable_translations(tmp_path, ca
     assert code == 2
     assert out == ""
     assert err == f"error: total sources {total} is below the 17 acceptable translations\n"
+
+
+def test_cache_record_that_is_not_utf8_is_skipped_with_a_warning(tmp_path, capsys, caplog):
+    cache = tmp_path / "e2e.cache"
+    cache.write_bytes((DATA / "e2e.cache").read_bytes() + b"PHRASE_COUNT\tcaf\xe9 noir\t\t-\t-\t12\n")
+    with caplog.at_level(logging.WARNING, logger="lexiforge.oracle"):
+        code, _, _ = run(replaced(translate_args(tmp_path / "run"), "--cache", cache), capsys)
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == [f"{cache}:161: skipping corrupt cache record"]
+    produced = (tmp_path / "run" / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    golden = (DATA / "golden_lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    assert [line.rsplit("\t", 1)[0] for line in produced] == golden
+
+
+def lexicon_with_scores():
+    """The golden lexicon as ``translate`` writes it, with a score column."""
+    return b"".join(line + b"\t-\n" for line in (DATA / "golden_lexicon.tsv").read_bytes().splitlines())
+
+
+# input -> (clean contents, column of its tag, pattern, phase or grade field,
+# the command that reads it)
+INPUTS = {
+    "units": (DATA / "ulcs.tsv", 2, lambda tmp, bad: replaced(translate_args(tmp / "out"), "--ulcs", bad)),
+    "dictionary": (DATA / "dictionary.tsv", 1,
+                   lambda tmp, bad: replaced(translate_args(tmp / "out"), "--dictionary", bad)),
+    "source-tagger": (TAGGER_FR, 1, lambda tmp, bad: translate_args(tmp / "out", ["--source-tagger", str(bad)])),
+    "target-tagger": (TAGGER_FR.with_name("tagger_en.tsv"), 1,
+                      lambda tmp, bad: translate_args(tmp / "out", ["--target-tagger", str(bad)])),
+    "corpus": (DATA / "corpus.tsv", 1, extract_args),
+    "gold": (DATA / "gold.tsv", 2, lambda tmp, bad: evaluate_args(tmp, gold=bad)),
+    "lexicon": (lexicon_with_scores, 2, lambda tmp, bad: evaluate_args(tmp, lexicon=bad)),
+    "docs": (DATA / "docs.jsonl", None, lambda tmp, bad: replaced(translate_with_docs(tmp, [])[1], "--docs", bad)),
+    "config": (DATA / "run.config", None, lambda tmp, bad: replaced(translate_args(tmp / "out"), "--config", bad)),
+    "cache": (DATA / "e2e.cache", 0, lambda tmp, bad: replaced(translate_args(tmp / "out"), "--cache", bad)),
+}
+
+
+def corrupted(kind, how, line):
+    """``line`` (bytes) of a ``kind`` input with one fault of kind ``how``:
+    a wrong field count, a byte that is not UTF-8, a bad integer or an
+    unknown tag, pattern, phase, grade or key; None where it does not apply."""
+    if how == "utf8":
+        return line + b" caf\xe9"
+    if how == "int":
+        digits = re.search(rb"\d+", line)
+        return None if digits is None else line[: digits.end()] + b"x" + line[digits.end() :]
+    if kind == "docs":
+        return line[: len(line) // 2] if how == "fields" else None
+    if kind == "config":
+        return line.replace(b"=", b" ") if how == "fields" else b"bogus.key = 1"
+    fields = line.split(b"\t")
+    if how == "fields":
+        return b"\t".join(fields[:-1])
+    fields[INPUTS[kind][1]] = b"BOGUS"
+    return b"\t".join(fields)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(INPUTS)), st.sampled_from(["fields", "utf8", "int", "tag"]), st.integers(0, 10_000))
+@example("source-tagger", "fields", 0)
+@example("gold", "fields", 0)
+@example("corpus", "fields", 0)
+def test_one_corrupt_input_line_exits_2_naming_it_or_runs(kind, how, pick):
+    source, _, make_argv = INPUTS[kind]
+    lines = (source() if callable(source) else source.read_bytes()).splitlines()
+    data_lines = [i for i, line in enumerate(lines) if line.strip() and not line.startswith(b"#")]
+    index = data_lines[pick % len(data_lines)]
+    bad_line = corrupted(kind, how, lines[index])
+    assume(bad_line is not None)
+    lines[index] = bad_line
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / f"bad-{kind}"
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([str(arg) for arg in make_argv(Path(tmp), bad)])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith(f"error: {bad}:{index + 1}: ")
+    # Every reader rejects a wrong field count and a byte that is not UTF-8;
+    # the response cache skips such a record, so its query is re-issued.
+    if how in ("fields", "utf8"):
+        assert (code == 2) == (kind != "cache")

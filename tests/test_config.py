@@ -1,6 +1,8 @@
+import io
+
 import pytest
 
-from lexiforge.config import API_KEY_ENV, ConfigError, RunConfig, load_config
+from lexiforge.config import API_KEY_ENV, ConfigError, InputError, RunConfig, load_config, read_rows
 
 
 def write_config(tmp_path, text):
@@ -115,3 +117,14 @@ def test_dump_reload_roundtrip(tmp_path):
         "snippet_limit",
     ):
         assert getattr(reloaded, attr) == getattr(cfg, attr)
+
+
+def test_read_rows_applies_one_rule_to_paths_and_streams(tmp_path):
+    text = "# header\n\n  a \t b\tc  \n \t \n\t# note\nd\t\tf\n"
+    path = tmp_path / "rows.tsv"
+    path.write_text(text, encoding="utf-8")
+    rows = [(3, ["a", "b", "c"]), (6, ["d", "", "f"])]
+    assert list(read_rows(path, 3)) == [(str(path), n, fields) for n, fields in rows]
+    assert list(read_rows(io.StringIO(text), 3)) == [("<input>", n, fields) for n, fields in rows]
+    with pytest.raises(InputError, match=r"rows\.tsv:3: expected 4 tab-separated fields, got 3$"):
+        list(read_rows(path, 4))

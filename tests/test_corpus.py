@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from lexiforge.config import InputError
 from lexiforge.corpus import (
-    CorpusParseError,
     TaggedCorpus,
     TaggedToken,
     Tagset,
@@ -67,17 +67,17 @@ def test_sentence_boundaries_from_sent_and_blank_lines():
 
 
 def test_malformed_line_reports_line_number():
-    with pytest.raises(CorpusParseError, match="line 2"):
+    with pytest.raises(InputError, match="^<corpus>:2: expected 3 tab-separated fields, got 1$"):
         parse_tagged_corpus("a\tNOUN\ta\nbroken line\n")
 
 
 def test_unknown_tag_reports_tag_name():
-    with pytest.raises(CorpusParseError, match="XYZ"):
+    with pytest.raises(InputError, match="XYZ"):
         parse_tagged_corpus("a\tXYZ\ta\n")
 
 
 def test_empty_lemma_rejected():
-    with pytest.raises(CorpusParseError, match="line 1"):
+    with pytest.raises(InputError, match="^<corpus>:1: empty lemma$"):
         parse_tagged_corpus("a\tNOUN\t\n")
 
 
@@ -209,13 +209,13 @@ def per_line_parse(lines, tagset):
         elif kind == "token":
             fields = [f.strip() for f in line.split("\t")]
             if len(fields) != 3:
-                raise CorpusParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
+                raise InputError("<corpus>", lineno, f"expected 3 tab-separated fields, got {len(fields)}")
             if fields[1] not in tagset.mapping:
-                raise CorpusParseError(f"line {lineno}: unknown tag {fields[1]!r}")
+                raise InputError("<corpus>", lineno, f"unknown tag {fields[1]!r}")
             try:
                 token = TaggedToken(fields[0], tagset.mapping[fields[1]], fields[2])
             except ValueError as exc:
-                raise CorpusParseError(f"line {lineno}: {exc}") from None
+                raise InputError("<corpus>", lineno, str(exc)) from None
             tokens.append(token)
             if token.pos == "SENT":
                 sentences.append(tuple(tokens))
@@ -242,8 +242,8 @@ def test_memo_parse_equals_per_line_parse(lines):
     stream = [line + "\n" for line in lines]
     try:
         expected = per_line_parse(stream, tagset)
-    except CorpusParseError as exc:
-        with pytest.raises(CorpusParseError) as raised:
+    except InputError as exc:
+        with pytest.raises(InputError) as raised:
             parse_tagged_corpus(stream, tagset)
         assert str(raised.value) == str(exc)
     else:

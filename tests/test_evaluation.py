@@ -3,6 +3,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from lexiforge.config import InputError
 from lexiforge.evaluation import (
     GoldAnnotation,
     GoldError,
@@ -105,7 +106,7 @@ def test_gold_file_roundtrip(tmp_path):
 
 
 def test_gold_rejects_bad_grade():
-    with pytest.raises(GoldError, match="line 1"):
+    with pytest.raises(InputError, match="^<input>:1: bad grade 'D'$"):
         load_gold(io.StringIO("a\tb\tD\n"))
     with pytest.raises(ValueError):
         GoldAnnotation("a", "b", "D")

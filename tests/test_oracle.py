@@ -262,7 +262,7 @@ def test_cache_file_reload_identical(tmp_path):
     first = oracle.mixed_snippets("souris d'agneau", "en", 5)
     oracle.close()
 
-    reloaded = SearchOracle(None, ResponseCache(path), offline=True)
+    reloaded = SearchOracle(None, ResponseCache(path))
     assert reloaded.phrase_count("midnight mass") == 336_000
     assert reloaded.phrase_count("mass of midnight") == 65
     assert reloaded.mixed_snippets("souris d'agneau", "en", 5) == first
@@ -270,7 +270,7 @@ def test_cache_file_reload_identical(tmp_path):
 
 def test_offline_cache_miss_raises(tmp_path):
     cache = ResponseCache(tmp_path / "empty.cache")
-    oracle = SearchOracle(None, cache, offline=True)
+    oracle = SearchOracle(None, cache)
     with pytest.raises(OracleError):
         oracle.phrase_count("anything")
 
@@ -372,7 +372,6 @@ def test_cache_only_backend_replays_and_errors(tmp_path):
     recording.put(OracleQuery(QueryKind.PHRASE_COUNT, ("known",)), 42)
     recording.close()
     oracle = build_oracle(RunConfig(backend="cache", cache_path=str(path)))
-    assert oracle.backend_name == "cache-only"
     assert oracle.phrase_count("known") == 42
     with pytest.raises(OracleError):
         oracle.phrase_count("unknown")
