@@ -71,7 +71,7 @@ def main():
     print(f"\nlexicon -> {lexicon}\nsummary -> {summary_file}")
 
     # offline replay from the cache written above
-    replay_oracle = build_oracle(replace(cfg, offline=True))
+    replay_oracle = build_oracle(replace(cfg, backend="cache"))
     try:
         replay = run_pipeline(kept, build_world_context(cfg, replay_oracle, dictionary))
     finally:

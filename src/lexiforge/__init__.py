@@ -1,7 +1,7 @@
 """Bilingual lexicon acquisition from a tagged corpus and a search oracle."""
 
 from .corpus import TaggedCorpus, TaggedToken, Tagset, parse_tagged_corpus, phrase_frequency
-from .dictionary import BilingualDictionary, UlcClass, UlcClassKind, classify_ulc, load_dictionary
+from .dictionary import BilingualDictionary, Route, load_dictionary, route_ulc
 from .extraction import SourceUlc, UlcPattern, extract_ulcs, web_filter_ulc
 from .generation import CandidateTranslation, TranslationRule, build_validation_query, generate_candidates
 from .oracle import OracleError, OracleQuery, QueryKind, ResponseCache, SearchOracle, Snippet
@@ -17,6 +17,7 @@ __all__ = [
     "Phase",
     "QueryKind",
     "ResponseCache",
+    "Route",
     "SearchOracle",
     "Snippet",
     "SourceUlc",
@@ -26,16 +27,14 @@ __all__ = [
     "TranslationRecord",
     "TranslationReport",
     "TranslationRule",
-    "UlcClass",
-    "UlcClassKind",
     "UlcPattern",
     "build_validation_query",
-    "classify_ulc",
     "extract_ulcs",
     "generate_candidates",
     "load_dictionary",
     "parse_tagged_corpus",
     "phrase_frequency",
+    "route_ulc",
     "run_pipeline",
     "web_filter_ulc",
     "write_report",

@@ -17,7 +17,7 @@ from pathlib import Path
 from .backends import HttpBackend, LocalIndexBackend
 from .config import ConfigError, InputError, RunConfig, load_config, open_utf8
 from .corpus import Tagset, parse_tagged_corpus
-from .dictionary import load_dictionary
+from .dictionary import load_dictionary, route_ulc
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
 from .oracle import ResponseCache, SearchOracle
 from .pipeline import read_lexicon, run_pipeline, write_report
@@ -32,9 +32,7 @@ EXIT_UNRESOLVED = 3
 
 def build_oracle(cfg: RunConfig) -> SearchOracle:
     cache = ResponseCache(cfg.cache_path) if cfg.cache_path else None
-    if cfg.offline or cfg.backend == "cache":
-        if cache is None:
-            raise ConfigError("--offline requires oracle.cache")
+    if cfg.backend == "cache":
         return SearchOracle(None, cache)
     if cfg.backend == "local":
         backend = LocalIndexBackend.from_jsonl(cfg.docs_path)
@@ -129,7 +127,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         units = extract_ulcs(corpus, cfg.corpus_freq_min)
 
     if args.phase:
-        units = _restrict_to_phase(units, dictionary, args.phase)
+        units = [u for u in units if route_ulc(u, dictionary)[0].phase == args.phase]
 
     oracle = build_oracle(cfg)
     try:
@@ -145,26 +143,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
         print(f"{report.unresolved_count()} units unresolved at the oracle", file=sys.stderr)
         return EXIT_UNRESOLVED
     return EXIT_OK
-
-
-def _restrict_to_phase(units, dictionary, phase: int):
-    from .dictionary import UlcClassKind, classify_ulc
-
-    wanted = {
-        1: UlcClassKind.NON_POLYSEMOUS,
-        2: UlcClassKind.POLYSEMOUS,
-        3: UlcClassKind.UNKNOWN,
-    }[phase]
-    kept = []
-    for ulc in units:
-        classification = classify_ulc(ulc, dictionary)
-        if classification.dictionary_translation is not None:
-            # stored translations are folded into phase 1, never re-derived
-            if phase == 1:
-                kept.append(ulc)
-        elif classification.kind is wanted:
-            kept.append(ulc)
-    return kept
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -220,10 +198,12 @@ def make_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, needs_dict: bool = False):
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--cache", dest="cache_path", help="response cache file")
-        p.add_argument("--backend", choices=("local", "http", "cache"))
+        backend = p.add_mutually_exclusive_group()
+        backend.add_argument("--backend", choices=("local", "http", "cache"))
+        backend.add_argument("--offline", dest="backend", action="store_const", const="cache",
+                             help="never call a backend: the same as --backend cache")
         p.add_argument("--docs", dest="docs_path", help="document collection (JSONL) for the local backend")
         p.add_argument("--endpoint", help="HTTP search API endpoint")
-        p.add_argument("--offline", action="store_true", default=None, help="never call a backend")
         p.add_argument("--source-lang", dest="source_lang")
         p.add_argument("--target-lang", dest="target_lang")
         if needs_dict:
@@ -243,7 +223,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_translate.add_argument("--ulcs", help="pre-extracted unit file")
     p_translate.add_argument("--tagset", dest="tagset_name", help="tagset name (coarse, treetagger-fr)")
     p_translate.add_argument("--out-dir", dest="output_dir", help="report output directory")
-    p_translate.add_argument("--phase", type=int, choices=(1, 2, 3), help="restrict to units eligible for one phase")
+    p_translate.add_argument("--phase", type=int, choices=(1, 2, 3), help="keep only the units the dictionary routes to this phase")
     p_translate.add_argument("--workers", type=int)
     p_translate.add_argument("--use-an", dest="use_an", action="store_true", default=None, help='use "an" before vowels in validation queries')
     p_translate.add_argument("--source-tagger", dest="source_tagger_path", help="snippet tagger lexicon for the source language")

@@ -99,6 +99,7 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
                 values[attr] = _coerce(attr, value)
+                _check(attr, values[attr])
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     if tagset_overrides:
@@ -159,7 +160,6 @@ class RunConfig:
     api_key: str = ""
     rate_per_sec: float = 2.0
     parallelism: int = 4
-    offline: bool = False
 
     corpus_freq_min: int = 10
     literal_freq_min: int = 10_000
@@ -184,19 +184,15 @@ class RunConfig:
     target_tagger_path: str | None = None
 
     def validate(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"oracle.backend must be one of {BACKENDS}")
-        # Every numeric setting is a count, rate or threshold.
+        """Check every setting's range, then the settings each backend needs."""
         for attr in KEY_MAP.values():
-            value = getattr(self, attr)
-            if isinstance(value, (int, float)) and not isinstance(value, bool) and value < 0:
-                raise ConfigError(f"{_ATTR_TO_KEY[attr]} must be non-negative")
-        for attr in ("snippet_limit", "phase3_snippet_limit"):
-            if getattr(self, attr) < 1:
-                raise ConfigError(f"{_ATTR_TO_KEY[attr]} must be at least 1")
-        if self.backend == "http" and not self.endpoint and not self.offline:
+            try:
+                _check(attr, getattr(self, attr))
+            except ValueError as exc:
+                raise ConfigError(f"{_ATTR_TO_KEY[attr]} {exc}") from None
+        if self.backend == "http" and not self.endpoint:
             raise ConfigError("http backend requires oracle.endpoint")
-        if self.backend == "local" and not self.docs_path and not self.offline:
+        if self.backend == "local" and not self.docs_path:
             raise ConfigError("local backend requires oracle.docs")
         if self.backend == "cache" and not self.cache_path:
             raise ConfigError("cache backend requires oracle.cache")
@@ -212,6 +208,18 @@ class RunConfig:
             out.write(f"{key} = {value}\n")
         for raw, coarse in sorted(self.tagset_overrides.items()):
             out.write(f"tagset.{raw} = {coarse}\n")
+
+
+def _check(attr: str, value: object) -> None:
+    """Raise ValueError when one setting's value is out of its range."""
+    if attr == "backend" and value not in BACKENDS:
+        raise ValueError(f"must be one of {BACKENDS}")
+    # Every numeric setting is a count, rate or threshold.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if value < 0:
+            raise ValueError("must be non-negative")
+        if attr in ("snippet_limit", "phase3_snippet_limit") and value < 1:
+            raise ValueError("must be at least 1")
 
 
 def _coerce(attr: str, raw: str):

@@ -1,4 +1,4 @@
-"""Bilingual dictionary: lookups, polysemy classification, multiword entries.
+"""Bilingual dictionary: lookups, multiword entries and each unit's route.
 
 File format is one entry per line, ``lemma<TAB>pos<TAB>tr1|tr2|...``.
 Multiword source entries join their lemmas with underscores in the lemma
@@ -6,8 +6,8 @@ field ("caisse_clair") and are kept in a separate table keyed by the
 (head, modifier) lemma pair.
 
 A constituent counts as polysemous when its entry lists two or more
-translations; a unit is classified NON_POLYSEMOUS only when both of its
-constituents have exactly one translation each.
+translations; a unit goes to phase 1 only when both of its constituents
+have exactly one translation each.
 """
 
 from __future__ import annotations
@@ -36,17 +36,19 @@ class DictEntry:
             raise ValueError(f"entry {self.lemma!r} has duplicate translations")
 
 
-class UlcClassKind(enum.Enum):
-    NON_POLYSEMOUS = "NON_POLYSEMOUS"
-    POLYSEMOUS = "POLYSEMOUS"
-    UNKNOWN = "UNKNOWN"
+class Route(enum.Enum):
+    """Where the dictionary sends a unit: to its stored multiword
+    translation, or to the phase the cascade starts it at (the value)."""
 
+    DICTIONARY = 0
+    PHASE1 = 1
+    PHASE2 = 2
+    PHASE3 = 3
 
-@dataclass(frozen=True)
-class UlcClass:
-    kind: UlcClassKind
-    unknown_constituents: frozenset[str] = frozenset()
-    dictionary_translation: str | None = None
+    @property
+    def phase(self) -> int:
+        """The ``translate --phase`` number; stored translations count as 1."""
+        return max(self.value, 1)
 
 
 class BilingualDictionary:
@@ -130,29 +132,21 @@ def modifier_pos(pattern: UlcPattern) -> str:
     return "ADJ" if pattern is UlcPattern.NOUN_ADJ else "NOUN"
 
 
-def classify_ulc(ulc: SourceUlc, dictionary: BilingualDictionary) -> UlcClass:
-    """Classify a unit by constituent coverage and polysemy.
+def route_ulc(ulc: SourceUlc, dictionary: BilingualDictionary) -> tuple[Route, str | None]:
+    """A unit's route, with the stored translation on the DICTIONARY route.
 
-    The three kinds partition all inputs: UNKNOWN when a constituent is
-    missing from the dictionary, NON_POLYSEMOUS when both constituents have
-    exactly one translation, POLYSEMOUS otherwise. Units that exist verbatim
-    as multiword entries additionally carry that pre-existing translation.
+    The four routes partition all inputs: DICTIONARY when the unit is a
+    multiword entry, else PHASE3 when a constituent is missing from the
+    dictionary, PHASE1 when both constituents have exactly one
+    translation, PHASE2 otherwise.
     """
-    dict_translations = dictionary.multiword_lookup(ulc.head_lemma, ulc.modifier_lemma)
-    dict_translation = dict_translations[0] if dict_translations else None
-
+    stored = dictionary.multiword_lookup(ulc.head_lemma, ulc.modifier_lemma)
+    if stored:
+        return Route.DICTIONARY, stored[0]
     head_tr = dictionary.lookup(ulc.head_lemma, "NOUN")
     mod_tr = dictionary.lookup(ulc.modifier_lemma, modifier_pos(ulc.pattern))
-
-    unknown = set()
-    if not head_tr:
-        unknown.add("head")
-    if not mod_tr:
-        unknown.add("modifier")
-    if unknown:
-        kind = UlcClassKind.UNKNOWN
-    elif len(head_tr) == 1 and len(mod_tr) == 1:
-        kind = UlcClassKind.NON_POLYSEMOUS
-    else:
-        kind = UlcClassKind.POLYSEMOUS
-    return UlcClass(kind, frozenset(unknown), dict_translation)
+    if not head_tr or not mod_tr:
+        return Route.PHASE3, None
+    if len(head_tr) == 1 and len(mod_tr) == 1:
+        return Route.PHASE1, None
+    return Route.PHASE2, None

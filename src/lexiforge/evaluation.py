@@ -23,17 +23,6 @@ class GoldError(ValueError):
 
 
 @dataclass(frozen=True)
-class GoldAnnotation:
-    source: str
-    translation: str
-    grade: str
-
-    def __post_init__(self):
-        if self.grade not in GRADES:
-            raise ValueError(f"grade must be one of {GRADES}, got {self.grade!r}")
-
-
-@dataclass(frozen=True)
 class Metrics:
     translated: int
     total_sources: int

@@ -27,7 +27,6 @@ class TranslationRule(enum.Enum):
 
 class CandidateOrigin(enum.Enum):
     GENERATED = "GENERATED"
-    DICTIONARY = "DICTIONARY"
     COGNATE = "COGNATE"
     FREQUENT_PAIR = "FREQUENT_PAIR"
 

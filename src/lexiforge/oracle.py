@@ -101,6 +101,14 @@ def is_count(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def is_answer(kind: QueryKind, value: object) -> bool:
+    """Whether ``value`` has the shape ``kind`` asks for: a count for the
+    count kinds, a list of ``Snippet``s for the snippet kinds."""
+    if kind in (QueryKind.PHRASE_COUNT, QueryKind.PAIR_COUNT):
+        return is_count(value)
+    return isinstance(value, list) and all(isinstance(s, Snippet) for s in value)
+
+
 def _decode_response(payload: str) -> int | list[Snippet]:
     value = json.loads(payload)
     if is_count(value):
@@ -122,8 +130,9 @@ class ResponseCache:
     """Append-only response cache, one record per line, last write wins.
 
     Record layout: kind, phrase1, phrase2 (empty when absent), language,
-    limit, then the JSON payload, all tab-separated. Corrupt lines are
-    skipped with a warning so the query can simply be re-issued.
+    limit, then the JSON payload, all tab-separated. Corrupt lines, and
+    records whose payload does not fit their kind, are skipped with a
+    warning so the query can simply be re-issued.
 
     The file is opened for appending once, on the first ``put``, and
     flushed after every record, so a crash loses at most the record being
@@ -149,9 +158,11 @@ class ResponseCache:
                     if not line:
                         continue
                     kind, p1, p2, lang, limit, payload = line.split("\t")
-                    QueryKind(kind)
                     value = _decode_response(payload)
+                    fits = is_answer(QueryKind(kind), value)
                 except (ValueError, TypeError):
+                    fits = False
+                if not fits:
                     log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
                     continue
                 phrases = (p1,) if not p2 else (p1, p2)
@@ -212,8 +223,10 @@ class SearchOracle:
     """Thread-safe front end combining a backend with the response cache.
 
     Identical in-flight queries are de-duplicated so concurrent callers
-    trigger at most one backend call per distinct query. Without a
-    backend the oracle replays the cache only: a miss raises OracleError.
+    trigger at most one backend call per distinct query. A backend answer
+    of the wrong shape for its kind raises OracleError and is not cached.
+    Without a backend the oracle replays the cache only: a miss raises
+    OracleError.
     """
 
     def __init__(
@@ -267,6 +280,8 @@ class SearchOracle:
                 self.backend_calls += 1
             with self._slots:
                 value = self._backend.execute(query)
+            if not is_answer(query.kind, value):
+                raise OracleError(f"backend answered {query.kind.value} with {type(value).__name__}")
             if self._cache is not None:
                 self._cache.put(query, value)
             return value
@@ -276,27 +291,15 @@ class SearchOracle:
             done.set()
 
     def phrase_count(self, query: str) -> int:
-        value = self.execute(OracleQuery(QueryKind.PHRASE_COUNT, (query,)))
-        if not isinstance(value, int):
-            raise OracleError(f"backend returned non-count for {query!r}")
-        return value
+        return self.execute(OracleQuery(QueryKind.PHRASE_COUNT, (query,)))
 
     def pair_count(self, phrase_a: str, phrase_b: str) -> int:
-        value = self.execute(OracleQuery(QueryKind.PAIR_COUNT, (phrase_a, phrase_b)))
-        if not isinstance(value, int):
-            raise OracleError("backend returned non-count for pair query")
-        return value
+        return self.execute(OracleQuery(QueryKind.PAIR_COUNT, (phrase_a, phrase_b)))
 
     def snippets(self, phrase: str, limit: int) -> list[Snippet]:
-        value = self.execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
-        if isinstance(value, int):
-            raise OracleError(f"backend returned non-snippets for {phrase!r}")
-        return value
+        return self.execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
 
     def mixed_snippets(self, phrase: str, lang: str, limit: int) -> list[Snippet]:
-        value = self.execute(
+        return self.execute(
             OracleQuery(QueryKind.MIXED_SNIPPETS, (phrase,), lang_restrict=lang, limit=limit)
         )
-        if isinstance(value, int):
-            raise OracleError(f"backend returned non-snippets for {phrase!r}")
-        return value

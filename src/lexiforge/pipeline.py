@@ -1,12 +1,13 @@
 """Linear three-phase translation cascade with full provenance.
 
-Routing is decided by dictionary classification: units already present as
-multiword dictionary entries keep that translation outright; units whose
-constituents are unambiguous go to the frequency phase; ambiguous ones to
-the lexical-world phase; units with unknown constituents straight to
-snippet mining. A phase that produces nothing hands the unit to the next
-one, so every unit ends in exactly one terminal state. The phases share one
-``WorldContext`` and read every setting from its ``cfg``, a ``RunConfig``.
+The dictionary decides each unit's route (``route_ulc``): units already
+present as multiword dictionary entries keep that translation outright;
+units whose constituents are unambiguous go to the frequency phase;
+ambiguous ones to the lexical-world phase; units with unknown constituents
+straight to snippet mining. A phase that produces nothing hands the unit to
+the next one, so every unit ends in exactly one terminal state. The phases
+share one ``WorldContext`` and read every setting from its ``cfg``, a
+``RunConfig``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import InputError, read_rows
-from .dictionary import UlcClassKind, classify_ulc
+from .dictionary import Route, route_ulc
 from .extraction import SourceUlc, UlcPattern
 from .generation import CandidateOrigin, CandidateTranslation, generate_candidates
 from .oracle import OracleError
@@ -96,17 +97,15 @@ def _record_for_winner(
 
 def translate_ulc(ulc: SourceUlc, ctx: WorldContext) -> TranslationRecord:
     """Route one unit through the cascade to its terminal state."""
-    classification = classify_ulc(ulc, ctx.dictionary)
-    if classification.dictionary_translation is not None:
-        return TranslationRecord(
-            ulc, classification.dictionary_translation, Phase.DICTIONARY
-        )
+    route, stored = route_ulc(ulc, ctx.dictionary)
+    if route is Route.DICTIONARY:
+        return TranslationRecord(ulc, stored, Phase.DICTIONARY)
 
     try:
-        if classification.kind is not UlcClassKind.UNKNOWN:
+        if route is not Route.PHASE3:
             candidates = generate_candidates(ulc, ctx.dictionary)
 
-            if classification.kind is UlcClassKind.NON_POLYSEMOUS:
+            if route is Route.PHASE1:
                 winner, _verdicts = validate_by_frequency(
                     candidates, ctx.oracle, ctx.cfg.use_an
                 )

@@ -115,6 +115,42 @@ def test_translate_phase_restriction(tmp_path, capsys):
     }
 
 
+def test_phase_runs_partition_the_full_run(tmp_path, capsys):
+    assert run(translate_args(tmp_path / "all"), capsys)[0] == 0
+    full = (tmp_path / "all" / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    by_surface = {line.split("\t")[0]: line for line in full}
+    seen = []
+    for phase in ("1", "2", "3"):
+        run(translate_args(tmp_path / phase, ["--phase", phase]), capsys)
+        for line in (tmp_path / phase / "lexicon.tsv").read_text(encoding="utf-8").splitlines():
+            assert line == by_surface[line.split("\t")[0]]
+            seen.append(line)
+    assert sorted(seen) == sorted(full)
+    assert len(full) == 20
+
+
+def test_config_value_out_of_range_exits_2_naming_file_and_line(tmp_path, capsys):
+    config = tmp_path / "bad.config"
+    for line, message in [
+        ("oracle.backend = bogus", "oracle.backend: must be one of ('local', 'http', 'cache')"),
+        ("phase2.world_size = -3", "phase2.world_size: must be non-negative"),
+        ("phase3.snippet_limit = 0", "phase3.snippet_limit: must be at least 1"),
+    ]:
+        config.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run(["extract", "--config", str(config)], capsys)
+        assert (code, err) == (2, f"error: {config}:1: {message}\n")
+
+
+def test_offline_is_the_cache_backend_and_excludes_backend(tmp_path, capsys):
+    assert cli.make_parser().parse_args(["translate", "--offline"]).backend == "cache"
+    with pytest.raises(SystemExit) as caught:
+        main(translate_args(tmp_path / "out", ["--backend", "http"]))
+    assert caught.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    code, _, err = run(["translate", "--offline", "--dictionary", str(DATA / "dictionary.tsv")], capsys)
+    assert (code, err) == (2, "error: cache backend requires oracle.cache\n")
+
+
 def test_translate_cold_cache_exits_3(tmp_path, capsys):
     cold = tmp_path / "cold.cache"
     cold.touch()
@@ -216,6 +252,39 @@ def test_local_backend_end_to_end_without_cache(tmp_path, capsys):
         capsys,
     )
     assert code == 0
+    produced = [
+        line.split("\t")[:3]
+        for line in (tmp_path / "live" / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    ]
+    golden = [
+        line.split("\t")
+        for line in (DATA / "golden_lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    ]
+    assert produced == golden
+
+
+def test_poisoned_cache_record_is_skipped_and_its_unit_translates(tmp_path, capsys, caplog):
+    # a count record holding a snippet list, appended after the good one
+    cache = tmp_path / "e2e.cache"
+    shutil.copy(DATA / "e2e.cache", cache)
+    with open(cache, "a", encoding="utf-8") as fh:
+        fh.write('PHRASE_COUNT\tatmosphere\t\t-\t-\t[["x", null]]\n')
+    with caplog.at_level(logging.WARNING, logger="lexiforge.oracle"):
+        code, _, _ = run(
+            [
+                "translate",
+                "--ulcs", str(DATA / "ulcs.tsv"),
+                "--dictionary", str(DATA / "dictionary.tsv"),
+                "--config", str(DATA / "run.config"),
+                "--backend", "local",
+                "--docs", str(DATA / "docs.jsonl"),
+                "--cache", str(cache),
+                "--out-dir", str(tmp_path / "live"),
+            ],
+            capsys,
+        )
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == [f"{cache}:161: skipping corrupt cache record"]
     produced = [
         line.split("\t")[:3]
         for line in (tmp_path / "live" / "lexicon.tsv").read_text(encoding="utf-8").splitlines()

@@ -7,9 +7,9 @@ from lexiforge.config import InputError
 from lexiforge.dictionary import (
     BilingualDictionary,
     DictEntry,
-    UlcClassKind,
-    classify_ulc,
+    Route,
     load_dictionary,
+    route_ulc,
 )
 from lexiforge.extraction import UlcPattern
 
@@ -71,39 +71,41 @@ def test_entry_invariants():
 def test_classify_non_polysemous():
     d = load_dictionary(io.StringIO(SAMPLE_FILE))
     ulc = make_ulc("ambiance", "musical", UlcPattern.NOUN_ADJ, "ambiance musicale")
-    assert classify_ulc(ulc, d).kind is UlcClassKind.NON_POLYSEMOUS
+    assert route_ulc(ulc, d) == (Route.PHASE1, None)
 
 
 def test_classify_polysemous():
     d = load_dictionary(io.StringIO(SAMPLE_FILE))
+    ulc = make_ulc("caisse", "musical", UlcPattern.NOUN_ADJ, "caisse musicale")
+    assert route_ulc(ulc, d) == (Route.PHASE2, None)
+
+
+def test_classify_stored_multiword_entry():
+    # both constituents are polysemous, but the stored translation wins
+    d = load_dictionary(io.StringIO(SAMPLE_FILE))
     ulc = make_ulc("caisse", "clair", UlcPattern.NOUN_ADJ, "caisse claire")
-    cls = classify_ulc(ulc, d)
-    assert cls.kind is UlcClassKind.POLYSEMOUS
-    assert cls.dictionary_translation == "snare drum"
+    assert route_ulc(ulc, d) == (Route.DICTIONARY, "snare drum")
 
 
 def test_classify_unknown_modifier():
     d = load_dictionary(io.StringIO(SAMPLE_FILE))
     ulc = make_ulc("appareil", "circulaire", UlcPattern.NOUN_ADJ, "appareil circulaire")
-    cls = classify_ulc(ulc, d)
-    assert cls.kind is UlcClassKind.UNKNOWN
-    assert cls.unknown_constituents == frozenset({"modifier"})
+    assert route_ulc(ulc, d) == (Route.PHASE3, None)
 
 
 def test_modifier_of_noun_adj_looked_up_as_adjective():
     # "musical" exists only as a noun here, so the NOUN_ADJ unit misses.
     d = make_dictionary([("ambiance", "NOUN", ["atmosphere"]), ("musical", "NOUN", ["musical"])])
     ulc = make_ulc("ambiance", "musical", UlcPattern.NOUN_ADJ, "ambiance musicale")
-    assert classify_ulc(ulc, d).kind is UlcClassKind.UNKNOWN
+    assert route_ulc(ulc, d)[0] is Route.PHASE3
 
 
 def test_modifier_of_de_pattern_looked_up_as_noun():
     d = make_dictionary([("messe", "NOUN", ["mass"]), ("minuit", "NOUN", ["midnight"])])
     ulc = make_ulc("messe", "minuit", UlcPattern.NOUN_DE_NOUN)
-    assert classify_ulc(ulc, d).kind is UlcClassKind.NON_POLYSEMOUS
+    assert route_ulc(ulc, d)[0] is Route.PHASE1
 
 
-WORDS = st.sampled_from(["head", "mod"])
 TRANSLATION_LISTS = st.lists(
     st.sampled_from(["t1", "t2", "t3", "t4"]), min_size=1, max_size=4, unique=True
 )
@@ -113,28 +115,26 @@ TRANSLATION_LISTS = st.lists(
 def test_classes_partition_all_inputs(head_tr, mod_tr):
     d = make_dictionary([("head", "NOUN", head_tr), ("mod", "NOUN", mod_tr)])
     ulc = make_ulc("head", "mod", UlcPattern.NOUN_DE_NOUN)
-    kind = classify_ulc(ulc, d).kind
+    route = route_ulc(ulc, d)[0]
     if len(head_tr) == 1 and len(mod_tr) == 1:
-        assert kind is UlcClassKind.NON_POLYSEMOUS
+        assert route is Route.PHASE1
     else:
-        assert kind is UlcClassKind.POLYSEMOUS
+        assert route is Route.PHASE2
 
 
 @given(TRANSLATION_LISTS, TRANSLATION_LISTS, st.sampled_from(["t5", "t6"]))
 def test_adding_translations_never_depolysemizes(head_tr, mod_tr, extra):
     ulc = make_ulc("head", "mod", UlcPattern.NOUN_DE_NOUN)
-    before = classify_ulc(
+    before = route_ulc(
         ulc, make_dictionary([("head", "NOUN", head_tr), ("mod", "NOUN", mod_tr)])
-    ).kind
-    after = classify_ulc(
+    )[0]
+    after = route_ulc(
         ulc, make_dictionary([("head", "NOUN", head_tr + [extra]), ("mod", "NOUN", mod_tr)])
-    ).kind
-    if before is UlcClassKind.POLYSEMOUS:
-        assert after is UlcClassKind.POLYSEMOUS
+    )[0]
+    if before is Route.PHASE2:
+        assert after is Route.PHASE2
 
 
 def test_classification_is_total_even_for_empty_dictionary():
     ulc = make_ulc("x", "y", UlcPattern.NOUN_ADJ, "x y")
-    cls = classify_ulc(ulc, BilingualDictionary())
-    assert cls.kind is UlcClassKind.UNKNOWN
-    assert cls.unknown_constituents == frozenset({"head", "modifier"})
+    assert route_ulc(ulc, BilingualDictionary()) == (Route.PHASE3, None)

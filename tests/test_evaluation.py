@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from lexiforge.config import InputError
 from lexiforge.evaluation import (
-    GoldAnnotation,
     GoldError,
     compute_metrics,
     format_metrics,
@@ -108,8 +107,6 @@ def test_gold_file_roundtrip(tmp_path):
 def test_gold_rejects_bad_grade():
     with pytest.raises(InputError, match="^<input>:1: bad grade 'D'$"):
         load_gold(io.StringIO("a\tb\tD\n"))
-    with pytest.raises(ValueError):
-        GoldAnnotation("a", "b", "D")
 
 
 @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500), st.integers(1, 2000))

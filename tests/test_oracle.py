@@ -275,6 +275,27 @@ def test_offline_cache_miss_raises(tmp_path):
         oracle.phrase_count("anything")
 
 
+@pytest.mark.parametrize(
+    "query, answer",
+    [
+        (OracleQuery(QueryKind.PHRASE_COUNT, ("atmosphere",)), [Snippet("x")]),
+        (OracleQuery(QueryKind.PAIR_COUNT, ("a", "b")), True),
+        (OracleQuery(QueryKind.SNIPPETS, ("atmosphere",), limit=5), 3),
+        (OracleQuery(QueryKind.MIXED_SNIPPETS, ("a",), lang_restrict="en", limit=5), ["x"]),
+    ],
+)
+def test_backend_answer_of_wrong_shape_raises_and_is_not_cached(tmp_path, query, answer):
+    backend = FakeBackend()
+    backend.responses[query.cache_key()] = answer
+    cache = ResponseCache(tmp_path / "c")
+    oracle = SearchOracle(backend, cache)
+    with pytest.raises(OracleError, match=query.kind.value):
+        oracle.execute(query)
+    oracle.close()
+    assert len(cache) == 0
+    assert not (tmp_path / "c").exists()
+
+
 def test_pair_key_is_order_insensitive(tmp_path):
     backend = FakeBackend().pair("caisse centrale", "central fund", 4)
     oracle = SearchOracle(backend, ResponseCache(tmp_path / "c"))
@@ -306,6 +327,8 @@ def test_corrupt_cache_lines_skipped(tmp_path):
         "SNIPPETS\tno text\t\t-\t5\t[[null, \"d1\"]]",
         "SNIPPETS\tnumeric text\t\t-\t5\t[[7, \"d1\"]]",
         "SNIPPETS\tobject\t\t-\t5\t{\"ab\": 1}",
+        "PHRASE_COUNT\tatmosphere\t\t-\t-\t[[\"x\", null]]",
+        "SNIPPETS\tcount\t\t-\t5\t3",
     ],
 )
 def test_cache_records_with_bad_payloads_skipped(tmp_path, record):
