@@ -120,10 +120,16 @@ class Cache:
         return self.table[("PAIR_COUNT", tuple(sorted((a, b))), "-", "-")]
 
     def snippets(self, phrase, limit=1000):
-        return [t for t, _ in self.table[("SNIPPETS", (phrase,), "-", str(limit))]]
+        return texts(self.table[("SNIPPETS", (phrase,), "-", str(limit))])
 
     def mixed(self, phrase, lang, limit=1000):
-        return [t for t, _ in self.table[("MIXED_SNIPPETS", (phrase,), lang, str(limit))]]
+        return texts(self.table[("MIXED_SNIPPETS", (phrase,), lang, str(limit))])
+
+
+def texts(payload):
+    """Snippet texts of a cache payload: plain strings, or the [text, doc_id]
+    pairs of caches written before."""
+    return [s if isinstance(s, str) else s[0] for s in payload]
 
 
 # ---------------------------------------------------------------- extraction

@@ -4,7 +4,7 @@ from .corpus import TaggedCorpus, TaggedToken, Tagset, parse_tagged_corpus, phra
 from .dictionary import BilingualDictionary, Route, load_dictionary, route_ulc
 from .extraction import SourceUlc, UlcPattern, extract_ulcs, web_filter_ulc
 from .generation import CandidateTranslation, TranslationRule, build_validation_query, generate_candidates
-from .oracle import OracleError, OracleQuery, QueryKind, ResponseCache, SearchOracle, Snippet
+from .oracle import OracleError, OracleQuery, QueryKind, ResponseCache, SearchOracle
 from .pipeline import Phase, TranslationRecord, TranslationReport, run_pipeline, write_report
 
 __version__ = "0.1.0"
@@ -19,7 +19,6 @@ __all__ = [
     "ResponseCache",
     "Route",
     "SearchOracle",
-    "Snippet",
     "SourceUlc",
     "TaggedCorpus",
     "TaggedToken",

@@ -12,22 +12,29 @@ import json
 import re
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .config import InputError, open_utf8
-from .oracle import (
-    OracleError,
-    OracleQuery,
-    QueryKind,
-    Snippet,
-    is_count,
-    split_or_query,
-)
+from .oracle import OracleError, OracleQuery, QueryKind, is_count, split_or_query
 
 WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
 SNIPPET_MAX_CHARS = 300
+
+
+@dataclass(frozen=True, slots=True)
+class Snippet:
+    """A backend's hit for a snippet query: the snippet text and the
+    engine's id of its document. The oracle keeps only the text."""
+
+    text: str
+    doc_id: str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.text, str) or not self.text:
+            raise ValueError("snippet text must be a non-empty string")
 
 
 def tokenize(text: str) -> list[str]:
@@ -148,7 +155,8 @@ class HttpBackend:
     Request: GET ``endpoint`` with params ``kind`` (count|pair|snippets|
     mixed), ``q``, optionally ``q2``, ``lang``, ``limit`` and ``key``.
     Response: ``{"count": N}`` or ``{"snippets": [{"text": ..., "doc_id":
-    ...}, ...]}``. Requests are rate limited. A client error (4xx) other
+    ...}, ...]}``, where a text must be a non-empty string and ``doc_id``
+    is optional. Requests are rate limited. A client error (4xx) other
     than 408 and 429, and a 200 with a malformed payload, fail on the first
     response; other statuses, timeouts and connection failures are retried
     with backoff. A 429 or 503 whose ``Retry-After`` asks for a longer wait
@@ -274,7 +282,8 @@ class HttpBackend:
         limit = query.limit or len(snippets)
         parsed = []
         for entry in snippets[:limit]:
-            if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
+            text = entry.get("text") if isinstance(entry, dict) else None
+            if not isinstance(text, str) or not text:
                 raise OracleError(f"malformed snippet response: {entry!r}")
-            parsed.append(Snippet(entry["text"], entry.get("doc_id")))
+            parsed.append(Snippet(text, entry.get("doc_id")))
         return parsed

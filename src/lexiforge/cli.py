@@ -176,9 +176,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     path = _require_file(args.cache_file, "cache file")
     cache = ResponseCache(path)
     if args.action == "stats":
-        by_kind: dict[str, int] = {}
-        for key in cache._entries:
-            by_kind[key[0]] = by_kind.get(key[0], 0) + 1
+        by_kind = cache.kind_counts()
         print(f"{len(cache)} entries in {path}")
         for kind in sorted(by_kind):
             print(f"  {kind}\t{by_kind[kind]}")
@@ -195,7 +193,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, needs_dict: bool = False):
+    def add_common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--cache", dest="cache_path", help="response cache file")
         backend = p.add_mutually_exclusive_group()
@@ -204,10 +202,6 @@ def make_parser() -> argparse.ArgumentParser:
                              help="never call a backend: the same as --backend cache")
         p.add_argument("--docs", dest="docs_path", help="document collection (JSONL) for the local backend")
         p.add_argument("--endpoint", help="HTTP search API endpoint")
-        p.add_argument("--source-lang", dest="source_lang")
-        p.add_argument("--target-lang", dest="target_lang")
-        if needs_dict:
-            p.add_argument("--dictionary", dest="dictionary_path", help="bilingual dictionary file")
 
     p_extract = sub.add_parser("extract", help="extract and web-filter source units")
     add_common(p_extract)
@@ -218,13 +212,16 @@ def make_parser() -> argparse.ArgumentParser:
     p_extract.set_defaults(func=cmd_extract)
 
     p_translate = sub.add_parser("translate", help="run the translation cascade")
-    add_common(p_translate, needs_dict=True)
+    add_common(p_translate)
+    p_translate.add_argument("--dictionary", dest="dictionary_path", help="bilingual dictionary file")
     p_translate.add_argument("--corpus", dest="corpus_path", help="tagged corpus file")
     p_translate.add_argument("--ulcs", help="pre-extracted unit file")
     p_translate.add_argument("--tagset", dest="tagset_name", help="tagset name (coarse, treetagger-fr)")
     p_translate.add_argument("--out-dir", dest="output_dir", help="report output directory")
     p_translate.add_argument("--phase", type=int, choices=(1, 2, 3), help="keep only the units the dictionary routes to this phase")
     p_translate.add_argument("--workers", type=int)
+    p_translate.add_argument("--source-lang", dest="source_lang")
+    p_translate.add_argument("--target-lang", dest="target_lang")
     p_translate.add_argument("--use-an", dest="use_an", action="store_true", default=None, help='use "an" before vowels in validation queries')
     p_translate.add_argument("--source-tagger", dest="source_tagger_path", help="snippet tagger lexicon for the source language")
     p_translate.add_argument("--target-tagger", dest="target_tagger_path", help="snippet tagger lexicon for the target language")

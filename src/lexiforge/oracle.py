@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Protocol
@@ -32,16 +33,6 @@ class QueryKind(enum.Enum):
     SNIPPETS = "SNIPPETS"
     PAIR_COUNT = "PAIR_COUNT"
     MIXED_SNIPPETS = "MIXED_SNIPPETS"
-
-
-@dataclass(frozen=True, slots=True)
-class Snippet:
-    text: str
-    doc_id: str | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.text, str) or not self.text:
-            raise ValueError("snippet text must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -85,15 +76,12 @@ def split_or_query(query: str) -> list[str]:
 
 
 class Backend(Protocol):
+    """A search engine: ``execute`` answers a count for the count kinds, and
+    for the snippet kinds a list of hits with a ``text`` (``backends.Snippet``)."""
+
     name: str
 
-    def execute(self, query: OracleQuery) -> int | list[Snippet]: ...
-
-
-def _encode_response(value: int | list[Snippet]) -> str:
-    if isinstance(value, int):
-        return json.dumps(value)
-    return json.dumps([[s.text, s.doc_id] for s in value], ensure_ascii=False)
+    def execute(self, query: OracleQuery) -> int | list: ...
 
 
 def is_count(value: object) -> bool:
@@ -103,36 +91,36 @@ def is_count(value: object) -> bool:
 
 def is_answer(kind: QueryKind, value: object) -> bool:
     """Whether ``value`` has the shape ``kind`` asks for: a count for the
-    count kinds, a list of ``Snippet``s for the snippet kinds."""
+    count kinds, a list of non-empty snippet texts for the snippet kinds."""
     if kind in (QueryKind.PHRASE_COUNT, QueryKind.PAIR_COUNT):
         return is_count(value)
-    return isinstance(value, list) and all(isinstance(s, Snippet) for s in value)
+    return isinstance(value, list) and set(map(type, value)) <= {str} and all(value)
 
 
-def _decode_response(payload: str) -> int | list[Snippet]:
+def _decode_response(payload: str) -> object:
+    """A count or a list of snippet texts, for ``is_answer`` to check; the
+    ``[text, doc_id]`` pairs of older records give their texts."""
     value = json.loads(payload)
-    if is_count(value):
-        return value
-    # Otherwise a list of [text, doc_id] lists; Snippet checks the text.
-    if not isinstance(value, list) or set(map(type, value)) - {list}:
-        raise ValueError("payload is neither a count nor a snippet list")
-    return [Snippet(text, doc_id) for text, doc_id in value]
+    if isinstance(value, list) and value and all(type(p) is list and len(p) == 2 for p in value):
+        return [text for text, _doc_id in value]
+    return value
 
 
-def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list[Snippet]) -> str:
+def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list[str]) -> str:
     """One cache file line, newline included, for a ``cache_key`` and its value."""
     kind, phrases, lang, limit = key
     p2 = phrases[1] if len(phrases) > 1 else ""
-    return "\t".join([kind, phrases[0], p2, lang, limit, _encode_response(value)]) + "\n"
+    return "\t".join([kind, phrases[0], p2, lang, limit, json.dumps(value, ensure_ascii=False)]) + "\n"
 
 
 class ResponseCache:
     """Append-only response cache, one record per line, last write wins.
 
     Record layout: kind, phrase1, phrase2 (empty when absent), language,
-    limit, then the JSON payload, all tab-separated. Corrupt lines, and
-    records whose payload does not fit their kind, are skipped with a
-    warning so the query can simply be re-issued.
+    limit, then the JSON payload (a count or a list of snippet texts), all
+    tab-separated. Corrupt lines, and records whose payload does not fit
+    their kind, are skipped with a warning so the query can simply be
+    re-issued.
 
     The file is opened for appending once, on the first ``put``, and
     flushed after every record, so a crash loses at most the record being
@@ -142,7 +130,7 @@ class ResponseCache:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[tuple, int | list[Snippet]] = {}
+        self._entries: dict[tuple, int | list[str]] = {}
         self._lock = threading.Lock()
         self._append: BinaryIO | None = None
         if self.path.exists():
@@ -168,11 +156,11 @@ class ResponseCache:
                 phrases = (p1,) if not p2 else (p1, p2)
                 self._entries[(kind, tuple(sorted(phrases)), lang, limit)] = value
 
-    def get(self, query: OracleQuery) -> int | list[Snippet] | None:
+    def get(self, query: OracleQuery) -> int | list[str] | None:
         with self._lock:
             return self._entries.get(query.cache_key())
 
-    def put(self, query: OracleQuery, value: int | list[Snippet]) -> None:
+    def put(self, query: OracleQuery, value: int | list[str]) -> None:
         key = query.cache_key()
         record = _format_record(key, value)
         with self._lock:
@@ -206,6 +194,11 @@ class ResponseCache:
         with self._lock:
             return len(self._entries)
 
+    def kind_counts(self) -> Counter[str]:
+        """Number of entries of each query kind, by kind name."""
+        with self._lock:
+            return Counter(key[0] for key in self._entries)
+
     def compact(self) -> int:
         """Rewrite the file with one record per key; returns records kept."""
         with self._lock:
@@ -223,8 +216,9 @@ class SearchOracle:
     """Thread-safe front end combining a backend with the response cache.
 
     Identical in-flight queries are de-duplicated so concurrent callers
-    trigger at most one backend call per distinct query. A backend answer
-    of the wrong shape for its kind raises OracleError and is not cached.
+    trigger at most one backend call per distinct query. Snippet queries
+    answer the texts of the backend's hits. A backend answer of the wrong
+    shape for its kind raises OracleError and is not cached.
     Without a backend the oracle replays the cache only: a miss raises
     OracleError.
     """
@@ -253,7 +247,7 @@ class SearchOracle:
         if close_backend is not None:
             close_backend()
 
-    def execute(self, query: OracleQuery) -> int | list[Snippet]:
+    def execute(self, query: OracleQuery) -> int | list[str]:
         if self._cache is not None:
             cached = self._cache.get(query)
             if cached is not None:
@@ -280,6 +274,8 @@ class SearchOracle:
                 self.backend_calls += 1
             with self._slots:
                 value = self._backend.execute(query)
+            if isinstance(value, list):  # hits, kept as their texts; a str has none
+                value = [getattr(hit, "text", None) for hit in value]
             if not is_answer(query.kind, value):
                 raise OracleError(f"backend answered {query.kind.value} with {type(value).__name__}")
             if self._cache is not None:
@@ -296,10 +292,10 @@ class SearchOracle:
     def pair_count(self, phrase_a: str, phrase_b: str) -> int:
         return self.execute(OracleQuery(QueryKind.PAIR_COUNT, (phrase_a, phrase_b)))
 
-    def snippets(self, phrase: str, limit: int) -> list[Snippet]:
+    def snippets(self, phrase: str, limit: int) -> list[str]:
         return self.execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
 
-    def mixed_snippets(self, phrase: str, lang: str, limit: int) -> list[Snippet]:
+    def mixed_snippets(self, phrase: str, lang: str, limit: int) -> list[str]:
         return self.execute(
             OracleQuery(QueryKind.MIXED_SNIPPETS, (phrase,), lang_restrict=lang, limit=limit)
         )

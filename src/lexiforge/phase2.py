@@ -165,7 +165,7 @@ def build_lexical_world(
 
     noun_freq: dict[str, int] = {}
     adj_freq: dict[str, int] = {}
-    for (lemma, pos), n in tagger.count(s.text for s in snippets).items():
+    for (lemma, pos), n in tagger.count(snippets).items():
         if lemma in stopwords or lemma in excluded:
             continue
         if pos == "NOUN":

@@ -18,7 +18,6 @@ from typing import Sequence
 from .backends import tokenize
 from .extraction import SourceUlc
 from .generation import CandidateOrigin, CandidateTranslation
-from .oracle import Snippet
 from .phase2 import WorldContext, run_phase2
 
 COGNATE_PREFIX_LEN = 4
@@ -65,7 +64,7 @@ RankedBigrams = list[tuple[tuple[str, str], int]]
 
 
 def rank_bigrams(
-    snippets: Sequence[Snippet],
+    snippets: Sequence[str],
     ulc: SourceUlc,
     source_stopwords: frozenset[str] = frozenset(),
 ) -> RankedBigrams:
@@ -75,8 +74,8 @@ def rank_bigrams(
     ranking."""
     source_tokens = set(tokenize(ulc.surface))
     counts: dict[tuple[str, str], int] = {}
-    for snippet in snippets:
-        tokens = tokenize(snippet.text)
+    for text in snippets:
+        tokens = tokenize(text)
         for i in range(len(tokens) - 1):
             bigram = (tokens[i], tokens[i + 1])
             if _bigram_allowed(bigram, source_tokens, source_stopwords):

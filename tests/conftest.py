@@ -3,7 +3,8 @@ import pytest
 from lexiforge.config import RunConfig
 from lexiforge.dictionary import BilingualDictionary, DictEntry
 from lexiforge.extraction import SourceUlc, UlcPattern, ulc_surface
-from lexiforge.oracle import OracleError, OracleQuery, QueryKind, SearchOracle, Snippet
+from lexiforge.backends import Snippet
+from lexiforge.oracle import OracleError, OracleQuery, QueryKind, SearchOracle
 
 # The settings a test runs with unless it builds its own: every default.
 CFG = RunConfig()

@@ -14,7 +14,7 @@ import pytest
 from lexiforge.cli import main as cli_main
 from lexiforge.extraction import UlcPattern
 from lexiforge.generation import TranslationRule, generate_candidates
-from lexiforge.oracle import SearchOracle, Snippet
+from lexiforge.oracle import SearchOracle
 from lexiforge.phase1 import frequency_verdict, validate_by_frequency
 from lexiforge.phase2 import LexicalWorld, compare_worlds, ratio_filter
 from lexiforge.phase3 import (
@@ -174,7 +174,7 @@ def test_criterion_05_cognate_rule():
         assert is_cognate_pair("café", "cafe")
         assert cognate_prefix("art") is None
         ulc = make_ulc("lit", "or", UlcPattern.NOUN_ADJ, "lit or")  # constituents < 4 letters
-        ranked = rank_bigrams([Snippet("litany oracle litany oracle")], ulc)
+        ranked = rank_bigrams(["litany oracle litany oracle"], ulc)
         assert find_cognates(ranked, ulc) == []
     passed(5)
 
@@ -191,8 +191,7 @@ def test_criterion_06_frequent_pairs_equal_brute_force():
                 " ".join(rng.choice(vocabulary) for _ in range(rng.randint(2, 12)))
                 for _ in range(size)
             ]
-            snippets = [Snippet(t, str(i)) for i, t in enumerate(texts)]
-            ranked = rank_bigrams(snippets, ulc, stops)
+            ranked = rank_bigrams(texts, ulc, stops)
             mined = find_frequent_pairs(ranked, ulc, min_pair_freq=1, top_pairs=10**9)
             got = {tuple(c.target_surface.split()): c.evidence for c in mined}
             assert got == brute_force_bigrams(texts, excluded)

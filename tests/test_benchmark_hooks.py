@@ -29,3 +29,17 @@ def test_benchmark_hooks_resolve_and_fire(tmp_path, capsys, monkeypatch):
     metrics = tracing.layer_metrics(tracer)
     for name in ("phase1.units", "phase2.worlds_built", "phase3.validate_runs", "generation.candidates"):
         assert metrics[name] > 0, name
+
+
+def test_local_index_snippet_hits_carry_text_and_doc_id():
+    # perfbench's stub engine serves the HTTP protocol from these hits.
+    from lexiforge.backends import LocalIndexBackend
+    from lexiforge.oracle import OracleQuery, QueryKind
+
+    index = LocalIndexBackend([{"id": "d7", "lang": "en", "text": "The central fund."}])
+    for query in (
+        OracleQuery(QueryKind.SNIPPETS, ("central fund",), limit=5),
+        OracleQuery(QueryKind.MIXED_SNIPPETS, ("central fund",), "en", 5),
+    ):
+        hits = index.execute(query)
+        assert [(hit.text, hit.doc_id) for hit in hits] == [("The central fund.", "d7")]

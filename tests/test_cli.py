@@ -14,8 +14,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 import lexiforge.cli as cli
 import lexiforge.phase2 as phase2
 import lexiforge.phase3 as phase3
+from lexiforge.backends import Snippet
 from lexiforge.cli import main
-from lexiforge.oracle import QueryKind, SearchOracle, Snippet
+from lexiforge.oracle import QueryKind, SearchOracle
 
 from conftest import FakeBackend
 
@@ -218,6 +219,32 @@ def test_world_subcommand_prints_profile(capsys):
     assert fields[0] == "caisse de retraite"
     assert fields[1] == "fr"
     assert "pension:" in fields[3]
+
+
+@pytest.mark.parametrize("command", ["world", "extract"])
+@pytest.mark.parametrize("flag", ["--source-lang", "--target-lang"])
+def test_language_pair_flags_are_usage_errors_where_unread(capsys, command, flag):
+    # Only translate reads the language pair; world takes its one --lang.
+    argv = [command, "--offline", "--cache", str(DATA / "e2e.cache"), flag, "de"]
+    if command == "world":
+        argv += ["--phrase", "caisse de retraite", "--lang", "fr"]
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    assert f"unrecognized arguments: {flag} de" in capsys.readouterr().err
+
+
+def test_cache_stats_counts_entries_per_kind(capsys):
+    cache = DATA / "e2e.cache"
+    code, out, _ = run(["cache", "stats", str(cache)], capsys)
+    assert code == 0
+    assert out == (
+        f"160 entries in {cache}\n"
+        "  MIXED_SNIPPETS\t6\n"
+        "  PAIR_COUNT\t55\n"
+        "  PHRASE_COUNT\t77\n"
+        "  SNIPPETS\t22\n"
+    )
 
 
 def test_cache_stats_and_compact(tmp_path, capsys):

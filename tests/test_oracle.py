@@ -1,15 +1,19 @@
 import email.utils
 import json
+import logging
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lexiforge.backends import (
     WORD_RE,
     HttpBackend,
     LocalIndexBackend,
+    Snippet,
     tokenize,
 )
 from lexiforge.cli import build_oracle
@@ -20,7 +24,6 @@ from lexiforge.oracle import (
     QueryKind,
     ResponseCache,
     SearchOracle,
-    Snippet,
     split_or_query,
 )
 
@@ -120,10 +123,14 @@ def test_snippets_truncate_to_limit(index):
 
 
 def test_mixed_snippets_filter_language(index):
+    def mixed(phrase):
+        return index.execute(OracleQuery(QueryKind.MIXED_SNIPPETS, (phrase,), "en", 1000))
+
+    assert [s.doc_id for s in mixed("souris d'agneau")] == ["en3", "en4", "en5"]
+    assert [s.doc_id for s in mixed("messe de minuit")] == ["mix"]
+    # The oracle answers the hits' texts.
     oracle = SearchOracle(index)
-    snippets = oracle.mixed_snippets("souris d'agneau", "en", 1000)
-    assert [s.doc_id for s in snippets] == ["en3", "en4", "en5"]
-    assert oracle.mixed_snippets("messe de minuit", "en", 1000)[0].doc_id == "mix"
+    assert oracle.mixed_snippets("souris d'agneau", "en", 1000) == [s.text for s in mixed("souris d'agneau")]
     # same phrase unrestricted also sees the French page
     assert len(oracle.snippets("messe de minuit", 1000)) == 2
 
@@ -329,14 +336,63 @@ def test_corrupt_cache_lines_skipped(tmp_path):
         "SNIPPETS\tobject\t\t-\t5\t{\"ab\": 1}",
         "PHRASE_COUNT\tatmosphere\t\t-\t-\t[[\"x\", null]]",
         "SNIPPETS\tcount\t\t-\t5\t3",
+        "SNIPPETS\tempty text\t\t-\t5\t[\"\"]",
+        "SNIPPETS\tnumber\t\t-\t5\t[7]",
+        "SNIPPETS\tone-element pair\t\t-\t5\t[[\"x\"]]",
+        "SNIPPETS\tempty pair text\t\t-\t5\t[[\"\", \"d\"]]",
+        "SNIPPETS\tpair and text\t\t-\t5\t[[\"x\", \"d\"], \"y\"]",
+        "PHRASE_COUNT\ttexts\t\t-\t-\t[\"x\"]",
     ],
 )
-def test_cache_records_with_bad_payloads_skipped(tmp_path, record):
+def test_cache_records_with_bad_payloads_skipped(tmp_path, caplog, record):
     path = tmp_path / "run.cache"
     path.write_text("PHRASE_COUNT\tok\t\t-\t-\t7\n" + record + "\n", encoding="utf-8")
-    reloaded = ResponseCache(path)
+    with caplog.at_level(logging.WARNING, logger="lexiforge.oracle"):
+        reloaded = ResponseCache(path)
     assert len(reloaded) == 1
     assert reloaded.get(OracleQuery(QueryKind.PHRASE_COUNT, ("ok",))) == 7
+    assert caplog.messages == [f"{path}:2: skipping corrupt cache record"]
+
+
+def test_cache_reads_text_lists_and_older_text_id_pairs_alike(tmp_path):
+    path = tmp_path / "run.cache"
+    path.write_text(
+        'SNIPPETS\tnew\t\t-\t5\t["La caisse", "Une \\"messe\\""]\n'
+        'SNIPPETS\told\t\t-\t5\t[["La caisse", "fr1"], ["Une \\"messe\\"", null]]\n'
+        'MIXED_SNIPPETS\tnone\t\ten\t5\t[]\n',
+        encoding="utf-8",
+    )
+    cache = ResponseCache(path)
+    texts = ["La caisse", 'Une "messe"']
+    assert cache.get(OracleQuery(QueryKind.SNIPPETS, ("new",), limit=5)) == texts
+    assert cache.get(OracleQuery(QueryKind.SNIPPETS, ("old",), limit=5)) == texts
+    assert cache.get(OracleQuery(QueryKind.MIXED_SNIPPETS, ("none",), "en", 5)) == []
+    # Compaction rewrites every snippet list as plain texts.
+    cache.compact()
+    assert path.read_text(encoding="utf-8").splitlines()[2] == (
+        'SNIPPETS\told\t\t-\t5\t["La caisse", "Une \\"messe\\""]'
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.text(min_size=1) | st.sampled_from(["a\tb", "a\nb\r", '"q"\\', "\U0001f600\U00020000"]),
+        max_size=5,
+    )
+)
+def test_snippet_texts_survive_put_reload_and_compact(texts):
+    query = OracleQuery(QueryKind.SNIPPETS, ("phrase",), limit=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cache"
+        cache = ResponseCache(path)
+        cache.put(query, texts)
+        cache.put(OracleQuery(QueryKind.PHRASE_COUNT, ("phrase",)), 3)
+        cache.close()
+        reloaded = ResponseCache(path)
+        assert reloaded.get(query) == texts
+        assert reloaded.compact() == 2
+        assert ResponseCache(path).get(query) == texts
 
 
 def test_last_write_wins(tmp_path):
@@ -510,7 +566,7 @@ def test_http_backend_snippets_and_lang():
     )
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     snippets = SearchOracle(backend).mixed_snippets("souris d'agneau", "en", 10)
-    assert snippets == [Snippet("mixed page", "d1")]
+    assert snippets == ["mixed page"]
     assert session.requests[0][1]["lang"] == "en"
     assert session.requests[0][1]["limit"] == "10"
 
@@ -611,6 +667,8 @@ def test_http_backend_gives_up_with_oracle_error(monkeypatch):
         (QueryKind.SNIPPETS, {"snippets": [{"doc_id": "d1"}]}),
         (QueryKind.SNIPPETS, {"snippets": [{"text": 7, "doc_id": "d1"}]}),
         (QueryKind.SNIPPETS, {"snippets": ["bare text"]}),
+        (QueryKind.SNIPPETS, {"snippets": [{"text": "", "doc_id": "d1"}]}),
+        (QueryKind.SNIPPETS, {"snippets": [{"text": "page"}, {"text": ""}]}),
     ],
 )
 def test_http_backend_rejects_malformed_payloads(kind, payload):

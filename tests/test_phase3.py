@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from lexiforge.extraction import UlcPattern
 from lexiforge.generation import CandidateOrigin
-from lexiforge.oracle import QueryKind, SearchOracle, Snippet
+from lexiforge.oracle import QueryKind, SearchOracle
 from lexiforge.phase2 import WorldContext
 from lexiforge.phase3 import (
     cognate_prefix,
@@ -24,7 +24,7 @@ FR_STOPS = frozenset({"le", "la", "les", "de", "d", "un", "une", "est", "et"})
 
 
 def snips(*texts):
-    return [Snippet(t, str(i)) for i, t in enumerate(texts)]
+    return list(texts)
 
 
 def cognates_of(snippets, ulc, stops=FR_STOPS):
