@@ -91,10 +91,17 @@ def is_count(value: object) -> bool:
 
 def is_answer(kind: QueryKind, value: object) -> bool:
     """Whether ``value`` has the shape ``kind`` asks for: a count for the
-    count kinds, a list of non-empty snippet texts for the snippet kinds."""
+    count kinds, a list of non-empty snippet texts that UTF-8 can encode
+    (no lone surrogate, say from a ``\\ud800`` escape) for the snippet kinds."""
     if kind in (QueryKind.PHRASE_COUNT, QueryKind.PAIR_COUNT):
         return is_count(value)
-    return isinstance(value, list) and set(map(type, value)) <= {str} and all(value)
+    if not (isinstance(value, list) and set(map(type, value)) <= {str} and all(value)):
+        return False
+    try:
+        "".join(value).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _decode_response(payload: str) -> object:
@@ -162,11 +169,12 @@ class ResponseCache:
 
     def put(self, query: OracleQuery, value: int | list[str]) -> None:
         key = query.cache_key()
-        record = _format_record(key, value)
+        # Encoded first, so a value that cannot be written is not kept either.
+        record = _format_record(key, value).encode("utf-8")
         with self._lock:
             self._entries[key] = value
             fh = self._append_handle()
-            fh.write(record.encode("utf-8"))
+            fh.write(record)
             fh.flush()
 
     def _append_handle(self) -> BinaryIO:

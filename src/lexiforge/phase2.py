@@ -163,21 +163,16 @@ def build_lexical_world(
     for lemma, _pos in tagger.tag(phrase):
         excluded.add(lemma)
 
-    noun_freq: dict[str, int] = {}
-    adj_freq: dict[str, int] = {}
+    freqs: dict[str, dict[str, int]] = {"NOUN": {}, "ADJ": {}}
     for (lemma, pos), n in tagger.count(snippets).items():
-        if lemma in stopwords or lemma in excluded:
-            continue
-        if pos == "NOUN":
-            noun_freq[lemma] = n
-        elif pos == "ADJ":
-            adj_freq[lemma] = n
+        if lemma not in stopwords and lemma not in excluded:
+            freqs[pos][lemma] = n
 
-    def top(freqs: dict[str, int]) -> tuple[tuple[str, int], ...]:
-        ranked = sorted(freqs.items(), key=lambda kv: (-kv[1], kv[0]))
+    def top(counts: dict[str, int]) -> tuple[tuple[str, int], ...]:
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         return tuple(ranked[:world_size])
 
-    return LexicalWorld(phrase, lang, top(noun_freq), top(adj_freq), len(snippets))
+    return LexicalWorld(phrase, lang, top(freqs["NOUN"]), top(freqs["ADJ"]), len(snippets))
 
 
 def _match_category(

@@ -2,21 +2,22 @@
 
 Snippet text is noisy, so the tagger interface is deliberately small:
 ``tag`` takes raw text and returns (lemma, coarse pos) pairs in order, and
-``count`` takes many texts and returns how often each (lemma, pos) pair
-occurs across all of them: exactly the totals of counting ``tag(t)`` for
-every text ``t``. World building only needs those totals, so a tagger may
-compute them however it likes. Production setups can plug a real tagger;
-one that reads context can implement ``count`` as a ``Counter`` over its
-own ``tag`` output.
+``count`` takes many texts and returns how often each NOUN or ADJ pair
+occurs across all of them: exactly the totals of counting the NOUN and ADJ
+pairs of ``tag(t)`` for every text ``t``. World building reads only those
+totals, so a tagger may compute them however it likes. Production setups
+can plug a real tagger; one that reads context can implement ``count`` as
+a ``Counter`` over the NOUN and ADJ pairs of its own ``tag`` output.
 
 The shipped fallback looks words up in a flat lexicon file
 (``surface<TAB>pos<TAB>lemma``) and tags everything unknown as OTHER, which
 keeps it out of the noun/adjective worlds. It tags each word on its own and
-no word spans whitespace, so its ``count`` splits the texts on whitespace,
-counts the distinct chunks, and tags each distinct chunk only once per
-tagger: the result is kept in a memo that lives as long as the tagger, one
-entry per distinct chunk. Snippets repeat most of their chunks across
-worlds, so the memo holds far fewer entries than the chunks it counts.
+no word spans whitespace, so its ``count`` splits the texts on whitespace
+and tags each distinct chunk only once per tagger. It remembers the chunks
+it has tagged, and the NOUN and ADJ tags of the few that have any; only
+occurrences of those few are counted. Snippets repeat most of their chunks
+across worlds, and most chunks are unknown or function words, so after the
+first worlds a call does little beyond the split and one filtered count.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ class SnippetTagger(Protocol):
         ...
 
     def count(self, texts: Iterable[str]) -> dict[tuple[str, str], int]:
-        """Occurrences of each (lemma, pos) over the tokens of all ``texts``;
-        equal to a ``Counter`` over ``tag(t)`` for every ``t``."""
+        """Occurrences of each NOUN or ADJ (lemma, pos) over the tokens of all
+        ``texts``; equal to a ``Counter`` over the NOUN and ADJ pairs of
+        ``tag(t)`` for every ``t``."""
         ...
 
 
@@ -48,10 +50,11 @@ class LexiconTagger:
         self._table: dict[str, tuple[str, str]] = {}
         for surface, pos, lemma in entries:
             self._table[surface.lower()] = (lemma.lower(), pos)
-        # Whitespace-free chunk -> its tags. Concurrent workers may both
-        # miss and store the same chunk; the second write stores an equal
-        # value, so no lock is needed.
-        self._chunk_tags: dict[str, tuple[tuple[str, str], ...]] = {}
+        # Whitespace-free chunk -> its NOUN and ADJ tags (only chunks that
+        # have any), and every chunk tagged so far. Tags are stored before
+        # their chunk is marked seen, so workers sharing a tagger need no lock.
+        self._content_tags: dict[str, tuple[tuple[str, str], ...]] = {}
+        self._seen: set[str] = set()
 
     @classmethod
     def from_file(cls, source: TextIO | str | Path) -> "LexiconTagger":
@@ -65,14 +68,16 @@ class LexiconTagger:
     def count(self, texts: Iterable[str]) -> dict[tuple[str, str], int]:
         # Exact because tokens are letter runs: none contains or crosses
         # whitespace, so tagging each chunk alone gives the same tokens.
-        chunks = Counter(" ".join(texts).split())
-        memo = self._chunk_tags
+        chunks = " ".join(texts).split()
+        content, seen = self._content_tags, self._seen
+        for chunk in set(chunks).difference(seen):
+            tags = tuple(pair for pair in self.tag(chunk) if pair[1] in ("NOUN", "ADJ"))
+            if tags:
+                content[chunk] = tags
+            seen.add(chunk)
         totals: dict[tuple[str, str], int] = {}
-        for chunk, n in chunks.items():
-            tags = memo.get(chunk)
-            if tags is None:
-                tags = memo[chunk] = tuple(self.tag(chunk))
-            for pair in tags:
+        for chunk, n in Counter(filter(content.__contains__, chunks)).items():
+            for pair in content[chunk]:
                 totals[pair] = totals.get(pair, 0) + n
         return totals
 

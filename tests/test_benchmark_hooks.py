@@ -27,7 +27,13 @@ def test_benchmark_hooks_resolve_and_fire(tmp_path, capsys, monkeypatch):
     assert tracer.absent == {}
     assert all(hasattr(cli, name) for name in run_pass.SETUP_NAMES)
     metrics = tracing.layer_metrics(tracer)
-    for name in ("phase1.units", "phase2.worlds_built", "phase3.validate_runs", "generation.candidates"):
+    for name in (
+        "phase1.units",
+        "phase2.worlds_built",
+        "phase3.validate_runs",
+        "generation.candidates",
+        "tagging.tokens",
+    ):
         assert metrics[name] > 0, name
 
 
@@ -43,3 +49,19 @@ def test_local_index_snippet_hits_carry_text_and_doc_id():
     ):
         hits = index.execute(query)
         assert [(hit.text, hit.doc_id) for hit in hits] == [("The central fund.", "d7")]
+
+
+def test_count_tags_each_new_chunk_through_tag(monkeypatch):
+    # perfbench times tagging by wrapping ``LexiconTagger.tag``. World
+    # building also tags the phrase itself, so ``tagging.tokens`` stays above
+    # 0 even if ``count`` stopped calling ``tag``; this pins that it does not.
+    from lexiforge.tagging import LexiconTagger
+
+    tagged = []
+    tag = LexiconTagger.tag
+    monkeypatch.setattr(LexiconTagger, "tag", lambda self, text: tagged.append(text) or tag(self, text))
+    tagger = LexiconTagger([("fund", "NOUN", "fund")])
+    tagger.count(["the central fund", "the fund, the"])
+    assert sorted(tagged) == ["central", "fund", "fund,", "the"]
+    tagger.count(["the fund", "a fund"])
+    assert tagged[4:] == ["a"]

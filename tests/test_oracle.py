@@ -354,6 +354,25 @@ def test_cache_records_with_bad_payloads_skipped(tmp_path, caplog, record):
     assert caplog.messages == [f"{path}:2: skipping corrupt cache record"]
 
 
+def test_cache_record_with_lone_surrogate_escape_is_skipped_and_compacts(tmp_path, caplog):
+    path = tmp_path / "run.cache"
+    path.write_text(
+        'PHRASE_COUNT\tok\t\t-\t-\t7\n'
+        'SNIPPETS\tcafé\t\t-\t5\t["page", "caf\\ud800"]\n'
+        'SNIPPETS\told\t\t-\t5\t[["caf\\udc00", "d1"]]\n',
+        encoding="utf-8",
+    )
+    with caplog.at_level(logging.WARNING, logger="lexiforge.oracle"):
+        cache = ResponseCache(path)
+    assert caplog.messages == [
+        f"{path}:2: skipping corrupt cache record",
+        f"{path}:3: skipping corrupt cache record",
+    ]
+    assert len(cache) == 1
+    assert cache.compact() == 1
+    assert path.read_text(encoding="utf-8") == "PHRASE_COUNT\tok\t\t-\t-\t7\n"
+
+
 def test_cache_reads_text_lists_and_older_text_id_pairs_alike(tmp_path):
     path = tmp_path / "run.cache"
     path.write_text(
@@ -678,6 +697,19 @@ def test_http_backend_rejects_malformed_payloads(kind, payload):
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, max_retries=1, session=session)
     with pytest.raises(OracleError, match="malformed"):
         backend.execute(query)
+
+
+def test_http_snippet_with_lone_surrogate_raises_and_is_not_cached(tmp_path):
+    # Valid JSON (the body held the escape ``\ud800``), but not writable as UTF-8.
+    session = StubSession([StubResponse(200, {"snippets": [{"text": "page"}, {"text": "caf\ud800"}]})])
+    backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
+    cache = ResponseCache(tmp_path / "c")
+    oracle = SearchOracle(backend, cache)
+    with pytest.raises(OracleError, match="SNIPPETS"):
+        oracle.snippets("café", 5)
+    oracle.close()
+    assert len(cache) == 0
+    assert not (tmp_path / "c").exists()
 
 
 def test_http_backend_accepts_zero_count():

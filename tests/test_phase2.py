@@ -193,30 +193,37 @@ WORLD_WORDS = ["pension", "Pensions", "banque", "argent", "financière", "mensue
 WORLD_SEPARATORS = [" ", "  ", "\u00a0", "\n", ", ", ".", "-", "\x1c"]
 
 
-@given(
+WORLD_SNIPPETS = st.lists(
     st.lists(
-        st.lists(
-            st.tuples(st.sampled_from(WORLD_WORDS), st.sampled_from(WORLD_SEPARATORS)),
-            max_size=12,
-        ),
-        max_size=8,
+        st.tuples(st.sampled_from(WORLD_WORDS), st.sampled_from(WORLD_SEPARATORS)),
+        max_size=12,
     ),
-    st.integers(1, 4),
+    max_size=8,
 )
-def test_build_world_matches_per_snippet_reference(snippet_words, world_size):
-    texts = ["".join(word + sep for word, sep in words) or "." for words in snippet_words]
+
+
+@given(WORLD_SNIPPETS, WORLD_SNIPPETS, st.integers(1, 4))
+def test_build_world_matches_per_snippet_reference(snippet_words, more_words, world_size):
+    def texts_of(snippets):
+        return ["".join(word + sep for word, sep in words) or "." for words in snippets]
+
+    texts = texts_of(snippet_words)
+    # The second world shares the first world's chunks and adds its own.
+    more = texts_of(more_words) + texts
     stopwords = frozenset({"le", "un"})
-    backend = FakeBackend().snips("caisse de retraite", 1000, texts)
+    backend = FakeBackend().snips("caisse de retraite", 1000, texts).snips("pension mensuelle", 1000, more)
+    oracle = SearchOracle(backend)
     tagger = LexiconTagger(FR_ENTRIES)
-    world = build_lexical_world(
-        "caisse de retraite", "fr", SearchOracle(backend), tagger, stopwords,
-        exclude_lemmas=["Argent"], snippet_limit=CFG.snippet_limit, world_size=world_size,
-    )
-    nouns, adjectives = reference_world(
-        "caisse de retraite", texts, tagger, stopwords, ["Argent"], world_size
-    )
-    assert (world.nouns, world.adjectives) == (nouns, adjectives)
-    assert world.snippet_count == len(texts)
+    # The first world is built on a cold memo, the second on the memo the
+    # first one primed.
+    for phrase, snippets in (("caisse de retraite", texts), ("pension mensuelle", more)):
+        world = build_lexical_world(
+            phrase, "fr", oracle, tagger, stopwords,
+            exclude_lemmas=["Argent"], snippet_limit=CFG.snippet_limit, world_size=world_size,
+        )
+        nouns, adjectives = reference_world(phrase, snippets, tagger, stopwords, ["Argent"], world_size)
+        assert (world.nouns, world.adjectives) == (nouns, adjectives)
+        assert world.snippet_count == len(snippets)
 
 
 def test_zero_snippets_give_empty_world():

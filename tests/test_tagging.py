@@ -33,7 +33,10 @@ COUNT_ENTRIES = [
 
 
 def reference_count(tagger, texts):
-    return Counter(pair for text in texts for pair in tagger.tag(text))
+    """The contract of ``count``: the NOUN and ADJ pairs of ``tag`` over every text."""
+    return Counter(
+        pair for text in texts for pair in tagger.tag(text) if pair[1] in ("NOUN", "ADJ")
+    )
 
 
 @given(st.lists(st.text(), max_size=6))
@@ -49,30 +52,43 @@ def test_count_equals_counter_over_tag(texts):
 
 
 def test_count_sums_over_texts():
-    tagger = LexiconTagger([("musicale", "ADJ", "musical")])
-    assert tagger.count(["musicale ambiance"]) == {("musical", "ADJ"): 1, ("ambiance", "OTHER"): 1}
-    assert tagger.count(["musicale, musicale"]) == {("musical", "ADJ"): 2}
+    tagger = LexiconTagger([("musicale", "ADJ", "musical"), ("ambiance", "NOUN", "ambiance")])
+    assert tagger.count(["musicale inconnue", "ambiance"]) == {
+        ("musical", "ADJ"): 1,
+        ("ambiance", "NOUN"): 1,
+    }
+    assert tagger.count(["musicale, musicale", "l'ambiance inconnue"]) == {
+        ("musical", "ADJ"): 2,
+        ("ambiance", "NOUN"): 1,
+    }
+    # Unknown and function words are tagged but never counted.
+    assert tagger.tag("inconnue l") == [("inconnue", "OTHER"), ("l", "OTHER")]
+    assert tagger.count(["inconnue inconnue l'inconnue, l"]) == {}
+    assert all(pos != "OTHER" for _, pos in tagger.count(["l'ambiance inconnue musicale"]))
 
 
 def test_count_is_exact_with_concurrent_callers():
     # Pipeline workers share one tagger and its memo; an unlucky race may
     # tag a chunk twice but must never change a total. Every round starts
-    # the threads together on a cold memo full of multi-token chunks.
+    # the threads together on a cold memo full of multi-token chunks, and
+    # of chunks with no noun or adjective, which are only marked seen. The
+    # workers count one text per call, so many calls start while another
+    # worker is storing the same chunk: one that marked it seen before
+    # storing its tags would make them miss it.
     letters = "abcdefghijklmnopqrstuvwxyz"
-    texts = [
-        " ".join(f"ambiance-{a}{b}-musicale-{b}{a}-abc" for b in letters) for a in letters
-    ]
-    expected = reference_count(LexiconTagger(COUNT_ENTRIES), texts)
-    results = []
+    texts = [f"ambiance-{a}{b}-musicale-{b}{a}-abc {a}{b}x" for a in letters for b in letters]
+    reference = LexiconTagger(COUNT_ENTRIES)
+    expected = [reference_count(reference, [text]) for text in texts]
+    results, rounds = [], 50
 
     def work(tagger, barrier):
         barrier.wait(timeout=10)
-        results.append(tagger.count(texts))
+        results.append([tagger.count([text]) for text in texts])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
+        for _ in range(rounds):
             tagger, barrier = LexiconTagger(COUNT_ENTRIES), threading.Barrier(4)
             threads = [threading.Thread(target=work, args=(tagger, barrier)) for _ in range(4)]
             for t in threads:
@@ -82,7 +98,7 @@ def test_count_is_exact_with_concurrent_callers():
             assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert len(results) == 20
+    assert len(results) == 4 * rounds
     assert all(result == expected for result in results)
 
 
