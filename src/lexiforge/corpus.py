@@ -167,7 +167,6 @@ def parse_tagged_corpus(
     sentences: list[Sentence] = []
     tokens: list[TaggedToken] = []
     doc_id: str | None = None
-    saw_tokens = False
 
     def close_sentence():
         nonlocal tokens
@@ -202,13 +201,10 @@ def parse_tagged_corpus(
                 continue
             token = parsed[line] = _parse_token_line(line, path, lineno, tagset)
         tokens.append(token)
-        saw_tokens = True
         if token.pos == "SENT":
             close_sentence()
 
     close_document()
-    if not saw_tokens and not documents:
-        return TaggedCorpus(())
     return TaggedCorpus(tuple(documents))
 
 

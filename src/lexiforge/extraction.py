@@ -12,13 +12,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 from .config import InputError, read_rows
 from .corpus import Sentence, TaggedCorpus
-
-if TYPE_CHECKING:
-    from .oracle import SearchOracle
+from .oracle import OracleError, SearchOracle
 
 DE_SURFACES = {"de"}
 D_APOSTROPHE_SURFACES = {"d'", "d’"}
@@ -154,7 +152,7 @@ def build_article_query(surface: str) -> str:
 
 def web_filter_ulc(
     ulc: SourceUlc,
-    oracle: "SearchOracle",
+    oracle: SearchOracle,
     literal_min: int,
     article_min: int,
 ) -> WebFilterVerdict:
@@ -162,8 +160,6 @@ def web_filter_ulc(
     preceded by an article. Oracle failures leave the unit unresolved rather
     than rejected, so a later run with a warmer cache can retry it.
     """
-    from .oracle import OracleError
-
     try:
         literal = oracle.phrase_count(ulc.surface)
         article = oracle.phrase_count(build_article_query(ulc.surface))
@@ -177,7 +173,7 @@ def web_filter_ulc(
 
 def filter_ulcs(
     ulcs: Sequence[SourceUlc],
-    oracle: "SearchOracle",
+    oracle: SearchOracle,
     literal_min: int,
     article_min: int,
     max_ulcs: int | None,

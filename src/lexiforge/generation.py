@@ -45,7 +45,6 @@ class CandidateTranslation:
     rule: TranslationRule | None
     origin: CandidateOrigin
     head_target: str | None = None
-    modifier_target: str | None = None
     scores: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -94,7 +93,6 @@ def generate_candidates(
                         rule=rule,
                         origin=CandidateOrigin.GENERATED,
                         head_target=head_tr.lower(),
-                        modifier_target=mod_tr.lower(),
                     )
                 )
     return candidates

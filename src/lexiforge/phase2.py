@@ -20,7 +20,7 @@ from .config import RunConfig
 from .dictionary import BilingualDictionary
 from .extraction import SourceUlc
 from .generation import CandidateTranslation
-from .oracle import OracleError, SearchOracle
+from .oracle import SearchOracle
 from .tagging import SnippetTagger
 
 
@@ -79,7 +79,6 @@ class Phase2Result:
     winner: CandidateTranslation | None
     pair_survivors: list[CandidateTranslation]
     ratio_survivors: list[CandidateTranslation]
-    unresolved: list[CandidateTranslation]
     scored: list[tuple[CandidateTranslation, WorldSimilarity]]
 
 
@@ -88,25 +87,18 @@ def _keep_counted(
     count_of: Callable[[str], int],
     score: str,
     minimum: int,
-) -> tuple[list[CandidateTranslation], list[CandidateTranslation]]:
+) -> list[CandidateTranslation]:
     """Record each candidate's ``count_of(target surface)`` as ``score`` and
-    keep those counted at least ``minimum`` times.
-
-    Returns (survivors, unresolved); unresolved candidates hit an oracle
-    failure and are excluded from this run but not rejected.
+    keep those counted at least ``minimum`` times. An ``OracleError`` from
+    any count propagates: a unit is never ranked on part of its candidates.
     """
     survivors = []
-    unresolved = []
     for candidate in candidates:
-        try:
-            count = count_of(candidate.target_surface)
-        except OracleError:
-            unresolved.append(candidate)
-            continue
+        count = count_of(candidate.target_surface)
         candidate.scores[score] = float(count)
         if count >= minimum:
             survivors.append(candidate)
-    return survivors, unresolved
+    return survivors
 
 
 def parallel_pair_filter(
@@ -114,10 +106,11 @@ def parallel_pair_filter(
     candidates: Sequence[CandidateTranslation],
     oracle: SearchOracle,
     top_k: int | None,
-) -> tuple[list[CandidateTranslation], list[CandidateTranslation]]:
+) -> list[CandidateTranslation]:
     """Keep candidates whose (source, candidate) pair shares a document,
-    optionally only the ``top_k`` with the most shared documents."""
-    survivors, unresolved = _keep_counted(
+    optionally only the ``top_k`` with the most shared documents. Every
+    candidate's pair count is asked; an ``OracleError`` propagates."""
+    survivors = _keep_counted(
         candidates, lambda target: oracle.pair_count(source_surface, target), "pair_count", 1
     )
     if top_k is not None and top_k > 0:
@@ -127,16 +120,16 @@ def parallel_pair_filter(
         )
         keep = {id(c) for c in ranked[:top_k]}
         survivors = [c for c in survivors if id(c) in keep]
-    return survivors, unresolved
+    return survivors
 
 
 def ratio_filter(
     candidates: Sequence[CandidateTranslation],
     source_count: int,
     oracle: SearchOracle,
-) -> tuple[list[CandidateTranslation], list[CandidateTranslation]]:
+) -> list[CandidateTranslation]:
     """Exclude candidates strictly less frequent than the source phrase;
-    equality survives."""
+    equality survives. An ``OracleError`` propagates."""
     return _keep_counted(candidates, oracle.phrase_count, "web_count", source_count)
 
 
@@ -265,9 +258,10 @@ def run_phase2(
 ) -> Phase2Result:
     """Full phase-2 cascade for one unit: pair filter, ratio filter,
     world comparison, selection, with the ``phase2.*`` settings of
-    ``ctx.cfg``."""
+    ``ctx.cfg``. The unit is decided on every candidate's evidence: an
+    ``OracleError`` from any query propagates to the caller."""
     oracle, cfg = ctx.oracle, ctx.cfg
-    pair_survivors, unresolved = parallel_pair_filter(
+    pair_survivors = parallel_pair_filter(
         ulc.surface, candidates, oracle, cfg.pair_top_k
     )
 
@@ -278,8 +272,7 @@ def run_phase2(
             source_count = ulc.oracle_literal_freq
         else:
             source_count = oracle.phrase_count(ulc.surface)
-        ratio_survivors, ratio_unresolved = ratio_filter(pair_survivors, source_count, oracle)
-        unresolved.extend(ratio_unresolved)
+        ratio_survivors = ratio_filter(pair_survivors, source_count, oracle)
 
     if ratio_survivors:
         source_world = build_lexical_world(
@@ -309,7 +302,7 @@ def run_phase2(
             scored.append((candidate, similarity))
 
     winner = select_translation(scored, cfg.noun_jaccard_min, cfg.adj_jaccard_min)
-    return Phase2Result(winner, pair_survivors, ratio_survivors, unresolved, scored)
+    return Phase2Result(winner, pair_survivors, ratio_survivors, scored)
 
 
 def write_world(world: LexicalWorld, out: TextIO) -> None:

@@ -149,32 +149,27 @@ class Phase3Result:
     snippet_count: int
     cognate_candidates: list[CandidateTranslation]
     pair_candidates: list[CandidateTranslation]
-    unresolved: list[CandidateTranslation]
 
 
 def run_phase3(ulc: SourceUlc, ctx: WorldContext) -> Phase3Result:
     """Mine and validate: cognates first, frequent pairs only if cognates
     yield no validated translation. Snippets come from target-language pages
     that contain the source phrase; the ``phase3.*`` settings come from
-    ``ctx.cfg``, and mined candidates go through ``run_phase2``."""
+    ``ctx.cfg``, and mined candidates go through ``run_phase2``. An
+    ``OracleError`` from any query propagates, so frequent pairs never
+    stand in for cognates whose validation failed."""
     cfg = ctx.cfg
     snippets = ctx.oracle.mixed_snippets(ulc.surface, cfg.target_lang, cfg.phase3_snippet_limit)
     if not snippets:
-        return Phase3Result(None, 0, [], [], [])
+        return Phase3Result(None, 0, [], [])
 
     ranked = rank_bigrams(snippets, ulc, ctx.source_stopwords)
     cognates = find_cognates(ranked, ulc)
-    unresolved: list[CandidateTranslation] = []
     if cognates:
-        result = run_phase2(ulc, cognates, ctx)
-        unresolved.extend(result.unresolved)
-        if result.winner is not None:
-            return Phase3Result(result.winner, len(snippets), cognates, [], unresolved)
+        winner = run_phase2(ulc, cognates, ctx).winner
+        if winner is not None:
+            return Phase3Result(winner, len(snippets), cognates, [])
 
     pairs = find_frequent_pairs(ranked, ulc, cfg.min_pair_freq, cfg.top_pairs)
-    winner = None
-    if pairs:
-        result = run_phase2(ulc, pairs, ctx)
-        unresolved.extend(result.unresolved)
-        winner = result.winner
-    return Phase3Result(winner, len(snippets), cognates, pairs, unresolved)
+    winner = run_phase2(ulc, pairs, ctx).winner if pairs else None
+    return Phase3Result(winner, len(snippets), cognates, pairs)

@@ -96,7 +96,10 @@ def _record_for_winner(
 
 
 def translate_ulc(ulc: SourceUlc, ctx: WorldContext) -> TranslationRecord:
-    """Route one unit through the cascade to its terminal state."""
+    """Route one unit through the cascade to its terminal state. A unit is
+    decided on all of its evidence: an ``OracleError`` from any of its
+    queries ends it ``UNRESOLVED_ORACLE``, never a translation chosen from
+    the candidates whose queries succeeded."""
     route, stored = route_ulc(ulc, ctx.dictionary)
     if route is Route.DICTIONARY:
         return TranslationRecord(ulc, stored, Phase.DICTIONARY)
@@ -115,10 +118,6 @@ def translate_ulc(ulc: SourceUlc, ctx: WorldContext) -> TranslationRecord:
             result = run_phase2(ulc, candidates, ctx)
             if result.winner is not None:
                 return _record_for_winner(ulc, result.winner, Phase.PHASE2)
-            if result.unresolved:
-                raise OracleError(
-                    f"{len(result.unresolved)} candidates unresolved for {ulc.surface!r}"
-                )
 
         phase3 = run_phase3(ulc, ctx)
         if phase3.winner is not None:
@@ -128,10 +127,6 @@ def translate_ulc(ulc: SourceUlc, ctx: WorldContext) -> TranslationRecord:
                 else Phase.PHASE3_PAIR
             )
             return _record_for_winner(ulc, phase3.winner, phase)
-        if phase3.unresolved:
-            raise OracleError(
-                f"{len(phase3.unresolved)} mined candidates unresolved for {ulc.surface!r}"
-            )
         return TranslationRecord(ulc, None, Phase.UNTRANSLATED)
     except OracleError:
         return TranslationRecord(ulc, None, Phase.UNRESOLVED_ORACLE)

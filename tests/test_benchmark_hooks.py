@@ -30,6 +30,7 @@ def test_benchmark_hooks_resolve_and_fire(tmp_path, capsys, monkeypatch):
     for name in (
         "phase1.units",
         "phase2.worlds_built",
+        "phase2.survivor_ratio",
         "phase3.validate_runs",
         "generation.candidates",
         "tagging.tokens",

@@ -520,18 +520,18 @@ def test_each_setting_reaches_the_code_that_uses_it(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "build_oracle", lambda cfg: SearchOracle(backend))
     seen = {"worlds": [], "pair_survivors": [], "mined": []}
 
-    def recording(module, name, key, part=lambda result: result):
+    def recording(module, name, key):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             result = original(*args, **kwargs)
-            seen[key].append(part(result))
+            seen[key].append(result)
             return result
 
         monkeypatch.setattr(module, name, wrapper)
 
     recording(phase2, "build_lexical_world", "worlds")
-    recording(phase2, "parallel_pair_filter", "pair_survivors", part=lambda result: result[0])
+    recording(phase2, "parallel_pair_filter", "pair_survivors")
     recording(phase3, "find_frequent_pairs", "mined")
 
     code, _, _ = run(

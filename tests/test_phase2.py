@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from lexiforge.dictionary import BilingualDictionary
 from lexiforge.extraction import UlcPattern
 from lexiforge.generation import CandidateOrigin, CandidateTranslation, TranslationRule
-from lexiforge.oracle import SearchOracle
+from lexiforge.oracle import OracleError, SearchOracle
 from lexiforge.phase2 import (
     LexicalWorld,
     WorldContext,
@@ -40,11 +40,10 @@ def test_pair_filter_keeps_cooccurring_candidates():
     backend = FakeBackend()
     backend.pair("caisse centrale", "central fund", 4)
     backend.pair("caisse centrale", "central drum", 0)
-    survivors, unresolved = parallel_pair_filter(
+    survivors = parallel_pair_filter(
         "caisse centrale", candidates, SearchOracle(backend), CFG.pair_top_k
     )
     assert [c.target_surface for c in survivors] == ["central fund"]
-    assert unresolved == []
     assert survivors[0].scores["pair_count"] == 4
 
 
@@ -52,26 +51,36 @@ def test_pair_filter_threshold_is_one():
     ulc = caisse_centrale()
     backend = FakeBackend()
     backend.pair("caisse centrale", "central case", 1)
-    survivors, _ = parallel_pair_filter(
+    survivors = parallel_pair_filter(
         "caisse centrale", [cand(ulc, "central case")], SearchOracle(backend), CFG.pair_top_k
     )
     assert len(survivors) == 1
 
 
 def test_pair_filter_empty_input():
-    assert parallel_pair_filter("x", [], SearchOracle(FakeBackend()), CFG.pair_top_k) == ([], [])
+    assert parallel_pair_filter("x", [], SearchOracle(FakeBackend()), CFG.pair_top_k) == []
 
 
-def test_pair_filter_unresolved_kept_separately():
+@pytest.mark.parametrize(
+    "run_filter",
+    [
+        lambda candidates, oracle: parallel_pair_filter(
+            "caisse centrale", candidates, oracle, CFG.pair_top_k
+        ),
+        lambda candidates, oracle: ratio_filter(candidates, 1, oracle),
+    ],
+    ids=["pair", "ratio"],
+)
+def test_filter_oracle_failure_propagates(run_filter):
+    # The second candidate's count is missing: the filter raises instead of
+    # returning the first candidate as if it were the only one.
     ulc = caisse_centrale()
     backend = FakeBackend()
     backend.pair("caisse centrale", "central fund", 2)
+    backend.count("central fund", 2)
     candidates = [cand(ulc, "central fund"), cand(ulc, "central case")]
-    survivors, unresolved = parallel_pair_filter(
-        "caisse centrale", candidates, SearchOracle(backend), CFG.pair_top_k
-    )
-    assert [c.target_surface for c in survivors] == ["central fund"]
-    assert [c.target_surface for c in unresolved] == ["central case"]
+    with pytest.raises(OracleError, match="central case"):
+        run_filter(candidates, SearchOracle(backend))
 
 
 def test_pair_top_k_restricts_survivors():
@@ -80,7 +89,7 @@ def test_pair_top_k_restricts_survivors():
     for surface, n in [("central fund", 9), ("central case", 5), ("central drum", 2)]:
         backend.pair("caisse centrale", surface, n)
     candidates = [cand(ulc, s) for s in ("central fund", "central case", "central drum")]
-    survivors, _ = parallel_pair_filter("caisse centrale", candidates, SearchOracle(backend), top_k=2)
+    survivors = parallel_pair_filter("caisse centrale", candidates, SearchOracle(backend), top_k=2)
     assert {c.target_surface for c in survivors} == {"central fund", "central case"}
 
 
@@ -91,14 +100,14 @@ def test_ratio_filter_paper_counts():
     backend.count("retirement case", 2_850)
     candidates = [cand(ulc, "retirement fund", TranslationRule.N2_N1),
                   cand(ulc, "retirement case", TranslationRule.N2_N1)]
-    survivors, _ = ratio_filter(candidates, 157_000, SearchOracle(backend))
+    survivors = ratio_filter(candidates, 157_000, SearchOracle(backend))
     assert [c.target_surface for c in survivors] == ["retirement fund"]
 
 
 def test_ratio_filter_equality_survives():
     ulc = caisse_centrale()
     backend = FakeBackend().count("central fund", 157_000)
-    survivors, _ = ratio_filter([cand(ulc, "central fund")], 157_000, SearchOracle(backend))
+    survivors = ratio_filter([cand(ulc, "central fund")], 157_000, SearchOracle(backend))
     assert len(survivors) == 1
 
 
@@ -423,8 +432,8 @@ def test_filters_compose_monotonically():
     backend.count("central case", 10)
     candidates = [cand(ulc, s) for s in ("central fund", "central case", "central drum")]
     oracle = SearchOracle(backend)
-    pair_survivors, _ = parallel_pair_filter("caisse centrale", candidates, oracle, CFG.pair_top_k)
-    ratio_survivors, _ = ratio_filter(pair_survivors, 100, oracle)
+    pair_survivors = parallel_pair_filter("caisse centrale", candidates, oracle, CFG.pair_top_k)
+    ratio_survivors = ratio_filter(pair_survivors, 100, oracle)
     assert set(c.target_surface for c in ratio_survivors) <= set(
         c.target_surface for c in pair_survivors
     )

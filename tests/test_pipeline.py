@@ -1,11 +1,14 @@
 from dataclasses import replace
+from functools import cache
+from tempfile import TemporaryDirectory
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from lexiforge.dictionary import BilingualDictionary
 from lexiforge.extraction import UlcPattern
 from lexiforge.generation import build_validation_query
-from lexiforge.oracle import QueryKind, ResponseCache, SearchOracle
+from lexiforge.oracle import OracleError, OracleQuery, QueryKind, ResponseCache, SearchOracle
 from lexiforge.phase2 import WorldContext
 from lexiforge.pipeline import (
     Phase,
@@ -146,10 +149,11 @@ def test_record_invariant_translation_iff_terminal_phase():
         TranslationRecord(ulc, "x y", Phase.UNTRANSLATED)
 
 
-def build_50_clu_fixture():
+def build_50_clu_fixture(extra_entries=()):
     """50 units spanning all classes: 10 dictionary, 20 non-polysemous
     (5 translate at phase 1), 12 polysemous (3 at phase 2), 8 unknown
-    (2 at phase 3, one per mining strategy)."""
+    (2 at phase 3, one per mining strategy). ``extra_entries`` go into the
+    dictionary too."""
     entries = list(WORLD_DICT_ENTRIES)
     multiword = []
     units = []
@@ -197,7 +201,7 @@ def build_50_clu_fixture():
             backend.snips(ulc.surface, 1000, ["La banque financière."])
             backend.snips("pebble mosaic", 1000, ["The financial bank."])
 
-    dictionary = make_dictionary(entries, multiword)
+    dictionary = make_dictionary(entries + list(extra_entries), multiword)
     return units, dictionary, backend
 
 
@@ -282,3 +286,104 @@ def test_lexicon_ordering_by_source_surface(tmp_path):
     lex, _ = write_report(report, tmp_path)
     surfaces = [line.split("\t")[0] for line in lex.read_text().splitlines()]
     assert surfaces == sorted(surfaces)
+
+
+def build_flaky_fixture():
+    """The 50-unit fixture plus two units that a partial view of their
+    candidates would translate differently: ``caisse centrale`` has two
+    eligible phase-2 candidates, and behind the cognate that translates
+    ``dossier zorglubien`` in phase 3 stands a frequent pair that would
+    validate too."""
+    units, dictionary, backend = build_50_clu_fixture(
+        extra_entries=[
+            ("caisse", "NOUN", ["drum", "fund", "case"]),
+            ("central", "ADJ", ["central"]),
+            ("dossier", "NOUN", ["file"]),
+        ]
+    )
+    centrale = make_ulc("caisse", "central", UlcPattern.NOUN_ADJ, "caisse centrale", literal_freq=2)
+    register_phase2_win(backend, centrale.surface, "central fund")
+    backend.pair(centrale.surface, "central case", 1).count("central case", 3)
+    backend.snips("central case", 1000, ["The financial bank."])
+
+    dossier = make_ulc("dossier", "zorglubien", UlcPattern.NOUN_ADJ, "dossier zorglubien",
+                       literal_freq=2)
+    backend.snips(dossier.surface, 1000, ["the dossiers vault"] + ["paper trail"] * 3, lang="en")
+    backend.snips(dossier.surface, 1000, ["La banque financière."])
+    for mined in ("dossiers vault", "paper trail"):
+        backend.pair(dossier.surface, mined, 1).count(mined, 3)
+        backend.snips(mined, 1000, ["The financial bank."])
+    return units + [centrale, dossier], dictionary, backend
+
+
+class FailingOnce:
+    """A backend whose first query of each key in ``failing`` raises."""
+
+    def __init__(self, backend, failing):
+        self.backend = backend
+        self.pending = set(failing)
+
+    def execute(self, query):
+        key = query.cache_key()
+        if key in self.pending:
+            self.pending.discard(key)
+            raise OracleError(f"injected failure for {key}")
+        return self.backend.execute(query)
+
+
+def run_flaky_fixture(out_dir, cache_path=None, failing=()):
+    """Translate the flaky fixture, through a response cache at
+    ``cache_path`` if given, with each query in ``failing`` failing once.
+    Returns the records, the lexicon and summary bytes, and the sorted
+    cache keys of the queries the backend answered."""
+    units, dictionary, backend = build_flaky_fixture()
+    ctx = make_ctx(backend, dictionary, workers=1)
+    cache = ResponseCache(cache_path) if cache_path is not None else None
+    ctx.oracle = SearchOracle(FailingOnce(backend, failing), cache)
+    try:
+        report = run_pipeline(units, ctx)
+    finally:
+        ctx.oracle.close()
+    lexicon, summary = write_report(report, out_dir)
+    keys = sorted({query.cache_key() for query in backend.seen})
+    return report.records, lexicon.read_bytes(), summary.read_bytes(), keys
+
+
+@cache
+def clean_flaky_run():
+    with TemporaryDirectory() as out:
+        return run_flaky_fixture(out)
+
+
+def test_flaky_fixture_clean_run_reaches_both_decisive_units():
+    records, _, _, _ = clean_flaky_run()
+    by_surface = {r.source.surface: (r.translation, r.phase) for r in records}
+    assert by_surface["caisse centrale"] == ("central fund", Phase.PHASE2)
+    assert by_surface["dossier zorglubien"] == ("dossiers vault", Phase.PHASE3_COGNATE)
+
+
+CENTRAL_FUND_PAIR = OracleQuery(QueryKind.PAIR_COUNT, ("caisse centrale", "central fund")).cache_key()
+COGNATE_PAIR = OracleQuery(QueryKind.PAIR_COUNT, ("dossier zorglubien", "dossiers vault")).cache_key()
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(failing=st.deferred(lambda: st.sets(st.sampled_from(clean_flaky_run()[3]), max_size=8)))
+@example(failing={CENTRAL_FUND_PAIR})
+@example(failing={COGNATE_PAIR})
+def test_flaky_backend_resolves_or_fails_each_unit_and_resumes_to_clean_bytes(failing):
+    # Each chosen query fails once. A unit that met a failure ends
+    # UNRESOLVED_ORACLE rather than being decided on its other candidates,
+    # and a re-run on the cache that run left behind gives the clean bytes.
+    clean_records, clean_lexicon, clean_summary, _ = clean_flaky_run()
+    with TemporaryDirectory() as tmp:
+        cache_path = f"{tmp}/run.cache"
+        records, _, _, _ = run_flaky_fixture(f"{tmp}/flaky", cache_path, failing)
+        assert len(records) == len(clean_records)
+        for record, clean in zip(records, clean_records):
+            assert record == clean or (
+                record.source == clean.source and record.phase is Phase.UNRESOLVED_ORACLE
+            ), record
+
+        _, lexicon, summary, _ = run_flaky_fixture(f"{tmp}/resumed", cache_path)
+    assert lexicon == clean_lexicon
+    assert summary == clean_summary
