@@ -15,11 +15,14 @@ import enum
 import json
 import logging
 import os
+import queue
 import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Protocol
+
+from .config import RunConfig
 
 log = logging.getLogger(__name__)
 
@@ -46,7 +49,7 @@ class OracleQuery:
         expected = 2 if self.kind is QueryKind.PAIR_COUNT else 1
         if len(self.phrases) != expected:
             raise ValueError(f"{self.kind.value} takes {expected} phrase(s)")
-        if any(not p for p in self.phrases):
+        if not all(self.phrases):
             raise ValueError("empty phrase")
         if self.kind is QueryKind.MIXED_SNIPPETS and not self.lang_restrict:
             raise ValueError("MIXED_SNIPPETS requires lang_restrict")
@@ -113,11 +116,15 @@ def _decode_response(payload: str) -> object:
     return value
 
 
+_JSON = json.JSONEncoder(ensure_ascii=False)  # json.dumps builds one per call
+
+
 def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list[str]) -> str:
     """One cache file line, newline included, for a ``cache_key`` and its value."""
     kind, phrases, lang, limit = key
     p2 = phrases[1] if len(phrases) > 1 else ""
-    return "\t".join([kind, phrases[0], p2, lang, limit, json.dumps(value, ensure_ascii=False)]) + "\n"
+    payload = str(value) if type(value) is int else _JSON.encode(value)
+    return "\t".join([kind, phrases[0], p2, lang, limit, payload]) + "\n"
 
 
 class ResponseCache:
@@ -220,13 +227,27 @@ class ResponseCache:
             return len(records)
 
 
+class _Flight:
+    """A backend call in progress. Its leader holds ``lock`` until the call
+    has settled and leaves the answer in ``value``, None if it failed."""
+
+    __slots__ = ("lock", "value")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.value: int | list[str] | None = None
+
+
 class SearchOracle:
     """Thread-safe front end combining a backend with the response cache.
 
-    Identical in-flight queries are de-duplicated so concurrent callers
-    trigger at most one backend call per distinct query. Snippet queries
-    answer the texts of the backend's hits. A backend answer of the wrong
-    shape for its kind raises OracleError and is not cached.
+    Identical queries share one backend call, with or without a cache:
+    callers that ask while it is in flight wait for its answer, and with a
+    cache no later caller asks again. If that call fails, one waiter makes
+    it again. At most ``max_parallel`` backend calls run at once. Snippet
+    queries answer the texts of the backend's hits. A backend answer of the
+    wrong shape for its kind raises OracleError and is not cached.
     Without a backend the oracle replays the cache only: a miss raises
     OracleError.
     """
@@ -235,16 +256,18 @@ class SearchOracle:
         self,
         backend: Backend | None,
         cache: ResponseCache | None = None,
-        max_parallel: int = 4,
+        max_parallel: int = RunConfig.parallelism,
     ):
         if backend is None and cache is None:
             raise ValueError("need a backend or a cache")
         self._backend = backend
         self._cache = cache
         self._lock = threading.Lock()
-        self._inflight: dict[tuple, threading.Event] = {}
-        self._slots = threading.Semaphore(max(1, max_parallel))
-        self.backend_calls = 0
+        self._inflight: dict[tuple, _Flight] = {}
+        self._slots: queue.SimpleQueue[None] = queue.SimpleQueue()  # a token a slot; C, unlike Semaphore
+        for _ in range(max(1, max_parallel)):
+            self._slots.put(None)
+        self.backend_calls = 0  # settled calls; counted under the lock
 
     def close(self) -> None:
         """Close the response cache's append handle and the backend's
@@ -256,8 +279,12 @@ class SearchOracle:
             close_backend()
 
     def execute(self, query: OracleQuery) -> int | list[str]:
-        if self._cache is not None:
-            cached = self._cache.get(query)
+        cache = self._cache
+        # A call that settles after this read may fill the cache after the
+        # look below, so a caller that then leads looks again.
+        settled = self.backend_calls
+        if cache is not None:
+            cached = cache.get(query)
             if cached is not None:
                 return cached
         if self._backend is None:
@@ -266,33 +293,39 @@ class SearchOracle:
         key = query.cache_key()
         while True:
             with self._lock:
-                event = self._inflight.get(key)
-                if event is None:
-                    self._inflight[key] = threading.Event()
+                flight = self._inflight.get(key)
+                if flight is None:
+                    if cache is not None and self.backend_calls != settled:
+                        cached = cache.get(query)
+                        if cached is not None:
+                            return cached
+                    flight = self._inflight[key] = _Flight()
                     break
-            event.wait()
-            if self._cache is not None:
-                cached = self._cache.get(query)
-                if cached is not None:
-                    return cached
-            # The other caller failed; take over the slot.
+            with flight.lock:  # released once the leader's call has settled
+                pass
+            if flight.value is not None:
+                return flight.value
+            # The leader failed; take over.
 
         try:
-            with self._lock:
-                self.backend_calls += 1
-            with self._slots:
+            self._slots.get()
+            try:
                 value = self._backend.execute(query)
+            finally:
+                self._slots.put(None)
             if isinstance(value, list):  # hits, kept as their texts; a str has none
                 value = [getattr(hit, "text", None) for hit in value]
             if not is_answer(query.kind, value):
                 raise OracleError(f"backend answered {query.kind.value} with {type(value).__name__}")
-            if self._cache is not None:
-                self._cache.put(query, value)
+            if cache is not None:
+                cache.put(query, value)
+            flight.value = value
             return value
         finally:
             with self._lock:
-                done = self._inflight.pop(key)
-            done.set()
+                self.backend_calls += 1
+                del self._inflight[key]
+            flight.lock.release()
 
     def phrase_count(self, query: str) -> int:
         return self.execute(OracleQuery(QueryKind.PHRASE_COUNT, (query,)))

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import lexiforge.cli as cli
 
-from test_cli import run, translate_args
+from test_cli import DATA, run, translate_args
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_hooks_resolve_and_fire(tmp_path, capsys, monkeypatch):
+def traced_run(argv, capsys, monkeypatch):
+    """Run the CLI under the benchmark's tracer; its per-layer metrics."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import run_pass
     import tracing
@@ -19,14 +20,18 @@ def test_benchmark_hooks_resolve_and_fire(tmp_path, capsys, monkeypatch):
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        code, _, _ = run(translate_args(tmp_path / "run"), capsys)
+        code, _, _ = run(argv, capsys)
     finally:
         tracer.restore()
 
     assert code == 0
     assert tracer.absent == {}
     assert all(hasattr(cli, name) for name in run_pass.SETUP_NAMES)
-    metrics = tracing.layer_metrics(tracer)
+    return tracing.layer_metrics(tracer)
+
+
+def test_benchmark_hooks_resolve_and_fire(tmp_path, capsys, monkeypatch):
+    metrics = traced_run(translate_args(tmp_path / "run"), capsys, monkeypatch)
     for name in (
         "phase1.units",
         "phase2.worlds_built",
@@ -36,6 +41,17 @@ def test_benchmark_hooks_resolve_and_fire(tmp_path, capsys, monkeypatch):
         "tagging.tokens",
     ):
         assert metrics[name] > 0, name
+
+
+def test_benchmark_hooks_fire_on_the_miss_path(tmp_path, capsys, monkeypatch):
+    # A cold run against the local index: every backend answer is put in the cache.
+    argv = translate_args(tmp_path / "run")
+    argv[argv.index("--offline")] = "--backend=local"
+    argv[argv.index("--cache") + 1] = str(tmp_path / "run.cache")
+    metrics = traced_run([*argv, "--docs", str(DATA / "docs.jsonl")], capsys, monkeypatch)
+    for name in ("oracle.cache.puts", "backends.calls", "backends.index_build_s"):
+        assert metrics[name] > 0, name
+    assert metrics["oracle.cache.puts"] == metrics["backends.calls"]
 
 
 def test_local_index_snippet_hits_carry_text_and_doc_id():

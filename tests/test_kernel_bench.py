@@ -1,5 +1,6 @@
 """Micro-benchmarks of the hot kernels (pytest-benchmark): corpus parsing,
-index building and lookups, cache appends and lexical-world building.
+index building and lookups, cache appends, oracle misses and
+lexical-world building.
 
 Few rounds each, so they add well under a second to the suite; the
 end-to-end numbers come from ``perfbench/run.py``.
@@ -69,6 +70,21 @@ def test_bench_thousand_cache_puts(benchmark, tmp_path):
 
     cache = benchmark.pedantic(put_all, setup=fresh_cache, rounds=3)
     assert len(ResponseCache(cache.path)) == 1_000
+
+
+def test_bench_thousand_oracle_misses(benchmark, tmp_path):
+    queries = [OracleQuery(QueryKind.PHRASE_COUNT, (f"phrase {i}",)) for i in range(1_000)]
+    paths = iter(tmp_path / f"run{i}.cache" for i in range(100))
+
+    def fresh_oracle():
+        return (SearchOracle(FakeBackend(default_count=3), ResponseCache(next(paths))),), {}
+
+    def miss_all(oracle):
+        answers = [oracle.execute(query) for query in queries]
+        oracle.close()
+        return answers
+
+    assert benchmark.pedantic(miss_all, setup=fresh_oracle, rounds=3) == [3] * 1_000
 
 
 def test_bench_world_from_thousand_snippets(benchmark):

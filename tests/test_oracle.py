@@ -1,6 +1,8 @@
 import email.utils
 import json
 import logging
+import random
+import sys
 import tempfile
 import threading
 import time
@@ -24,6 +26,7 @@ from lexiforge.oracle import (
     QueryKind,
     ResponseCache,
     SearchOracle,
+    _format_record,
     split_or_query,
 )
 
@@ -414,6 +417,40 @@ def test_snippet_texts_survive_put_reload_and_compact(texts):
         assert ResponseCache(path).get(query) == texts
 
 
+SPECIAL_TEXTS = ["café", '"', "\\", "a\tb", "a\nb", "\u2028", 'é "q" \\ \t\n\u2028 ü']
+kinds_and_answers = st.one_of(
+    st.tuples(
+        st.sampled_from([QueryKind.PHRASE_COUNT, QueryKind.PAIR_COUNT]),
+        st.integers(min_value=0) | st.sampled_from([0, 10**40]),
+    ),
+    st.tuples(
+        st.sampled_from([QueryKind.SNIPPETS, QueryKind.MIXED_SNIPPETS]),
+        st.lists(st.text(min_size=1) | st.sampled_from(SPECIAL_TEXTS), max_size=5),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinds_and_answers, st.lists(st.text("abé ", min_size=1), min_size=2, max_size=2))
+def test_cache_record_bytes_match_json_dumps_and_reload(kind_and_answer, phrases):
+    # Caches written before and after the shared encoder stay interchangeable.
+    kind, answer = kind_and_answer
+    if kind is QueryKind.PAIR_COUNT:
+        query = OracleQuery(kind, tuple(phrases))
+    else:
+        query = OracleQuery(kind, (phrases[0],), "en" if kind is QueryKind.MIXED_SNIPPETS else None,
+                            None if kind is QueryKind.PHRASE_COUNT else 5)
+    key = query.cache_key()
+    p2 = key[1][1] if len(key[1]) > 1 else ""
+    layout = [key[0], key[1][0], p2, key[2], key[3], json.dumps(answer, ensure_ascii=False)]
+    record = _format_record(key, answer)
+    assert record == "\t".join(layout) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cache"
+        path.write_bytes(record.encode("utf-8"))
+        assert ResponseCache(path).get(query) == answer
+
+
 def test_last_write_wins(tmp_path):
     path = tmp_path / "run.cache"
     q = OracleQuery(QueryKind.PHRASE_COUNT, ("phrase",))
@@ -516,35 +553,160 @@ def test_backend_parallelism_is_bounded(tmp_path):
         threading.Thread(target=lambda i=i: oracle.phrase_count(f"distinct {i}"))
         for i in range(10)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    start_and_join(threads)
     assert backend.peak <= 2
 
 
-def test_concurrent_identical_queries_deduplicated(tmp_path):
-    class SlowBackend(FakeBackend):
-        def execute(self, query):
-            import time
-
-            time.sleep(0.02)
-            return super().execute(query)
-
-    backend = SlowBackend(default_count=9)
-    oracle = SearchOracle(backend, ResponseCache(tmp_path / "c"))
-    results = []
-    threads = [
-        threading.Thread(target=lambda: results.append(oracle.phrase_count("same query")))
-        for _ in range(8)
-    ]
+def start_and_join(threads, timeout=30.0):
+    """Run the threads; a thread still alive at the deadline (a deadlocked
+    hand-off, say) fails the test instead of hanging the suite."""
     for t in threads:
         t.start()
+    deadline = time.monotonic() + timeout
     for t in threads:
-        t.join()
+        t.join(max(0.0, deadline - time.monotonic()))
+    assert not any(t.is_alive() for t in threads)
+
+
+class SlowBackend(FakeBackend):
+    """A FakeBackend whose every call takes ``delay`` seconds; its call
+    count is kept under a lock, since threads call it at once."""
+
+    def __init__(self, default_count=None, delay=0.02):
+        super().__init__(default_count)
+        self.delay = delay
+        self.gate = threading.Lock()
+
+    def execute(self, query):
+        time.sleep(self.delay)
+        with self.gate:
+            return super().execute(query)
+
+
+def ask_together(oracle, phrase, n):
+    """``n`` threads ask ``phrase`` at once; their answers, or the
+    OracleErrors they raised."""
+    barrier = threading.Barrier(n)
+    results = []
+
+    def ask():
+        barrier.wait()
+        try:
+            results.append(oracle.phrase_count(phrase))
+        except OracleError as exc:
+            results.append(exc)
+
+    start_and_join([threading.Thread(target=ask) for _ in range(n)])
+    return results
+
+
+def test_concurrent_identical_queries_deduplicated(tmp_path):
+    backend = SlowBackend(default_count=9)
+    oracle = SearchOracle(backend, ResponseCache(tmp_path / "c"))
+    results = ask_together(oracle, "same query", 8)
     oracle.close()
     assert results == [9] * 8
     assert backend.calls == 1
+
+
+def test_concurrent_identical_queries_share_one_call_without_a_cache():
+    backend = SlowBackend(default_count=9, delay=0.2)
+    results = ask_together(SearchOracle(backend, None), "same query", 8)
+    assert results == [9] * 8
+    assert backend.calls == 1
+
+
+def test_caller_missing_the_cache_as_the_leader_settles_asks_no_second_time(tmp_path):
+    # The late caller's cache look misses; then the leader puts its answer
+    # and settles before the late caller reaches the in-flight table.
+    asking, answer, missed, settled = (threading.Event() for _ in range(4))
+
+    class Blocking(FakeBackend):
+        def execute(self, query):
+            asking.set()
+            answer.wait(10)
+            return super().execute(query)
+
+    class PausingCache(ResponseCache):
+        def get(self, query):
+            value = super().get(query)
+            if threading.current_thread().name == "late":
+                missed.set()
+                settled.wait(10)
+            return value
+
+    backend = Blocking(default_count=9)
+    oracle = SearchOracle(backend, PausingCache(tmp_path / "c"))
+    results = []
+    leader = threading.Thread(target=oracle.phrase_count, args=("q",))
+    late = threading.Thread(target=lambda: results.append(oracle.phrase_count("q")), name="late")
+    leader.start()
+    assert asking.wait(10)
+    late.start()
+    assert missed.wait(10)
+    answer.set()
+    leader.join(10)
+    assert not leader.is_alive()
+    settled.set()
+    late.join(10)
+    assert not late.is_alive()
+    oracle.close()
+    assert results == [9]
+    assert backend.calls == 1
+
+
+def test_failed_leader_is_replaced_by_exactly_one_waiter(tmp_path):
+    class FailsFirst(SlowBackend):
+        def execute(self, query):
+            if self.calls == 0:
+                time.sleep(0.2)  # the other callers queue up behind this call
+                self.calls += 1
+                raise OracleError("first call fails")
+            return super().execute(query)
+
+    backend = FailsFirst(default_count=9, delay=0.01)
+    oracle = SearchOracle(backend, ResponseCache(tmp_path / "c"), max_parallel=8)
+    results = ask_together(oracle, "same query", 8)
+    oracle.close()
+    assert backend.calls == 2
+    assert len([r for r in results if isinstance(r, OracleError)]) == 1
+    assert [r for r in results if not isinstance(r, OracleError)] == [9] * 7
+
+
+def test_many_threads_many_keys_one_backend_call_each(tmp_path):
+    # 16 threads (more than the cores) ask 50 keys in their own orders,
+    # switching threads as often as the interpreter allows.
+    keys = [f"key {i}" for i in range(50)]
+    counter_lock = threading.Lock()
+    per_key = {}
+
+    class Counting(FakeBackend):
+        def execute(self, query):
+            with counter_lock:
+                per_key[query.phrases[0]] = per_key.get(query.phrases[0], 0) + 1
+            time.sleep(0.001)
+            return int(query.phrases[0].split()[1])
+
+    oracle = SearchOracle(Counting(), ResponseCache(tmp_path / "c"), max_parallel=4)
+    wrong = []
+
+    def ask(seed):
+        order = keys[:]
+        random.Random(seed).shuffle(order)
+        for key in order:
+            answer = oracle.phrase_count(key)
+            if answer != int(key.split()[1]):
+                wrong.append((key, answer))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start_and_join([threading.Thread(target=ask, args=(seed,)) for seed in range(16)], timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    oracle.close()
+    assert wrong == []
+    assert per_key == dict.fromkeys(keys, 1)
 
 
 class StubResponse:
