@@ -372,10 +372,10 @@ def record_and_verify():
         with open(DATA_DIR / "ulcs.tsv", "w", encoding="utf-8") as fh:
             write_ulcs(kept, fh)
 
-        report = run_pipeline(kept, build_world_context(cfg, oracle, dictionary))
+        records = run_pipeline(kept, build_world_context(cfg, oracle, dictionary))
 
         failures = []
-        for record in report.records:
+        for record in records:
             expected_phase, expected_translation = EXPECTED[record.source.surface]
             actual = (record.phase.value, record.translation)
             if actual != (expected_phase, expected_translation):
@@ -386,7 +386,7 @@ def record_and_verify():
             sys.exit("FIXTURE VERIFICATION FAILED:\n" + "\n".join(failures))
 
         gold_lines = []
-        for record in report.records:
+        for record in records:
             if record.translation is not None:
                 grade = GOLD_GRADES.get(record.translation, "A")
                 gold_lines.append(f"{record.source.surface}\t{record.translation}\t{grade}")

@@ -19,7 +19,7 @@ from lexiforge.config import load_config
 from lexiforge.corpus import parse_tagged_corpus
 from lexiforge.dictionary import load_dictionary
 from lexiforge.extraction import extract_ulcs, filter_ulcs
-from lexiforge.pipeline import run_pipeline, write_report
+from lexiforge.pipeline import run_pipeline, summarize, write_report
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -50,24 +50,21 @@ def main():
         print(f"web frequency filter: {len(kept)} kept, {len(units) - len(kept)} rejected")
 
         start = time.perf_counter()
-        report = run_pipeline(kept, build_world_context(cfg, oracle, dictionary))
+        records = run_pipeline(kept, build_world_context(cfg, oracle, dictionary))
         elapsed = time.perf_counter() - start
     finally:
         oracle.close()
     print(f"\ncascade finished in {elapsed:.2f}s ({oracle.backend_calls} backend calls)\n")
 
-    for record in report.records:
+    for record in records:
         translation = record.translation or "-"
         print(f"  {record.source.surface:28s} {record.phase.value:15s} {translation}")
 
-    summary = report.summary_phase_counts()
-    translated = len(report.translated())
-    print(f"\ntranslated {translated}/{len(report.records)}")
-    for phase in ("phase1", "phase2", "phase3"):
-        share = 100.0 * summary[phase] / translated if translated else 0.0
-        print(f"  {phase}: {summary[phase]} ({share:.1f}%)")
+    print()
+    for label, count in summarize(records).items():
+        print(" ", *label.split("\t"), count)
 
-    lexicon, summary_file = write_report(report, out_dir)
+    lexicon, summary_file = write_report(records, out_dir)
     print(f"\nlexicon -> {lexicon}\nsummary -> {summary_file}")
 
     # offline replay from the cache written above
@@ -76,9 +73,7 @@ def main():
         replay = run_pipeline(kept, build_world_context(cfg, replay_oracle, dictionary))
     finally:
         replay_oracle.close()
-    identical = [
-        (r.source.surface, r.translation, r.phase) for r in replay.records
-    ] == [(r.source.surface, r.translation, r.phase) for r in report.records]
+    identical = replay == records
     print(f"offline cache replay identical: {identical} (0 backend calls: {replay_oracle.backend_calls == 0})")
 
 

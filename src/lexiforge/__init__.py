@@ -5,7 +5,7 @@ from .dictionary import BilingualDictionary, Route, load_dictionary, route_ulc
 from .extraction import SourceUlc, UlcPattern, extract_ulcs, web_filter_ulc
 from .generation import CandidateTranslation, TranslationRule, build_validation_query, generate_candidates
 from .oracle import OracleError, OracleQuery, QueryKind, ResponseCache, SearchOracle
-from .pipeline import Phase, TranslationRecord, TranslationReport, run_pipeline, write_report
+from .pipeline import Phase, TranslationRecord, run_pipeline, summarize, write_report
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "TaggedToken",
     "Tagset",
     "TranslationRecord",
-    "TranslationReport",
     "TranslationRule",
     "UlcPattern",
     "build_validation_query",
@@ -35,6 +34,7 @@ __all__ = [
     "phrase_frequency",
     "route_ulc",
     "run_pipeline",
+    "summarize",
     "web_filter_ulc",
     "write_report",
     "__version__",

@@ -20,7 +20,7 @@ from .corpus import Tagset, parse_tagged_corpus
 from .dictionary import load_dictionary, route_ulc
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
 from .oracle import ResponseCache, SearchOracle
-from .pipeline import read_lexicon, run_pipeline, write_report
+from .pipeline import read_lexicon, run_pipeline, summarize, write_report
 from .evaluation import GoldError, compute_metrics, format_metrics, load_gold
 from .phase2 import WorldContext, build_lexical_world, write_world
 from .tagging import LexiconTagger, default_tagger, load_stopwords
@@ -132,23 +132,23 @@ def cmd_translate(args: argparse.Namespace) -> int:
     oracle = build_oracle(cfg)
     try:
         ctx = build_world_context(cfg, oracle, dictionary)
-        report = run_pipeline(units, ctx)
+        records = run_pipeline(units, ctx)
     finally:
         oracle.close()
-    lexicon_path, summary_path = write_report(report, cfg.output_dir)
-    translated = len(report.translated())
-    print(f"{translated}/{len(report.records)} units translated -> {lexicon_path}")
+    lexicon_path, summary_path = write_report(records, cfg.output_dir)
+    summary = summarize(records)
+    print(f"{summary['translated']}/{summary['total_units']} units translated -> {lexicon_path}")
     print(f"summary -> {summary_path}")
-    if report.unresolved_count():
-        print(f"{report.unresolved_count()} units unresolved at the oracle", file=sys.stderr)
+    if summary["unresolved_oracle"]:
+        print(f"{summary['unresolved_oracle']} units unresolved at the oracle", file=sys.stderr)
         return EXIT_UNRESOLVED
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = load_gold(_require_file(args.gold, "gold file"))
-    report = read_lexicon(_require_file(args.lexicon, "lexicon file"))
-    sys.stdout.write(format_metrics(compute_metrics(report, gold, args.total_sources)))
+    rows = read_lexicon(_require_file(args.lexicon, "lexicon file"))
+    sys.stdout.write(format_metrics(compute_metrics(rows, gold, args.total_sources)))
     return EXIT_OK
 
 

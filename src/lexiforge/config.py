@@ -131,7 +131,6 @@ KEY_MAP = {
     "phase2.world_size": "world_size",
     "phase2.noun_jaccard_min": "noun_jaccard_min",
     "phase2.adj_jaccard_min": "adj_jaccard_min",
-    "phase2.pair_top_k": "pair_top_k",
     "phase3.snippet_limit": "phase3_snippet_limit",
     "phase3.min_pair_freq": "min_pair_freq",
     "phase3.top_pairs": "top_pairs",
@@ -171,7 +170,6 @@ class RunConfig:
     world_size: int = 50
     noun_jaccard_min: float = 0.05
     adj_jaccard_min: float = 0.05
-    pair_top_k: int | None = None
 
     phase3_snippet_limit: int = 1_000
     min_pair_freq: int = 2
@@ -223,7 +221,7 @@ def _check(attr: str, value: object) -> None:
 
 
 def _coerce(attr: str, raw: str):
-    if attr in ("max_ulcs", "pair_top_k"):
+    if attr == "max_ulcs":
         return None if raw.lower() in ("", "none", "off") else int(raw)
     current_type = type(getattr(_DEFAULTS, attr))
     if current_type is bool:

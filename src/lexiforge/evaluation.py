@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, TextIO
+from typing import Mapping, Sequence, TextIO
 
 from .config import InputError, read_rows
-from .pipeline import TranslationReport
+from .pipeline import Phase
 
 GRADES = ("A", "B", "C")
 
 
 class GoldError(ValueError):
-    """A gold file that does not cover a report, or a bad source total."""
+    """A gold file that does not cover a lexicon, or a bad source total."""
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,20 @@ def load_gold(source: TextIO | str | Path) -> dict[tuple[str, str], str]:
 
 
 def compute_metrics(
-    report: TranslationReport,
+    rows: Sequence[tuple[str, str | None, Phase]],
     gold: Mapping[tuple[str, str], str],
     total_sources: int | None = None,
 ) -> Metrics:
-    """Precision/recall plus per-grade and per-phase breakdowns.
+    """Precision/recall plus per-grade and per-phase breakdowns of a
+    lexicon's ``(surface, translation, phase)`` rows (``read_lexicon``).
 
-    Every translated record must have a grade for its exact (source,
+    Every translated row must have a grade for its exact (source,
     translation) pair; missing pairs raise GoldError listing them all. A
     given ``total_sources`` must be at least the number of acceptable
     translations, so that recall stays within [0, 1].
     """
-    translated = report.translated()
-    missing = [
-        (r.source.surface, r.translation)
-        for r in translated
-        if (r.source.surface, r.translation) not in gold
-    ]
+    translated = [row for row in rows if row[1] is not None]
+    missing = [(s, t) for s, t, _ in translated if (s, t) not in gold]
     if missing:
         listed = ", ".join(f"{s!r}/{t!r}" for s, t in missing[:20])
         more = "" if len(missing) <= 20 else f" (+{len(missing) - 20} more)"
@@ -69,15 +66,15 @@ def compute_metrics(
 
     grade_counts = {g: 0 for g in GRADES}
     per_phase: dict[str, int] = {}
-    for record in translated:
-        grade = gold[(record.source.surface, record.translation)]
+    for surface, translation, phase in translated:
+        grade = gold[(surface, translation)]
         grade_counts[grade] += 1
         if grade in ("A", "B"):
-            per_phase[record.phase.value] = per_phase.get(record.phase.value, 0) + 1
+            per_phase[phase.value] = per_phase.get(phase.value, 0) + 1
 
     acceptable = grade_counts["A"] + grade_counts["B"]
     if total_sources is None:
-        total_sources = len(report.records)
+        total_sources = len(rows)
     elif total_sources < acceptable:  # also every negative total
         raise GoldError(
             f"total sources {total_sources} is below the {acceptable} acceptable translations"
@@ -89,7 +86,7 @@ def compute_metrics(
 def metrics_from_grades(
     grade_counts: Mapping[str, int], total_sources: int
 ) -> tuple[float, float]:
-    """Precision and recall straight from grade counts (no report needed)."""
+    """Precision and recall straight from grade counts (no lexicon needed)."""
     translated = sum(grade_counts.get(g, 0) for g in GRADES)
     acceptable = grade_counts.get("A", 0) + grade_counts.get("B", 0)
     precision = acceptable / translated if translated else 0.0

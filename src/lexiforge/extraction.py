@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 
 from .config import InputError, read_rows
 from .corpus import Sentence, TaggedCorpus
-from .oracle import OracleError, SearchOracle
+from .oracle import OracleError, SearchOracle, is_count
 
 DE_SURFACES = {"de"}
 D_APOSTROPHE_SURFACES = {"d'", "d’"}
@@ -222,15 +222,10 @@ def read_ulcs(source: TextIO | str | Path) -> list[SourceUlc]:
     for path, lineno, fields in read_rows(source, 7):
         head, modifier, pattern, surface, freq, literal, article = fields
         try:
-            unit = SourceUlc(
-                head,
-                modifier,
-                UlcPattern(pattern),
-                surface,
-                int(freq),
-                None if literal == "-" else int(literal),
-                None if article == "-" else int(article),
-            )
+            counts = [int(freq), *(None if c == "-" else int(c) for c in (literal, article))]
+            if not all(c is None or is_count(c) for c in counts):
+                raise ValueError(f"counts must be non-negative and fit a float: {freq} {literal} {article}")
+            unit = SourceUlc(head, modifier, UlcPattern(pattern), surface, *counts)
         except ValueError as exc:
             raise InputError(path, lineno, str(exc)) from None
         units.append(unit)

@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import queue
+import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -88,8 +89,9 @@ class Backend(Protocol):
 
 
 def is_count(value: object) -> bool:
-    """A hit count: a non-negative int; JSON ``true`` is not one."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    """A hit count: a non-negative int that a float can hold, since the
+    phases score with ``float(count)``; JSON ``true`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= sys.float_info.max
 
 
 def is_answer(kind: QueryKind, value: object) -> bool:

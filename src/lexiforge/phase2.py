@@ -105,22 +105,12 @@ def parallel_pair_filter(
     source_surface: str,
     candidates: Sequence[CandidateTranslation],
     oracle: SearchOracle,
-    top_k: int | None,
 ) -> list[CandidateTranslation]:
-    """Keep candidates whose (source, candidate) pair shares a document,
-    optionally only the ``top_k`` with the most shared documents. Every
-    candidate's pair count is asked; an ``OracleError`` propagates."""
-    survivors = _keep_counted(
+    """Keep candidates whose (source, candidate) pair shares a document.
+    Every candidate's pair count is asked; an ``OracleError`` propagates."""
+    return _keep_counted(
         candidates, lambda target: oracle.pair_count(source_surface, target), "pair_count", 1
     )
-    if top_k is not None and top_k > 0:
-        ranked = sorted(
-            survivors,
-            key=lambda c: (-c.scores["pair_count"], c.target_surface),
-        )
-        keep = {id(c) for c in ranked[:top_k]}
-        survivors = [c for c in survivors if id(c) in keep]
-    return survivors
 
 
 def ratio_filter(
@@ -261,9 +251,7 @@ def run_phase2(
     ``ctx.cfg``. The unit is decided on every candidate's evidence: an
     ``OracleError`` from any query propagates to the caller."""
     oracle, cfg = ctx.oracle, ctx.cfg
-    pair_survivors = parallel_pair_filter(
-        ulc.surface, candidates, oracle, cfg.pair_top_k
-    )
+    pair_survivors = parallel_pair_filter(ulc.surface, candidates, oracle)
 
     ratio_survivors: list[CandidateTranslation] = []
     scored: list[tuple[CandidateTranslation, WorldSimilarity]] = []

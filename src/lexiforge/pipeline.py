@@ -13,6 +13,7 @@ share one ``WorldContext`` and read every setting from its ``cfg``, a
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +39,22 @@ class Phase(enum.Enum):
     UNRESOLVED_ORACLE = "UNRESOLVED_ORACLE"
 
 
-TERMINAL_WITHOUT_TRANSLATION = {Phase.UNTRANSLATED, Phase.UNRESOLVED_ORACLE}
+# The paper phase ``summary.tsv`` counts each translating state under:
+# dictionary hits where ``translate --phase`` puts them, both mining steps
+# under phase 3. UNTRANSLATED and UNRESOLVED_ORACLE carry no translation.
+PAPER_PHASE = {
+    Phase.DICTIONARY: Route.DICTIONARY.phase,
+    Phase.PHASE1: 1,
+    Phase.PHASE2: 2,
+    Phase.PHASE3_COGNATE: 3,
+    Phase.PHASE3_PAIR: 3,
+}
+
+
+def check_translation(surface: str, translation: str | None, phase: Phase) -> None:
+    """Raise ValueError unless exactly the translating states carry a translation."""
+    if (translation is not None) != (phase in PAPER_PHASE):
+        raise ValueError(f"translation/phase mismatch for {surface!r}")
 
 
 @dataclass(frozen=True)
@@ -49,44 +65,7 @@ class TranslationRecord:
     scores: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        has_translation = self.translation is not None
-        if has_translation == (self.phase in TERMINAL_WITHOUT_TRANSLATION):
-            raise ValueError(f"translation/phase mismatch for {self.source.surface!r}")
-
-
-@dataclass
-class TranslationReport:
-    records: list[TranslationRecord]
-
-    def phase_counts(self) -> dict[Phase, int]:
-        counts = {phase: 0 for phase in Phase}
-        for record in self.records:
-            counts[record.phase] += 1
-        return counts
-
-    def pattern_counts(self) -> dict[UlcPattern, int]:
-        counts = {pattern: 0 for pattern in UlcPattern}
-        for record in self.records:
-            counts[record.source.pattern] += 1
-        return counts
-
-    def translated(self) -> list[TranslationRecord]:
-        return [r for r in self.records if r.translation is not None]
-
-    def unresolved_count(self) -> int:
-        return sum(1 for r in self.records if r.phase is Phase.UNRESOLVED_ORACLE)
-
-    def summary_phase_counts(self) -> dict[str, int]:
-        """Per-phase translation counts with dictionary hits folded into
-        phase 1 and the two mining sub-steps folded into phase 3."""
-        counts = self.phase_counts()
-        return {
-            "phase1": counts[Phase.DICTIONARY] + counts[Phase.PHASE1],
-            "phase2": counts[Phase.PHASE2],
-            "phase3": counts[Phase.PHASE3_COGNATE] + counts[Phase.PHASE3_PAIR],
-            "untranslated": counts[Phase.UNTRANSLATED],
-            "unresolved": counts[Phase.UNRESOLVED_ORACLE],
-        }
+        check_translation(self.source.surface, self.translation, self.phase)
 
 
 def _record_for_winner(
@@ -132,7 +111,7 @@ def translate_ulc(ulc: SourceUlc, ctx: WorldContext) -> TranslationRecord:
         return TranslationRecord(ulc, None, Phase.UNRESOLVED_ORACLE)
 
 
-def run_pipeline(ulcs: Sequence[SourceUlc], ctx: WorldContext) -> TranslationReport:
+def run_pipeline(ulcs: Sequence[SourceUlc], ctx: WorldContext) -> list[TranslationRecord]:
     """Translate every unit, ``pipeline.workers`` at a time; records come
     back ordered by source surface regardless of scheduling, so warm-cache
     runs are reproducible."""
@@ -143,7 +122,7 @@ def run_pipeline(ulcs: Sequence[SourceUlc], ctx: WorldContext) -> TranslationRep
     else:
         records = [translate_ulc(u, ctx) for u in ulcs]
     records.sort(key=lambda r: (r.source.surface, r.source.pattern.value))
-    return TranslationReport(records)
+    return records
 
 
 def _format_score(value: float) -> str:
@@ -158,10 +137,26 @@ def _score_summary(scores: dict[str, float]) -> str:
     return ";".join(f"{key}={_format_score(scores[key])}" for key in sorted(scores))
 
 
-def write_report(report: TranslationReport, out_dir: str | Path) -> tuple[Path, Path]:
+def summarize(records: Sequence[TranslationRecord]) -> dict[str, int]:
+    """The counts of ``summary.tsv`` in file order, keyed by the fields
+    before the count on each row."""
+    phases = Counter(r.phase for r in records)
+    paper = Counter(PAPER_PHASE[r.phase] for r in records if r.translation is not None)
+    patterns = Counter(r.source.pattern for r in records)
+    return {
+        "total_units": len(records),
+        "translated": sum(paper.values()),
+        **{f"phase\tphase{n}": paper[n] for n in (1, 2, 3)},
+        "untranslated": phases[Phase.UNTRANSLATED],
+        "unresolved_oracle": phases[Phase.UNRESOLVED_ORACLE],
+        **{f"pattern\t{pattern.value}": patterns[pattern] for pattern in UlcPattern},
+    }
+
+
+def write_report(records: Sequence[TranslationRecord], out_dir: str | Path) -> tuple[Path, Path]:
     """Write the lexicon and summary files; returns their paths.
 
-    Output is fully deterministic for a given report, so re-runs against a
+    Output is fully deterministic for given records, so re-runs against a
     warm cache produce byte-identical files.
     """
     out_dir = Path(out_dir)
@@ -170,7 +165,7 @@ def write_report(report: TranslationReport, out_dir: str | Path) -> tuple[Path, 
     summary_path = out_dir / "summary.tsv"
 
     with open(lexicon_path, "w", encoding="utf-8") as fh:
-        for record in report.records:
+        for record in records:
             fh.write(
                 "\t".join(
                     [
@@ -183,43 +178,27 @@ def write_report(report: TranslationReport, out_dir: str | Path) -> tuple[Path, 
                 + "\n"
             )
 
-    translated = len(report.translated())
-    summary = report.summary_phase_counts()
+    summary = summarize(records)
+    translated = summary["translated"]
     with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(f"total_units\t{len(report.records)}\n")
-        fh.write(f"translated\t{translated}\n")
-        for phase_name in ("phase1", "phase2", "phase3"):
-            count = summary[phase_name]
-            share = (100.0 * count / translated) if translated else 0.0
-            fh.write(f"phase\t{phase_name}\t{count}\t{share:.2f}%\n")
-        fh.write(f"untranslated\t{summary['untranslated']}\n")
-        fh.write(f"unresolved_oracle\t{summary['unresolved']}\n")
-        pattern_counts = report.pattern_counts()
-        for pattern in UlcPattern:
-            fh.write(f"pattern\t{pattern.value}\t{pattern_counts[pattern]}\n")
+        for label, count in summary.items():
+            if label.startswith("phase\t"):
+                share = (100.0 * count / translated) if translated else 0.0
+                fh.write(f"{label}\t{count}\t{share:.2f}%\n")
+            else:
+                fh.write(f"{label}\t{count}\n")
     return lexicon_path, summary_path
 
 
-def _ulc_from_surface(surface: str) -> SourceUlc:
-    if " de " in surface:
-        head, _, modifier = surface.partition(" de ")
-        pattern = UlcPattern.NOUN_DE_NOUN
-    elif "d'" in surface or "d’" in surface:
-        head, _, modifier = surface.replace("d’", "d'").partition(" d'")
-        pattern = UlcPattern.NOUN_D_NOUN
-    else:
-        head, _, modifier = surface.partition(" ")
-        pattern = UlcPattern.NOUN_ADJ
-    return SourceUlc(head or surface, modifier or surface, pattern, surface)
-
-
-def read_lexicon(path: str | Path) -> TranslationReport:
-    """Load a written lexicon back into a report, e.g. for evaluation."""
-    records = []
-    for path, lineno, (surface, translation, phase, _scores) in read_rows(path, 4):
+def read_lexicon(path: str | Path) -> list[tuple[str, str | None, Phase]]:
+    """The ``(surface, translation, phase)`` rows of a written lexicon, e.g.
+    for evaluation; the score column is not read."""
+    rows = []
+    for path, lineno, (surface, translation, state, _scores) in read_rows(path, 4):
         try:
-            record = TranslationRecord(_ulc_from_surface(surface), translation or None, Phase(phase))
+            row = (surface, translation or None, Phase(state))
+            check_translation(*row)
         except ValueError as exc:
             raise InputError(path, lineno, str(exc)) from None
-        records.append(record)
-    return TranslationReport(records)
+        rows.append(row)
+    return rows

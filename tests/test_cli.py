@@ -116,6 +116,20 @@ def test_translate_phase_restriction(tmp_path, capsys):
     }
 
 
+def test_translate_phase_1_keeps_the_dictionary_units(tmp_path, capsys):
+    # A stored translation counts as phase 1, in --phase as in summary.tsv.
+    code, _, _ = run(translate_args(tmp_path / "p1", ["--phase", "1"]), capsys)
+    assert code == 0
+    lines = (tmp_path / "p1" / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if "\tDICTIONARY\t" in line] == [
+        "caisse claire\tsnare drum\tDICTIONARY\t-",
+        "pomme de terre\tpotato\tDICTIONARY\t-",
+    ]
+    # ... so these units give all 7 phase-1 translations of the full run
+    summary = (tmp_path / "p1" / "summary.tsv").read_text(encoding="utf-8")
+    assert "phase\tphase1\t7\t" in summary
+
+
 def test_phase_runs_partition_the_full_run(tmp_path, capsys):
     assert run(translate_args(tmp_path / "all"), capsys)[0] == 0
     full = (tmp_path / "all" / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
@@ -441,7 +455,12 @@ def test_config_value_of_wrong_type_exits_2_with_line_number(tmp_path, capsys, l
 
 @pytest.mark.parametrize(
     "bad_line",
-    ["caisse claire\tsnare drum\tDICTIONARY", "caisse claire\tsnare drum\tPHASE9\t-"],
+    [
+        "caisse claire\tsnare drum\tDICTIONARY",
+        "caisse claire\tsnare drum\tPHASE9\t-",
+        "caisse claire\tsnare drum\tUNTRANSLATED\t-",
+        "caisse claire\t\tPHASE1\t-",
+    ],
 )
 def test_lexicon_line_malformed_exits_2_with_line_number(tmp_path, capsys, bad_line):
     lexicon = tmp_path / "lexicon.tsv"
@@ -492,7 +511,6 @@ def test_each_setting_reaches_the_code_that_uses_it(tmp_path, capsys, monkeypatc
         "phase2.world_size = 7\n"
         "phase3.top_pairs = 4\n"
         "phase3.min_pair_freq = 3\n"
-        "phase2.pair_top_k = 2\n"
         "pipeline.workers = 1\n",
         encoding="utf-8",
     )
@@ -550,8 +568,9 @@ def test_each_setting_reaches_the_code_that_uses_it(tmp_path, capsys, monkeypatc
     assert limits == {QueryKind.SNIPPETS: {37}, QueryKind.MIXED_SNIPPETS: {23}}
     assert seen["worlds"]
     assert all(len(w.nouns) == 7 and len(w.adjectives) == 7 for w in seen["worlds"])
-    # three generated candidates and every mined list share documents; two are kept
-    assert seen["pair_survivors"] and all(len(s) == 2 for s in seen["pair_survivors"])
+    # every candidate shares a document, so the pair filter keeps all of
+    # them: the three generated ones and both mined lists
+    assert sorted(len(s) for s in seen["pair_survivors"]) == [2, 3, 4]
     assert sorted(len(pairs) for pairs in seen["mined"]) == [2, 4]
     assert all(c.evidence >= 3 for pairs in seen["mined"] for c in pairs)
 
@@ -631,6 +650,19 @@ def test_cache_record_that_is_not_utf8_is_skipped_with_a_warning(tmp_path, capsy
     assert [line.rsplit("\t", 1)[0] for line in produced] == golden
 
 
+def test_cache_count_too_large_for_a_float_is_skipped_with_a_warning(tmp_path, capsys, caplog):
+    cache = tmp_path / "e2e.cache"
+    huge = b"PAIR_COUNT\taccident grave\tserious accident\t-\t-\t" + b"9" * 400 + b"\n"
+    cache.write_bytes((DATA / "e2e.cache").read_bytes() + huge)
+    with caplog.at_level(logging.WARNING, logger="lexiforge.oracle"):
+        code, _, _ = run(replaced(translate_args(tmp_path / "run"), "--cache", cache), capsys)
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records] == [f"{cache}:161: skipping corrupt cache record"]
+    produced = (tmp_path / "run" / "lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    golden = (DATA / "golden_lexicon.tsv").read_text(encoding="utf-8").splitlines()
+    assert [line.rsplit("\t", 1)[0] for line in produced] == golden
+
+
 def lexicon_with_scores():
     """The golden lexicon as ``translate`` writes it, with a score column."""
     return b"".join(line + b"\t-\n" for line in (DATA / "golden_lexicon.tsv").read_bytes().splitlines())
@@ -656,13 +688,17 @@ INPUTS = {
 
 def corrupted(kind, how, line):
     """``line`` (bytes) of a ``kind`` input with one fault of kind ``how``:
-    a wrong field count, a byte that is not UTF-8, a bad integer or an
-    unknown tag, pattern, phase, grade or key; None where it does not apply."""
+    a wrong field count, a byte that is not UTF-8, a bad integer, its last
+    integer made negative, or an unknown tag, pattern, phase, grade or key;
+    None where it does not apply."""
     if how == "utf8":
         return line + b" caf\xe9"
     if how == "int":
         digits = re.search(rb"\d+", line)
         return None if digits is None else line[: digits.end()] + b"x" + line[digits.end() :]
+    if how == "negative":
+        digits = list(re.finditer(rb"\d+", line))
+        return None if not digits else line[: digits[-1].start()] + b"-" + line[digits[-1].start() :]
     if kind == "docs":
         return line[: len(line) // 2] if how == "fields" else None
     if kind == "config":
@@ -675,8 +711,13 @@ def corrupted(kind, how, line):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(sorted(INPUTS)), st.sampled_from(["fields", "utf8", "int", "tag"]), st.integers(0, 10_000))
+@given(
+    st.sampled_from(sorted(INPUTS)),
+    st.sampled_from(["fields", "utf8", "int", "negative", "tag"]),
+    st.integers(0, 10_000),
+)
 @example("source-tagger", "fields", 0)
+@example("units", "negative", 3)
 @example("gold", "fields", 0)
 @example("corpus", "fields", 0)
 def test_one_corrupt_input_line_exits_2_naming_it_or_runs(kind, how, pick):
@@ -700,3 +741,6 @@ def test_one_corrupt_input_line_exits_2_naming_it_or_runs(kind, how, pick):
     # the response cache skips such a record, so its query is re-issued.
     if how in ("fields", "utf8"):
         assert (code == 2) == (kind != "cache")
+    # A unit file's counts are non-negative; "-" is an unknown count.
+    if kind == "units" and how == "negative":
+        assert code == 2

@@ -64,7 +64,7 @@ def test_validate_rejects_negative_thresholds():
     cfg = RunConfig(backend="cache", cache_path="x", corpus_freq_min=-1)
     with pytest.raises(ConfigError, match="non-negative"):
         cfg.validate()
-    cfg = RunConfig(backend="cache", cache_path="x", pair_top_k=-3)
+    cfg = RunConfig(backend="cache", cache_path="x", max_ulcs=-3)
     with pytest.raises(ConfigError):
         cfg.validate()
 
@@ -85,10 +85,9 @@ def test_env_var_overrides_api_key(tmp_path, monkeypatch):
 
 
 def test_none_knobs_parse_off_values(tmp_path):
-    path = write_config(tmp_path, "extract.max_ulcs = off\nphase2.pair_top_k = none\n")
-    cfg = load_config(path)
-    assert cfg.max_ulcs is None
-    assert cfg.pair_top_k is None
+    for off in ("off", "none"):
+        cfg = load_config(write_config(tmp_path, f"extract.max_ulcs = {off}\n"))
+        assert cfg.max_ulcs is None
 
 
 def test_dump_reload_roundtrip(tmp_path):

@@ -11,10 +11,7 @@ from lexiforge.evaluation import (
     load_gold,
     metrics_from_grades,
 )
-from lexiforge.extraction import UlcPattern
-from lexiforge.pipeline import Phase, TranslationRecord, TranslationReport
-
-from conftest import make_ulc
+from lexiforge.pipeline import Phase
 
 # Published full-scale figures: 887 graded translations out of 1075 source
 # units, 89.29% A / 5.07% B / 5.64% C, precision 94.36%, recall 77.86%.
@@ -23,25 +20,25 @@ TOTAL_SOURCES = 1075
 GRADE_COUNTS = {"A": 792, "B": 45, "C": 50}  # nearest integers to the shares
 
 
-def record(i, phase=Phase.PHASE2, translation=None):
-    ulc = make_ulc(f"tête{i}", f"mot{i}", UlcPattern.NOUN_ADJ, f"tête{i} mot{i}")
-    return TranslationRecord(ulc, translation, phase)
+def row(i, phase=Phase.PHASE2, translation=None):
+    """A lexicon row as ``read_lexicon`` returns it."""
+    return (f"tête{i} mot{i}", translation, phase)
 
 
-def synthetic_report_and_gold():
-    records = []
+def synthetic_rows_and_gold():
+    rows = []
     gold = {}
     i = 0
     for grade, count in GRADE_COUNTS.items():
         for _ in range(count):
-            r = record(i, translation=f"word{i}")
-            records.append(r)
-            gold[(r.source.surface, r.translation)] = grade
+            r = row(i, translation=f"word{i}")
+            rows.append(r)
+            gold[r[:2]] = grade
             i += 1
     while i < TOTAL_SOURCES:
-        records.append(record(i, Phase.UNTRANSLATED))
+        rows.append(row(i, Phase.UNTRANSLATED))
         i += 1
-    return TranslationReport(records), gold
+    return rows, gold
 
 
 def test_grade_integers_reproduce_published_shares():
@@ -52,8 +49,8 @@ def test_grade_integers_reproduce_published_shares():
 
 
 def test_published_precision_and_recall():
-    report, gold = synthetic_report_and_gold()
-    metrics = compute_metrics(report, gold)
+    rows, gold = synthetic_rows_and_gold()
+    metrics = compute_metrics(rows, gold)
     assert metrics.translated == TOTAL_TRANSLATED
     assert metrics.total_sources == TOTAL_SOURCES
     assert 100 * metrics.precision == pytest.approx(94.36, abs=0.02)
@@ -62,39 +59,36 @@ def test_published_precision_and_recall():
 
 def test_recall_definition_cross_check():
     # recall = precision * (#translated / total sources), exactly
-    report, gold = synthetic_report_and_gold()
-    m = compute_metrics(report, gold)
+    rows, gold = synthetic_rows_and_gold()
+    m = compute_metrics(rows, gold)
     assert m.recall == pytest.approx(m.precision * m.translated / m.total_sources)
 
 
 def test_all_a_toy_report():
-    records = [record(i, translation=f"w{i}") for i in range(10)]
-    gold = {(r.source.surface, r.translation): "A" for r in records}
-    m = compute_metrics(TranslationReport(records), gold)
+    rows = [row(i, translation=f"w{i}") for i in range(10)]
+    gold = {r[:2]: "A" for r in rows}
+    m = compute_metrics(rows, gold)
     assert m.precision == 1.0
     assert m.recall == 1.0
 
 
 def test_hand_scored_toy_mixture():
-    # 10 records: 6 A, 2 B, 2 C from 12 sources -> p=0.8, r=8/12
-    records = [record(i, translation=f"w{i}") for i in range(10)]
-    records += [record(10, Phase.UNTRANSLATED), record(11, Phase.UNTRANSLATED)]
+    # 10 rows: 6 A, 2 B, 2 C from 12 sources -> p=0.8, r=8/12
+    rows = [row(i, translation=f"w{i}") for i in range(10)]
+    rows += [row(10, Phase.UNTRANSLATED), row(11, Phase.UNTRANSLATED)]
     grades = ["A"] * 6 + ["B"] * 2 + ["C"] * 2
-    gold = {
-        (r.source.surface, r.translation): g
-        for r, g in zip(records[:10], grades)
-    }
-    m = compute_metrics(TranslationReport(records), gold)
+    gold = {r[:2]: g for r, g in zip(rows[:10], grades)}
+    m = compute_metrics(rows, gold)
     assert m.precision == pytest.approx(0.8)
     assert m.recall == pytest.approx(8 / 12)
     assert m.grade_counts == {"A": 6, "B": 2, "C": 2}
 
 
 def test_missing_grades_listed():
-    records = [record(0, translation="w0"), record(1, translation="w1")]
-    gold = {(records[0].source.surface, "w0"): "A"}
+    rows = [row(0, translation="w0"), row(1, translation="w1")]
+    gold = {rows[0][:2]: "A"}
     with pytest.raises(GoldError, match="w1"):
-        compute_metrics(TranslationReport(records), gold)
+        compute_metrics(rows, gold)
 
 
 def test_gold_file_roundtrip(tmp_path):
@@ -121,25 +115,25 @@ def test_recall_identity_property(a, b, c, extra_sources):
 
 @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500))
 def test_grade_shares_sum_to_one(a, b, c):
-    records = []
+    rows = []
     gold = {}
     grades = [("A", a), ("B", b), ("C", c)]
     i = 0
     for grade, count in grades:
         for _ in range(count):
-            r = record(i, translation=f"w{i}")
-            records.append(r)
-            gold[(r.source.surface, r.translation)] = grade
+            r = row(i, translation=f"w{i}")
+            rows.append(r)
+            gold[r[:2]] = grade
             i += 1
-    if not records:
+    if not rows:
         return
-    m = compute_metrics(TranslationReport(records), gold)
+    m = compute_metrics(rows, gold)
     assert sum(m.grade_share(g) for g in "ABC") == pytest.approx(1.0)
 
 
 def test_format_metrics_has_machine_readable_lines():
-    report, gold = synthetic_report_and_gold()
-    text = format_metrics(compute_metrics(report, gold))
+    rows, gold = synthetic_rows_and_gold()
+    text = format_metrics(compute_metrics(rows, gold))
     assert "precision=0.943630" in text  # 837/887
     assert "recall=0.778605" in text  # 837/1075
     assert "grade_A=792" in text

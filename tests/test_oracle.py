@@ -850,6 +850,7 @@ def test_http_backend_gives_up_with_oracle_error(monkeypatch):
         (QueryKind.SNIPPETS, {"snippets": ["bare text"]}),
         (QueryKind.SNIPPETS, {"snippets": [{"text": "", "doc_id": "d1"}]}),
         (QueryKind.SNIPPETS, {"snippets": [{"text": "page"}, {"text": ""}]}),
+        (QueryKind.PHRASE_COUNT, {"count": 10**400}),  # too large for a float
     ],
 )
 def test_http_backend_rejects_malformed_payloads(kind, payload):

@@ -40,9 +40,7 @@ def test_pair_filter_keeps_cooccurring_candidates():
     backend = FakeBackend()
     backend.pair("caisse centrale", "central fund", 4)
     backend.pair("caisse centrale", "central drum", 0)
-    survivors = parallel_pair_filter(
-        "caisse centrale", candidates, SearchOracle(backend), CFG.pair_top_k
-    )
+    survivors = parallel_pair_filter("caisse centrale", candidates, SearchOracle(backend))
     assert [c.target_surface for c in survivors] == ["central fund"]
     assert survivors[0].scores["pair_count"] == 4
 
@@ -51,22 +49,18 @@ def test_pair_filter_threshold_is_one():
     ulc = caisse_centrale()
     backend = FakeBackend()
     backend.pair("caisse centrale", "central case", 1)
-    survivors = parallel_pair_filter(
-        "caisse centrale", [cand(ulc, "central case")], SearchOracle(backend), CFG.pair_top_k
-    )
+    survivors = parallel_pair_filter("caisse centrale", [cand(ulc, "central case")], SearchOracle(backend))
     assert len(survivors) == 1
 
 
 def test_pair_filter_empty_input():
-    assert parallel_pair_filter("x", [], SearchOracle(FakeBackend()), CFG.pair_top_k) == []
+    assert parallel_pair_filter("x", [], SearchOracle(FakeBackend())) == []
 
 
 @pytest.mark.parametrize(
     "run_filter",
     [
-        lambda candidates, oracle: parallel_pair_filter(
-            "caisse centrale", candidates, oracle, CFG.pair_top_k
-        ),
+        lambda candidates, oracle: parallel_pair_filter("caisse centrale", candidates, oracle),
         lambda candidates, oracle: ratio_filter(candidates, 1, oracle),
     ],
     ids=["pair", "ratio"],
@@ -81,16 +75,6 @@ def test_filter_oracle_failure_propagates(run_filter):
     candidates = [cand(ulc, "central fund"), cand(ulc, "central case")]
     with pytest.raises(OracleError, match="central case"):
         run_filter(candidates, SearchOracle(backend))
-
-
-def test_pair_top_k_restricts_survivors():
-    ulc = caisse_centrale()
-    backend = FakeBackend()
-    for surface, n in [("central fund", 9), ("central case", 5), ("central drum", 2)]:
-        backend.pair("caisse centrale", surface, n)
-    candidates = [cand(ulc, s) for s in ("central fund", "central case", "central drum")]
-    survivors = parallel_pair_filter("caisse centrale", candidates, SearchOracle(backend), top_k=2)
-    assert {c.target_surface for c in survivors} == {"central fund", "central case"}
 
 
 def test_ratio_filter_paper_counts():
@@ -432,7 +416,7 @@ def test_filters_compose_monotonically():
     backend.count("central case", 10)
     candidates = [cand(ulc, s) for s in ("central fund", "central case", "central drum")]
     oracle = SearchOracle(backend)
-    pair_survivors = parallel_pair_filter("caisse centrale", candidates, oracle, CFG.pair_top_k)
+    pair_survivors = parallel_pair_filter("caisse centrale", candidates, oracle)
     ratio_survivors = ratio_filter(pair_survivors, 100, oracle)
     assert set(c.target_surface for c in ratio_survivors) <= set(
         c.target_surface for c in pair_survivors

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 from tempfile import TemporaryDirectory
@@ -10,11 +11,14 @@ from lexiforge.extraction import UlcPattern
 from lexiforge.generation import build_validation_query
 from lexiforge.oracle import OracleError, OracleQuery, QueryKind, ResponseCache, SearchOracle
 from lexiforge.phase2 import WorldContext
+from lexiforge.evaluation import GRADES, compute_metrics
 from lexiforge.pipeline import (
+    PAPER_PHASE,
     Phase,
     TranslationRecord,
     read_lexicon,
     run_pipeline,
+    summarize,
     translate_ulc,
     write_report,
 )
@@ -208,10 +212,9 @@ def build_50_clu_fixture(extra_entries=()):
 def test_partition_50_clu_fixture():
     units, dictionary, backend = build_50_clu_fixture()
     assert len(units) == 50
-    report = run_pipeline(units, make_ctx(backend, dictionary, workers=4))
-    assert len(report.records) == 50
-    counts = report.phase_counts()
-    assert sum(counts.values()) == 50
+    records = run_pipeline(units, make_ctx(backend, dictionary, workers=4))
+    assert len(records) == 50
+    counts = Counter(r.phase for r in records)
     assert counts[Phase.DICTIONARY] == 10
     assert counts[Phase.PHASE1] == 5
     assert counts[Phase.PHASE2] == 3
@@ -220,10 +223,10 @@ def test_partition_50_clu_fixture():
     assert counts[Phase.UNTRANSLATED] == 30
     assert counts[Phase.UNRESOLVED_ORACLE] == 0
     # exactly one record per input unit
-    assert {r.source.key for r in report.records} == {u.key for u in units}
-    summary = report.summary_phase_counts()
-    assert summary["phase1"] == 15  # dictionary folded in
-    assert sum(summary.values()) == 50
+    assert {r.source.key for r in records} == {u.key for u in units}
+    summary = summarize(records)
+    assert summary["phase\tphase1"] == 15  # dictionary folded in
+    assert summary["translated"] + summary["untranslated"] + summary["unresolved_oracle"] == 50
 
 
 def test_pipeline_deterministic_across_worker_counts():
@@ -231,24 +234,19 @@ def test_pipeline_deterministic_across_worker_counts():
     ctx = make_ctx(backend, dictionary)
     serial = run_pipeline(units, replace(ctx, cfg=replace(CFG, workers=1)))
     threaded = run_pipeline(units, replace(ctx, cfg=replace(CFG, workers=8)))
-    assert [(r.source.key, r.translation, r.phase) for r in serial.records] == [
-        (r.source.key, r.translation, r.phase) for r in threaded.records
-    ]
+    assert serial == threaded
 
 
 def test_write_report_deterministic_and_readable(tmp_path):
     units, dictionary, backend = build_50_clu_fixture()
     ctx = make_ctx(backend, dictionary)
-    report = run_pipeline(units, ctx)
-    lex1, sum1 = write_report(report, tmp_path / "run1")
-    report2 = run_pipeline(units, ctx)
-    lex2, sum2 = write_report(report2, tmp_path / "run2")
+    records = run_pipeline(units, ctx)
+    lex1, sum1 = write_report(records, tmp_path / "run1")
+    lex2, sum2 = write_report(run_pipeline(units, ctx), tmp_path / "run2")
     assert lex1.read_bytes() == lex2.read_bytes()
     assert sum1.read_bytes() == sum2.read_bytes()
 
-    loaded = read_lexicon(lex1)
-    assert len(loaded.records) == 50
-    assert len(loaded.translated()) == len(report.translated())
+    assert read_lexicon(lex1) == [(r.source.surface, r.translation, r.phase) for r in records]
 
 
 def test_warm_cache_pipeline_replay_zero_backend_calls(tmp_path):
@@ -265,25 +263,55 @@ def test_warm_cache_pipeline_replay_zero_backend_calls(tmp_path):
     replay = run_pipeline(fresh_units, replay_ctx)
     replay_ctx.oracle.close()
     assert fresh_backend.calls == 0
-    assert [(r.source.key, r.translation, r.phase) for r in replay.records] == [
-        (r.source.key, r.translation, r.phase) for r in first.records
-    ]
+    assert replay == first
 
 
 def test_write_report_empty_input(tmp_path):
-    from lexiforge.pipeline import TranslationReport
-
-    lex, summary = write_report(TranslationReport([]), tmp_path)
+    lex, summary = write_report([], tmp_path)
     assert lex.read_text() == ""
     text = summary.read_text()
     assert "total_units\t0" in text
     assert "translated\t0" in text
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(list(Phase)), st.sampled_from(list(UlcPattern)), st.sampled_from(GRADES)),
+        max_size=25,
+    )
+)
+def test_written_lexicon_evaluates_like_its_records_and_its_summary_adds_up(drawn):
+    # Records in every terminal state and pattern: the lexicon read back
+    # scores as the records do, and the summary rows partition the units.
+    records, gold = [], {}
+    for i, (phase, pattern, grade) in enumerate(drawn):
+        translation = f"word{i}" if phase in PAPER_PHASE else None
+        record = TranslationRecord(make_ulc(f"tête{i}", f"mot{i}", pattern), translation, phase)
+        records.append(record)
+        gold[(record.source.surface, translation)] = grade
+    with TemporaryDirectory() as out:
+        lexicon, summary = write_report(records, out)
+        rows = read_lexicon(lexicon)
+        lines = summary.read_text(encoding="utf-8").splitlines()
+    in_memory = [(r.source.surface, r.translation, r.phase) for r in records]
+    assert compute_metrics(rows, gold) == compute_metrics(in_memory, gold)
+
+    counts = {"phase": [], "pattern": []}
+    for fields in (line.split("\t") for line in lines):
+        if fields[0] in counts:
+            counts[fields[0]].append(int(fields[2]))
+        else:
+            counts[fields[0]] = int(fields[1])
+    assert counts["total_units"] == len(records)
+    assert counts["translated"] + counts["untranslated"] + counts["unresolved_oracle"] == len(records)
+    assert sum(counts["phase"]) == counts["translated"]
+    assert sum(counts["pattern"]) == len(records)
+
+
 def test_lexicon_ordering_by_source_surface(tmp_path):
     units, dictionary, backend = build_50_clu_fixture()
-    report = run_pipeline(units, make_ctx(backend, dictionary))
-    lex, _ = write_report(report, tmp_path)
+    lex, _ = write_report(run_pipeline(units, make_ctx(backend, dictionary)), tmp_path)
     surfaces = [line.split("\t")[0] for line in lex.read_text().splitlines()]
     assert surfaces == sorted(surfaces)
 
@@ -341,12 +369,12 @@ def run_flaky_fixture(out_dir, cache_path=None, failing=()):
     cache = ResponseCache(cache_path) if cache_path is not None else None
     ctx.oracle = SearchOracle(FailingOnce(backend, failing), cache)
     try:
-        report = run_pipeline(units, ctx)
+        records = run_pipeline(units, ctx)
     finally:
         ctx.oracle.close()
-    lexicon, summary = write_report(report, out_dir)
+    lexicon, summary = write_report(records, out_dir)
     keys = sorted({query.cache_key() for query in backend.seen})
-    return report.records, lexicon.read_bytes(), summary.read_bytes(), keys
+    return records, lexicon.read_bytes(), summary.read_bytes(), keys
 
 
 @cache
