@@ -1,0 +1,222 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternating pairs, write both BENCH
+files and print how each metric moved.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload cold-local --seeds 901-910 --label lean-index
+    python3 scripts/bench_pairs.py --aa . --workload warm-replay --seeds 1-20 --label aa
+
+Each seed is one pair: ``python3 perfbench/run.py --workload W --seed N
+--seconds S --trace T`` runs once in each checkout, the parent first in pairs
+0, 2, 4, ... and the change first in pairs 1, 3, 5, ..., so that drift of the
+host does not favour one side. ``--aa`` runs one checkout against a fresh copy
+of itself, which shows the spread of a pair set with no difference in code.
+
+The result line of every run goes to ``BENCH_<label>-parent.json`` and
+``BENCH_<label>-change.json`` in ``--out-dir``, with the keys ``label``,
+``code``, ``src_lexiforge_loc``, ``command``, ``host``, ``pairing`` and
+``runs``; both files are rewritten after every pair. A file that exists
+already keeps its runs, and the new ones join it as the next ``set``, so one
+file can hold the pair sets of several workloads.
+
+Last, for each metric: each side's median and quartiles, the change's median
+relative to the parent's, and the pairs the change won (by the direction in
+the change's BENCHMARK.json; ties count for neither side).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Callable
+
+SIDES = ("parent", "change")
+# A run whose output holds no result line counts as incorrect.
+NO_RESULT = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
+
+Runner = Callable[[Path, str, int, float, int], dict]
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"901-905,910"`` -> ``[901, 902, 903, 904, 905, 910]``."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def order(pair_index: int) -> tuple[str, str]:
+    """The sides of one pair in the order they run."""
+    return SIDES if pair_index % 2 == 0 else SIDES[::-1]
+
+
+def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``; its result line."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        sys.stderr.write(done.stderr)
+        return dict(NO_RESULT)
+
+
+def directions(checkout: Path) -> dict[str, str]:
+    """Metric name -> ``"lower"`` or ``"higher"``, from BENCHMARK.json."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def source_loc(checkout: Path) -> int:
+    return sum(len(p.read_bytes().splitlines()) for p in (checkout / "src" / "lexiforge").glob("*.py"))
+
+
+def git_code(checkout: Path) -> str:
+    """Short commit of a git checkout, marked when it has uncommitted
+    changes; the directory's name otherwise."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "--short", "HEAD")
+    if head.returncode != 0:
+        return checkout.resolve().name
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + (" with uncommitted changes" if dirty else "")
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> list[dict]:
+    """Per metric of the paired runs: both sides' quartiles, the change's
+    wins and the number of pairs that report the metric."""
+    values: dict[str, dict[str, dict]] = {}  # metric -> side -> pair key -> value
+    for side, side_runs in runs.items():
+        for run in side_runs:
+            key = (run["workload"], run["seed"], run["trace"])
+            for name, metric in run["result"].get("metrics", {}).items():
+                values.setdefault(name, {s: {} for s in SIDES})[side][key] = metric["value"]
+    rows = []
+    for name, sides in values.items():
+        keys = [k for k in sides["parent"] if k in sides["change"]]
+        if not keys:
+            continue
+        parent = [sides["parent"][k] for k in keys]
+        change = [sides["change"][k] for k in keys]
+        direction = better.get(name, "lower")
+        sign = -1 if direction == "lower" else 1
+        wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
+        rows.append({"metric": name, "better": direction, "pairs": len(keys),
+                     "wins": wins, "parent": quartiles(parent), "change": quartiles(change)})
+    return rows
+
+
+def format_rows(rows: list[dict]) -> str:
+    lines = []
+    for row in rows:
+        (p1, p, p3), (c1, c, c3) = row["parent"], row["change"]
+        ratio = f"{c / p:.3f}" if p else "-"
+        lines.append(f"{row['metric']}: parent {p:.6g} [{p1:.6g}, {p3:.6g}], change {c:.6g} [{c1:.6g}, {c3:.6g}], "
+                     f"change/parent {ratio}, change better in {row['wins']}/{row['pairs']} ({row['better']} is better)")
+    return "\n".join(lines)
+
+
+def load_or_start(path: Path, label: str, code: str, loc: int, seconds: float, pairing: str) -> dict:
+    if path.exists():
+        bench = json.loads(path.read_text(encoding="utf-8"))
+        bench["pairing"] += " " + pairing
+        bench.update(code=code, src_lexiforge_loc=loc)
+        return bench
+    return {
+        "label": label,
+        "code": code,
+        "src_lexiforge_loc": loc,
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace T",
+        "host": f"{os.cpu_count()} CPUs, {platform.system()} {platform.release()}, Python {platform.python_version()}",
+        "pairing": "parent and change alternate per seed; even pair index runs the parent first, "
+                   "odd the change first. " + pairing,
+        "runs": [],
+    }
+
+
+def run_pairs(checkouts: dict[str, Path], benches: dict[str, dict], out: dict[str, Path], args,
+              run: Runner) -> dict[str, list[dict]]:
+    """Run every pair, rewriting both BENCH files after each; the new runs
+    of each side."""
+    new = {side: [] for side in SIDES}
+    set_id = 1 + max((r.get("set", 0) for r in benches["parent"]["runs"]), default=0)
+    for index, seed in enumerate(args.seeds):
+        for side in order(index):
+            print(f"pair {index}: {side} seed {seed}", file=sys.stderr, flush=True)
+            result = run(checkouts[side], args.workload, seed, args.seconds, args.trace)
+            entry = {"set": set_id, "workload": args.workload, "seed": seed, "trace": args.trace, "result": result}
+            new[side].append(entry)
+            benches[side]["runs"].append(entry)
+        for side in SIDES:
+            out[side].write_text(json.dumps(benches[side], indent=1) + "\n", encoding="utf-8")
+    return new
+
+
+def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, help="checkout of the change")
+    parser.add_argument("--aa", type=Path, help="run this checkout against a copy of itself")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 901-910 or 1,3,5-7")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--parent-code", help="commit named in the parent's BENCH file")
+    parser.add_argument("--change-code", help="commit named in the change's BENCH file")
+    parser.add_argument("--out-dir", type=Path, default=Path("."))
+    args = parser.parse_args(argv)
+    paired = args.parent is not None and args.change is not None
+    neither = args.parent is None and args.change is None
+    if not (neither if args.aa else paired):
+        parser.error("give either --parent and --change, or --aa")
+
+    with tempfile.TemporaryDirectory(prefix="bench-aa-") as scratch:
+        if args.aa:
+            copy = Path(scratch) / args.aa.resolve().name
+            shutil.copytree(args.aa, copy, ignore=shutil.ignore_patterns(
+                ".git", ".perfbench-work", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks"))
+            checkouts = {"parent": args.aa, "change": copy}
+        else:
+            checkouts = {"parent": args.parent, "change": args.change}
+        parent_code = args.parent_code or git_code(checkouts["parent"])
+        codes = {"parent": parent_code,
+                 "change": f"copy of {parent_code}" if args.aa else args.change_code or git_code(checkouts["change"])}
+        pairing = (f"{args.workload} seeds {','.join(map(str, args.seeds))} ({len(args.seeds)} pairs), "
+                   f"--seconds {args.seconds:g} --trace {args.trace}"
+                   f"{', change side a copy of the parent checkout' if args.aa else ''}.")
+        out = {side: args.out_dir / f"BENCH_{args.label}-{side}.json" for side in SIDES}
+        benches = {side: load_or_start(out[side], f"{args.label}-{side}", codes[side],
+                                       source_loc(checkouts[side]), args.seconds, pairing) for side in SIDES}
+        new = run_pairs(checkouts, benches, out, args, run)
+        better = directions(checkouts["change"])
+
+    incorrect = {side: sum(1 for r in new[side] if not r["result"].get("correct")) for side in SIDES}
+    print(f"{args.workload}, {len(args.seeds)} pairs, median [q1, q3] per side; incorrect runs: "
+          + ", ".join(f"{side} {n}" for side, n in incorrect.items()))
+    print(format_rows(compare(new, better)))
+    return 1 if any(incorrect.values()) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,9 +14,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .config import InputError, open_utf8
+from .config import InputError, RunConfig, open_utf8
 from .oracle import OracleError, OracleQuery, QueryKind, is_count, split_or_query
 
 WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
@@ -48,25 +48,27 @@ class LocalIndexBackend:
     Documents are dicts with ``id``, ``lang`` and ``text`` keys (or one JSON
     object per line in a file). Phrase counts are numbers of documents
     containing the phrase; OR-queries count the union of their disjuncts.
-    Each token maps to the set of documents holding it, and each document
-    keeps its lowercased tokens as one space-delimited string. A phrase
-    intersects its tokens' sets, rarest first, and keeps the documents whose
-    string contains the phrase's tokens as a space-delimited run.
+    Each lowercased token maps to the ascending tuple of its documents, and
+    each document keeps its lowercased tokens as one space-delimited string.
+    A phrase walks its rarest token's documents and keeps those whose string
+    holds the phrase's tokens as a space-delimited run.
     """
 
     name = "local-index"
 
     def __init__(self, documents: Iterable[dict]):
         self._docs: list[tuple[str, str, str]] = []  # (id, lang, text)
-        self._token_docs: dict[str, set[int]] = {}
+        self._token_docs: dict[str, Sequence[int]] = {}
         self._spaced: list[str] = []
         for doc in documents:
             self._add(doc)
+        # Ascending, as documents arrive in order; a tuple is the smallest holder.
+        for token, docs in self._token_docs.items():
+            self._token_docs[token] = tuple(docs)
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "LocalIndexBackend":
-        docs = []
-        with open_utf8(path) as fh:
+        def docs(fh):
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -76,8 +78,10 @@ class LocalIndexBackend:
                     raise InputError(path, lineno, f"invalid JSON: {exc.msg}") from None
                 if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
                     raise InputError(path, lineno, 'expected an object with a string "text"')
-                docs.append(doc)
-        return cls(docs)
+                yield doc
+
+        with open_utf8(path) as fh:
+            return cls(docs(fh))
 
     def _add(self, doc: dict):
         idx = len(self._docs)
@@ -90,33 +94,27 @@ class LocalIndexBackend:
         for token in set(joined.split(" ")) if joined else ():
             docs = token_docs.get(token)
             if docs is None:
-                token_docs[token] = {idx}
+                token_docs[token] = [idx]
             else:
-                docs.add(idx)
+                docs.append(idx)
 
     def __len__(self) -> int:
         return len(self._docs)
 
     def _phrase_docs(self, phrase: str) -> set[int]:
-        """Indexes of the documents holding the phrase, in a fresh set."""
+        """Indexes of the documents holding the phrase, in a fresh set: those
+        of its rarest token's documents whose string holds its token run."""
         tokens = tokenize(phrase)
         if not tokens:
             return set()
-        postings = []
-        for token in tokens:
-            docs = self._token_docs.get(token)
-            if docs is None:
-                return set()
-            postings.append(docs)
+        rarest = min((self._token_docs.get(token, ()) for token in tokens), key=len)
         if len(tokens) == 1:
-            return set(postings[0])
-        postings.sort(key=len)  # an intersection walks its smaller side
-        candidates = postings[0].intersection(*postings[1:])
+            return set(rarest)
         # No token holds a space, so a space-delimited substring is exactly
-        # a contiguous run of tokens.
+        # a contiguous run of tokens, and its test alone decides.
         needle = f" {' '.join(tokens)} "
         spaced = self._spaced
-        return {idx for idx in candidates if needle in spaced[idx]}
+        return {idx for idx in rarest if needle in spaced[idx]}
 
     def _query_docs(self, query: str) -> set[int]:
         docs: set[int] = set()
@@ -185,8 +183,8 @@ class HttpBackend:
     def __init__(
         self,
         endpoint: str,
-        api_key: str = "",
-        rate_per_sec: float = 2.0,
+        api_key: str = RunConfig.api_key,
+        rate_per_sec: float = RunConfig.rate_per_sec,
         max_retries: int = 3,
         timeout: float = 10.0,
         session=None,

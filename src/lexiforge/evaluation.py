@@ -40,7 +40,9 @@ def load_gold(source: TextIO | str | Path) -> dict[tuple[str, str], str]:
     for path, lineno, (source_surface, translation, grade) in read_rows(source, 3):
         if grade not in GRADES:
             raise InputError(path, lineno, f"bad grade {grade!r}")
-        gold[(source_surface, translation)] = grade
+        earlier = gold.setdefault((source_surface, translation), grade)
+        if earlier != grade:
+            raise InputError(path, lineno, f"grade {grade!r} conflicts with an earlier {earlier!r}")
     return gold
 
 

@@ -3,6 +3,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
+from lexiforge.cli import main
 from lexiforge.config import InputError
 from lexiforge.evaluation import (
     GoldError,
@@ -101,6 +102,21 @@ def test_gold_file_roundtrip(tmp_path):
 def test_gold_rejects_bad_grade():
     with pytest.raises(InputError, match="^<input>:1: bad grade 'D'$"):
         load_gold(io.StringIO("a\tb\tD\n"))
+
+
+def test_gold_rejects_a_second_grade_for_one_pair(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("a b\tx\tPHASE1\t-\n", encoding="utf-8")
+    argv = ["evaluate", "--lexicon", str(lexicon), "--gold", str(gold)]
+
+    gold.write_text("a b\tx\tA\na b\tx\tA\n", encoding="utf-8")  # a repeat changes nothing
+    assert main(argv) == 0
+    assert "grade_A=1\n" in capsys.readouterr().out
+
+    gold.write_text("a b\tx\tA\n# re-graded\na b\tx\tC\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {gold}:3: grade 'C' conflicts with an earlier 'A'\n"
 
 
 @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500), st.integers(1, 2000))

@@ -55,6 +55,14 @@ def test_bench_phrase_count_led_by_frequent_token(benchmark, frequent_token_inde
     assert count >= 100
 
 
+def test_bench_phrase_count_all_tokens_frequent(benchmark, thousand_docs, frequent_token_index):
+    # Both tokens are in most documents, so the rarest token's documents are
+    # many and the substring test decides each of them.
+    query = OracleQuery(QueryKind.PHRASE_COUNT, ("de la",))
+    count = benchmark.pedantic(frequent_token_index.execute, args=(query,), rounds=5, iterations=3)
+    assert count == sum(" de la " in f" {doc['text']} " for doc in thousand_docs)
+
+
 def test_bench_thousand_cache_puts(benchmark, tmp_path):
     queries = [OracleQuery(QueryKind.PHRASE_COUNT, (f"phrase {i}",)) for i in range(1_000)]
     paths = iter(tmp_path / f"run{i}.cache" for i in range(100))

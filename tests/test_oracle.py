@@ -193,6 +193,18 @@ def scan_docs(texts, query):
     ["οδος σα", "İSTANBUL LA CAISSE", "ǆungla fund ǆungla", "la caisse de la", "de la"],
     3,
 )
+@example(
+    # Every document holds every token of the phrases, but only the first
+    # and third hold them as a run: the substring test alone decides.
+    [
+        ("fr", ["caisse de la"]),
+        ("en", ["la de caisse"]),
+        ("fr", ["de caisse", "la caisse de la"]),
+        ("en", ["la", "fund de caisse"]),
+    ],
+    ["caisse de la", "de la", "la caisse", "de caisse la"],
+    2,
+)
 def test_local_index_matches_brute_force_scan(docs, query_phrases, limit):
     texts = [" ".join(pieces) for _, pieces in docs]
     index = LocalIndexBackend(

@@ -1,7 +1,9 @@
-"""Smoke tests for the scripts: the demo replays its own run offline, and
-the fixture builder regenerates ``tests/data`` byte for byte."""
+"""Smoke tests for the scripts: the demo replays its own run offline, the
+fixture builder regenerates ``tests/data`` byte for byte, and the pair runner
+alternates its sides and sums up their runs (with a stub for the benchmark)."""
 
 import importlib.util
+import json
 import runpy
 import shutil
 import sys
@@ -42,3 +44,54 @@ def test_build_fixtures_regenerates_the_bundled_fixtures(tmp_path, monkeypatch, 
         for cache in caches:
             cache.close()
     assert (tmp_path / "e2e.cache").read_bytes() == Path(bundled).read_bytes()
+
+
+def test_bench_pairs_flips_the_order_and_reports_quartiles_and_wins(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "lexiforge").mkdir(parents=True)
+    (checkout / "src" / "lexiforge" / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", checkout)
+    calls, paths = [], set()
+
+    def stub_run(path, workload, seed, seconds, trace):
+        # The change reads 10 MB less except at seed 3 (a tie), and fewer
+        # units/s at seed 2 only.
+        side = "parent" if path == checkout else "change"
+        assert (path / "src" / "lexiforge" / "a.py").read_text(encoding="utf-8") == "x = 1\ny = 2\n"
+        calls.append((side, seed, workload, seconds, trace))
+        paths.add(path)
+        rss = 40.0 + seed - (10 if side == "change" and seed != 3 else 0)
+        ups = 100.0 + (0 if side == "parent" else -1 if seed == 2 else 1)
+        metrics = {"peak_rss_mb": {"value": rss, "unit": "MB"}, "units_per_s": {"value": ups, "unit": "units/s"}}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    argv = ["--workload", "cold-local", "--seeds", "1-3,4", "--seconds", "5", "--label", "t", "--out-dir", str(tmp_path)]
+    assert bench_pairs.main(["--aa", str(checkout), *argv], run=stub_run) == 0
+    assert [call[:2] for call in calls] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+        ("parent", 3), ("change", 3), ("change", 4), ("parent", 4),
+    ]
+    assert {call[2:] for call in calls} == {("cold-local", 5.0, 0)}
+    assert [path.exists() for path in paths - {checkout}] == [False]  # the copy is removed
+    out = capsys.readouterr().out
+    assert "incorrect runs: parent 0, change 0" in out
+    rows = {line.split(":")[0]: line for line in out.splitlines()[1:]}
+    # parent 41..44, change 31, 32, 43, 34: inclusive quartiles, 3 wins and a tie
+    assert rows["peak_rss_mb"] == (
+        "peak_rss_mb: parent 42.5 [41.75, 43.25], change 33 [31.75, 36.25], "
+        "change/parent 0.776, change better in 3/4 (lower is better)"
+    )
+    assert rows["units_per_s"].endswith("change better in 3/4 (higher is better)")
+
+    # A second set joins the same files; both sides get the layout's keys.
+    assert bench_pairs.main(["--parent", str(checkout), "--change", str(checkout),
+                             "--change-code", "def5678", *argv], run=stub_run) == 0
+    for side in ("parent", "change"):
+        bench = json.loads((tmp_path / f"BENCH_t-{side}.json").read_text(encoding="utf-8"))
+        assert list(bench) == ["label", "code", "src_lexiforge_loc", "command", "host", "pairing", "runs"]
+        assert bench["label"] == f"t-{side}" and bench["src_lexiforge_loc"] == 2
+        assert [(r["set"], r["seed"]) for r in bench["runs"]] == [(1, 1), (1, 2), (1, 3), (1, 4)] + [(2, 1), (2, 2), (2, 3), (2, 4)]
+    assert bench["code"] == "def5678"
