@@ -3,18 +3,25 @@
 * HttpBackend — generic HTTP search API client with rate limiting and retry,
   over one keep-alive ``http.client`` connection per worker thread.
 * LocalIndexBackend — document index over a local collection; counts are
-  true document counts, not engine estimates.
+  true document counts, not engine estimates. A collection read from a
+  file saves its index beside it, and later runs load that.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import marshal
+import os
 import re
+import struct
 import threading
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import InputError, RunConfig, open_utf8
 from .oracle import OracleError, OracleQuery, QueryKind, is_count, split_or_query
@@ -42,6 +49,112 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in WORD_RE.findall(text)]
 
 
+class _SummedFile(io.FileIO):
+    """A file read in binary, summing up what was read: CRC-32 and length."""
+
+    crc = size = 0
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        if n:
+            self.crc = zlib.crc32(memoryview(buffer)[:n], self.crc)
+            self.size += n
+        return n
+
+
+# A saved index is a header, then one record per part: its length, its
+# CRC-32 and its ``marshal`` bytes. marshal, unlike pickle, runs no code on
+# load. The header keys the file on the collection's bytes.
+_INDEX_MAGIC = b"lexiforge-index\n"
+_INDEX_FORMAT = 1  # bump when the parts, or how ``_add`` builds them, change
+_HEADER = struct.Struct("<16sIIIQ")  # magic, format, marshal version, collection CRC-32 and length
+_RECORD = struct.Struct("<QI")  # length and CRC-32 of one part
+_PARTS = 3  # documents, their token strings, token -> documents
+
+
+class JsonlCollection:
+    """The documents of a JSONL file, one object per line, and the index
+    saved beside it as ``<path>.index``, keyed on the CRC-32 and length of
+    exactly the bytes indexed. A path that is not a regular file gets no
+    saved index."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.index_path = Path(f"{path}.index") if Path(path).is_file() else None
+        self.key: tuple[int, int] | None = None  # (CRC-32, length), once every line is read
+
+    def __iter__(self) -> Iterator[dict]:
+        raw = _SummedFile(self.path)
+        with open_utf8(self.path, io.BufferedReader(raw)) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise InputError(self.path, lineno, f"invalid JSON: {exc.msg}") from None
+                if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
+                    raise InputError(self.path, lineno, 'expected an object with a string "text"')
+                if not isinstance(doc.get("lang", ""), str):
+                    raise InputError(self.path, lineno, 'expected a string "lang"')
+                yield doc
+        self.key = (raw.crc, raw.size)
+
+    def _present_key(self) -> tuple[int, int]:
+        with _SummedFile(self.path) as fh:
+            buffer = bytearray(1 << 16)
+            while fh.readinto(buffer):
+                pass
+            return fh.crc, fh.size
+
+    def load(self) -> list | None:
+        """The saved parts, one record read at a time, if the saved index was
+        built from the collection's present bytes; else None. Like a stale
+        ``.pyc``, a saved index that is missing, stale, torn or corrupt is
+        not an error: it is rebuilt."""
+        if self.index_path is None:
+            return None
+        try:
+            with open(self.index_path, "rb") as fh:
+                left = os.fstat(fh.fileno()).st_size - _HEADER.size
+                *header, crc, size = _HEADER.unpack(fh.read(_HEADER.size))
+                if header != [_INDEX_MAGIC, _INDEX_FORMAT, marshal.version] or (crc, size) != self._present_key():
+                    return None
+                parts = []
+                for _ in range(_PARTS):
+                    length, part_crc = _RECORD.unpack(fh.read(_RECORD.size))
+                    left -= _RECORD.size + length
+                    if left < 0:  # a torn file, or a length no read may trust
+                        return None
+                    data = fh.read(length)
+                    if zlib.crc32(data) != part_crc:
+                        return None
+                    parts.append(marshal.loads(data))
+                    del data
+                return parts if left == 0 else None
+        except Exception:
+            return None
+
+    def save(self, parts: Sequence) -> None:
+        """Write ``parts`` under a unique temporary name, then move it over
+        the saved index. A directory that refuses the write keeps no file."""
+        if self.index_path is None or self.key is None:
+            return
+        tmp = self.index_path.with_name(f"{self.index_path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(_HEADER.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version, *self.key))
+                for part in parts:
+                    data = marshal.dumps(part)
+                    fh.write(_RECORD.pack(len(data), zlib.crc32(data)))
+                    fh.write(data)
+                    del data
+            os.replace(tmp, self.index_path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+
+
 class LocalIndexBackend:
     """Exact-phrase search over documents with language tags.
 
@@ -57,6 +170,14 @@ class LocalIndexBackend:
     name = "local-index"
 
     def __init__(self, documents: Iterable[dict]):
+        """Index ``documents``. Those of ``from_jsonl`` come with their
+        collection's saved index, which is loaded when it was built from the
+        collection's present bytes; otherwise the index is built and saved."""
+        collection = documents if isinstance(documents, JsonlCollection) else None
+        saved = collection.load() if collection else None
+        if saved is not None:
+            self._docs, self._spaced, self._token_docs = saved
+            return
         self._docs: list[tuple[str, str, str]] = []  # (id, lang, text)
         self._token_docs: dict[str, Sequence[int]] = {}
         self._spaced: list[str] = []
@@ -65,23 +186,12 @@ class LocalIndexBackend:
         # Ascending, as documents arrive in order; a tuple is the smallest holder.
         for token, docs in self._token_docs.items():
             self._token_docs[token] = tuple(docs)
+        if collection:
+            collection.save((self._docs, self._spaced, self._token_docs))
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "LocalIndexBackend":
-        def docs(fh):
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(path, lineno, f"invalid JSON: {exc.msg}") from None
-                if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
-                    raise InputError(path, lineno, 'expected an object with a string "text"')
-                yield doc
-
-        with open_utf8(path) as fh:
-            return cls(docs(fh))
+        return cls(JsonlCollection(path))
 
     def _add(self, doc: dict):
         idx = len(self._docs)

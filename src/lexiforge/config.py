@@ -15,11 +15,12 @@ LEXIFORGE_ORACLE_KEY environment variable, which wins over both.
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, TextIO
+from typing import BinaryIO, Iterator, Mapping, TextIO
 
 API_KEY_ENV = "LEXIFORGE_ORACLE_KEY"
 
@@ -38,12 +39,13 @@ class InputError(ValueError):
 
 
 @contextmanager
-def open_utf8(path: str | Path) -> Iterator[TextIO]:
-    """Open a UTF-8 text file for reading. A byte sequence that is not
-    UTF-8 raises ``InputError`` naming its line; only that error path
-    re-reads the file, as bytes, to find the line."""
+def open_utf8(path: str | Path, binary: BinaryIO | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading, or decode ``binary``, a binary
+    stream of it. A byte sequence that is not UTF-8 raises ``InputError``
+    naming its line; only that error path re-reads the file, as bytes, to
+    find the line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") if binary is None else io.TextIOWrapper(binary, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError:
         data = Path(path).read_bytes()

@@ -140,8 +140,9 @@ class ResponseCache:
 
     The file is opened for appending once, on the first ``put``, and
     flushed after every record, so a crash loses at most the record being
-    written. A torn last line left by such a crash is closed off with a
-    newline before the first append, so it cannot swallow the next record.
+    written. A torn last line left by such a crash is skipped, and closed
+    off with a tab and a newline before the first append, so it cannot
+    swallow the next record, nor parse as one on a later load.
     """
 
     def __init__(self, path: str | Path):
@@ -163,7 +164,9 @@ class ResponseCache:
                         continue
                     kind, p1, p2, lang, limit, payload = line.split("\t")
                     value = _decode_response(payload)
-                    fits = is_answer(QueryKind(kind), value)
+                    # A last line without its newline is a torn write, even
+                    # where what is left parses, as a count cut short does.
+                    fits = is_answer(QueryKind(kind), value) and raw_line.endswith(b"\n")
                 except (ValueError, TypeError):
                     fits = False
                 if not fits:
@@ -193,7 +196,7 @@ class ResponseCache:
             if fh.seek(0, os.SEEK_END) > 0:
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
-                    fh.write(b"\n")
+                    fh.write(b"\t\n")  # the tab keeps the torn line corrupt for later loads
             self._append = fh
         return self._append
 

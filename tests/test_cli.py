@@ -304,6 +304,12 @@ def test_local_backend_end_to_end_without_cache(tmp_path, capsys):
     assert produced == golden
 
 
+def local_translate_args(out_dir, cache):
+    return ["translate", "--ulcs", str(DATA / "ulcs.tsv"), "--dictionary", str(DATA / "dictionary.tsv"),
+            "--config", str(DATA / "run.config"), "--backend", "local", "--docs", str(DATA / "docs.jsonl"),
+            "--cache", str(cache), "--out-dir", str(out_dir)]
+
+
 def test_poisoned_cache_record_is_skipped_and_its_unit_translates(tmp_path, capsys, caplog):
     # a count record holding a snippet list, appended after the good one
     cache = tmp_path / "e2e.cache"
@@ -311,19 +317,7 @@ def test_poisoned_cache_record_is_skipped_and_its_unit_translates(tmp_path, caps
     with open(cache, "a", encoding="utf-8") as fh:
         fh.write('PHRASE_COUNT\tatmosphere\t\t-\t-\t[["x", null]]\n')
     with caplog.at_level(logging.WARNING, logger="lexiforge.oracle"):
-        code, _, _ = run(
-            [
-                "translate",
-                "--ulcs", str(DATA / "ulcs.tsv"),
-                "--dictionary", str(DATA / "dictionary.tsv"),
-                "--config", str(DATA / "run.config"),
-                "--backend", "local",
-                "--docs", str(DATA / "docs.jsonl"),
-                "--cache", str(cache),
-                "--out-dir", str(tmp_path / "live"),
-            ],
-            capsys,
-        )
+        code, _, _ = run(local_translate_args(tmp_path / "live", cache), capsys)
     assert code == 0
     assert [r.getMessage() for r in caplog.records] == [f"{cache}:161: skipping corrupt cache record"]
     produced = [
@@ -337,23 +331,47 @@ def test_poisoned_cache_record_is_skipped_and_its_unit_translates(tmp_path, caps
     assert produced == golden
 
 
+@pytest.fixture(scope="module")
+def clean_local_run(tmp_path_factory):
+    """The cache, lexicon and summary of a cold run against the local index."""
+    tmp = tmp_path_factory.mktemp("clean")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(local_translate_args(tmp / "out", tmp / "run.cache")) == 0
+    files = [tmp / "run.cache", tmp / "out" / "lexicon.tsv", tmp / "out" / "summary.tsv"]
+    return {path.name: path.read_bytes() for path in files}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_a_cache_cut_anywhere_resumes_to_the_clean_bytes(clean_local_run, data):
+    clean = clean_local_run["run.cache"]
+    cut = data.draw(st.integers(0, len(clean)), label="cut")
+    warnings_seen = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: warnings_seen.append(record.getMessage())
+    logger = logging.getLogger("lexiforge.oracle")
+    logger.addHandler(handler)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = Path(tmp) / "run.cache"
+            cache.write_bytes(clean[:cut])
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(local_translate_args(Path(tmp) / "out", cache))
+            outputs = {name: (Path(tmp) / "out" / name).read_bytes() for name in ("lexicon.tsv", "summary.tsv")}
+    finally:
+        logger.removeHandler(handler)
+    assert code == 0
+    assert outputs == {name: clean_local_run[name] for name in outputs}
+    torn = cut > 0 and clean[cut - 1 : cut] != b"\n"
+    lines = clean[:cut].count(b"\n") + 1
+    assert warnings_seen == ([f"{cache}:{lines}: skipping corrupt cache record"] if torn else [])
+
+
 def test_translate_with_cache_leaves_no_open_file(tmp_path, capsys):
     cache = tmp_path / "run.cache"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        code, _, _ = run(
-            [
-                "translate",
-                "--ulcs", str(DATA / "ulcs.tsv"),
-                "--dictionary", str(DATA / "dictionary.tsv"),
-                "--config", str(DATA / "run.config"),
-                "--backend", "local",
-                "--docs", str(DATA / "docs.jsonl"),
-                "--cache", str(cache),
-                "--out-dir", str(tmp_path / "live"),
-            ],
-            capsys,
-        )
+        code, _, _ = run(local_translate_args(tmp_path / "live", cache), capsys)
         gc.collect()
     assert code == 0
     assert cache.stat().st_size > 0
@@ -689,8 +707,9 @@ INPUTS = {
 def corrupted(kind, how, line):
     """``line`` (bytes) of a ``kind`` input with one fault of kind ``how``:
     a wrong field count, a byte that is not UTF-8, a bad integer, its last
-    integer made negative, or an unknown tag, pattern, phase, grade or key;
-    None where it does not apply."""
+    integer made negative, or an unknown tag, pattern, phase, grade or key
+    (for a document, a "lang" that is not a string); None where it does not
+    apply."""
     if how == "utf8":
         return line + b" caf\xe9"
     if how == "int":
@@ -700,6 +719,8 @@ def corrupted(kind, how, line):
         digits = list(re.finditer(rb"\d+", line))
         return None if not digits else line[: digits[-1].start()] + b"-" + line[digits[-1].start() :]
     if kind == "docs":
+        if how == "tag":
+            return re.sub(rb'"lang": "[^"]*"', b'"lang": 7', line) if b'"lang"' in line else None
         return line[: len(line) // 2] if how == "fields" else None
     if kind == "config":
         return line.replace(b"=", b" ") if how == "fields" else b"bogus.key = 1"
@@ -720,6 +741,7 @@ def corrupted(kind, how, line):
 @example("units", "negative", 3)
 @example("gold", "fields", 0)
 @example("corpus", "fields", 0)
+@example("docs", "tag", 0)
 def test_one_corrupt_input_line_exits_2_naming_it_or_runs(kind, how, pick):
     source, _, make_argv = INPUTS[kind]
     lines = (source() if callable(source) else source.read_bytes()).splitlines()
@@ -743,4 +765,8 @@ def test_one_corrupt_input_line_exits_2_naming_it_or_runs(kind, how, pick):
         assert (code == 2) == (kind != "cache")
     # A unit file's counts are non-negative; "-" is an unknown count.
     if kind == "units" and how == "negative":
+        assert code == 2
+    # A document whose "lang" is not a string would drop out of every
+    # language-restricted answer.
+    if kind == "docs" and how == "tag":
         assert code == 2

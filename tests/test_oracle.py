@@ -1,25 +1,30 @@
 import email.utils
 import json
 import logging
+import os
 import random
+import shutil
 import sys
 import tempfile
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lexiforge.backends as backends
 from lexiforge.backends import (
     WORD_RE,
     HttpBackend,
+    JsonlCollection,
     LocalIndexBackend,
     Snippet,
     tokenize,
 )
 from lexiforge.cli import build_oracle
-from lexiforge.config import RunConfig
+from lexiforge.config import InputError, RunConfig
 from lexiforge.oracle import (
     OracleError,
     OracleQuery,
@@ -207,23 +212,32 @@ def scan_docs(texts, query):
 )
 def test_local_index_matches_brute_force_scan(docs, query_phrases, limit):
     texts = [" ".join(pieces) for _, pieces in docs]
-    index = LocalIndexBackend(
-        {"id": f"d{i}", "lang": lang, "text": text} for i, ((lang, _), text) in enumerate(zip(docs, texts))
-    )
+    dicts = [{"id": f"d{i}", "lang": lang, "text": text} for i, ((lang, _), text) in enumerate(zip(docs, texts))]
+    fresh = LocalIndexBackend(iter(dicts))
+    # The same documents from a file: built and saved, then loaded.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_jsonl(Path(tmp) / "docs.jsonl", dicts)
+        LocalIndexBackend.from_jsonl(path)
+        with mock.patch.object(LocalIndexBackend, "_add", side_effect=AssertionError("rebuilt")):
+            loaded = LocalIndexBackend.from_jsonl(path)
+
+    def execute(query):
+        answer = fresh.execute(query)
+        assert loaded.execute(query) == answer  # snippet texts, doc ids and order too
+        return answer
+
     for phrase in query_phrases:
         hits = sorted(scan_docs(texts, phrase))
-        assert index.execute(OracleQuery(QueryKind.PHRASE_COUNT, (phrase,))) == len(hits)
-        snippets = index.execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
+        assert execute(OracleQuery(QueryKind.PHRASE_COUNT, (phrase,))) == len(hits)
+        snippets = execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
         assert [s.doc_id for s in snippets] == [f"d{i}" for i in hits][:limit]
-        mixed = index.execute(
-            OracleQuery(QueryKind.MIXED_SNIPPETS, (phrase,), lang_restrict="en", limit=limit)
-        )
+        mixed = execute(OracleQuery(QueryKind.MIXED_SNIPPETS, (phrase,), lang_restrict="en", limit=limit))
         assert [s.doc_id for s in mixed] == [f"d{i}" for i in hits if docs[i][0] == "en"][:limit]
     first, last = query_phrases[0], query_phrases[-1]
-    pair = index.execute(OracleQuery(QueryKind.PAIR_COUNT, (first, last)))
+    pair = execute(OracleQuery(QueryKind.PAIR_COUNT, (first, last)))
     assert pair == len(scan_docs(texts, first) & scan_docs(texts, last))
     or_query = " OR ".join(f'"{p}"' for p in query_phrases)
-    assert index.execute(OracleQuery(QueryKind.PHRASE_COUNT, (or_query,))) == len(scan_docs(texts, or_query))
+    assert execute(OracleQuery(QueryKind.PHRASE_COUNT, (or_query,))) == len(scan_docs(texts, or_query))
 
 
 def test_index_matches_across_case_and_separators():
@@ -255,13 +269,123 @@ def test_single_token_lookup_hands_out_a_fresh_set(index):
     assert SearchOracle(index).phrase_count("caisse") == 2
 
 
-def test_jsonl_roundtrip(tmp_path, index):
-    path = tmp_path / "docs.jsonl"
+def write_jsonl(path, docs):
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in DOCS:
+        for doc in docs:
             fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
-    loaded = LocalIndexBackend.from_jsonl(path)
+    return path
+
+
+def test_jsonl_roundtrip(tmp_path, index):
+    loaded = LocalIndexBackend.from_jsonl(write_jsonl(tmp_path / "docs.jsonl", DOCS))
     assert SearchOracle(loaded).phrase_count("lamb shank") == 3
+
+
+def count(index, phrase):
+    return index.execute(OracleQuery(QueryKind.PHRASE_COUNT, (phrase,)))
+
+
+def test_saved_index_is_loaded_until_the_collection_changes(tmp_path, monkeypatch):
+    builds = []  # collections whose documents were read to build an index
+    iterate = JsonlCollection.__iter__
+    monkeypatch.setattr(JsonlCollection, "__iter__", lambda self: builds.append(Path(self.path)) or iterate(self))
+    path = write_jsonl(tmp_path / "docs.jsonl", DOCS)
+    assert count(LocalIndexBackend.from_jsonl(path), "lamb shank") == 3
+    assert Path(f"{path}.index").is_file()
+    assert count(LocalIndexBackend.from_jsonl(path), "lamb shank") == 3
+    assert builds == [path]
+    # An edit that keeps the size, then one that does not.
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"lamb shank in red", b"lamp shank in red"))
+    assert path.stat().st_size == len(data)
+    assert count(LocalIndexBackend.from_jsonl(path), "lamb shank") == 2
+    write_jsonl(path, DOCS[:5])
+    assert count(LocalIndexBackend.from_jsonl(path), "lamb shank") == 1
+    assert count(LocalIndexBackend.from_jsonl(path), "lamb shank") == 1
+    assert builds == [path] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_torn_or_garbage_index_file_is_rebuilt_and_rewritten(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_jsonl(Path(tmp) / "docs.jsonl", DOCS)
+        LocalIndexBackend.from_jsonl(path)
+        saved = Path(f"{path}.index")
+        good = saved.read_bytes()
+        flip = st.tuples(st.integers(0, len(good) - 1), st.integers(1, 255))
+        bad = data.draw(
+            st.one_of(
+                st.integers(0, len(good) - 1).map(lambda cut: good[:cut]),
+                flip.map(lambda at: good[: at[0]] + bytes([good[at[0]] ^ at[1]]) + good[at[0] + 1 :]),
+                st.binary(max_size=len(good)),
+                st.binary(min_size=1).map(lambda tail: good + tail),
+            )
+        )
+        saved.write_bytes(bad)
+        index = LocalIndexBackend.from_jsonl(path)
+        assert saved.read_bytes() == good
+    fresh = LocalIndexBackend(DOCS)
+    for phrase in ("lamb shank", "caisse", "messe de minuit", "absent"):
+        query = OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=10)
+        assert index.execute(query) == fresh.execute(query)
+    assert len(index) == len(DOCS)
+
+
+@pytest.mark.parametrize("refused", ["create", "replace"])
+def test_unwritable_directory_still_answers_and_keeps_no_file(tmp_path, monkeypatch, refused):
+    path = write_jsonl(tmp_path / "docs.jsonl", DOCS)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    # The mode bits refuse a user other than root; the patches refuse root.
+    if refused == "create":
+        monkeypatch.setattr(backends, "open", lambda file, mode="r", *a, **kw: (
+            refuse() if "x" in mode else open(file, mode, *a, **kw)), raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", refuse)
+    tmp_path.chmod(0o555)
+    try:
+        index = LocalIndexBackend.from_jsonl(path)
+    finally:
+        tmp_path.chmod(0o755)
+    assert count(index, "lamb shank") == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_collection_that_is_not_a_regular_file_is_built_and_not_saved(tmp_path):
+    fifo = tmp_path / "docs.jsonl"
+    os.mkfifo(fifo)
+    lines = "".join(json.dumps(doc) + "\n" for doc in DOCS)
+    writer = threading.Thread(target=fifo.write_text, args=(lines,), kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    index = LocalIndexBackend.from_jsonl(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert count(index, "lamb shank") == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"id": "x", "text": ', "invalid JSON"),
+        ('{"id": "x", "text": 7}', 'expected an object with a string "text"'),
+        ('{"id": "x", "lang": ["en"], "text": "lamb shank"}', 'expected a string "lang"'),
+    ],
+)
+def test_malformed_collection_names_its_line_beside_an_index_of_other_content(tmp_path, line, message):
+    good = write_jsonl(tmp_path / "good.jsonl", DOCS)
+    LocalIndexBackend.from_jsonl(good)
+    bad = write_jsonl(tmp_path / "docs.jsonl", DOCS[:2])
+    with open(bad, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    shutil.copy(f"{good}.index", f"{bad}.index")
+    with pytest.raises(InputError) as raised:
+        LocalIndexBackend.from_jsonl(bad)
+    assert str(raised.value).startswith(f"{bad}:3: {message}")
 
 
 def test_cache_roundtrip_single_backend_call(tmp_path):
@@ -494,6 +618,20 @@ def test_torn_tail_does_not_swallow_next_record(tmp_path):
     reloaded = ResponseCache(path)
     assert reloaded.get(fresh) == 9
     assert reloaded.get(OracleQuery(QueryKind.PHRASE_COUNT, ("ok",))) == 7
+    assert len(reloaded) == 2
+
+
+def test_count_cut_short_is_never_read(tmp_path):
+    path = tmp_path / "run.cache"
+    # "336000" torn after its third digit
+    path.write_text("PHRASE_COUNT\tok\t\t-\t-\t7\nPHRASE_COUNT\tmidnight mass\t\t-\t-\t336", encoding="utf-8")
+    mass = OracleQuery(QueryKind.PHRASE_COUNT, ("midnight mass",))
+    cache = ResponseCache(path)
+    assert cache.get(mass) is None
+    cache.put(OracleQuery(QueryKind.PHRASE_COUNT, ("fresh",)), 9)
+    cache.close()
+    reloaded = ResponseCache(path)
+    assert reloaded.get(mass) is None
     assert len(reloaded) == 2
 
 
