@@ -4,22 +4,21 @@
 Produces a tagged corpus with 20 units covering every route through the
 cascade, the bilingual dictionary, the document collection backing the
 local search backend, a run configuration, the recorded response cache for
-offline replays, and a gold grade file. A verification pass runs the full
-pipeline and fails loudly if any unit lands somewhere unintended.
+offline replays, and a gold grade file. A verification pass runs
+``lexiforge extract`` and ``lexiforge translate`` on them and fails loudly if
+any unit lands somewhere unintended.
 
 Regenerate with:  python3 scripts/build_fixtures.py
 """
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
-from lexiforge.cli import build_oracle, build_world_context
-from lexiforge.config import load_config
-from lexiforge.corpus import parse_tagged_corpus
-from lexiforge.dictionary import load_dictionary
-from lexiforge.extraction import extract_ulcs, filter_ulcs, write_ulcs
-from lexiforge.pipeline import run_pipeline
+from lexiforge import cli
+from lexiforge.extraction import read_ulcs
+from lexiforge.pipeline import read_lexicon
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -347,55 +346,50 @@ pipeline.workers = 4
 """
 
 
+def lexiforge(*argv) -> None:
+    """Run one ``lexiforge`` command; stop unless it exits 0."""
+    code = cli.main([str(arg) for arg in argv])
+    if code != 0:
+        sys.exit(f"lexiforge {argv[0]} exited {code}")
+
+
 def record_and_verify():
-    corpus = parse_tagged_corpus((DATA_DIR / "corpus.tsv").read_text(encoding="utf-8"))
-    dictionary = load_dictionary(DATA_DIR / "dictionary.tsv")
+    """Run extract and translate on the fixtures against the local backend,
+    recording every answer in e2e.cache, and check each unit's outcome."""
     cache_path = DATA_DIR / "e2e.cache"
-    if cache_path.exists():
-        cache_path.unlink()
-    cfg = load_config(
-        DATA_DIR / "run.config",
-        {"docs_path": str(DATA_DIR / "docs.jsonl"), "cache_path": str(cache_path)},
-    )
-    oracle = build_oracle(cfg)
-    try:
-        units = extract_ulcs(corpus, cfg.corpus_freq_min)
-        verdicts = filter_ulcs(
-            units, oracle, cfg.literal_freq_min, cfg.article_freq_min, cfg.max_ulcs
-        )
-        kept = [v.ulc for v in verdicts if v.accepted]
-        rejected = [v.ulc.surface for v in verdicts if not v.accepted]
-        print(f"extracted {len(units)}, kept {len(kept)}, rejected {rejected}")
-        assert rejected == ["machine simple"], rejected
-        assert len(kept) == 20, len(kept)
+    cache_path.unlink(missing_ok=True)
+    ulcs = DATA_DIR / "ulcs.tsv"
+    common = ["--config", DATA_DIR / "run.config", "--backend", "local",
+              "--docs", DATA_DIR / "docs.jsonl", "--cache", cache_path]
+    lexiforge("extract", *common, "--corpus", DATA_DIR / "corpus.tsv", "--out", ulcs)
+    # every unit but "machine simple", which the web filter rejects
+    kept = {unit.surface for unit in read_ulcs(ulcs)}
+    assert kept == set(EXPECTED), sorted(kept ^ set(EXPECTED))
 
-        with open(DATA_DIR / "ulcs.tsv", "w", encoding="utf-8") as fh:
-            write_ulcs(kept, fh)
+    with tempfile.TemporaryDirectory() as out_dir:
+        lexiforge("translate", *common, "--ulcs", ulcs, "--dictionary", DATA_DIR / "dictionary.tsv",
+                  "--out-dir", out_dir)
+        rows = read_lexicon(Path(out_dir) / "lexicon.tsv")
 
-        records = run_pipeline(kept, build_world_context(cfg, oracle, dictionary))
+    failures = []
+    for surface, translation, phase in rows:
+        expected_phase, expected_translation = EXPECTED[surface]
+        if (phase.value, translation) != (expected_phase, expected_translation):
+            failures.append(f"{surface}: expected {expected_phase}/{expected_translation}, "
+                            f"got {(phase.value, translation)}")
+        print(f"  {surface:28s} -> {phase.value:15s} {translation}")
+    if failures:
+        sys.exit("FIXTURE VERIFICATION FAILED:\n" + "\n".join(failures))
 
-        failures = []
-        for record in records:
-            expected_phase, expected_translation = EXPECTED[record.source.surface]
-            actual = (record.phase.value, record.translation)
-            if actual != (expected_phase, expected_translation):
-                failures.append(f"{record.source.surface}: expected {expected_phase}/"
-                                f"{expected_translation}, got {actual}")
-            print(f"  {record.source.surface:28s} -> {record.phase.value:15s} {record.translation}")
-        if failures:
-            sys.exit("FIXTURE VERIFICATION FAILED:\n" + "\n".join(failures))
-
-        gold_lines = []
-        for record in records:
-            if record.translation is not None:
-                grade = GOLD_GRADES.get(record.translation, "A")
-                gold_lines.append(f"{record.source.surface}\t{record.translation}\t{grade}")
-        (DATA_DIR / "gold.tsv").write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
-        # Workers record in scheduling order; sorting by key makes the file
-        # the same on every regeneration.
-        print(f"cache entries recorded: {oracle._cache.compact()}")
-    finally:
-        oracle.close()
+    gold_lines = [
+        f"{surface}\t{translation}\t{GOLD_GRADES.get(translation, 'A')}"
+        for surface, translation, _ in rows
+        if translation is not None
+    ]
+    (DATA_DIR / "gold.tsv").write_text("\n".join(gold_lines) + "\n", encoding="utf-8")
+    # Workers record in scheduling order; sorting by key makes the file
+    # the same on every regeneration.
+    lexiforge("cache", "compact", cache_path)
 
 
 def main():

@@ -1,10 +1,13 @@
-"""Command-line entry point.
+"""Command-line entry point, and the one place that assembles a run.
 
-Subcommands: ``extract`` (corpus -> filtered unit list), ``translate``
-(units -> lexicon + summary), ``evaluate`` (lexicon + gold -> metrics),
-``world`` (print the lexical world of a phrase) and ``cache`` (inspect or
-compact a response cache). Exit codes: 0 success, 2 usage or configuration
-error, 3 finished but some units are still unresolved at the oracle.
+Subcommands: ``extract`` (corpus -> unit file: pattern extraction, then
+the web-frequency filter), ``translate`` (unit file -> lexicon + summary;
+it reads its units only from the file ``extract`` writes), ``evaluate``
+(lexicon + gold -> metrics), ``world`` (print the lexical world of a
+phrase) and ``cache`` (inspect or compact a response cache). The scripts
+run these commands rather than wiring the layers themselves. Exit codes:
+0 success, 2 usage, configuration or input error, 3 finished but some
+units are still unresolved at the oracle.
 """
 
 from __future__ import annotations
@@ -118,14 +121,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     dict_file = _require_file(cfg.dictionary_path, "dictionary file")
     dictionary = load_dictionary(dict_file)
 
-    if args.ulcs:
-        units = read_ulcs(_require_file(args.ulcs, "unit file"))
-    else:
-        corpus_file = _require_file(cfg.corpus_path, "corpus file")
-        with open_utf8(corpus_file) as fh:
-            corpus = parse_tagged_corpus(fh, build_tagset(cfg))
-        units = extract_ulcs(corpus, cfg.corpus_freq_min)
-
+    units = read_ulcs(_require_file(args.ulcs, "unit file"))
     if args.phase:
         units = [u for u in units if route_ulc(u, dictionary)[0].phase == args.phase]
 
@@ -214,9 +210,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_translate = sub.add_parser("translate", help="run the translation cascade")
     add_common(p_translate)
     p_translate.add_argument("--dictionary", dest="dictionary_path", help="bilingual dictionary file")
-    p_translate.add_argument("--corpus", dest="corpus_path", help="tagged corpus file")
-    p_translate.add_argument("--ulcs", help="pre-extracted unit file")
-    p_translate.add_argument("--tagset", dest="tagset_name", help="tagset name (coarse, treetagger-fr)")
+    p_translate.add_argument("--ulcs", required=True, help="unit file written by extract")
     p_translate.add_argument("--out-dir", dest="output_dir", help="report output directory")
     p_translate.add_argument("--phase", type=int, choices=(1, 2, 3), help="keep only the units the dictionary routes to this phase")
     p_translate.add_argument("--workers", type=int)
@@ -253,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GoldError, InputError, FileNotFoundError) as exc:
+    except (ConfigError, GoldError, InputError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -26,6 +26,17 @@ API_KEY_ENV = "LEXIFORGE_ORACLE_KEY"
 
 BACKENDS = ("local", "http", "cache")
 
+# The coarse word classes used by the pattern matcher, onto which
+# ``corpus.Tagset`` maps a tagger's raw tags at parse time, and the names of
+# the built-in tagsets; kept here so that the config can check them.
+COARSE_TAGS = frozenset(
+    {"NOUN", "ADJ", "PREP", "DET", "SENT", "VERB", "ADV", "PRON", "CONJ", "NUM", "OTHER"}
+)
+TAGSET_NAMES = ("coarse", "treetagger-fr", "treetagger_french")
+
+# setting -> the values it accepts
+_CHOICES = {"backend": BACKENDS, "tagset_name": TAGSET_NAMES}
+
 
 class ConfigError(ValueError):
     pass
@@ -94,6 +105,8 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = (part.strip() for part in line.partition("="))
             if key.startswith("tagset."):
+                if value not in COARSE_TAGS:
+                    raise ConfigError(f"{path}:{lineno}: {key}: must be one of {tuple(sorted(COARSE_TAGS))}")
                 tagset_overrides[key[len("tagset.") :]] = value
                 continue
             attr = KEY_MAP.get(key)
@@ -212,8 +225,8 @@ class RunConfig:
 
 def _check(attr: str, value: object) -> None:
     """Raise ValueError when one setting's value is out of its range."""
-    if attr == "backend" and value not in BACKENDS:
-        raise ValueError(f"must be one of {BACKENDS}")
+    if attr in _CHOICES and value not in _CHOICES[attr]:
+        raise ValueError(f"must be one of {_CHOICES[attr]}")
     # Every numeric setting is a count, rate or threshold.
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if value < 0:

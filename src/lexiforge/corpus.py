@@ -13,13 +13,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .config import InputError
-
-# Coarse word classes used by the pattern matcher. Raw tagger tags are mapped
-# onto these at parse time; the mapping is configurable per tagger.
-COARSE_TAGS = frozenset(
-    {"NOUN", "ADJ", "PREP", "DET", "SENT", "VERB", "ADV", "PRON", "CONJ", "NUM", "OTHER"}
-)
+from .config import COARSE_TAGS, TAGSET_NAMES, InputError
 
 DOC_PREFIX = "#DOC"
 
@@ -96,11 +90,10 @@ class Tagset:
 
     @classmethod
     def named(cls, name: str) -> "Tagset":
-        if name == "coarse":
-            return cls.coarse()
-        if name in ("treetagger-fr", "treetagger_french"):
-            return cls.treetagger_french()
-        raise ValueError(f"unknown tagset name: {name!r}")
+        """The built-in tagset called ``name``, one of ``TAGSET_NAMES``."""
+        if name not in TAGSET_NAMES:
+            raise ValueError(f"unknown tagset name: {name!r}")
+        return cls.coarse() if name == "coarse" else cls.treetagger_french()
 
 
 @dataclass(frozen=True)
@@ -133,16 +126,9 @@ class TaggedCorpus:
 
     documents: tuple[Document, ...]
 
-    @property
-    def doc_count(self) -> int:
-        return len(self.documents)
-
     def iter_sentences(self) -> Iterator[Sentence]:
         for doc in self.documents:
             yield from doc.sentences
-
-    def token_count(self) -> int:
-        return sum(len(s) for s in self.iter_sentences())
 
 
 def parse_tagged_corpus(

@@ -1,8 +1,12 @@
 import gc
 import io
 import logging
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +25,7 @@ from lexiforge.oracle import QueryKind, SearchOracle
 from conftest import FakeBackend
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(argv, capsys):
@@ -150,20 +155,42 @@ def test_config_value_out_of_range_exits_2_naming_file_and_line(tmp_path, capsys
         ("oracle.backend = bogus", "oracle.backend: must be one of ('local', 'http', 'cache')"),
         ("phase2.world_size = -3", "phase2.world_size: must be non-negative"),
         ("phase3.snippet_limit = 0", "phase3.snippet_limit: must be at least 1"),
+        ("corpus.tagset = bogus", "corpus.tagset: must be one of ('coarse', 'treetagger-fr', 'treetagger_french')"),
+        ("tagset.XX = BOGUS", "tagset.XX: must be one of ('ADJ', 'ADV', 'CONJ', 'DET', 'NOUN', 'NUM', "
+                              "'OTHER', 'PREP', 'PRON', 'SENT', 'VERB')"),
     ]:
         config.write_text(line + "\n", encoding="utf-8")
         code, _, err = run(["extract", "--config", str(config)], capsys)
         assert (code, err) == (2, f"error: {config}:1: {message}\n")
+    # A flag has no line to name.
+    code, _, err = run(extract_args(tmp_path, DATA / "corpus.tsv") + ["--tagset", "bogus"], capsys)
+    assert (code, err) == (2, "error: corpus.tagset must be one of ('coarse', 'treetagger-fr', 'treetagger_french')\n")
 
 
 def test_offline_is_the_cache_backend_and_excludes_backend(tmp_path, capsys):
-    assert cli.make_parser().parse_args(["translate", "--offline"]).backend == "cache"
+    assert cli.make_parser().parse_args(["translate", "--offline", "--ulcs", "u.tsv"]).backend == "cache"
     with pytest.raises(SystemExit) as caught:
         main(translate_args(tmp_path / "out", ["--backend", "http"]))
     assert caught.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
-    code, _, err = run(["translate", "--offline", "--dictionary", str(DATA / "dictionary.tsv")], capsys)
+    code, _, err = run(["translate", "--offline", "--ulcs", str(DATA / "ulcs.tsv"),
+                        "--dictionary", str(DATA / "dictionary.tsv")], capsys)
     assert (code, err) == (2, "error: cache backend requires oracle.cache\n")
+
+
+def test_translate_reads_units_only_from_a_unit_file(tmp_path, capsys):
+    without_units = translate_args(tmp_path / "out")
+    del without_units[without_units.index("--ulcs") : without_units.index("--ulcs") + 2]
+    for argv, message in [
+        (without_units, "the following arguments are required: --ulcs"),
+        (translate_args(tmp_path / "out", ["--corpus", str(DATA / "corpus.tsv")]), "unrecognized arguments: --corpus"),
+        (translate_args(tmp_path / "out", ["--tagset", "coarse"]), "unrecognized arguments: --tagset"),
+    ]:
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_translate_cold_cache_exits_3(tmp_path, capsys):
@@ -365,6 +392,43 @@ def test_a_cache_cut_anywhere_resumes_to_the_clean_bytes(clean_local_run, data):
     torn = cut > 0 and clean[cut - 1 : cut] != b"\n"
     lines = clean[:cut].count(b"\n") + 1
     assert warnings_seen == ([f"{cache}:{lines}: skipping corrupt cache record"] if torn else [])
+
+
+# ``translate`` whose local backend SIGKILLs the process once its N-th call
+# (argv[1]) has returned, before that answer reaches the cache.
+KILLED_TRANSLATE = """
+import os, signal, sys, threading
+from lexiforge.backends import LocalIndexBackend
+from lexiforge.cli import main
+limit, calls, lock, execute = int(sys.argv[1]), [0], threading.Lock(), LocalIndexBackend.execute
+def execute_then_die(self, query):
+    answer = execute(self, query)
+    with lock:
+        calls[0] += 1
+        if calls[0] == limit:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return answer
+LocalIndexBackend.execute = execute_then_die
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("kill_after", [1, 17, 40, 80])
+def test_a_run_killed_mid_way_resumes_to_the_clean_bytes(clean_local_run, tmp_path, kill_after):
+    # The cold fixture run makes 118 backend calls.
+    cache = tmp_path / "run.cache"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    killed = subprocess.run(
+        [sys.executable, "-c", KILLED_TRANSLATE, str(kill_after), *local_translate_args(tmp_path / "killed", cache)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    recorded = cache.read_bytes() if cache.exists() else b""  # the cache file opens on the first put
+    assert len(recorded) < len(clean_local_run["run.cache"])
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(local_translate_args(tmp_path / "out", cache)) == 0
+    for name in ("lexicon.tsv", "summary.tsv"):
+        assert (tmp_path / "out" / name).read_bytes() == clean_local_run[name], name
 
 
 def test_translate_with_cache_leaves_no_open_file(tmp_path, capsys):
@@ -702,6 +766,16 @@ INPUTS = {
     "config": (DATA / "run.config", None, lambda tmp, bad: replaced(translate_args(tmp / "out"), "--config", bad)),
     "cache": (DATA / "e2e.cache", 0, lambda tmp, bad: replaced(translate_args(tmp / "out"), "--cache", bad)),
 }
+
+
+@pytest.mark.parametrize("kind", [*sorted(INPUTS), "cache stats"])
+def test_a_directory_given_as_an_input_file_exits_2_naming_it(tmp_path, capsys, kind):
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    argv = ["cache", "stats", directory] if kind == "cache stats" else INPUTS[kind][2](tmp_path, directory)
+    code, _, err = run([str(arg) for arg in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and str(directory) in err
 
 
 def corrupted(kind, how, line):

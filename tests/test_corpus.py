@@ -41,22 +41,22 @@ central\tADJ\tcentral
 
 def test_single_token_line():
     corpus = parse_tagged_corpus(SIMPLE)
-    assert corpus.doc_count == 1
+    assert len(corpus.documents) == 1
     ((sentence,),) = [doc.sentences for doc in corpus.documents]
     assert sentence == (TaggedToken("appareil", "NOUN", "appareil"),)
 
 
 def test_empty_stream_gives_empty_corpus():
-    assert parse_tagged_corpus("").doc_count == 0
-    assert parse_tagged_corpus(io.StringIO("")).doc_count == 0
+    assert parse_tagged_corpus("").documents == ()
+    assert parse_tagged_corpus(io.StringIO("")).documents == ()
 
 
 def test_fixture_token_count_matches_line_count():
     # Independent count: every line with exactly three fields is one token.
     expected = sum(1 for line in FIXTURE.splitlines() if len(line.split("\t")) == 3)
     corpus = parse_tagged_corpus(FIXTURE)
-    assert corpus.token_count() == expected == 17
-    assert corpus.doc_count == 3
+    assert sum(len(s) for s in corpus.iter_sentences()) == expected == 17
+    assert len(corpus.documents) == 3
 
 
 def test_sentence_boundaries_from_sent_and_blank_lines():
