@@ -9,13 +9,9 @@
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
-import marshal
-import os
 import re
-import struct
 import threading
 import time
 import zlib
@@ -23,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from . import savefile
 from .config import InputError, RunConfig, open_utf8
 from .oracle import OracleError, OracleQuery, QueryKind, is_count, split_or_query
 
@@ -62,14 +59,11 @@ class _SummedFile(io.FileIO):
         return n
 
 
-# A saved index is a header, then one record per part: its length, its
-# CRC-32 and its ``marshal`` bytes. marshal, unlike pickle, runs no code on
-# load. The header keys the file on the collection's bytes.
+# A saved index (see ``savefile``) has three parts: the documents, their
+# token strings, and token -> documents.
 _INDEX_MAGIC = b"lexiforge-index\n"
 _INDEX_FORMAT = 1  # bump when the parts, or how ``_add`` builds them, change
-_HEADER = struct.Struct("<16sIIIQ")  # magic, format, marshal version, collection CRC-32 and length
-_RECORD = struct.Struct("<QI")  # length and CRC-32 of one part
-_PARTS = 3  # documents, their token strings, token -> documents
+_PARTS = 3
 
 
 class JsonlCollection:
@@ -100,59 +94,24 @@ class JsonlCollection:
                 yield doc
         self.key = (raw.crc, raw.size)
 
-    def _present_key(self) -> tuple[int, int]:
-        with _SummedFile(self.path) as fh:
-            buffer = bytearray(1 << 16)
-            while fh.readinto(buffer):
-                pass
-            return fh.crc, fh.size
-
     def load(self) -> list | None:
-        """The saved parts, one record read at a time, if the saved index was
-        built from the collection's present bytes; else None. Like a stale
-        ``.pyc``, a saved index that is missing, stale, torn or corrupt is
-        not an error: it is rebuilt."""
+        """The saved parts, if the saved index was built from the
+        collection's present bytes; else None, and the index is rebuilt."""
         if self.index_path is None:
             return None
-        try:
-            with open(self.index_path, "rb") as fh:
-                left = os.fstat(fh.fileno()).st_size - _HEADER.size
-                *header, crc, size = _HEADER.unpack(fh.read(_HEADER.size))
-                if header != [_INDEX_MAGIC, _INDEX_FORMAT, marshal.version] or (crc, size) != self._present_key():
-                    return None
-                parts = []
-                for _ in range(_PARTS):
-                    length, part_crc = _RECORD.unpack(fh.read(_RECORD.size))
-                    left -= _RECORD.size + length
-                    if left < 0:  # a torn file, or a length no read may trust
-                        return None
-                    data = fh.read(length)
-                    if zlib.crc32(data) != part_crc:
-                        return None
-                    parts.append(marshal.loads(data))
-                    del data
-                return parts if left == 0 else None
-        except Exception:
-            return None
+
+        def fits(key: savefile.Key) -> bool:
+            with open(self.path, "rb") as fh:
+                return key == savefile.key_of(fh)
+
+        saved = savefile.load(self.index_path, _INDEX_MAGIC, _INDEX_FORMAT, fits)
+        return saved[1] if saved and len(saved[1]) == _PARTS else None
 
     def save(self, parts: Sequence) -> None:
-        """Write ``parts`` under a unique temporary name, then move it over
-        the saved index. A directory that refuses the write keeps no file."""
-        if self.index_path is None or self.key is None:
-            return
-        tmp = self.index_path.with_name(f"{self.index_path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            with open(tmp, "xb") as fh:
-                fh.write(_HEADER.pack(_INDEX_MAGIC, _INDEX_FORMAT, marshal.version, *self.key))
-                for part in parts:
-                    data = marshal.dumps(part)
-                    fh.write(_RECORD.pack(len(data), zlib.crc32(data)))
-                    fh.write(data)
-                    del data
-            os.replace(tmp, self.index_path)
-        except OSError:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
+        """Save ``parts`` as the collection's index, keyed on the bytes they
+        were built from."""
+        if self.index_path is not None and self.key is not None:
+            savefile.save(self.index_path, _INDEX_MAGIC, _INDEX_FORMAT, self.key, parts)
 
 
 class LocalIndexBackend:

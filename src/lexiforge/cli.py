@@ -125,6 +125,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if args.phase:
         units = [u for u in units if route_ulc(u, dictionary)[0].phase == args.phase]
 
+    # Made before the run, so that an output path no directory can take
+    # fails at once rather than after every unit is translated.
+    Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
     oracle = build_oracle(cfg)
     try:
         ctx = build_world_context(cfg, oracle, dictionary)
@@ -247,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GoldError, InputError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigError, GoldError, InputError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -18,11 +18,13 @@ import os
 import queue
 import sys
 import threading
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Protocol
+from typing import BinaryIO, Iterator, Protocol
 
+from . import savefile
 from .config import RunConfig
 
 log = logging.getLogger(__name__)
@@ -129,6 +131,29 @@ def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list
     return "\t".join([kind, phrases[0], p2, lang, limit, payload]) + "\n"
 
 
+# The snapshot beside a cache file (see ``savefile``), keyed on the bytes of
+# the complete lines it covers. Its first part is the number of those lines
+# and the line numbers of the corrupt records among them; each later part
+# holds about _SNAPSHOT_PART_BYTES of entries, in file order, so that no
+# load or save holds the bytes of the whole snapshot at once.
+_SNAPSHOT_MAGIC = b"lexiforge-cache\n"
+_SNAPSHOT_FORMAT = 1  # bump when the parts, or which records ``_load`` keeps, change
+_SNAPSHOT_PART_BYTES = 1 << 20
+
+
+def _snapshot_parts(lines: int, skipped: list[int], entries: dict) -> Iterator:
+    yield lines, skipped
+    part, size = {}, 0
+    for key, value in entries.items():
+        part[key] = value
+        size += 64 + (sum(map(len, value)) if type(value) is list else 0)  # about its marshal bytes
+        if size >= _SNAPSHOT_PART_BYTES:
+            yield part
+            part, size = {}, 0
+    if part:
+        yield part
+
+
 class ResponseCache:
     """Append-only response cache, one record per line, last write wins.
 
@@ -143,6 +168,11 @@ class ResponseCache:
     written. A torn last line left by such a crash is skipped, and closed
     off with a tab and a newline before the first append, so it cannot
     swallow the next record, nor parse as one on a later load.
+
+    A load saves what it checked beside the file as ``<path>.snapshot``,
+    keyed on the complete lines it covers, and a later load reads that and
+    parses only the records appended after them. Appends leave those lines
+    as they are; a snapshot that no longer fits the file is rebuilt.
     """
 
     def __init__(self, path: str | Path):
@@ -156,24 +186,54 @@ class ResponseCache:
     def _load(self):
         # Read as bytes and decode each line once, so that a record that is
         # not UTF-8 is skipped like any other corrupt record.
+        snapshot = Path(f"{self.path}.snapshot")
         with open(self.path, "rb") as fh:
-            for lineno, raw_line in enumerate(fh, start=1):
+            # A snapshot fits if made from the file's first bytes, which
+            # leaves ``fh`` just after them.
+            saved = savefile.load(
+                snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, lambda key: key == savefile.key_of(fh, key[1])
+            )
+            if saved:
+                (crc, covered), ((lines, skipped), *parts) = saved
+                for part in parts:
+                    self._entries.update(part)
+                for lineno in skipped:
+                    log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
+            else:
+                fh.seek(0)
+                crc = covered = lines = 0
+                skipped = []
+            saved_covered = covered
+            for lineno, raw_line in enumerate(fh, start=lines + 1):
+                # A last line without its newline is a torn write, even where
+                # what is left parses, as a count cut short does. The
+                # snapshot covers complete lines only.
+                complete = raw_line.endswith(b"\n")
+                if complete:
+                    crc = zlib.crc32(raw_line, crc)
+                    covered += len(raw_line)
+                    lines = lineno
                 try:
                     line = raw_line.decode("utf-8").rstrip("\r\n")
                     if not line:
                         continue
                     kind, p1, p2, lang, limit, payload = line.split("\t")
                     value = _decode_response(payload)
-                    # A last line without its newline is a torn write, even
-                    # where what is left parses, as a count cut short does.
-                    fits = is_answer(QueryKind(kind), value) and raw_line.endswith(b"\n")
+                    fits = is_answer(QueryKind(kind), value) and complete
                 except (ValueError, TypeError):
                     fits = False
                 if not fits:
                     log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
+                    if complete:
+                        skipped.append(lineno)
                     continue
                 phrases = (p1,) if not p2 else (p1, p2)
                 self._entries[(kind, tuple(sorted(phrases)), lang, limit)] = value
+        if covered != saved_covered:
+            savefile.save(
+                snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, (crc, covered),
+                _snapshot_parts(lines, skipped, self._entries),
+            )
 
     def get(self, query: OracleQuery) -> int | list[str] | None:
         with self._lock:

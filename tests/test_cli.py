@@ -193,6 +193,16 @@ def test_translate_reads_units_only_from_a_unit_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out_dir", ["a-file", "a-file/out"])
+def test_translate_out_dir_that_cannot_be_a_directory_exits_2_before_the_run(tmp_path, capsys, monkeypatch, out_dir):
+    (tmp_path / "a-file").write_text("", encoding="utf-8")
+    monkeypatch.setattr(cli, "run_pipeline", lambda *args: pytest.fail("the run started"))
+    code, out, err = run(translate_args(tmp_path / out_dir), capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(tmp_path / out_dir) in err
+
+
 def test_translate_cold_cache_exits_3(tmp_path, capsys):
     cold = tmp_path / "cold.cache"
     cold.touch()
@@ -768,10 +778,12 @@ INPUTS = {
 }
 
 
-@pytest.mark.parametrize("kind", [*sorted(INPUTS), "cache stats"])
+@pytest.mark.parametrize("kind", [*sorted(INPUTS), "cache stats", "docs under a file"])
 def test_a_directory_given_as_an_input_file_exits_2_naming_it(tmp_path, capsys, kind):
     directory = tmp_path / "a-directory"
     directory.mkdir()
+    if kind == "docs under a file":  # not a directory either: NotADirectoryError
+        kind, directory = "docs", DATA / "run.config" / "x"
     argv = ["cache", "stats", directory] if kind == "cache stats" else INPUTS[kind][2](tmp_path, directory)
     code, _, err = run([str(arg) for arg in argv], capsys)
     assert code == 2

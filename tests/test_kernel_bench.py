@@ -1,5 +1,5 @@
 """Micro-benchmarks of the hot kernels (pytest-benchmark): corpus parsing,
-index building and lookups, cache appends, oracle misses and
+index building and lookups, cache appends and loads, oracle misses and
 lexical-world building.
 
 Few rounds each, so they add well under a second to the suite; the
@@ -93,6 +93,28 @@ def test_bench_thousand_oracle_misses(benchmark, tmp_path):
         return answers
 
     assert benchmark.pedantic(miss_all, setup=fresh_oracle, rounds=3) == [3] * 1_000
+
+
+@pytest.mark.parametrize("snapshot", [False, True], ids=["parsed", "from-snapshot"])
+def test_bench_recorded_cache_load(benchmark, tmp_path, snapshot):
+    # 300 snippet records of 15 texts of 30 words, as a recorded cache holds.
+    rng = random.Random(11)
+    path = tmp_path / "recorded.cache"
+    recording = ResponseCache(path)
+    for i in range(300):
+        texts = [" ".join(rng.choice(CONTENT_WORDS + FUNCTION_WORDS) for _ in range(30)) for _ in range(15)]
+        recording.put(OracleQuery(QueryKind.SNIPPETS, (f"phrase {i}",), limit=15), texts)
+    recording.close()
+    saved = Path(f"{path}.snapshot")
+
+    def setup():
+        if not snapshot:
+            saved.unlink(missing_ok=True)
+        return (path,), {}
+
+    ResponseCache(path)
+    cache = benchmark.pedantic(ResponseCache, setup=setup, rounds=5)
+    assert len(cache) == 300 and saved.is_file()
 
 
 def test_bench_world_from_thousand_snippets(benchmark):

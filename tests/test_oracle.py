@@ -1,9 +1,11 @@
+import contextlib
 import email.utils
 import json
 import logging
 import os
 import random
 import shutil
+import subprocess
 import sys
 import tempfile
 import threading
@@ -14,7 +16,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import lexiforge.backends as backends
+import lexiforge.oracle as oracle
+import lexiforge.savefile as savefile
 from lexiforge.backends import (
     WORD_RE,
     HttpBackend,
@@ -332,24 +335,33 @@ def test_torn_or_garbage_index_file_is_rebuilt_and_rewritten(data):
     assert len(index) == len(DOCS)
 
 
-@pytest.mark.parametrize("refused", ["create", "replace"])
-def test_unwritable_directory_still_answers_and_keeps_no_file(tmp_path, monkeypatch, refused):
-    path = write_jsonl(tmp_path / "docs.jsonl", DOCS)
+@contextlib.contextmanager
+def refusing_saved_files(monkeypatch, directory, refused):
+    """``directory`` refuses to create (``"create"``) or to move into place
+    (``"replace"``) a saved file while the block runs."""
 
     def refuse(*args, **kwargs):
         raise PermissionError(13, "Permission denied")
 
     # The mode bits refuse a user other than root; the patches refuse root.
     if refused == "create":
-        monkeypatch.setattr(backends, "open", lambda file, mode="r", *a, **kw: (
+        monkeypatch.setattr(savefile, "open", lambda file, mode="r", *a, **kw: (
             refuse() if "x" in mode else open(file, mode, *a, **kw)), raising=False)
     else:
         monkeypatch.setattr(os, "replace", refuse)
-    tmp_path.chmod(0o555)
+    directory.chmod(0o555)
     try:
-        index = LocalIndexBackend.from_jsonl(path)
+        yield
     finally:
-        tmp_path.chmod(0o755)
+        directory.chmod(0o755)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("refused", ["create", "replace"])
+def test_unwritable_directory_still_answers_and_keeps_no_file(tmp_path, monkeypatch, refused):
+    path = write_jsonl(tmp_path / "docs.jsonl", DOCS)
+    with refusing_saved_files(monkeypatch, tmp_path, refused):
+        index = LocalIndexBackend.from_jsonl(path)
     assert count(index, "lamb shank") == 3
     assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
 
@@ -649,6 +661,212 @@ def test_put_after_compact_reaches_new_file(tmp_path):
     assert reloaded.get(q) == 2
     assert reloaded.get(later) == 5
     assert len(path.read_text().splitlines()) == 2
+
+
+# Cache file lines of every sort a load meets: records of each kind, the
+# older [text, doc_id] pair form, a later write of one key, a blank line,
+# and corrupt records (a wrong field count, a byte that is not UTF-8, a
+# payload that does not fit its kind).
+CACHE_LINES = [
+    b"PHRASE_COUNT\tmidnight mass\t\t-\t-\t336000\n",
+    b'SNIPPETS\tcaisse\t\t-\t5\t["La caisse", "Une caisse \\"verte\\""]\n',
+    b'SNIPPETS\told\t\t-\t5\t[["La caisse", "fr1"], ["Une", null]]\n',
+    b"PHRASE_COUNT\tbroken\n",
+    b"PHRASE_COUNT\tcaf\xe9\t\t-\t-\t1\n",
+    b"\n",
+    b"PAIR_COUNT\tcentral fund\tcaisse centrale\t-\t-\t4\n",
+    b'MIXED_SNIPPETS\tsouris\t\ten\t5\t["Lamb shank", "Souris d\'agneau"]\n',
+    b"SNIPPETS\tcount\t\t-\t5\t3\n",
+    b"PHRASE_COUNT\tmidnight mass\t\t-\t-\t7\n",
+]
+PUT_QUERIES = [
+    OracleQuery(QueryKind.PHRASE_COUNT, ("midnight mass",)),
+    OracleQuery(QueryKind.PHRASE_COUNT, ("fresh",)),
+    OracleQuery(QueryKind.PAIR_COUNT, ("caisse centrale", "central fund")),
+]
+
+
+def load_logged(path):
+    """The entries of ``ResponseCache(path)``, in order, and the warnings
+    its load logged."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("lexiforge.oracle")
+    logger.addHandler(handler)
+    try:
+        cache = ResponseCache(path)
+    finally:
+        logger.removeHandler(handler)
+    return list(cache._entries.items()), messages
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            # lines appended, then the last few bytes cut off (a torn last line)
+            st.tuples(st.just("append"), st.lists(st.sampled_from(CACHE_LINES), max_size=6), st.integers(0, 3)),
+            st.tuples(st.just("cut"), st.integers(0, 10**6)),
+            st.tuples(st.just("put"), st.sampled_from(PUT_QUERIES), st.integers(0, 99)),
+            st.tuples(st.just("compact")),
+        ),
+        max_size=8,
+    )
+)
+def test_a_load_from_the_snapshot_equals_a_load_without_it(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cache"
+        snapshot = Path(f"{path}.snapshot")
+        path.write_bytes(b"")
+        for step in steps:
+            if step[0] == "append":
+                data = path.read_bytes() + b"".join(step[1])
+                path.write_bytes(data[: len(data) - step[2]] if step[1] else data)
+            elif step[0] == "cut":
+                data = path.read_bytes()
+                path.write_bytes(data[: step[1] % (len(data) + 1)])
+            elif step[0] == "put":
+                cache = ResponseCache(path)
+                cache.put(step[1], step[2])
+                cache.close()
+            else:
+                ResponseCache(path).compact()
+            with_snapshot = load_logged(path)
+            # The snapshot this load left, built on the last one, stays for
+            # the next step.
+            kept = snapshot.read_bytes() if snapshot.exists() else None
+            snapshot.unlink(missing_ok=True)
+            assert load_logged(path) == with_snapshot
+            if kept is not None:
+                snapshot.write_bytes(kept)
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The payloads a cache load parses from its file."""
+    payloads = []
+    decode = oracle._decode_response
+    monkeypatch.setattr(oracle, "_decode_response", lambda payload: payloads.append(payload) or decode(payload))
+    return payloads
+
+
+def recorded_cache(tmp_path):
+    path = tmp_path / "run.cache"
+    path.write_bytes(b"".join(CACHE_LINES))
+    return path, Path(f"{path}.snapshot")
+
+
+def index_file(tmp_path):
+    path = write_jsonl(tmp_path / "docs.jsonl", DOCS)
+    LocalIndexBackend.from_jsonl(path)
+    return Path(f"{path}.index").read_bytes()
+
+
+@pytest.mark.parametrize("damage", ["none", "torn", "corrupt part", "stale key", "other format", "other kind"])
+def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, damage):
+    path, snapshot = recorded_cache(tmp_path)
+    first = load_logged(path)
+    parsed = len(decoded)
+    good = snapshot.read_bytes()
+    if damage == "torn":
+        snapshot.write_bytes(good[:-10])
+    elif damage == "corrupt part":
+        snapshot.write_bytes(good[:-5] + bytes([good[-5] ^ 1]) + good[-4:])
+    elif damage == "stale key":  # an edit of the cache that keeps its size
+        path.write_bytes(path.read_bytes().replace(b"336000", b"336001"))
+    elif damage == "other format":
+        snapshot.write_bytes(good[:16] + (2).to_bytes(4, "little") + good[20:])
+    elif damage == "other kind":
+        snapshot.write_bytes(index_file(tmp_path))
+    decoded.clear()
+    entries, messages = load_logged(path)
+    assert len(decoded) == (0 if damage == "none" else parsed)
+    assert messages == first[1]
+    if damage != "stale key":
+        assert entries == first[0]
+        assert snapshot.read_bytes() == good
+    # Rebuilt: the next load reads the snapshot alone.
+    decoded.clear()
+    assert load_logged(path) == (entries, messages)
+    assert decoded == []
+
+
+def test_a_snapshot_parses_only_the_records_appended_after_it(tmp_path, decoded):
+    path, snapshot = recorded_cache(tmp_path)
+    ResponseCache(path)
+    cache = ResponseCache(path)
+    cache.put(OracleQuery(QueryKind.PHRASE_COUNT, ("fresh",)), 9)
+    cache.close()
+    with open(path, "ab") as fh:
+        fh.write(b"PHRASE_COUNT\tbroken\nPHRASE_COUNT\ttorn\t\t-\t-\t12")
+    decoded.clear()
+    with_snapshot = load_logged(path)
+    assert decoded == ["9", "12"]
+    assert with_snapshot[1][-2:] == [f"{path}:12: skipping corrupt cache record", f"{path}:13: skipping corrupt cache record"]
+    snapshot.unlink()
+    assert load_logged(path) == with_snapshot
+
+
+def test_compact_makes_the_snapshot_stale(tmp_path, decoded):
+    path, snapshot = recorded_cache(tmp_path)
+    cache = ResponseCache(path)
+    before = snapshot.read_bytes()
+    entries = sorted(cache._entries.items())
+    cache.compact()
+    decoded.clear()
+    assert load_logged(path) == (entries, [])
+    assert len(decoded) == len(entries)
+    assert snapshot.read_bytes() != before
+
+
+@pytest.mark.parametrize("refused", ["create", "replace"])
+def test_cache_in_an_unwritable_directory_loads_and_keeps_no_snapshot(tmp_path, monkeypatch, refused):
+    path, _ = recorded_cache(tmp_path)
+    with refusing_saved_files(monkeypatch, tmp_path, refused):
+        refused_load = load_logged(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cache"]
+    assert refused_load == load_logged(path)
+
+
+PUTTER = """
+import sys
+from lexiforge.oracle import OracleQuery, QueryKind, ResponseCache
+
+path, name, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = ResponseCache(path)
+for i in range(n):
+    cache.put(OracleQuery(QueryKind.SNIPPETS, (f"{name} {i}",), limit=5), [f"{name} {i} " + "x" * 15_000])
+cache.close()
+"""
+
+
+def test_two_processes_put_at_once_after_the_snapshot_and_every_record_reloads(tmp_path, decoded):
+    # Each put is one write under O_APPEND, so records of ~15 KB (far above
+    # PIPE_BUF) from two writers never interleave, and the bytes a snapshot
+    # covers are never rewritten.
+    path = tmp_path / "run.cache"
+    path.write_bytes(b"".join(CACHE_LINES[:3]))
+    before = len(ResponseCache(path))
+    env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
+    writers = [
+        subprocess.Popen([sys.executable, "-c", PUTTER, str(path), name, "200"], env=env)
+        for name in ("a", "b")
+    ]
+    try:
+        for writer in writers:
+            assert writer.wait(timeout=60) == 0
+    finally:
+        for writer in writers:
+            writer.kill()
+    decoded.clear()
+    reloaded = load_logged(path)
+    assert len(reloaded[0]) == before + 400
+    assert reloaded[1] == []
+    # A writer's own load may have covered the other's first records.
+    assert len(decoded) <= 400
+    Path(f"{path}.snapshot").unlink()
+    assert load_logged(path) == reloaded
 
 
 def test_cache_only_backend_replays_and_errors(tmp_path):
