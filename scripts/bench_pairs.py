@@ -191,6 +191,8 @@ def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
     if not (neither if args.aa else paired):
         parser.error("give either --parent and --change, or --aa")
 
+    # Made before the first pair, so that no pair's runs are lost to it.
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="bench-aa-") as scratch:
         if args.aa:
             copy = Path(scratch) / args.aa.resolve().name

@@ -1,6 +1,6 @@
 """Bilingual lexicon acquisition from a tagged corpus and a search oracle."""
 
-from .corpus import TaggedCorpus, TaggedToken, Tagset, parse_tagged_corpus, phrase_frequency
+from .corpus import TaggedCorpus, TaggedToken, parse_tagged_corpus
 from .dictionary import BilingualDictionary, Route, load_dictionary, route_ulc
 from .extraction import SourceUlc, UlcPattern, extract_ulcs, web_filter_ulc
 from .generation import CandidateTranslation, TranslationRule, build_validation_query, generate_candidates
@@ -22,7 +22,6 @@ __all__ = [
     "SourceUlc",
     "TaggedCorpus",
     "TaggedToken",
-    "Tagset",
     "TranslationRecord",
     "TranslationRule",
     "UlcPattern",
@@ -31,7 +30,6 @@ __all__ = [
     "generate_candidates",
     "load_dictionary",
     "parse_tagged_corpus",
-    "phrase_frequency",
     "route_ulc",
     "run_pipeline",
     "summarize",

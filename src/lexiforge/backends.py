@@ -126,8 +126,6 @@ class LocalIndexBackend:
     holds the phrase's tokens as a space-delimited run.
     """
 
-    name = "local-index"
-
     def __init__(self, documents: Iterable[dict]):
         """Index ``documents``. Those of ``from_jsonl`` come with their
         collection's saved index, which is loaded when it was built from the
@@ -239,8 +237,6 @@ class HttpBackend:
     ``ssl`` and ``urllib.request`` imports would add ~7 MB of memory and
     ~60 ms to every run, HTTP or not.
     """
-
-    name = "http"
 
     KIND_PARAM = {
         QueryKind.PHRASE_COUNT: "count",

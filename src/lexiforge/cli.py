@@ -18,8 +18,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .backends import HttpBackend, LocalIndexBackend
-from .config import ConfigError, InputError, RunConfig, load_config, open_utf8
-from .corpus import Tagset, parse_tagged_corpus
+from .config import TAGSETS, ConfigError, InputError, RunConfig, load_config, open_utf8
+from .corpus import parse_tagged_corpus
 from .dictionary import load_dictionary, route_ulc
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
 from .oracle import ResponseCache, SearchOracle
@@ -42,13 +42,6 @@ def build_oracle(cfg: RunConfig) -> SearchOracle:
     else:
         backend = HttpBackend(cfg.endpoint, cfg.api_key, cfg.rate_per_sec)
     return SearchOracle(backend, cache, max_parallel=cfg.parallelism)
-
-
-def build_tagset(cfg: RunConfig) -> Tagset:
-    tagset = Tagset.named(cfg.tagset_name)
-    if cfg.tagset_overrides:
-        tagset = tagset.extended(cfg.tagset_overrides)
-    return tagset
 
 
 def _tagger(lexicon_path: str | None, lang: str) -> LexiconTagger:
@@ -92,7 +85,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     corpus_file = _require_file(cfg.corpus_path, "corpus file")
     with open_utf8(corpus_file) as fh:
-        corpus = parse_tagged_corpus(fh, build_tagset(cfg))
+        corpus = parse_tagged_corpus(fh, {**TAGSETS[cfg.tagset_name], **cfg.tagset_overrides})
     units = extract_ulcs(corpus, cfg.corpus_freq_min)
 
     oracle = build_oracle(cfg)

@@ -26,16 +26,52 @@ API_KEY_ENV = "LEXIFORGE_ORACLE_KEY"
 
 BACKENDS = ("local", "http", "cache")
 
-# The coarse word classes used by the pattern matcher, onto which
-# ``corpus.Tagset`` maps a tagger's raw tags at parse time, and the names of
-# the built-in tagsets; kept here so that the config can check them.
+# The coarse word classes used by the pattern matcher, and the built-in
+# tagsets: name -> raw tagger tag -> coarse class. The corpus parser maps
+# each raw tag through the run's tagset; the config checks names against
+# this table.
 COARSE_TAGS = frozenset(
     {"NOUN", "ADJ", "PREP", "DET", "SENT", "VERB", "ADV", "PRON", "CONJ", "NUM", "OTHER"}
 )
-TAGSET_NAMES = ("coarse", "treetagger-fr", "treetagger_french")
+_COARSE = {t: t for t in COARSE_TAGS}
+# The French TreeTagger tag inventory; its ADJ, ADV, NUM and SENT tags are
+# coarse names already.
+_TREETAGGER_FR = {
+    **_COARSE,
+    "NOM": "NOUN",
+    "NAM": "NOUN",
+    "ABR": "NOUN",
+    "PRP": "PREP",
+    "PRP:det": "PREP",
+    "DET:ART": "DET",
+    "DET:POS": "DET",
+    "PUN": "OTHER",
+    "PUN:cit": "OTHER",
+    "SYM": "OTHER",
+    "KON": "CONJ",
+    "INT": "OTHER",
+    "PRO": "PRON",
+    "PRO:DEM": "PRON",
+    "PRO:IND": "PRON",
+    "PRO:PER": "PRON",
+    "PRO:POS": "PRON",
+    "PRO:REL": "PRON",
+    "VER:cond": "VERB",
+    "VER:futu": "VERB",
+    "VER:impe": "VERB",
+    "VER:impf": "VERB",
+    "VER:infi": "VERB",
+    "VER:pper": "VERB",
+    "VER:ppre": "VERB",
+    "VER:pres": "VERB",
+    "VER:simp": "VERB",
+    "VER:subi": "VERB",
+    "VER:subp": "VERB",
+}
+TAGSETS = {"coarse": _COARSE, "treetagger-fr": _TREETAGGER_FR, "treetagger_french": _TREETAGGER_FR}
 
 # setting -> the values it accepts
-_CHOICES = {"backend": BACKENDS, "tagset_name": TAGSET_NAMES}
+_CHOICES = {"backend": BACKENDS, "tagset_name": tuple(TAGSETS)}
 
 
 class ConfigError(ValueError):
@@ -210,18 +246,6 @@ class RunConfig:
         if self.backend == "cache" and not self.cache_path:
             raise ConfigError("cache backend requires oracle.cache")
 
-    def dump(self, out) -> None:
-        """Write every mapped key so a dump reloads to identical behavior."""
-        for key in sorted(KEY_MAP):
-            value = getattr(self, KEY_MAP[key])
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            out.write(f"{key} = {value}\n")
-        for raw, coarse in sorted(self.tagset_overrides.items()):
-            out.write(f"tagset.{raw} = {coarse}\n")
-
 
 def _check(attr: str, value: object) -> None:
     """Raise ValueError when one setting's value is out of its range."""
@@ -229,7 +253,7 @@ def _check(attr: str, value: object) -> None:
         raise ValueError(f"must be one of {_CHOICES[attr]}")
     # Every numeric setting is a count, rate or threshold.
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value < 0:
+        if not value >= 0:  # NaN too
             raise ValueError("must be non-negative")
         if attr in ("snippet_limit", "phase3_snippet_limit") and value < 1:
             raise ValueError("must be at least 1")

@@ -117,7 +117,7 @@ def extract_ulcs(corpus: TaggedCorpus, min_corpus_freq: int) -> list[SourceUlc]:
     """
     counts: dict[tuple[str, str, UlcPattern], int] = {}
     surfaces: dict[tuple[str, str, UlcPattern], dict[str, int]] = {}
-    for sentence in corpus.iter_sentences():
+    for sentence in corpus.sentences:
         for i in range(len(sentence)):
             match = _match_at(sentence, i)
             if match is None:

@@ -85,8 +85,6 @@ class Backend(Protocol):
     """A search engine: ``execute`` answers a count for the count kinds, and
     for the snippet kinds a list of hits with a ``text`` (``backends.Snippet``)."""
 
-    name: str
-
     def execute(self, query: OracleQuery) -> int | list: ...
 
 

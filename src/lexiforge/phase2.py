@@ -53,8 +53,6 @@ class WorldSimilarity:
 
     noun_overlap: tuple[int, int]
     adj_overlap: tuple[int, int]
-    matched_nouns: tuple[tuple[str, str], ...]
-    matched_adjs: tuple[tuple[str, str], ...]
 
     @property
     def noun_jaccard(self) -> float:
@@ -163,21 +161,19 @@ def _match_category(
     target_lemmas: Sequence[str],
     dictionary: BilingualDictionary,
     pos: str,
-) -> tuple[tuple[int, int], tuple[tuple[str, str], ...]]:
+) -> tuple[int, int]:
+    """``(intersection, union)`` of one category."""
     target_set = {t.lower() for t in target_lemmas}
-    matches = []
+    matches = []  # the first matching translation of each matched source lemma
     for lemma in source_lemmas:
         for translation in dictionary.lookup(lemma, pos):
             if translation.lower() in target_set:
-                matches.append((lemma, translation.lower()))
+                matches.append(translation.lower())
                 break
-    intersection = len(matches)
     # Subtract each matched target lemma once: two source lemmas sharing a
     # translation count twice in the intersection but cannot shrink the
     # union twice, or the score could exceed 1.
-    matched_targets = {t for _, t in matches}
-    union = len(source_lemmas) + len(target_lemmas) - len(matched_targets)
-    return (intersection, union), tuple(matches)
+    return len(matches), len(source_lemmas) + len(target_lemmas) - len(set(matches))
 
 
 def compare_worlds(
@@ -186,18 +182,15 @@ def compare_worlds(
     """Dictionary-mediated Jaccard between two worlds, per category.
 
     A source lemma is in the intersection when any of its translations for
-    the category's word class appears in the target list (first such
-    translation recorded as the matched pair); the union is |source| +
-    |target| minus the distinct matched target lemmas. Scores stay in
-    [0, 1] and are 0 when a category is empty on both sides.
+    the category's word class appears in the target list, and is matched to
+    the first such translation; the union is |source| + |target| minus the
+    distinct matched target lemmas. Scores stay in [0, 1] and are 0 when a
+    category is empty on both sides.
     """
-    noun_overlap, noun_matches = _match_category(
-        source.noun_lemmas(), target.noun_lemmas(), dictionary, "NOUN"
+    return WorldSimilarity(
+        _match_category(source.noun_lemmas(), target.noun_lemmas(), dictionary, "NOUN"),
+        _match_category(source.adjective_lemmas(), target.adjective_lemmas(), dictionary, "ADJ"),
     )
-    adj_overlap, adj_matches = _match_category(
-        source.adjective_lemmas(), target.adjective_lemmas(), dictionary, "ADJ"
-    )
-    return WorldSimilarity(noun_overlap, adj_overlap, noun_matches, adj_matches)
 
 
 def select_translation(

@@ -23,15 +23,6 @@ from .phase2 import WorldContext, run_phase2
 COGNATE_PREFIX_LEN = 4
 
 
-@dataclass
-class MinedCandidate(CandidateTranslation):
-    """A candidate mined from snippets rather than generated: carries its
-    snippet evidence count and, for cognates, the matched prefix."""
-
-    evidence: int = 0
-    matched_prefix: str | None = None
-
-
 def normalize_token(token: str) -> str:
     """Lowercase and strip diacritics, so "café" and "Cafe" compare equal."""
     decomposed = unicodedata.normalize("NFD", token.lower())
@@ -83,6 +74,16 @@ def rank_bigrams(
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
+def _mined(
+    ulc: SourceUlc, bigram: tuple[str, str], count: int, origin: CandidateOrigin
+) -> CandidateTranslation:
+    """A bigram mined from the snippets as a candidate; its snippet count
+    is its ``evidence`` score."""
+    return CandidateTranslation(
+        ulc, " ".join(bigram), None, origin, scores={"evidence": float(count)}
+    )
+
+
 def find_cognates(ranked: RankedBigrams, ulc: SourceUlc) -> list[CandidateTranslation]:
     """Bigram candidates anchored on a cognate of one of the constituents.
 
@@ -91,30 +92,14 @@ def find_cognates(ranked: RankedBigrams, ulc: SourceUlc) -> list[CandidateTransl
     characters are skipped. Candidates are the bigrams of ``ranked``
     containing at least one cognate token, in its order.
     """
-    prefixes: dict[str, str] = {}
-    for constituent in ulc.content_lemmas():
-        prefix = cognate_prefix(constituent)
-        if prefix is not None:
-            prefixes[prefix] = constituent
+    prefixes = {cognate_prefix(constituent) for constituent in ulc.content_lemmas()} - {None}
     if not prefixes:
         return []
-
-    candidates = []
-    for bigram, count in ranked:
-        matched = next((p for p in prefixes if any(cognate_prefix(t) == p for t in bigram)), None)
-        if matched is None:
-            continue
-        candidate = MinedCandidate(
-            source=ulc,
-            target_surface=" ".join(bigram),
-            rule=None,
-            origin=CandidateOrigin.COGNATE,
-            evidence=count,
-            matched_prefix=matched,
-        )
-        candidate.scores["evidence"] = float(count)
-        candidates.append(candidate)
-    return candidates
+    return [
+        _mined(ulc, bigram, count, CandidateOrigin.COGNATE)
+        for bigram, count in ranked
+        if any(cognate_prefix(t) in prefixes for t in bigram)
+    ]
 
 
 def find_frequent_pairs(
@@ -129,17 +114,8 @@ def find_frequent_pairs(
     for bigram, count in ranked:
         if len(candidates) >= top_pairs:
             break
-        if count < min_pair_freq:
-            continue
-        candidate = MinedCandidate(
-            source=ulc,
-            target_surface=" ".join(bigram),
-            rule=None,
-            origin=CandidateOrigin.FREQUENT_PAIR,
-            evidence=count,
-        )
-        candidate.scores["evidence"] = float(count)
-        candidates.append(candidate)
+        if count >= min_pair_freq:
+            candidates.append(_mined(ulc, bigram, count, CandidateOrigin.FREQUENT_PAIR))
     return candidates
 
 

@@ -45,8 +45,6 @@ class FakeBackend:
     the backend increments ``calls``.
     """
 
-    name = "fake"
-
     def __init__(self, default_count=None):
         self.responses = {}
         self.default_count = default_count

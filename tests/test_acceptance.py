@@ -192,7 +192,7 @@ def test_criterion_06_frequent_pairs_equal_brute_force():
             ]
             ranked = rank_bigrams(texts, ulc, stops)
             mined = find_frequent_pairs(ranked, ulc, min_pair_freq=1, top_pairs=10**9)
-            got = {tuple(c.target_surface.split()): c.evidence for c in mined}
+            got = {tuple(c.target_surface.split()): c.scores["evidence"] for c in mined}
             assert got == brute_force_bigrams(texts, excluded)
     passed(6)
 

@@ -154,6 +154,7 @@ def test_config_value_out_of_range_exits_2_naming_file_and_line(tmp_path, capsys
     for line, message in [
         ("oracle.backend = bogus", "oracle.backend: must be one of ('local', 'http', 'cache')"),
         ("phase2.world_size = -3", "phase2.world_size: must be non-negative"),
+        ("phase2.noun_jaccard_min = nan", "phase2.noun_jaccard_min: must be non-negative"),
         ("phase3.snippet_limit = 0", "phase3.snippet_limit: must be at least 1"),
         ("corpus.tagset = bogus", "corpus.tagset: must be one of ('coarse', 'treetagger-fr', 'treetagger_french')"),
         ("tagset.XX = BOGUS", "tagset.XX: must be one of ('ADJ', 'ADV', 'CONJ', 'DET', 'NOUN', 'NUM', "
@@ -664,7 +665,7 @@ def test_each_setting_reaches_the_code_that_uses_it(tmp_path, capsys, monkeypatc
     # them: the three generated ones and both mined lists
     assert sorted(len(s) for s in seen["pair_survivors"]) == [2, 3, 4]
     assert sorted(len(pairs) for pairs in seen["mined"]) == [2, 4]
-    assert all(c.evidence >= 3 for pairs in seen["mined"] for c in pairs)
+    assert all(c.scores["evidence"] >= 3 for pairs in seen["mined"] for c in pairs)
 
 
 def with_bad_byte(source, lineno, dest):

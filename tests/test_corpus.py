@@ -1,17 +1,11 @@
 import io
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lexiforge.config import InputError
-from lexiforge.corpus import (
-    TaggedCorpus,
-    TaggedToken,
-    Tagset,
-    parse_tagged_corpus,
-    phrase_frequency,
-)
+from lexiforge.config import COARSE_TAGS, TAGSETS, InputError
+from lexiforge.corpus import TaggedCorpus, TaggedToken, parse_tagged_corpus
+from lexiforge.extraction import UlcPattern, extract_ulcs
 
 SIMPLE = "appareil\tNOUN\tappareil\n"
 
@@ -41,29 +35,32 @@ central\tADJ\tcentral
 
 def test_single_token_line():
     corpus = parse_tagged_corpus(SIMPLE)
-    assert len(corpus.documents) == 1
-    ((sentence,),) = [doc.sentences for doc in corpus.documents]
-    assert sentence == (TaggedToken("appareil", "NOUN", "appareil"),)
+    assert corpus.sentences == ((TaggedToken("appareil", "NOUN", "appareil"),),)
 
 
 def test_empty_stream_gives_empty_corpus():
-    assert parse_tagged_corpus("").documents == ()
-    assert parse_tagged_corpus(io.StringIO("")).documents == ()
+    assert parse_tagged_corpus("").sentences == ()
+    assert parse_tagged_corpus(io.StringIO("")).sentences == ()
 
 
 def test_fixture_token_count_matches_line_count():
-    # Independent count: every line with exactly three fields is one token.
-    expected = sum(1 for line in FIXTURE.splitlines() if len(line.split("\t")) == 3)
+    # Independent counts: every line with exactly three fields is one token;
+    # every SENT line ends a sentence, and so does the "#DOC d3" line after
+    # "machine simple".
+    lines = FIXTURE.splitlines()
+    expected = sum(1 for line in lines if len(line.split("\t")) == 3)
     corpus = parse_tagged_corpus(FIXTURE)
-    assert sum(len(s) for s in corpus.iter_sentences()) == expected == 17
-    assert len(corpus.documents) == 3
+    assert sum(len(s) for s in corpus.sentences) == expected == 17
+    assert len(corpus.sentences) == sum(1 for line in lines if "\tSENT\t" in line) + 1 == 5
 
 
 def test_sentence_boundaries_from_sent_and_blank_lines():
     corpus = parse_tagged_corpus(FIXTURE)
-    doc2 = corpus.documents[1]
-    assert len(doc2.sentences) == 2
-    assert [t.surface for t in doc2.sentences[1]] == ["machine", "simple"]
+    assert [[t.surface for t in s] for s in corpus.sentences[2:]] == [
+        ["appareil", "auditif", "."],  # ended by its SENT token
+        ["machine", "simple"],  # ended by the "#DOC d3" line
+        ["chauffage", "central", "."],
+    ]
 
 
 def test_malformed_line_reports_line_number():
@@ -83,35 +80,36 @@ def test_empty_lemma_rejected():
 
 def test_treetagger_tagset_maps_fine_tags():
     text = "la\tDET:ART\tle\nmaison\tNOM\tmaison\nest\tVER:pres\têtre\n"
-    corpus = parse_tagged_corpus(text, Tagset.treetagger_french())
-    tags = [t.pos for t in next(corpus.iter_sentences())]
+    corpus = parse_tagged_corpus(text, TAGSETS["treetagger-fr"])
+    tags = [t.pos for t in corpus.sentences[0]]
     assert tags == ["DET", "NOUN", "VERB"]
 
 
 def test_tagset_rejects_bad_coarse_class():
-    with pytest.raises(ValueError):
-        Tagset({"NOM": "NOMINAL"})
-
-
-def test_phrase_frequency_absent_sequence_is_zero():
-    corpus = parse_tagged_corpus(FIXTURE)
-    assert phrase_frequency(corpus, ["granite", "de", "lune"]) == 0
-
-
-def test_phrase_frequency_requires_nonempty_sequence():
-    with pytest.raises(ValueError):
-        phrase_frequency(parse_tagged_corpus(FIXTURE), [])
+    assert {c for tagset in TAGSETS.values() for c in tagset.values()} <= COARSE_TAGS
+    with pytest.raises(InputError, match="^<corpus>:1: pos 'NOMINAL' not a coarse tag$"):
+        parse_tagged_corpus("maison\tNOM\tmaison\n", {"NOM": "NOMINAL"})
 
 
 def brute_force_count(corpus: TaggedCorpus, lemmas) -> int:
+    """Contiguous, within-sentence occurrences of a lemma sequence."""
     target = list(lemmas)
     hits = 0
-    for sentence in corpus.iter_sentences():
+    for sentence in corpus.sentences:
         sent = [t.lemma for t in sentence]
         for i in range(len(sent)):
             if sent[i : i + len(target)] == target:
                 hits += 1
     return hits
+
+
+def unit_counts(corpus: TaggedCorpus) -> dict[tuple[str, ...], int]:
+    """Each extracted unit's lemma sequence -> its corpus frequency."""
+    counts = {}
+    for u in extract_ulcs(corpus, 1):
+        link = () if u.pattern is UlcPattern.NOUN_ADJ else ("de",)
+        counts[(u.head_lemma, *link, u.modifier_lemma)] = u.corpus_freq
+    return counts
 
 
 def test_phrase_frequency_12x_fixture():
@@ -125,10 +123,9 @@ def test_phrase_frequency_12x_fixture():
         ]
     lines += ["chauffage\tNOUN\tchauffage", ".\tSENT\t."]
     corpus = parse_tagged_corpus("\n".join(lines))
-    assert phrase_frequency(corpus, ["appareil", "de", "chauffage"]) == 12
-    assert phrase_frequency(corpus, ["appareil", "de", "chauffage"]) == brute_force_count(
-        corpus, ["appareil", "de", "chauffage"]
-    )
+    phrase = ("appareil", "de", "chauffage")
+    assert unit_counts(corpus) == {phrase: 12}
+    assert brute_force_count(corpus, phrase) == 12
 
 
 def test_single_lemma_query_equals_word_count_oracle():
@@ -139,57 +136,56 @@ def test_single_lemma_query_equals_word_count_oracle():
         for line in FIXTURE.splitlines()
         if len(line.split("\t")) == 3 and line.split("\t")[2] == "machine"
     )
-    assert phrase_frequency(corpus, ["machine"]) == expected == 2
+    assert brute_force_count(corpus, ["machine"]) == expected == 2
 
 
 def test_no_match_across_sentence_boundary():
     text = "appareil\tNOUN\tappareil\n.\tSENT\t.\nde\tPREP\tde\nchauffage\tNOUN\tchauffage\n"
     corpus = parse_tagged_corpus(text)
-    assert phrase_frequency(corpus, ["appareil", "de", "chauffage"]) == 0
+    assert brute_force_count(corpus, ["appareil", "de", "chauffage"]) == 0
+    assert extract_ulcs(corpus, 1) == []
 
 
-LEMMAS = st.sampled_from(["a", "b", "c", "d"])
+# Two nouns, an adjective and "de": enough for NOUN ADJ and NOUN de NOUN units.
+WORDS = st.sampled_from(["a\tNOUN\ta", "b\tNOUN\tb", "c\tADJ\tc", "de\tPREP\tde"])
 
 
 @st.composite
 def small_corpora(draw):
-    n_sentences = draw(st.integers(1, 6))
-    sentences = []
-    for _ in range(n_sentences):
-        length = draw(st.integers(1, 8))
-        sentences.append([draw(LEMMAS) for _ in range(length)])
-    text = "\n\n".join("\n".join(f"{w}\tNOUN\t{w}" for w in s) for s in sentences)
-    return parse_tagged_corpus(text)
+    """Sentences ended by a blank line or a "#DOC" line."""
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        lines += draw(st.lists(WORDS, min_size=1, max_size=8))
+        lines.append(draw(st.sampled_from(["", "#DOC d"])))
+    return parse_tagged_corpus("\n".join(lines))
 
 
-@given(small_corpora(), st.lists(LEMMAS, min_size=1, max_size=3))
-def test_frequency_matches_brute_force(corpus, phrase):
-    assert phrase_frequency(corpus, phrase) == brute_force_count(corpus, phrase)
+@given(small_corpora())
+def test_frequency_matches_brute_force(corpus):
+    for lemmas, freq in unit_counts(corpus).items():
+        assert freq == brute_force_count(corpus, lemmas)
 
 
-@given(small_corpora(), st.lists(LEMMAS, min_size=1, max_size=2), LEMMAS)
-def test_extending_phrase_never_increases_count(corpus, phrase, extra):
-    assert phrase_frequency(corpus, phrase + [extra]) <= phrase_frequency(corpus, phrase)
+@given(small_corpora())
+def test_extending_phrase_never_increases_count(corpus):
+    # A unit extends its head lemma and its modifier lemma.
+    for lemmas, freq in unit_counts(corpus).items():
+        assert freq <= min(brute_force_count(corpus, [lemmas[0]]), brute_force_count(corpus, [lemmas[-1]]))
 
 
-@given(small_corpora(), st.lists(LEMMAS, min_size=1, max_size=3))
-def test_per_sentence_counts_sum_to_corpus_count(corpus, phrase):
-    per_sentence = 0
-    for sentence in corpus.iter_sentences():
-        single = TaggedCorpus(
-            (type(corpus.documents[0])("x", (sentence,)),)
-        )
-        per_sentence += phrase_frequency(single, phrase)
-    assert per_sentence == phrase_frequency(corpus, phrase)
+@given(small_corpora())
+def test_per_sentence_counts_sum_to_corpus_count(corpus):
+    per_sentence: dict[tuple[str, ...], int] = {}
+    for sentence in corpus.sentences:
+        for lemmas, freq in unit_counts(TaggedCorpus((sentence,))).items():
+            per_sentence[lemmas] = per_sentence.get(lemmas, 0) + freq
+    assert per_sentence == unit_counts(corpus)
 
 
 def per_line_parse(lines, tagset):
     """Reference parse without a memo: every line is classified on its own,
-    then the documents are assembled from the classes."""
-    from lexiforge.corpus import Document
-
-    documents, sentences, tokens = [], [], []
-    doc_id = None
+    then the sentences are assembled from the classes."""
+    sentences, tokens = [], []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip():
@@ -201,19 +197,14 @@ def per_line_parse(lines, tagset):
         if kind != "token" and tokens:
             sentences.append(tuple(tokens))
             tokens = []
-        if kind == "doc":
-            if doc_id is not None or sentences:
-                documents.append(Document(doc_id if doc_id is not None else "0", tuple(sentences)))
-            sentences = []
-            doc_id = line[4:].strip() or str(len(documents))
-        elif kind == "token":
+        if kind == "token":
             fields = [f.strip() for f in line.split("\t")]
             if len(fields) != 3:
                 raise InputError("<corpus>", lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-            if fields[1] not in tagset.mapping:
+            if fields[1] not in tagset:
                 raise InputError("<corpus>", lineno, f"unknown tag {fields[1]!r}")
             try:
-                token = TaggedToken(fields[0], tagset.mapping[fields[1]], fields[2])
+                token = TaggedToken(fields[0], tagset[fields[1]], fields[2])
             except ValueError as exc:
                 raise InputError("<corpus>", lineno, str(exc)) from None
             tokens.append(token)
@@ -222,9 +213,7 @@ def per_line_parse(lines, tagset):
                 tokens = []
     if tokens:
         sentences.append(tuple(tokens))
-    if doc_id is not None or sentences:
-        documents.append(Document(doc_id if doc_id is not None else "0", tuple(sentences)))
-    return TaggedCorpus(tuple(documents))
+    return TaggedCorpus(tuple(sentences))
 
 
 CORPUS_LINES = st.sampled_from(
@@ -238,7 +227,7 @@ CORPUS_LINES = st.sampled_from(
 
 @given(st.lists(CORPUS_LINES, max_size=40))
 def test_memo_parse_equals_per_line_parse(lines):
-    tagset = Tagset.treetagger_french()
+    tagset = TAGSETS["treetagger-fr"]
     stream = [line + "\n" for line in lines]
     try:
         expected = per_line_parse(stream, tagset)
@@ -252,5 +241,5 @@ def test_memo_parse_equals_per_line_parse(lines):
 
 def test_repeated_lines_share_one_token():
     corpus = parse_tagged_corpus(FIXTURE)
-    machines = [tok for sent in corpus.iter_sentences() for tok in sent if tok.lemma == "machine"]
+    machines = [tok for sent in corpus.sentences for tok in sent if tok.lemma == "machine"]
     assert len(machines) == 2 and machines[0] is machines[1]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lexiforge.corpus import TaggedCorpus, Document
+from lexiforge.corpus import TaggedCorpus, parse_tagged_corpus
 from lexiforge.extraction import (
     FilterStatus,
     UlcPattern,
@@ -19,7 +19,7 @@ from conftest import CFG, FakeBackend, make_ulc, tok
 
 
 def corpus_of(sentences):
-    return TaggedCorpus((Document("d", tuple(tuple(s) for s in sentences)),))
+    return TaggedCorpus(tuple(tuple(s) for s in sentences))
 
 
 def sent_noun_de_noun(head="appareil", mod="chauffage", link="de"):
@@ -69,6 +69,15 @@ def test_no_match_across_sentence_boundary():
         [tok("de", "PREP"), tok("chauffage", "NOUN")],
     ] * 10
     assert extract_ulcs(corpus_of(sentences), CFG.corpus_freq_min) == []
+
+
+def test_no_match_across_document_boundary():
+    # The noun ends one document and the adjective opens the next, with no
+    # SENT token or blank line between them.
+    text = "#DOC d1\ncaisse\tNOUN\tcaisse\n#DOC d2\nclaire\tADJ\tclair\n" * 10
+    assert extract_ulcs(parse_tagged_corpus(text), CFG.corpus_freq_min) == []
+    joined = text.replace("#DOC d2\n", "")
+    assert [u.surface for u in extract_ulcs(parse_tagged_corpus(joined), CFG.corpus_freq_min)] == ["caisse claire"]
 
 
 def test_overlapping_patterns_both_extracted():

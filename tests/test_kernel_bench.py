@@ -152,4 +152,4 @@ def test_bench_parse_corpus(benchmark):
     lines = (Path(__file__).parent / "data" / "corpus.tsv").read_text(encoding="utf-8").splitlines(True) * 10
     corpus = benchmark.pedantic(parse_tagged_corpus, args=(lines,), rounds=3)
     tenth = parse_tagged_corpus(lines[: len(lines) // 10])
-    assert sum(map(len, corpus.iter_sentences())) == 10 * sum(map(len, tenth.iter_sentences()))
+    assert sum(map(len, corpus.sentences)) == 10 * sum(map(len, tenth.sentences))

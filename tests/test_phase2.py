@@ -264,7 +264,7 @@ def test_hand_computed_third():
     d = make_dictionary([("a", "NOUN", ["A"]), ("b", "NOUN", ["B"])])
     sim = compare_worlds(src, tgt, d)
     assert sim.noun_jaccard == pytest.approx(2 / (4 + 4 - 2))
-    assert sim.matched_nouns == (("a", "a"), ("b", "b"))
+    assert sim.noun_overlap == (2, 6)
     assert sim.adj_jaccard == 0.0  # both adjective lists empty
 
 
@@ -323,7 +323,7 @@ def test_compare_worlds_permutation_invariant(data, rng):
 def scored(ulc, surface, noun, adj, web=0.0):
     """noun, adj: (intersection, union) of each category."""
     c = cand(ulc, surface, web_count=web)
-    return (c, WorldSimilarity(noun, adj, (), ()))
+    return (c, WorldSimilarity(noun, adj))
 
 
 def test_select_argmax_of_combined():
@@ -396,9 +396,7 @@ def test_select_invariant_under_monotone_rescaling(pairs):
     rescaled = [
         (
             c,
-            WorldSimilarity(
-                halved_plus_tenth(s.noun_overlap), halved_plus_tenth(s.adj_overlap), (), ()
-            ),
+            WorldSimilarity(halved_plus_tenth(s.noun_overlap), halved_plus_tenth(s.adj_overlap)),
         )
         for c, s in base
     ]

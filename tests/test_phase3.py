@@ -83,8 +83,8 @@ def test_find_cognates_nucleic_acid():
     top = cands[0]
     assert top.target_surface == "nucleic acid"
     assert top.origin is CandidateOrigin.COGNATE
-    assert top.matched_prefix in ("nucl", "acid")
-    assert top.evidence == 2
+    assert {cognate_prefix(t) for t in top.target_surface.split()} & {"nucl", "acid"}
+    assert top.scores["evidence"] == 2
 
 
 def test_cognate_excludes_source_tokens_themselves():
@@ -105,7 +105,9 @@ def test_cognate_diacritic_insensitive_both_sides():
     ulc = make_ulc("café", "noir", UlcPattern.NOUN_ADJ, "café noir")
     cands = cognates_of(snips("A cafe noir crème CAFE culture"), ulc)
     assert any(
-        c.matched_prefix == "cafe" and "cafe" in c.target_surface for c in cands
+        cognate_prefix(t) == "cafe" and "cafe" in c.target_surface
+        for c in cands
+        for t in c.target_surface.split()
     )
 
 
@@ -131,7 +133,7 @@ def test_frequent_pairs_top_candidate_is_lamb_shank():
     ulc = make_ulc("souris", "agneau", UlcPattern.NOUN_D_NOUN, "souris d'agneau")
     cands = frequent_pairs_of(snips(*LAMB_TEXTS), ulc, min_pair_freq=2)
     assert cands[0].target_surface == "lamb shank"
-    assert cands[0].evidence == 3
+    assert cands[0].scores["evidence"] == 3
     assert cands[0].origin is CandidateOrigin.FREQUENT_PAIR
 
 
@@ -140,7 +142,7 @@ def test_frequent_pairs_match_brute_force_counts():
     cands = frequent_pairs_of(snips(*LAMB_TEXTS), ulc, min_pair_freq=1, top_pairs=10_000)
     excluded = FR_STOPS | {"souris", "d", "agneau"}
     brute = brute_force_bigrams(LAMB_TEXTS, excluded)
-    assert {tuple(c.target_surface.split()): c.evidence for c in cands} == brute
+    assert {tuple(c.target_surface.split()): c.scores["evidence"] for c in cands} == brute
 
 
 @given(
@@ -155,7 +157,7 @@ def test_random_snippets_bigram_counts_equal_brute_force(token_lists):
     ulc = make_ulc("tête", "chose", UlcPattern.NOUN_DE_NOUN, "tête de chose")
     cands = frequent_pairs_of(snips(*texts), ulc, min_pair_freq=1, top_pairs=10_000)
     excluded = FR_STOPS | {"tête", "de", "chose"}
-    assert {tuple(c.target_surface.split()): c.evidence for c in cands} == brute_force_bigrams(
+    assert {tuple(c.target_surface.split()): c.scores["evidence"] for c in cands} == brute_force_bigrams(
         texts, excluded
     )
 
@@ -238,7 +240,7 @@ def test_run_phase3_cognates_take_precedence():
     result = run_phase3(ulc, _phase3_context(backend))
     assert result.winner.target_surface == "tender meat"
     assert result.winner.origin is CandidateOrigin.COGNATE
-    assert result.winner.matched_prefix == "tend"
+    assert cognate_prefix(result.winner.target_surface.split()[0]) == "tend"
     # pair mining never ran
     assert result.pair_candidates == []
 
@@ -277,8 +279,8 @@ def test_cognate_candidates_carry_evidence_and_prefix():
     first = cognates[0]
     assert first.target_surface == "nucleic acid"
     assert first.origin is CandidateOrigin.COGNATE
-    assert first.evidence == 2
-    assert first.matched_prefix in ("nucl", "acid")
+    assert first.scores["evidence"] == 2
+    assert {cognate_prefix(t) for t in first.target_surface.split()} & {"nucl", "acid"}
 
 
 def test_run_phase3_zero_snippets_untranslated():

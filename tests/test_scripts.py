@@ -46,10 +46,15 @@ def test_build_fixtures_regenerates_the_bundled_fixtures(tmp_path, monkeypatch, 
     assert (tmp_path / "e2e.cache").read_bytes() == Path(bundled).read_bytes()
 
 
-def test_bench_pairs_flips_the_order_and_reports_quartiles_and_wins(tmp_path, capsys):
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_flips_the_order_and_reports_quartiles_and_wins(tmp_path, capsys):
+    bench_pairs = load_bench_pairs()
     checkout = tmp_path / "checkout"
     (checkout / "src" / "lexiforge").mkdir(parents=True)
     (checkout / "src" / "lexiforge" / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
@@ -95,3 +100,21 @@ def test_bench_pairs_flips_the_order_and_reports_quartiles_and_wins(tmp_path, ca
         assert bench["label"] == f"t-{side}" and bench["src_lexiforge_loc"] == 2
         assert [(r["set"], r["seed"]) for r in bench["runs"]] == [(1, 1), (1, 2), (1, 3), (1, 4)] + [(2, 1), (2, 2), (2, 3), (2, 4)]
     assert bench["code"] == "def5678"
+
+
+def test_bench_pairs_makes_a_missing_out_dir_before_the_first_pair(tmp_path, capsys):
+    bench_pairs = load_bench_pairs()
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "lexiforge").mkdir(parents=True)
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", checkout)
+    out_dir = tmp_path / "runs" / "nested"
+
+    def stub_run(path, workload, seed, seconds, trace):
+        assert out_dir.is_dir()
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"units_per_s": {"value": 1.0, "unit": "units/s"}}}
+
+    argv = ["--aa", str(checkout), "--workload", "cold-local", "--seeds", "1",
+            "--label", "t", "--out-dir", str(out_dir)]
+    assert bench_pairs.main(argv, run=stub_run) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["BENCH_t-change.json", "BENCH_t-parent.json"]
