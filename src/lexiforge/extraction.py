@@ -68,16 +68,6 @@ class WebFilterVerdict:
         return self.status is FilterStatus.ACCEPTED
 
 
-def ulc_surface(head_lemma: str, modifier_lemma: str, pattern: UlcPattern) -> str:
-    """Canonical phrase built from lemmas; extraction prefers the most
-    frequent observed surface form over this fallback."""
-    if pattern is UlcPattern.NOUN_ADJ:
-        return f"{head_lemma} {modifier_lemma}"
-    if pattern is UlcPattern.NOUN_DE_NOUN:
-        return f"{head_lemma} de {modifier_lemma}"
-    return f"{head_lemma} d'{modifier_lemma}"
-
-
 def _join_surfaces(tokens) -> str:
     parts = []
     for token in tokens:

@@ -152,6 +152,14 @@ def _snapshot_parts(lines: int, skipped: list[int], entries: dict) -> Iterator:
         yield part
 
 
+# The counts beside a cache file (see ``savefile``): one part, mapping the
+# key of each snippet record the load covered, then a tagger's table CRC-32,
+# to what that tagger's ``count`` returned for the record's texts. Keyed on
+# the covered bytes, as the snapshot is.
+_COUNTS_MAGIC = b"lexiforge-count\n"
+_COUNTS_FORMAT = 1  # bump when what a tagger's ``count`` returns for a table changes
+
+
 class ResponseCache:
     """Append-only response cache, one record per line, last write wins.
 
@@ -171,6 +179,9 @@ class ResponseCache:
     keyed on the complete lines it covers, and a later load reads that and
     parses only the records appended after them. Appends leave those lines
     as they are; a snapshot that no longer fits the file is rebuilt.
+
+    The lexical-world counts of the snippet records a load covered are saved
+    beside the file as ``<path>.counts`` in the same way (see ``counts``).
     """
 
     def __init__(self, path: str | Path):
@@ -178,6 +189,13 @@ class ResponseCache:
         self._entries: dict[tuple, int | list[str]] = {}
         self._lock = threading.Lock()
         self._append: BinaryIO | None = None
+        # Cache key -> tagger table -> counts; see ``counts``. The key of the
+        # bytes the load covered is the counts file's, until the first append
+        # takes the file past them.
+        self._counts: dict[tuple, dict[int, dict[tuple[str, str], int]]] = {}
+        self._counts_path = Path(f"{self.path}.counts")
+        self._counts_key: savefile.Key | None = None
+        self._counts_new = False
         if self.path.exists():
             self._load()
 
@@ -232,6 +250,10 @@ class ResponseCache:
                 snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, (crc, covered),
                 _snapshot_parts(lines, skipped, self._entries),
             )
+        key = self._counts_key = (crc, covered)
+        saved = savefile.load(self._counts_path, _COUNTS_MAGIC, _COUNTS_FORMAT, key.__eq__)
+        for part in saved[1] if saved else ():
+            self._counts.update(part)
 
     def get(self, query: OracleQuery) -> int | list[str] | None:
         with self._lock:
@@ -243,6 +265,8 @@ class ResponseCache:
         record = _format_record(key, value).encode("utf-8")
         with self._lock:
             self._entries[key] = value
+            self._counts.pop(key, None)
+            self._counts_key = None  # a counts file would be stale once this is written
             fh = self._append_handle()
             fh.write(record)
             fh.flush()
@@ -258,10 +282,40 @@ class ResponseCache:
             self._append = fh
         return self._append
 
+    def counts(self, query: OracleQuery, snippets: list[str], tagger) -> dict[tuple[str, str], int]:
+        """``tagger.count(snippets)`` for the answer ``snippets`` this cache
+        gave to the snippet ``query``. For a record the load covered, and a
+        tagger that names its table by a ``table_crc``, the counts are kept
+        and saved beside the cache by ``close``, so that later loads of the
+        same bytes read them instead of counting again."""
+        key = query.cache_key()
+        with self._lock:
+            # Until the first put every record is one the load covered; a put
+            # drops the counts of the record it replaces.
+            covered = key in self._counts or self._counts_key is not None
+        table = getattr(tagger, "table_crc", None) if covered else None
+        if table is None:
+            return tagger.count(snippets)
+        with self._lock:
+            totals = self._counts.get(key, {}).get(table)
+        if totals is None:
+            totals = tagger.count(snippets)
+            with self._lock:
+                if self._counts_key is not None:
+                    self._counts.setdefault(key, {})[table] = totals
+                    self._counts_new = True
+        return totals
+
     def close(self) -> None:
-        """Close the append handle; a later ``put`` opens it again."""
+        """Close the append handle, which a later ``put`` opens again, and
+        save the counts made since the load, if the file is still as loaded."""
         with self._lock:
             self._close_append()
+            if self._counts_new and self._counts_key is not None:
+                savefile.save(
+                    self._counts_path, _COUNTS_MAGIC, _COUNTS_FORMAT, self._counts_key, [self._counts]
+                )
+            self._counts_new = False
 
     def _close_append(self) -> None:
         if self._append is not None:
@@ -398,6 +452,15 @@ class SearchOracle:
 
     def snippets(self, phrase: str, limit: int) -> list[str]:
         return self.execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
+
+    def counted_snippets(self, phrase: str, limit: int, tagger) -> tuple[list[str], dict]:
+        """The snippets for ``phrase`` and ``tagger.count`` of them, through
+        the counts the cache keeps (``ResponseCache.counts``)."""
+        snippets = self.snippets(phrase, limit)
+        if self._cache is None:
+            return snippets, tagger.count(snippets)
+        query = OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit)
+        return snippets, self._cache.counts(query, snippets, tagger)
 
     def mixed_snippets(self, phrase: str, lang: str, limit: int) -> list[str]:
         return self.execute(

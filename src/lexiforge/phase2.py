@@ -136,16 +136,17 @@ def build_lexical_world(
 
     The phrase's own constituent lemmas are excluded so two phrases never
     look similar merely by containing each other. Zero snippets simply
-    yield an empty world, which scores 0 downstream.
+    yield an empty world, which scores 0 downstream. The tagger's counts of
+    a recorded answer may come from the response cache's saved counts.
     """
-    snippets = oracle.snippets(phrase, snippet_limit)
+    snippets, counts = oracle.counted_snippets(phrase, snippet_limit, tagger)
 
     excluded = set(w.lower() for w in exclude_lemmas)
     for lemma, _pos in tagger.tag(phrase):
         excluded.add(lemma)
 
     freqs: dict[str, dict[str, int]] = {"NOUN": {}, "ADJ": {}}
-    for (lemma, pos), n in tagger.count(snippets).items():
+    for (lemma, pos), n in counts.items():
         if lemma not in stopwords and lemma not in excluded:
             freqs[pos][lemma] = n
 

@@ -38,11 +38,6 @@ def cognate_prefix(word: str) -> str | None:
     return normalized[:COGNATE_PREFIX_LEN]
 
 
-def is_cognate_pair(source_word: str, target_word: str) -> bool:
-    prefix = cognate_prefix(source_word)
-    return prefix is not None and cognate_prefix(target_word) == prefix
-
-
 def _bigram_allowed(
     bigram: tuple[str, str], source_tokens: set[str], source_stopwords: frozenset[str]
 ) -> bool:

@@ -192,13 +192,19 @@ def write_report(records: Sequence[TranslationRecord], out_dir: str | Path) -> t
 
 def read_lexicon(path: str | Path) -> list[tuple[str, str | None, Phase]]:
     """The ``(surface, translation, phase)`` rows of a written lexicon, e.g.
-    for evaluation; the score column is not read."""
+    for evaluation; the score column is not read. Two units may share a
+    surface, but not a translation too: evaluation would grade it twice."""
     rows = []
+    translated: dict[tuple[str, str], int] = {}
     for path, lineno, (surface, translation, state, _scores) in read_rows(path, 4):
         try:
             row = (surface, translation or None, Phase(state))
             check_translation(*row)
         except ValueError as exc:
             raise InputError(path, lineno, str(exc)) from None
+        if translation:
+            first = translated.setdefault((surface, translation), lineno)
+            if first != lineno:
+                raise InputError(path, lineno, f"{surface!r} -> {translation!r} repeats line {first}")
         rows.append(row)
     return rows

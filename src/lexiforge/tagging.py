@@ -22,7 +22,9 @@ first worlds a call does little beyond the split and one filtered count.
 
 from __future__ import annotations
 
+import zlib
 from collections import Counter
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Protocol, TextIO
@@ -39,7 +41,9 @@ class SnippetTagger(Protocol):
     def count(self, texts: Iterable[str]) -> dict[tuple[str, str], int]:
         """Occurrences of each NOUN or ADJ (lemma, pos) over the tokens of all
         ``texts``; equal to a ``Counter`` over the NOUN and ADJ pairs of
-        ``tag(t)`` for every ``t``."""
+        ``tag(t)`` for every ``t``. A tagger whose counts depend on its table
+        alone may name that table by an int ``table_crc``; the counts of
+        recorded snippets are then saved beside the response cache."""
         ...
 
 
@@ -55,6 +59,12 @@ class LexiconTagger:
         # their chunk is marked seen, so workers sharing a tagger need no lock.
         self._content_tags: dict[str, tuple[tuple[str, str], ...]] = {}
         self._seen: set[str] = set()
+
+    @cached_property
+    def table_crc(self) -> int:
+        """CRC-32 of the table, which decides what ``count`` returns."""
+        lines = "".join(f"{surface}\t{pos}\t{lemma}\n" for surface, (lemma, pos) in self._table.items())
+        return zlib.crc32(lines.encode("utf-8", "surrogatepass"))
 
     @classmethod
     def from_file(cls, source: TextIO | str | Path) -> "LexiconTagger":

@@ -2,7 +2,7 @@ import pytest
 
 from lexiforge.config import RunConfig
 from lexiforge.dictionary import BilingualDictionary, DictEntry
-from lexiforge.extraction import SourceUlc, UlcPattern, ulc_surface
+from lexiforge.extraction import SourceUlc, UlcPattern
 from lexiforge.backends import Snippet
 from lexiforge.oracle import OracleError, OracleQuery, QueryKind, SearchOracle
 
@@ -16,13 +16,17 @@ def tok(surface, pos, lemma=None):
     return TaggedToken(surface, pos, lemma if lemma is not None else surface)
 
 
+# What joins head and modifier lemmas into a unit's surface when a test gives none.
+JOINERS = {UlcPattern.NOUN_ADJ: " ", UlcPattern.NOUN_DE_NOUN: " de ", UlcPattern.NOUN_D_NOUN: " d'"}
+
+
 def make_ulc(head, modifier, pattern=UlcPattern.NOUN_DE_NOUN, surface=None, corpus_freq=10,
              literal_freq=None, article_freq=None):
     return SourceUlc(
         head,
         modifier,
         pattern,
-        surface if surface is not None else ulc_surface(head, modifier, pattern),
+        surface if surface is not None else f"{head}{JOINERS[pattern]}{modifier}",
         corpus_freq,
         literal_freq,
         article_freq,

@@ -119,6 +119,24 @@ def test_gold_rejects_a_second_grade_for_one_pair(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {gold}:3: grade 'C' conflicts with an earlier 'A'\n"
 
 
+def test_lexicon_rejects_a_second_line_with_one_surface_and_translation(tmp_path, capsys):
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("a b\tx\tA\na b\ty\tC\n", encoding="utf-8")
+    lexicon = tmp_path / "lexicon.tsv"
+    argv = ["evaluate", "--lexicon", str(lexicon), "--gold", str(gold)]
+
+    # Two units may share a surface, translated alike or not at all.
+    lexicon.write_text("a b\tx\tPHASE1\t-\na b\ty\tPHASE2\t-\na b\t\tUNTRANSLATED\t-\na b\t\tUNTRANSLATED\t-\n",
+                       encoding="utf-8")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "translated=2\n" in out and "total_sources=4\n" in out
+
+    lexicon.write_text("a b\tx\tPHASE1\t-\n# again\na b\tx\tPHASE1\t-\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {lexicon}:3: 'a b' -> 'x' repeats line 1\n"
+
+
 @given(st.integers(0, 500), st.integers(0, 500), st.integers(0, 500), st.integers(1, 2000))
 def test_recall_identity_property(a, b, c, extra_sources):
     translated = a + b + c

@@ -117,9 +117,11 @@ def test_bench_recorded_cache_load(benchmark, tmp_path, snapshot):
     assert len(cache) == 300 and saved.is_file()
 
 
-def test_bench_world_from_thousand_snippets(benchmark):
+@pytest.mark.parametrize("saved", [False, True], ids=["recount", "saved"])
+def test_bench_world_from_thousand_snippets(benchmark, tmp_path, saved):
     # 1,000 snippets of 30 words over a 900-word vocabulary: most chunks
-    # repeat, as in the snippets of real phrases.
+    # repeat, as in the snippets of real phrases. Replayed from a recorded
+    # cache, counted by a fresh tagger or read from the counts saved beside it.
     rng = random.Random(7)
     letters = "abcdefghijklmnopqrst"
     nouns = [f"n{a}{b}" for a in letters for b in letters]
@@ -130,19 +132,29 @@ def test_bench_world_from_thousand_snippets(benchmark):
         " ".join(rng.choice(vocabulary) + rng.choice(["", "", ",", "."]) for _ in range(30))
         for _ in range(1_000)
     ]
-    oracle = SearchOracle(FakeBackend().snips("caisse centrale", 1_000, texts))
+    path = tmp_path / "recorded.cache"
+    recording = ResponseCache(path)
+    recording.put(OracleQuery(QueryKind.SNIPPETS, ("caisse centrale",), limit=CFG.snippet_limit), texts)
+    recording.close()
+    counts = Path(f"{path}.counts")
 
-    def fresh_tagger():
-        return (LexiconTagger(entries),), {}
+    def replay():
+        if not saved:
+            counts.unlink(missing_ok=True)
+        return (SearchOracle(None, ResponseCache(path)), LexiconTagger(entries)), {}
 
-    def build(tagger):
+    def build(oracle, tagger):
         return build_lexical_world(
             "caisse centrale", "fr", oracle, tagger, STOPWORDS,
             snippet_limit=CFG.snippet_limit, world_size=CFG.world_size,
         )
 
-    world = benchmark.pedantic(build, setup=fresh_tagger, rounds=3)
-    assert world.snippet_count == 1_000
+    args, _ = replay()
+    first = build(*args)
+    args[0].close()
+    assert counts.is_file()
+    world = benchmark.pedantic(build, setup=replay, rounds=3)
+    assert world == first and world.snippet_count == 1_000
     assert len(world.nouns) == 50 and len(world.adjectives) == 50
 
 

@@ -37,6 +37,8 @@ from lexiforge.oracle import (
     _format_record,
     split_or_query,
 )
+from lexiforge.phase2 import build_lexical_world
+from lexiforge.tagging import LexiconTagger
 
 from conftest import FakeBackend
 
@@ -867,6 +869,196 @@ def test_two_processes_put_at_once_after_the_snapshot_and_every_record_reloads(t
     assert len(decoded) <= 400
     Path(f"{path}.snapshot").unlink()
     assert load_logged(path) == reloaded
+
+
+# Taggers of two languages with different tables over the snippets of
+# CACHE_LINES and SNIPPET_TEXTS: "caisse" is a fund in the en table.
+FR_ENTRIES = [("caisse", "NOUN", "caisse"), ("verte", "ADJ", "vert"), ("la", "DET", "le")]
+EN_ENTRIES = [("caisse", "NOUN", "fund"), ("une", "ADJ", "one"), ("verte", "NOUN", "green")]
+SNIPPET_TEXTS = ["la caisse verte", "Une caisse", "caisse, caisse", "rien"]
+CAISSE = OracleQuery(QueryKind.SNIPPETS, ("caisse",), limit=5)
+
+
+class Recounting:
+    """A tagger that names no table, so its counts are never saved."""
+
+    def __init__(self, entries):
+        tagger = LexiconTagger(entries)
+        self.tag, self.count = tagger.tag, tagger.count
+
+
+def counting_taggers(fr=FR_ENTRIES):
+    """Fresh fr and en taggers, and the list their ``count`` calls land in."""
+    calls = []
+    taggers = (LexiconTagger(fr), LexiconTagger(EN_ENTRIES))
+    for tagger in taggers:
+        tagger.count = lambda texts, count=tagger.count: calls.append(texts) or count(texts)
+    return taggers, calls
+
+
+def cached_worlds(oracle, taggers):
+    """The fr and en worlds of every snippet record of ``oracle``'s cache."""
+    keys = sorted(key for key in oracle._cache._entries if key[0] == "SNIPPETS")
+    return [
+        build_lexical_world(phrases[0], lang, oracle, tagger, snippet_limit=int(limit), world_size=5)
+        for _, phrases, _, limit in keys
+        for lang, tagger in zip(("fr", "en"), taggers)
+    ]
+
+
+def run_worlds(path, taggers):
+    """The worlds of one offline run on the cache at ``path``."""
+    oracle = SearchOracle(None, ResponseCache(path))
+    try:
+        return cached_worlds(oracle, taggers)
+    finally:
+        oracle.close()
+
+
+def replay(path, fr=FR_ENTRIES):
+    """The worlds of one offline run on the cache at ``path``, and the
+    number of times its taggers counted."""
+    taggers, calls = counting_taggers(fr)
+    return run_worlds(path, taggers), len(calls)
+
+
+def recounted(path, fr=FR_ENTRIES):
+    """The worlds of ``replay(path, fr)``, counted from the snippets."""
+    return run_worlds(path, (Recounting(fr), Recounting(EN_ENTRIES)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("append"), st.lists(st.sampled_from(CACHE_LINES), max_size=6), st.integers(0, 3)),
+            st.tuples(st.just("cut"), st.integers(0, 10**6)),
+            st.tuples(st.just("put"), st.lists(st.sampled_from(SNIPPET_TEXTS), min_size=1, max_size=3)),
+            st.tuples(st.just("compact")),
+            st.tuples(st.just("replay")),  # one more run on the same bytes
+        ),
+        max_size=8,
+    )
+)
+def test_worlds_from_saved_counts_equal_worlds_recounted(steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cache"
+        path.write_bytes(b"")
+        for step in steps:
+            if step[0] == "append":
+                data = path.read_bytes() + b"".join(step[1])
+                path.write_bytes(data[: len(data) - step[2]] if step[1] else data)
+            elif step[0] == "cut":
+                data = path.read_bytes()
+                path.write_bytes(data[: step[1] % (len(data) + 1)])
+            elif step[0] == "put":
+                # A put after the worlds were counted, in the same run.
+                taggers, _ = counting_taggers()
+                oracle = SearchOracle(None, ResponseCache(path))
+                cached_worlds(oracle, taggers)
+                oracle._cache.put(CAISSE, step[1])
+                fresh = SearchOracle(FakeBackend().snips("caisse", 5, step[1]))
+                for lang, tagger, entries in zip(("fr", "en"), taggers, (FR_ENTRIES, EN_ENTRIES)):
+                    assert build_lexical_world("caisse", lang, oracle, tagger, snippet_limit=5, world_size=5) == \
+                        build_lexical_world("caisse", lang, fresh, LexiconTagger(entries), snippet_limit=5, world_size=5)
+                oracle.close()
+            elif step[0] == "compact":
+                ResponseCache(path).compact()
+            # Each run reads the counts the last one saved.
+            assert replay(path)[0] == recounted(path)
+
+
+@pytest.mark.parametrize(
+    "change", ["none", "tagger edit", "appended record", "compact", "torn", "other format", "other kind"]
+)
+def test_saved_counts_are_read_unless_stale_and_then_rebuilt(tmp_path, change):
+    path, snapshot = recorded_cache(tmp_path)
+    counts = Path(f"{path}.counts")
+    first, calls = replay(path)
+    assert calls == len(first) == 4 and counts.is_file()
+    good = counts.read_bytes()
+    fr = FR_ENTRIES
+    if change == "tagger edit":
+        fr = FR_ENTRIES + [("une", "ADJ", "un")]
+    elif change == "appended record":
+        with open(path, "ab") as fh:
+            fh.write(b'SNIPPETS\tcaisse\t\t-\t5\t["une caisse", "la caisse"]\n')
+    elif change == "compact":
+        ResponseCache(path).compact()
+    elif change == "torn":
+        counts.write_bytes(good[:-10])
+    elif change == "other format":
+        counts.write_bytes(good[:16] + (2).to_bytes(4, "little") + good[20:])
+    elif change == "other kind":
+        counts.write_bytes(snapshot.read_bytes())
+    worlds, calls = replay(path, fr)
+    assert worlds == recounted(path, fr)
+    assert calls == {"none": 0, "tagger edit": 2}.get(change, 4)
+    assert (worlds == first) is (change not in ("tagger edit", "appended record"))
+    # Rebuilt: the next run counts nothing; after a tagger edit, with either table.
+    assert replay(path, fr) == (worlds, 0)
+    if change == "tagger edit":
+        assert replay(path) == (first, 0)
+
+
+def test_counts_saved_from_one_record_are_kept_apart_by_tagger(tmp_path):
+    # One snippet record answers "caisse" in fr and in en; the taggers differ.
+    path, _ = recorded_cache(tmp_path)
+    first, _ = replay(path)
+    fr_world, en_world = first[:2]
+    assert (fr_world.nouns, fr_world.adjectives) == ((), (("vert", 1),))
+    assert (en_world.nouns, en_world.adjectives) == ((("green", 1),), (("one", 1),))
+    assert replay(path) == (first, 0)
+
+
+@pytest.mark.parametrize("refused", ["create", "replace"])
+def test_counts_in_an_unwritable_directory_are_counted_again_and_keep_no_file(tmp_path, monkeypatch, refused):
+    path, _ = recorded_cache(tmp_path)
+    with refusing_saved_files(monkeypatch, tmp_path, refused):
+        worlds, calls = replay(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cache"]
+    assert calls == 4 and worlds == recounted(path)
+
+
+def test_workers_counting_at_once_save_every_count(tmp_path):
+    path = tmp_path / "run.cache"
+    recording = ResponseCache(path)
+    for i in range(40):
+        recording.put(OracleQuery(QueryKind.SNIPPETS, (f"caisse {i}",), limit=5), [f"la caisse verte {i}", "une"])
+    recording.close()
+    taggers, _ = counting_taggers()
+    oracle = SearchOracle(None, ResponseCache(path))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start_and_join([threading.Thread(target=cached_worlds, args=(oracle, taggers)) for _ in range(8)])
+    finally:
+        sys.setswitchinterval(interval)
+    oracle.close()
+    worlds, calls = replay(path)
+    assert calls == 0 and len(worlds) == 80 and worlds == recounted(path)
+
+
+def test_a_run_that_appends_or_counts_unrecorded_answers_saves_no_counts(tmp_path):
+    path = tmp_path / "run.cache"
+    counts = Path(f"{path}.counts")
+    taggers, calls = counting_taggers()
+    live = SearchOracle(FakeBackend().snips("caisse", 5, SNIPPET_TEXTS), ResponseCache(path))
+    assert cached_worlds(live, taggers) == []  # an empty cache covers nothing
+    build_lexical_world("caisse", "fr", live, taggers[0], snippet_limit=5, world_size=5)
+    live.close()
+    assert len(calls) == 1 and not counts.exists()
+    # The next run covers the record, counts it and saves the counts.
+    assert replay(path)[1] == 2 and counts.is_file()
+    assert replay(path)[1] == 0
+    # A run whose taggers name no table, and a run that appends, save nothing.
+    counts.unlink()
+    recounted(path)
+    oracle = SearchOracle(FakeBackend(default_count=3), ResponseCache(path))
+    cached_worlds(oracle, counting_taggers()[0])
+    oracle.phrase_count("fresh")
+    oracle.close()
+    assert not counts.exists()
 
 
 def test_cache_only_backend_replays_and_errors(tmp_path):

@@ -11,7 +11,6 @@ from lexiforge.phase3 import (
     cognate_prefix,
     find_cognates,
     find_frequent_pairs,
-    is_cognate_pair,
     normalize_token,
     rank_bigrams,
     run_phase3,
@@ -50,7 +49,8 @@ def frequent_pairs_of(
     ],
 )
 def test_cognate_prefix_rule(source, target, expected):
-    assert is_cognate_pair(source, target) is expected
+    prefix = cognate_prefix(source)
+    assert (prefix is not None and cognate_prefix(target) == prefix) is expected
 
 
 def test_normalization_strips_diacritics_and_case():
