@@ -130,17 +130,19 @@ def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list
 
 
 # The snapshot beside a cache file (see ``savefile``), keyed on the bytes of
-# the complete lines it covers. Its first part is the number of those lines
-# and the line numbers of the corrupt records among them; each later part
-# holds about _SNAPSHOT_PART_BYTES of entries, in file order, so that no
-# load or save holds the bytes of the whole snapshot at once.
+# the complete lines it covers. Its first part holds the number of those
+# lines, the line numbers of the corrupt records among them, and the
+# lexical-world counts of its snippet records: cache key, then a tagger's
+# table CRC-32, then what that tagger's ``count`` returned for the record's
+# texts. Each later part holds about _SNAPSHOT_PART_BYTES of entries, in file
+# order, so that no load or save holds the bytes of the whole snapshot at once.
 _SNAPSHOT_MAGIC = b"lexiforge-cache\n"
-_SNAPSHOT_FORMAT = 1  # bump when the parts, or which records ``_load`` keeps, change
+_SNAPSHOT_FORMAT = 2  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
 _SNAPSHOT_PART_BYTES = 1 << 20
 
 
-def _snapshot_parts(lines: int, skipped: list[int], entries: dict) -> Iterator:
-    yield lines, skipped
+def _snapshot_parts(lines: int, skipped: list[int], counts: dict, entries: dict) -> Iterator:
+    yield lines, skipped, counts
     part, size = {}, 0
     for key, value in entries.items():
         part[key] = value
@@ -150,14 +152,6 @@ def _snapshot_parts(lines: int, skipped: list[int], entries: dict) -> Iterator:
             part, size = {}, 0
     if part:
         yield part
-
-
-# The counts beside a cache file (see ``savefile``): one part, mapping the
-# key of each snippet record the load covered, then a tagger's table CRC-32,
-# to what that tagger's ``count`` returned for the record's texts. Keyed on
-# the covered bytes, as the snapshot is.
-_COUNTS_MAGIC = b"lexiforge-count\n"
-_COUNTS_FORMAT = 1  # bump when what a tagger's ``count`` returns for a table changes
 
 
 class ResponseCache:
@@ -175,13 +169,13 @@ class ResponseCache:
     off with a tab and a newline before the first append, so it cannot
     swallow the next record, nor parse as one on a later load.
 
-    A load saves what it checked beside the file as ``<path>.snapshot``,
-    keyed on the complete lines it covers, and a later load reads that and
-    parses only the records appended after them. Appends leave those lines
-    as they are; a snapshot that no longer fits the file is rebuilt.
-
-    The lexical-world counts of the snippet records a load covered are saved
-    beside the file as ``<path>.counts`` in the same way (see ``counts``).
+    What a load checked, and the lexical-world counts of its snippet
+    records (see ``counts``), are saved beside the file as
+    ``<path>.snapshot``, keyed on the complete lines the load covered. A
+    later load reads that and parses only the records appended after them.
+    Appends leave those lines as they are; a snapshot that no longer fits
+    the file is rebuilt. Only ``close`` saves it, and only if this cache
+    appended nothing and the snapshot lacks lines or counts it has.
     """
 
     def __init__(self, path: str | Path):
@@ -189,28 +183,29 @@ class ResponseCache:
         self._entries: dict[tuple, int | list[str]] = {}
         self._lock = threading.Lock()
         self._append: BinaryIO | None = None
-        # Cache key -> tagger table -> counts; see ``counts``. The key of the
-        # bytes the load covered is the counts file's, until the first append
-        # takes the file past them.
+        # Cache key -> tagger table -> counts; see ``counts``.
         self._counts: dict[tuple, dict[int, dict[tuple[str, str], int]]] = {}
-        self._counts_path = Path(f"{self.path}.counts")
-        self._counts_key: savefile.Key | None = None
-        self._counts_new = False
+        self._snapshot = Path(f"{self.path}.snapshot")
+        # What the load covered: the key of its bytes, its number of lines
+        # and its corrupt lines; None once a put or a compaction changes the
+        # file. Unsaved: the snapshot on disk lacks some of those lines, or
+        # counts made since.
+        self._covered: tuple[savefile.Key, int, list[int]] | None = None
+        self._unsaved = False
         if self.path.exists():
             self._load()
 
     def _load(self):
         # Read as bytes and decode each line once, so that a record that is
         # not UTF-8 is skipped like any other corrupt record.
-        snapshot = Path(f"{self.path}.snapshot")
         with open(self.path, "rb") as fh:
             # A snapshot fits if made from the file's first bytes, which
             # leaves ``fh`` just after them.
             saved = savefile.load(
-                snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, lambda key: key == savefile.key_of(fh, key[1])
+                self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, lambda key: key == savefile.key_of(fh, key[1])
             )
             if saved:
-                (crc, covered), ((lines, skipped), *parts) = saved
+                (crc, covered), ((lines, skipped, self._counts), *parts) = saved
                 for part in parts:
                     self._entries.update(part)
                 for lineno in skipped:
@@ -244,16 +239,11 @@ class ResponseCache:
                         skipped.append(lineno)
                     continue
                 phrases = (p1,) if not p2 else (p1, p2)
-                self._entries[(kind, tuple(sorted(phrases)), lang, limit)] = value
-        if covered != saved_covered:
-            savefile.save(
-                snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, (crc, covered),
-                _snapshot_parts(lines, skipped, self._entries),
-            )
-        key = self._counts_key = (crc, covered)
-        saved = savefile.load(self._counts_path, _COUNTS_MAGIC, _COUNTS_FORMAT, key.__eq__)
-        for part in saved[1] if saved else ():
-            self._counts.update(part)
+                key = (kind, tuple(sorted(phrases)), lang, limit)
+                self._entries[key] = value
+                self._counts.pop(key, None)  # counted from the record this one replaces
+        self._covered = (crc, covered), lines, skipped
+        self._unsaved = covered != saved_covered
 
     def get(self, query: OracleQuery) -> int | list[str] | None:
         with self._lock:
@@ -266,7 +256,7 @@ class ResponseCache:
         with self._lock:
             self._entries[key] = value
             self._counts.pop(key, None)
-            self._counts_key = None  # a counts file would be stale once this is written
+            self._covered = None  # a snapshot would be stale once this is written
             fh = self._append_handle()
             fh.write(record)
             fh.flush()
@@ -286,13 +276,13 @@ class ResponseCache:
         """``tagger.count(snippets)`` for the answer ``snippets`` this cache
         gave to the snippet ``query``. For a record the load covered, and a
         tagger that names its table by a ``table_crc``, the counts are kept
-        and saved beside the cache by ``close``, so that later loads of the
+        and saved in the snapshot by ``close``, so that later loads of the
         same bytes read them instead of counting again."""
         key = query.cache_key()
         with self._lock:
-            # Until the first put every record is one the load covered; a put
-            # drops the counts of the record it replaces.
-            covered = key in self._counts or self._counts_key is not None
+            # Until the first put or compaction every record is one the load
+            # covered; a put drops the counts of the record it replaces.
+            covered = key in self._counts or self._covered is not None
         table = getattr(tagger, "table_crc", None) if covered else None
         if table is None:
             return tagger.count(snippets)
@@ -301,21 +291,24 @@ class ResponseCache:
         if totals is None:
             totals = tagger.count(snippets)
             with self._lock:
-                if self._counts_key is not None:
+                if self._covered is not None:
                     self._counts.setdefault(key, {})[table] = totals
-                    self._counts_new = True
+                    self._unsaved = True
         return totals
 
     def close(self) -> None:
         """Close the append handle, which a later ``put`` opens again, and
-        save the counts made since the load, if the file is still as loaded."""
+        save the snapshot if the file is still as loaded and the snapshot on
+        disk lacks something this cache holds."""
         with self._lock:
             self._close_append()
-            if self._counts_new and self._counts_key is not None:
+            if self._unsaved and self._covered is not None:
+                key, lines, skipped = self._covered
                 savefile.save(
-                    self._counts_path, _COUNTS_MAGIC, _COUNTS_FORMAT, self._counts_key, [self._counts]
+                    self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, key,
+                    _snapshot_parts(lines, skipped, self._counts, self._entries),
                 )
-            self._counts_new = False
+            self._unsaved = False
 
     def _close_append(self) -> None:
         if self._append is not None:
@@ -341,6 +334,7 @@ class ResponseCache:
             # Later puts must reach the new file, not the replaced inode.
             self._close_append()
             tmp.replace(self.path)
+            self._covered = None
             return len(records)
 
 
@@ -456,10 +450,10 @@ class SearchOracle:
     def counted_snippets(self, phrase: str, limit: int, tagger) -> tuple[list[str], dict]:
         """The snippets for ``phrase`` and ``tagger.count`` of them, through
         the counts the cache keeps (``ResponseCache.counts``)."""
-        snippets = self.snippets(phrase, limit)
+        query = OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit)
+        snippets = self.execute(query)
         if self._cache is None:
             return snippets, tagger.count(snippets)
-        query = OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit)
         return snippets, self._cache.counts(query, snippets, tagger)
 
     def mixed_snippets(self, phrase: str, lang: str, limit: int) -> list[str]:

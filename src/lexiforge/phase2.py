@@ -137,7 +137,7 @@ def build_lexical_world(
     The phrase's own constituent lemmas are excluded so two phrases never
     look similar merely by containing each other. Zero snippets simply
     yield an empty world, which scores 0 downstream. The tagger's counts of
-    a recorded answer may come from the response cache's saved counts.
+    a recorded answer may come from the response cache's snapshot.
     """
     snippets, counts = oracle.counted_snippets(phrase, snippet_limit, tagger)
 

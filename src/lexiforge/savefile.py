@@ -1,7 +1,7 @@
 """Saved files: what a run parsed or built from a source file, saved beside
 it so that later runs load it instead of doing that work again. The local
 index beside its document collection and the snapshot beside a response
-cache are saved files.
+cache, with the lexical-world counts of its snippets, are saved files.
 
 A saved file is a header, then one record per part: the part's length, its
 CRC-32 and its ``marshal`` bytes. marshal, unlike pickle, runs no code on

@@ -43,7 +43,7 @@ class SnippetTagger(Protocol):
         ``texts``; equal to a ``Counter`` over the NOUN and ADJ pairs of
         ``tag(t)`` for every ``t``. A tagger whose counts depend on its table
         alone may name that table by an int ``table_crc``; the counts of
-        recorded snippets are then saved beside the response cache."""
+        recorded snippets are then saved in the response cache's snapshot."""
         ...
 
 

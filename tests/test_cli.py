@@ -316,6 +316,14 @@ def test_cache_stats_and_compact(tmp_path, capsys):
     assert code == 0
 
 
+def test_cache_stats_and_compact_save_no_file_beside_the_cache(tmp_path, capsys):
+    cache_copy = tmp_path / "copy.cache"
+    shutil.copy(DATA / "e2e.cache", cache_copy)
+    for action in ("stats", "compact"):
+        assert run(["cache", action, str(cache_copy)], capsys)[0] == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["copy.cache"]
+
+
 def test_local_backend_end_to_end_without_cache(tmp_path, capsys):
     # live (non-offline) run against the bundled document collection
     code, out, _ = run(

@@ -106,22 +106,23 @@ def test_bench_recorded_cache_load(benchmark, tmp_path, snapshot):
         recording.put(OracleQuery(QueryKind.SNIPPETS, (f"phrase {i}",), limit=15), texts)
     recording.close()
     saved = Path(f"{path}.snapshot")
+    SearchOracle(None, ResponseCache(path)).close()  # a replay, which saves the snapshot
+    assert saved.is_file()
 
     def setup():
         if not snapshot:
             saved.unlink(missing_ok=True)
         return (path,), {}
 
-    ResponseCache(path)
     cache = benchmark.pedantic(ResponseCache, setup=setup, rounds=5)
-    assert len(cache) == 300 and saved.is_file()
+    assert len(cache) == 300 and saved.is_file() is snapshot
 
 
 @pytest.mark.parametrize("saved", [False, True], ids=["recount", "saved"])
 def test_bench_world_from_thousand_snippets(benchmark, tmp_path, saved):
     # 1,000 snippets of 30 words over a 900-word vocabulary: most chunks
     # repeat, as in the snippets of real phrases. Replayed from a recorded
-    # cache, counted by a fresh tagger or read from the counts saved beside it.
+    # cache, counted by a fresh tagger or read from the counts its snapshot holds.
     rng = random.Random(7)
     letters = "abcdefghijklmnopqrst"
     nouns = [f"n{a}{b}" for a in letters for b in letters]
@@ -136,11 +137,11 @@ def test_bench_world_from_thousand_snippets(benchmark, tmp_path, saved):
     recording = ResponseCache(path)
     recording.put(OracleQuery(QueryKind.SNIPPETS, ("caisse centrale",), limit=CFG.snippet_limit), texts)
     recording.close()
-    counts = Path(f"{path}.counts")
+    snapshot = Path(f"{path}.snapshot")
 
     def replay():
         if not saved:
-            counts.unlink(missing_ok=True)
+            snapshot.unlink(missing_ok=True)
         return (SearchOracle(None, ResponseCache(path)), LexiconTagger(entries)), {}
 
     def build(oracle, tagger):
@@ -152,7 +153,7 @@ def test_bench_world_from_thousand_snippets(benchmark, tmp_path, saved):
     args, _ = replay()
     first = build(*args)
     args[0].close()
-    assert counts.is_file()
+    assert snapshot.is_file()
     world = benchmark.pedantic(build, setup=replay, rounds=3)
     assert world == first and world.snippet_count == 1_000
     assert len(world.nouns) == 50 and len(world.adjectives) == 50

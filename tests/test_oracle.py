@@ -690,7 +690,7 @@ PUT_QUERIES = [
 
 def load_logged(path):
     """The entries of ``ResponseCache(path)``, in order, and the warnings
-    its load logged."""
+    its load logged. The cache is closed, so that it saves its snapshot."""
     messages = []
     handler = logging.Handler()
     handler.emit = lambda record: messages.append(record.getMessage())
@@ -700,6 +700,7 @@ def load_logged(path):
         cache = ResponseCache(path)
     finally:
         logger.removeHandler(handler)
+    cache.close()
     return list(cache._entries.items()), messages
 
 
@@ -765,38 +766,9 @@ def index_file(tmp_path):
     return Path(f"{path}.index").read_bytes()
 
 
-@pytest.mark.parametrize("damage", ["none", "torn", "corrupt part", "stale key", "other format", "other kind"])
-def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, damage):
-    path, snapshot = recorded_cache(tmp_path)
-    first = load_logged(path)
-    parsed = len(decoded)
-    good = snapshot.read_bytes()
-    if damage == "torn":
-        snapshot.write_bytes(good[:-10])
-    elif damage == "corrupt part":
-        snapshot.write_bytes(good[:-5] + bytes([good[-5] ^ 1]) + good[-4:])
-    elif damage == "stale key":  # an edit of the cache that keeps its size
-        path.write_bytes(path.read_bytes().replace(b"336000", b"336001"))
-    elif damage == "other format":
-        snapshot.write_bytes(good[:16] + (2).to_bytes(4, "little") + good[20:])
-    elif damage == "other kind":
-        snapshot.write_bytes(index_file(tmp_path))
-    decoded.clear()
-    entries, messages = load_logged(path)
-    assert len(decoded) == (0 if damage == "none" else parsed)
-    assert messages == first[1]
-    if damage != "stale key":
-        assert entries == first[0]
-        assert snapshot.read_bytes() == good
-    # Rebuilt: the next load reads the snapshot alone.
-    decoded.clear()
-    assert load_logged(path) == (entries, messages)
-    assert decoded == []
-
-
 def test_a_snapshot_parses_only_the_records_appended_after_it(tmp_path, decoded):
     path, snapshot = recorded_cache(tmp_path)
-    ResponseCache(path)
+    load_logged(path)
     cache = ResponseCache(path)
     cache.put(OracleQuery(QueryKind.PHRASE_COUNT, ("fresh",)), 9)
     cache.close()
@@ -812,23 +784,17 @@ def test_a_snapshot_parses_only_the_records_appended_after_it(tmp_path, decoded)
 
 def test_compact_makes_the_snapshot_stale(tmp_path, decoded):
     path, snapshot = recorded_cache(tmp_path)
-    cache = ResponseCache(path)
+    load_logged(path)
     before = snapshot.read_bytes()
+    cache = ResponseCache(path)
     entries = sorted(cache._entries.items())
     cache.compact()
+    cache.close()
+    assert snapshot.read_bytes() == before  # compacting saves no snapshot
     decoded.clear()
     assert load_logged(path) == (entries, [])
     assert len(decoded) == len(entries)
     assert snapshot.read_bytes() != before
-
-
-@pytest.mark.parametrize("refused", ["create", "replace"])
-def test_cache_in_an_unwritable_directory_loads_and_keeps_no_snapshot(tmp_path, monkeypatch, refused):
-    path, _ = recorded_cache(tmp_path)
-    with refusing_saved_files(monkeypatch, tmp_path, refused):
-        refused_load = load_logged(path)
-    assert [p.name for p in tmp_path.iterdir()] == ["run.cache"]
-    assert refused_load == load_logged(path)
 
 
 PUTTER = """
@@ -849,7 +815,7 @@ def test_two_processes_put_at_once_after_the_snapshot_and_every_record_reloads(t
     # covers are never rewritten.
     path = tmp_path / "run.cache"
     path.write_bytes(b"".join(CACHE_LINES[:3]))
-    before = len(ResponseCache(path))
+    before = len(load_logged(path)[0])
     env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
     writers = [
         subprocess.Popen([sys.executable, "-c", PUTTER, str(path), name, "200"], env=env)
@@ -865,8 +831,7 @@ def test_two_processes_put_at_once_after_the_snapshot_and_every_record_reloads(t
     reloaded = load_logged(path)
     assert len(reloaded[0]) == before + 400
     assert reloaded[1] == []
-    # A writer's own load may have covered the other's first records.
-    assert len(decoded) <= 400
+    assert len(decoded) == 400
     Path(f"{path}.snapshot").unlink()
     assert load_logged(path) == reloaded
 
@@ -968,15 +933,43 @@ def test_worlds_from_saved_counts_equal_worlds_recounted(steps):
             assert replay(path)[0] == recounted(path)
 
 
+@pytest.mark.parametrize("damage", ["none", "torn", "corrupt part", "stale key", "other format", "other kind"])
+def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, damage):
+    path, snapshot = recorded_cache(tmp_path)
+    first = load_logged(path)
+    parsed = len(decoded)
+    good = snapshot.read_bytes()
+    if damage == "torn":
+        snapshot.write_bytes(good[:-10])
+    elif damage == "corrupt part":
+        snapshot.write_bytes(good[:-5] + bytes([good[-5] ^ 1]) + good[-4:])
+    elif damage == "stale key":  # an edit of the cache that keeps its size
+        path.write_bytes(path.read_bytes().replace(b"336000", b"336001"))
+    elif damage == "other format":  # the format before the snapshot held counts
+        snapshot.write_bytes(good[:16] + (1).to_bytes(4, "little") + good[20:])
+    elif damage == "other kind":
+        snapshot.write_bytes(index_file(tmp_path))
+    decoded.clear()
+    entries, messages = load_logged(path)
+    assert len(decoded) == (0 if damage == "none" else parsed)
+    assert messages == first[1]
+    if damage != "stale key":
+        assert entries == first[0]
+        assert snapshot.read_bytes() == good
+    # Rebuilt: the next load reads the snapshot alone.
+    decoded.clear()
+    assert load_logged(path) == (entries, messages)
+    assert decoded == []
+
+
 @pytest.mark.parametrize(
     "change", ["none", "tagger edit", "appended record", "compact", "torn", "other format", "other kind"]
 )
-def test_saved_counts_are_read_unless_stale_and_then_rebuilt(tmp_path, change):
+def test_saved_counts_are_read_unless_stale_and_then_rebuilt(tmp_path, decoded, change):
     path, snapshot = recorded_cache(tmp_path)
-    counts = Path(f"{path}.counts")
     first, calls = replay(path)
-    assert calls == len(first) == 4 and counts.is_file()
-    good = counts.read_bytes()
+    assert calls == len(first) == 4 and snapshot.is_file()
+    good = snapshot.read_bytes()
     fr = FR_ENTRIES
     if change == "tagger edit":
         fr = FR_ENTRIES + [("une", "ADJ", "un")]
@@ -986,19 +979,54 @@ def test_saved_counts_are_read_unless_stale_and_then_rebuilt(tmp_path, change):
     elif change == "compact":
         ResponseCache(path).compact()
     elif change == "torn":
-        counts.write_bytes(good[:-10])
-    elif change == "other format":
-        counts.write_bytes(good[:16] + (2).to_bytes(4, "little") + good[20:])
+        snapshot.write_bytes(good[:-10])
+    elif change == "other format":  # the format before the snapshot held counts
+        snapshot.write_bytes(good[:16] + (1).to_bytes(4, "little") + good[20:])
     elif change == "other kind":
-        counts.write_bytes(snapshot.read_bytes())
+        snapshot.write_bytes(index_file(tmp_path))
     worlds, calls = replay(path, fr)
     assert worlds == recounted(path, fr)
-    assert calls == {"none": 0, "tagger edit": 2}.get(change, 4)
+    # An appended record drops only the counts of its own key.
+    assert calls == {"none": 0, "tagger edit": 2, "appended record": 2}.get(change, 4)
     assert (worlds == first) is (change not in ("tagger edit", "appended record"))
-    # Rebuilt: the next run counts nothing; after a tagger edit, with either table.
+    if change in ("none", "torn", "other format", "other kind"):
+        assert snapshot.read_bytes() == good
+    # Rebuilt: the next run parses and counts nothing; after a tagger edit,
+    # with either table.
+    decoded.clear()
     assert replay(path, fr) == (worlds, 0)
+    assert decoded == []
     if change == "tagger edit":
         assert replay(path) == (first, 0)
+
+
+def test_records_appended_after_the_snapshot_drop_only_their_own_counts(tmp_path):
+    path, _ = recorded_cache(tmp_path)
+    first, _ = replay(path)
+    recording = ResponseCache(path)
+    recording.put(CAISSE, ["une caisse", "la caisse"])
+    recording.close()
+    worlds, calls = replay(path)
+    # The fr and en worlds of "caisse" are counted again; those of "old" are read.
+    assert calls == 2 and worlds == recounted(path)
+    assert worlds[:2] != first[:2] and worlds[2:] == first[2:]
+
+
+def test_a_run_that_appends_leaves_the_snapshot_as_it_was(tmp_path, decoded):
+    path, snapshot = recorded_cache(tmp_path)
+    replay(path)
+    good = snapshot.read_bytes()
+    # The run counts with a new fr table, then records an answer.
+    taggers, calls = counting_taggers(FR_ENTRIES + [("une", "ADJ", "un")])
+    live = SearchOracle(FakeBackend().snips("fresh", 5, SNIPPET_TEXTS), ResponseCache(path))
+    cached_worlds(live, taggers)
+    build_lexical_world("fresh", "fr", live, taggers[0], snippet_limit=5, world_size=5)
+    live.close()
+    assert len(calls) == 3 and snapshot.read_bytes() == good
+    # The next load reads it and parses the appended record alone.
+    decoded.clear()
+    entries, _ = load_logged(path)
+    assert len(decoded) == 1 and len(entries) == len(load_logged(path)[0])
 
 
 def test_counts_saved_from_one_record_are_kept_apart_by_tagger(tmp_path):
@@ -1009,6 +1037,15 @@ def test_counts_saved_from_one_record_are_kept_apart_by_tagger(tmp_path):
     assert (fr_world.nouns, fr_world.adjectives) == ((), (("vert", 1),))
     assert (en_world.nouns, en_world.adjectives) == ((("green", 1),), (("one", 1),))
     assert replay(path) == (first, 0)
+
+
+@pytest.mark.parametrize("refused", ["create", "replace"])
+def test_cache_in_an_unwritable_directory_loads_and_keeps_no_snapshot(tmp_path, monkeypatch, refused):
+    path, _ = recorded_cache(tmp_path)
+    with refusing_saved_files(monkeypatch, tmp_path, refused):
+        refused_load = load_logged(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cache"]
+    assert refused_load == load_logged(path)
 
 
 @pytest.mark.parametrize("refused", ["create", "replace"])
@@ -1041,24 +1078,26 @@ def test_workers_counting_at_once_save_every_count(tmp_path):
 
 def test_a_run_that_appends_or_counts_unrecorded_answers_saves_no_counts(tmp_path):
     path = tmp_path / "run.cache"
-    counts = Path(f"{path}.counts")
+    snapshot = Path(f"{path}.snapshot")
     taggers, calls = counting_taggers()
     live = SearchOracle(FakeBackend().snips("caisse", 5, SNIPPET_TEXTS), ResponseCache(path))
     assert cached_worlds(live, taggers) == []  # an empty cache covers nothing
     build_lexical_world("caisse", "fr", live, taggers[0], snippet_limit=5, world_size=5)
     live.close()
-    assert len(calls) == 1 and not counts.exists()
-    # The next run covers the record, counts it and saves the counts.
-    assert replay(path)[1] == 2 and counts.is_file()
-    assert replay(path)[1] == 0
-    # A run whose taggers name no table, and a run that appends, save nothing.
-    counts.unlink()
+    assert len(calls) == 1 and not snapshot.exists()
+    # A run whose taggers name no table saves the snapshot without counts;
+    # the next run counts the record and saves the counts.
     recounted(path)
+    assert snapshot.is_file()
+    assert replay(path)[1] == 2
+    assert replay(path)[1] == 0
+    # A run that appends saves nothing, even where it counted.
+    snapshot.unlink()
     oracle = SearchOracle(FakeBackend(default_count=3), ResponseCache(path))
     cached_worlds(oracle, counting_taggers()[0])
     oracle.phrase_count("fresh")
     oracle.close()
-    assert not counts.exists()
+    assert not snapshot.exists()
 
 
 def test_cache_only_backend_replays_and_errors(tmp_path):
