@@ -229,10 +229,11 @@ class HttpBackend:
     ``MAX_BACKOFF_S``. Either way the failure surfaces as an OracleError,
     which a later run may retry.
 
-    Requests go through ``session``: any object with ``get(url, params=,
-    timeout=)`` returning a response with ``status_code``, ``headers`` and
-    ``json()``. The default is a ``transport.HttpTransport``, which keeps
-    one keep-alive connection per worker thread; ``close()`` closes them.
+    Requests go through ``session``: any object with ``get(url, params=)``
+    returning a response with ``status_code``, ``headers`` and ``json()``.
+    The default is a ``transport.HttpTransport`` with ``timeout``, which
+    keeps one keep-alive connection per worker thread; ``close()`` closes
+    them.
     The transport module is imported on first use: its ``http.client``,
     ``ssl`` and ``urllib.request`` imports would add ~7 MB of memory and
     ~60 ms to every run, HTTP or not.
@@ -260,11 +261,10 @@ class HttpBackend:
         self.api_key = api_key
         self.min_interval = 1.0 / rate_per_sec if rate_per_sec > 0 else 0.0
         self.max_retries = max_retries
-        self.timeout = timeout
         if session is None:
             from .transport import HttpTransport
 
-            session = HttpTransport(endpoint)
+            session = HttpTransport(endpoint, timeout)
         self._session = session
         self._lock = threading.Lock()
         self._last_request = 0.0
@@ -304,7 +304,7 @@ class HttpBackend:
             retry_after = 0.0
             self._throttle()
             try:
-                response = self._session.get(self.endpoint, params=params, timeout=self.timeout)
+                response = self._session.get(self.endpoint, params=params)
             except Exception as exc:  # connection errors and timeouts are retried
                 last_error = exc
                 continue

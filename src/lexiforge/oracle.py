@@ -279,19 +279,15 @@ class ResponseCache:
         and saved in the snapshot by ``close``, so that later loads of the
         same bytes read them instead of counting again."""
         key = query.cache_key()
-        with self._lock:
-            # Until the first put or compaction every record is one the load
-            # covered; a put drops the counts of the record it replaces.
-            covered = key in self._counts or self._covered is not None
-        table = getattr(tagger, "table_crc", None) if covered else None
-        if table is None:
-            return tagger.count(snippets)
+        table = getattr(tagger, "table_crc", None)
         with self._lock:
             totals = self._counts.get(key, {}).get(table)
         if totals is None:
             totals = tagger.count(snippets)
             with self._lock:
-                if self._covered is not None:
+                # Until the first put or compaction every record is one the
+                # load covered; a put drops the counts of the record it replaces.
+                if table is not None and self._covered is not None:
                     self._counts.setdefault(key, {})[table] = totals
                     self._unsaved = True
         return totals
@@ -325,7 +321,8 @@ class ResponseCache:
             return Counter(key[0] for key in self._entries)
 
     def compact(self) -> int:
-        """Rewrite the file with one record per key; returns records kept."""
+        """Rewrite the file with one record per key and delete the snapshot;
+        returns records kept."""
         with self._lock:
             records = [_format_record(key, self._entries[key]) for key in sorted(self._entries)]
             tmp = self.path.with_suffix(self.path.suffix + ".tmp")
@@ -334,6 +331,7 @@ class ResponseCache:
             # Later puts must reach the new file, not the replaced inode.
             self._close_append()
             tmp.replace(self.path)
+            self._snapshot.unlink(missing_ok=True)
             self._covered = None
             return len(records)
 
@@ -354,9 +352,10 @@ class SearchOracle:
     """Thread-safe front end combining a backend with the response cache.
 
     Identical queries share one backend call, with or without a cache:
-    callers that ask while it is in flight wait for its answer, and with a
-    cache no later caller asks again. If that call fails, one waiter makes
-    it again. At most ``max_parallel`` backend calls run at once. Snippet
+    one look under the oracle's lock decides whether a caller takes the
+    cached answer, waits for the call in flight, or asks; with a cache no
+    later caller asks again. If that call fails, one waiter makes it
+    again. At most ``max_parallel`` backend calls run at once. Snippet
     queries answer the texts of the backend's hits. A backend answer of the
     wrong shape for its kind raises OracleError and is not cached.
     Without a backend the oracle replays the cache only: a miss raises
@@ -378,7 +377,6 @@ class SearchOracle:
         self._slots: queue.SimpleQueue[None] = queue.SimpleQueue()  # a token a slot; C, unlike Semaphore
         for _ in range(max(1, max_parallel)):
             self._slots.put(None)
-        self.backend_calls = 0  # settled calls; counted under the lock
 
     def close(self) -> None:
         """Close the response cache's append handle and the backend's
@@ -391,25 +389,18 @@ class SearchOracle:
 
     def execute(self, query: OracleQuery) -> int | list[str]:
         cache = self._cache
-        # A call that settles after this read may fill the cache after the
-        # look below, so a caller that then leads looks again.
-        settled = self.backend_calls
-        if cache is not None:
-            cached = cache.get(query)
-            if cached is not None:
-                return cached
-        if self._backend is None:
-            raise OracleError(f"offline: no cached response for {query.cache_key()}")
-
-        key = query.cache_key()
         while True:
+            # A leader puts its answer before it leaves the in-flight table,
+            # so a caller that finds neither under this lock is the one to ask.
             with self._lock:
+                cached = None if cache is None else cache.get(query)
+                if cached is not None:
+                    return cached
+                if self._backend is None:
+                    raise OracleError(f"offline: no cached response for {query.cache_key()}")
+                key = query.cache_key()
                 flight = self._inflight.get(key)
                 if flight is None:
-                    if cache is not None and self.backend_calls != settled:
-                        cached = cache.get(query)
-                        if cached is not None:
-                            return cached
                     flight = self._inflight[key] = _Flight()
                     break
             with flight.lock:  # released once the leader's call has settled
@@ -434,7 +425,6 @@ class SearchOracle:
             return value
         finally:
             with self._lock:
-                self.backend_calls += 1
                 del self._inflight[key]
             flight.lock.release()
 
@@ -443,9 +433,6 @@ class SearchOracle:
 
     def pair_count(self, phrase_a: str, phrase_b: str) -> int:
         return self.execute(OracleQuery(QueryKind.PAIR_COUNT, (phrase_a, phrase_b)))
-
-    def snippets(self, phrase: str, limit: int) -> list[str]:
-        return self.execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
 
     def counted_snippets(self, phrase: str, limit: int, tagger) -> tuple[list[str], dict]:
         """The snippets for ``phrase`` and ``tagger.count`` of them, through

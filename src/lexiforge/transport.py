@@ -46,11 +46,12 @@ class HttpTransport:
     it; the next request reconnects.
     """
 
-    def __init__(self, endpoint: str):
+    def __init__(self, endpoint: str, timeout: float):
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(f"oracle.endpoint must be an http or https URL, got {endpoint!r}")
         self.endpoint = endpoint
+        self._timeout = timeout
         https = url.scheme == "https"
         host, port = url.hostname, url.port or (443 if https else 80)
         authority = host if ":" not in host else f"[{host}]"
@@ -79,29 +80,26 @@ class HttpTransport:
         self._lock = threading.Lock()
         self._connections: list[http.client.HTTPConnection] = []
 
-    def _connection(self, timeout: float | None) -> http.client.HTTPConnection:
+    def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             if self._context is not None:
-                conn = http.client.HTTPSConnection(*self._address, timeout=timeout, context=self._context)
+                conn = http.client.HTTPSConnection(*self._address, timeout=self._timeout, context=self._context)
             else:
-                conn = http.client.HTTPConnection(*self._address, timeout=timeout)
+                conn = http.client.HTTPConnection(*self._address, timeout=self._timeout)
             if self._tunnel is not None:
                 host, port, headers = self._tunnel
                 conn.set_tunnel(host, port, headers)
             self._local.conn = conn
             with self._lock:
                 self._connections.append(conn)
-        elif conn.timeout != timeout:
-            conn.close()  # reconnects with the new timeout
-            conn.timeout = timeout
         return conn
 
-    def get(self, url: str, params=None, timeout: float | None = None) -> HttpResponse:
+    def get(self, url: str, params=None) -> HttpResponse:
         if url != self.endpoint:
             raise ValueError(f"transport for {self.endpoint!r} asked for {url!r}")
         target = self._target + urlencode(params or {})
-        conn = self._connection(timeout)
+        conn = self._connection()
         reused = conn.sock is not None
         try:
             return self._send(conn, target)

@@ -769,15 +769,23 @@ def lexicon_with_scores():
     return b"".join(line + b"\t-\n" for line in (DATA / "golden_lexicon.tsv").read_bytes().splitlines())
 
 
+def on_a_copy(argv, tmp):
+    """``argv`` replaying a copy of the fixture cache in ``tmp``: a tagger
+    changed at random is a new table, whose counts the replay would save
+    beside the fixture for good."""
+    return replaced(argv, "--cache", shutil.copy(DATA / "e2e.cache", tmp))
+
+
 # input -> (clean contents, column of its tag, pattern, phase or grade field,
 # the command that reads it)
 INPUTS = {
     "units": (DATA / "ulcs.tsv", 2, lambda tmp, bad: replaced(translate_args(tmp / "out"), "--ulcs", bad)),
     "dictionary": (DATA / "dictionary.tsv", 1,
                    lambda tmp, bad: replaced(translate_args(tmp / "out"), "--dictionary", bad)),
-    "source-tagger": (TAGGER_FR, 1, lambda tmp, bad: translate_args(tmp / "out", ["--source-tagger", str(bad)])),
+    "source-tagger": (TAGGER_FR, 1,
+                      lambda tmp, bad: on_a_copy(translate_args(tmp / "out", ["--source-tagger", str(bad)]), tmp)),
     "target-tagger": (TAGGER_FR.with_name("tagger_en.tsv"), 1,
-                      lambda tmp, bad: translate_args(tmp / "out", ["--target-tagger", str(bad)])),
+                      lambda tmp, bad: on_a_copy(translate_args(tmp / "out", ["--target-tagger", str(bad)]), tmp)),
     "corpus": (DATA / "corpus.tsv", 1, extract_args),
     "gold": (DATA / "gold.tsv", 2, lambda tmp, bad: evaluate_args(tmp, gold=bad)),
     "lexicon": (lexicon_with_scores, 2, lambda tmp, bad: evaluate_args(tmp, lexicon=bad)),

@@ -131,8 +131,8 @@ def test_or_count_at_least_max_disjunct(phrases):
 
 def test_snippets_truncate_to_limit(index):
     oracle = SearchOracle(index)
-    assert len(oracle.snippets("lamb shank", 2)) == 2
-    assert len(oracle.snippets("lamb shank", 1000)) == 3
+    assert len(oracle.execute(OracleQuery(QueryKind.SNIPPETS, ("lamb shank",), limit=2))) == 2
+    assert len(oracle.execute(OracleQuery(QueryKind.SNIPPETS, ("lamb shank",), limit=1000))) == 3
 
 
 def test_mixed_snippets_filter_language(index):
@@ -145,7 +145,7 @@ def test_mixed_snippets_filter_language(index):
     oracle = SearchOracle(index)
     assert oracle.mixed_snippets("souris d'agneau", "en", 1000) == [s.text for s in mixed("souris d'agneau")]
     # same phrase unrestricted also sees the French page
-    assert len(oracle.snippets("messe de minuit", 1000)) == 2
+    assert len(oracle.execute(OracleQuery(QueryKind.SNIPPETS, ("messe de minuit",), limit=1000))) == 2
 
 
 @given(st.text())
@@ -790,7 +790,7 @@ def test_compact_makes_the_snapshot_stale(tmp_path, decoded):
     entries = sorted(cache._entries.items())
     cache.compact()
     cache.close()
-    assert snapshot.read_bytes() == before  # compacting saves no snapshot
+    assert not snapshot.exists()  # compacting leaves no snapshot
     decoded.clear()
     assert load_logged(path) == (entries, [])
     assert len(decoded) == len(entries)
@@ -1217,8 +1217,10 @@ def test_concurrent_identical_queries_share_one_call_without_a_cache():
 
 def test_caller_missing_the_cache_as_the_leader_settles_asks_no_second_time(tmp_path):
     # The late caller's cache look misses; then the leader puts its answer
-    # and settles before the late caller reaches the in-flight table.
-    asking, answer, missed, settled = (threading.Event() for _ in range(4))
+    # before the late caller reaches the in-flight table. The bounded join
+    # lets the leader settle as well where that look is not under the
+    # oracle's lock; under it, the leader waits for the late caller.
+    asking, answer, missed, put = (threading.Event() for _ in range(4))
 
     class Blocking(FakeBackend):
         def execute(self, query):
@@ -1231,8 +1233,13 @@ def test_caller_missing_the_cache_as_the_leader_settles_asks_no_second_time(tmp_
             value = super().get(query)
             if threading.current_thread().name == "late":
                 missed.set()
-                settled.wait(10)
+                put.wait(10)
+                leader.join(0.2)
             return value
+
+        def put(self, query, value):
+            super().put(query, value)
+            put.set()
 
     backend = Blocking(default_count=9)
     oracle = SearchOracle(backend, PausingCache(tmp_path / "c"))
@@ -1244,11 +1251,10 @@ def test_caller_missing_the_cache_as_the_leader_settles_asks_no_second_time(tmp_
     late.start()
     assert missed.wait(10)
     answer.set()
-    leader.join(10)
-    assert not leader.is_alive()
-    settled.set()
     late.join(10)
     assert not late.is_alive()
+    leader.join(10)
+    assert not leader.is_alive()
     oracle.close()
     assert results == [9]
     assert backend.calls == 1
@@ -1323,7 +1329,7 @@ class StubSession:
         self.responses = list(responses)
         self.requests = []
 
-    def get(self, url, params=None, timeout=None):
+    def get(self, url, params=None):
         self.requests.append((url, dict(params or {})))
         response = self.responses.pop(0)
         if isinstance(response, Exception):
@@ -1468,7 +1474,7 @@ def test_http_snippet_with_lone_surrogate_raises_and_is_not_cached(tmp_path):
     cache = ResponseCache(tmp_path / "c")
     oracle = SearchOracle(backend, cache)
     with pytest.raises(OracleError, match="SNIPPETS"):
-        oracle.snippets("café", 5)
+        oracle.execute(OracleQuery(QueryKind.SNIPPETS, ("café",), limit=5))
     oracle.close()
     assert len(cache) == 0
     assert not (tmp_path / "c").exists()
