@@ -9,7 +9,8 @@ files and print how each metric moved.
 Each seed is one pair: ``python3 perfbench/run.py --workload W --seed N
 --seconds S --trace T`` runs once in each checkout, the parent first in pairs
 0, 2, 4, ... and the change first in pairs 1, 3, 5, ..., so that drift of the
-host does not favour one side. ``--aa`` runs one checkout against a fresh copy
+host does not favour one side. Every ``__pycache__`` under both checkouts is
+deleted before the first pair. ``--aa`` runs one checkout against a fresh copy
 of itself, which shows the spread of a pair set with no difference in code.
 
 The result line of every run goes to ``BENCH_<label>-parent.json`` and
@@ -201,6 +202,10 @@ def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
             checkouts = {"parent": args.aa, "change": copy}
         else:
             checkouts = {"parent": args.parent, "change": args.change}
+        # Bytecode left in one checkout and not the other skews every pair.
+        for checkout in checkouts.values():
+            for bytecode in list(checkout.rglob("__pycache__")):
+                shutil.rmtree(bytecode)
         parent_code = args.parent_code or git_code(checkouts["parent"])
         codes = {"parent": parent_code,
                  "change": f"copy of {parent_code}" if args.aa else args.change_code or git_code(checkouts["change"])}

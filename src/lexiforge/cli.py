@@ -18,11 +18,11 @@ from dataclasses import fields
 from pathlib import Path
 
 from .backends import HttpBackend, LocalIndexBackend
-from .config import TAGSETS, ConfigError, InputError, RunConfig, load_config, open_utf8
+from .config import BACKENDS, TAGSETS, ConfigError, InputError, RunConfig, load_config, open_utf8
 from .corpus import parse_tagged_corpus
 from .dictionary import load_dictionary, route_ulc
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
-from .oracle import ResponseCache, SearchOracle
+from .oracle import ResponseCache, SearchOracle, compact
 from .pipeline import read_lexicon, run_pipeline, summarize, write_report
 from .evaluation import GoldError, compute_metrics, format_metrics, load_gold
 from .phase2 import WorldContext, build_lexical_world, write_world
@@ -166,14 +166,17 @@ def cmd_world(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     path = _require_file(args.cache_file, "cache file")
-    cache = ResponseCache(path)
     if args.action == "stats":
+        cache = ResponseCache(path)
         by_kind = cache.kind_counts()
         print(f"{len(cache)} entries in {path}")
         for kind in sorted(by_kind):
             print(f"  {kind}\t{by_kind[kind]}")
     else:
-        kept = cache.compact()
+        try:
+            kept = compact(path)
+        except BlockingIOError:
+            raise ConfigError(f"{path} is open for appending; compact it once no run writes to it") from None
         print(f"compacted {path} to {kept} records")
     return EXIT_OK
 
@@ -189,7 +192,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument("--cache", dest="cache_path", help="response cache file")
         backend = p.add_mutually_exclusive_group()
-        backend.add_argument("--backend", choices=("local", "http", "cache"))
+        backend.add_argument("--backend", choices=BACKENDS)
         backend.add_argument("--offline", dest="backend", action="store_const", const="cache",
                              help="never call a backend: the same as --backend cache")
         p.add_argument("--docs", dest="docs_path", help="document collection (JSONL) for the local backend")
@@ -198,7 +201,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_extract = sub.add_parser("extract", help="extract and web-filter source units")
     add_common(p_extract)
     p_extract.add_argument("--corpus", dest="corpus_path", help="tagged corpus file")
-    p_extract.add_argument("--tagset", dest="tagset_name", help="tagset name (coarse, treetagger-fr)")
+    p_extract.add_argument("--tagset", dest="tagset_name", help=f"tagset name ({', '.join(TAGSETS)})")
     p_extract.add_argument("--max-ulcs", dest="max_ulcs", type=int)
     p_extract.add_argument("--out", help="output unit file")
     p_extract.set_defaults(func=cmd_extract)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import io
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import BinaryIO, Iterator, Mapping, TextIO
 
@@ -158,75 +158,48 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     return values
 
 
-# config-file key -> RunConfig attribute
-KEY_MAP = {
-    "corpus.path": "corpus_path",
-    "corpus.tagset": "tagset_name",
-    "dictionary.path": "dictionary_path",
-    "output.dir": "output_dir",
-    "lang.source": "source_lang",
-    "lang.target": "target_lang",
-    "oracle.backend": "backend",
-    "oracle.cache": "cache_path",
-    "oracle.docs": "docs_path",
-    "oracle.endpoint": "endpoint",
-    "oracle.api_key": "api_key",
-    "oracle.rate_per_sec": "rate_per_sec",
-    "oracle.parallelism": "parallelism",
-    "extract.corpus_freq_min": "corpus_freq_min",
-    "extract.literal_freq_min": "literal_freq_min",
-    "extract.article_freq_min": "article_freq_min",
-    "extract.max_ulcs": "max_ulcs",
-    "generation.use_an": "use_an",
-    "phase2.snippet_limit": "snippet_limit",
-    "phase2.world_size": "world_size",
-    "phase2.noun_jaccard_min": "noun_jaccard_min",
-    "phase2.adj_jaccard_min": "adj_jaccard_min",
-    "phase3.snippet_limit": "phase3_snippet_limit",
-    "phase3.min_pair_freq": "min_pair_freq",
-    "phase3.top_pairs": "top_pairs",
-    "pipeline.workers": "workers",
-}
-
-_ATTR_TO_KEY = {attr: key for key, attr in KEY_MAP.items()}
+def _key(key: str, default: object = None):
+    """A RunConfig field that the config-file ``key`` sets."""
+    return field(default=default, metadata={"key": key})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every setting of a run, with its default; built once by ``load_config``."""
+    """Every setting of a run, with its default and, for a setting a config
+    file may hold, its key (``_key``); built once by ``load_config``."""
 
-    corpus_path: str | None = None
-    dictionary_path: str | None = None
-    output_dir: str = "out"
-    tagset_name: str = "coarse"
+    corpus_path: str | None = _key("corpus.path")
+    dictionary_path: str | None = _key("dictionary.path")
+    output_dir: str = _key("output.dir", "out")
+    tagset_name: str = _key("corpus.tagset", "coarse")
     tagset_overrides: dict[str, str] = field(default_factory=dict)
-    source_lang: str = "fr"
-    target_lang: str = "en"
+    source_lang: str = _key("lang.source", "fr")
+    target_lang: str = _key("lang.target", "en")
 
-    backend: str = "local"
-    cache_path: str | None = None
-    docs_path: str | None = None
-    endpoint: str = ""
-    api_key: str = ""
-    rate_per_sec: float = 2.0
-    parallelism: int = 4
+    backend: str = _key("oracle.backend", "local")
+    cache_path: str | None = _key("oracle.cache")
+    docs_path: str | None = _key("oracle.docs")
+    endpoint: str = _key("oracle.endpoint", "")
+    api_key: str = _key("oracle.api_key", "")
+    rate_per_sec: float = _key("oracle.rate_per_sec", 2.0)
+    parallelism: int = _key("oracle.parallelism", 4)
 
-    corpus_freq_min: int = 10
-    literal_freq_min: int = 10_000
-    article_freq_min: int = 1_000
-    max_ulcs: int | None = None
+    corpus_freq_min: int = _key("extract.corpus_freq_min", 10)
+    literal_freq_min: int = _key("extract.literal_freq_min", 10_000)
+    article_freq_min: int = _key("extract.article_freq_min", 1_000)
+    max_ulcs: int | None = _key("extract.max_ulcs")
 
-    use_an: bool = False
-    snippet_limit: int = 1_000
-    world_size: int = 50
-    noun_jaccard_min: float = 0.05
-    adj_jaccard_min: float = 0.05
+    use_an: bool = _key("generation.use_an", False)
+    snippet_limit: int = _key("phase2.snippet_limit", 1_000)
+    world_size: int = _key("phase2.world_size", 50)
+    noun_jaccard_min: float = _key("phase2.noun_jaccard_min", 0.05)
+    adj_jaccard_min: float = _key("phase2.adj_jaccard_min", 0.05)
 
-    phase3_snippet_limit: int = 1_000
-    min_pair_freq: int = 2
-    top_pairs: int = 10
+    phase3_snippet_limit: int = _key("phase3.snippet_limit", 1_000)
+    min_pair_freq: int = _key("phase3.min_pair_freq", 2)
+    top_pairs: int = _key("phase3.top_pairs", 10)
 
-    workers: int = 4
+    workers: int = _key("pipeline.workers", 4)
 
     # Snippet tagger overrides (paths to lexicon files); CLI-only knobs.
     source_tagger_path: str | None = None
@@ -234,11 +207,11 @@ class RunConfig:
 
     def validate(self) -> None:
         """Check every setting's range, then the settings each backend needs."""
-        for attr in KEY_MAP.values():
+        for key, attr in KEY_MAP.items():
             try:
                 _check(attr, getattr(self, attr))
             except ValueError as exc:
-                raise ConfigError(f"{_ATTR_TO_KEY[attr]} {exc}") from None
+                raise ConfigError(f"{key} {exc}") from None
         if self.backend == "http" and not self.endpoint:
             raise ConfigError("http backend requires oracle.endpoint")
         if self.backend == "local" and not self.docs_path:
@@ -277,6 +250,8 @@ def _coerce(attr: str, raw: str):
 
 
 _DEFAULTS = RunConfig()
+# config-file key -> RunConfig attribute
+KEY_MAP = {f.metadata["key"]: f.name for f in fields(RunConfig) if "key" in f.metadata}
 
 
 def load_config(

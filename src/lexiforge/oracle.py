@@ -12,6 +12,7 @@ for the disjunction.
 from __future__ import annotations
 
 import enum
+import fcntl
 import json
 import logging
 import os
@@ -137,7 +138,7 @@ def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list
 # texts. Each later part holds about _SNAPSHOT_PART_BYTES of entries, in file
 # order, so that no load or save holds the bytes of the whole snapshot at once.
 _SNAPSHOT_MAGIC = b"lexiforge-cache\n"
-_SNAPSHOT_FORMAT = 2  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
+_SNAPSHOT_FORMAT = 3  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
 _SNAPSHOT_PART_BYTES = 1 << 20
 
 
@@ -167,7 +168,11 @@ class ResponseCache:
     flushed after every record, so a crash loses at most the record being
     written. A torn last line left by such a crash is skipped, and closed
     off with a tab and a newline before the first append, so it cannot
-    swallow the next record, nor parse as one on a later load.
+    swallow the next record, nor parse as one on a later load. A line of
+    that tab alone, left where the last byte was another writer's record in
+    flight, is skipped like a blank line. The append handle holds a shared
+    ``flock`` until ``close``, so that ``compact`` never replaces the file
+    under a writer.
 
     What a load checked, and the lexical-world counts of its snippet
     records (see ``counts``), are saved beside the file as
@@ -187,9 +192,8 @@ class ResponseCache:
         self._counts: dict[tuple, dict[int, dict[tuple[str, str], int]]] = {}
         self._snapshot = Path(f"{self.path}.snapshot")
         # What the load covered: the key of its bytes, its number of lines
-        # and its corrupt lines; None once a put or a compaction changes the
-        # file. Unsaved: the snapshot on disk lacks some of those lines, or
-        # counts made since.
+        # and its corrupt lines; None once a put changes the file. Unsaved:
+        # the snapshot on disk lacks some of those lines, or counts made since.
         self._covered: tuple[savefile.Key, int, list[int]] | None = None
         self._unsaved = False
         if self.path.exists():
@@ -226,7 +230,7 @@ class ResponseCache:
                     lines = lineno
                 try:
                     line = raw_line.decode("utf-8").rstrip("\r\n")
-                    if not line:
+                    if line in ("", "\t"):  # a tab alone closes off a torn line
                         continue
                     kind, p1, p2, lang, limit, payload = line.split("\t")
                     value = _decode_response(payload)
@@ -264,7 +268,7 @@ class ResponseCache:
     def _append_handle(self) -> BinaryIO:
         """The open append handle; caller holds the lock."""
         if self._append is None:
-            fh = open(self.path, "a+b")
+            fh = _locked(self.path, "a+b", fcntl.LOCK_SH)
             if fh.seek(0, os.SEEK_END) > 0:
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
@@ -285,8 +289,8 @@ class ResponseCache:
         if totals is None:
             totals = tagger.count(snippets)
             with self._lock:
-                # Until the first put or compaction every record is one the
-                # load covered; a put drops the counts of the record it replaces.
+                # Until the first put every record is one the load covered; a
+                # put drops the counts of the record it replaces.
                 if table is not None and self._covered is not None:
                     self._counts.setdefault(key, {})[table] = totals
                     self._unsaved = True
@@ -297,7 +301,9 @@ class ResponseCache:
         save the snapshot if the file is still as loaded and the snapshot on
         disk lacks something this cache holds."""
         with self._lock:
-            self._close_append()
+            if self._append is not None:
+                self._append.close()
+                self._append = None
             if self._unsaved and self._covered is not None:
                 key, lines, skipped = self._covered
                 savefile.save(
@@ -305,11 +311,6 @@ class ResponseCache:
                     _snapshot_parts(lines, skipped, self._counts, self._entries),
                 )
             self._unsaved = False
-
-    def _close_append(self) -> None:
-        if self._append is not None:
-            self._append.close()
-            self._append = None
 
     def __len__(self) -> int:
         with self._lock:
@@ -320,20 +321,36 @@ class ResponseCache:
         with self._lock:
             return Counter(key[0] for key in self._entries)
 
-    def compact(self) -> int:
-        """Rewrite the file with one record per key and delete the snapshot;
-        returns records kept."""
-        with self._lock:
-            records = [_format_record(key, self._entries[key]) for key in sorted(self._entries)]
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(records)
-            # Later puts must reach the new file, not the replaced inode.
-            self._close_append()
-            tmp.replace(self.path)
-            self._snapshot.unlink(missing_ok=True)
-            self._covered = None
-            return len(records)
+
+def _locked(path: Path, mode: str, how: int) -> BinaryIO:
+    """``path`` opened in binary ``mode`` and locked by ``fcntl.flock(how)``;
+    opened again if ``compact`` replaced the file meanwhile."""
+    while True:
+        fh = open(path, mode)
+        try:
+            fcntl.flock(fh, how)
+        except BaseException:
+            fh.close()
+            raise
+        if os.fstat(fh.fileno()).st_nlink:
+            return fh
+        fh.close()
+
+
+def compact(path: str | Path) -> int:
+    """Rewrite the cache file at ``path`` with one record per key and delete
+    its snapshot; returns records kept. While any ``ResponseCache`` has the
+    file open for appending it raises BlockingIOError instead of waiting."""
+    path = Path(path)
+    with _locked(path, "rb", fcntl.LOCK_EX | fcntl.LOCK_NB):
+        cache = ResponseCache(path)
+        entries = cache._entries
+        tmp = path.with_suffix(path.suffix + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(_format_record(key, entries[key]) for key in sorted(entries))
+        tmp.replace(path)
+        cache._snapshot.unlink(missing_ok=True)
+    return len(entries)
 
 
 class _Flight:

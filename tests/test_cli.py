@@ -20,7 +20,7 @@ import lexiforge.phase2 as phase2
 import lexiforge.phase3 as phase3
 from lexiforge.backends import Snippet
 from lexiforge.cli import main
-from lexiforge.oracle import QueryKind, SearchOracle
+from lexiforge.oracle import OracleQuery, QueryKind, ResponseCache, SearchOracle
 
 from conftest import FakeBackend
 
@@ -322,6 +322,22 @@ def test_cache_stats_and_compact_save_no_file_beside_the_cache(tmp_path, capsys)
     for action in ("stats", "compact"):
         assert run(["cache", action, str(cache_copy)], capsys)[0] == 0
         assert [p.name for p in tmp_path.iterdir()] == ["copy.cache"]
+
+
+def test_cache_compact_exits_2_and_leaves_the_file_while_a_cache_appends_to_it(tmp_path, capsys):
+    cache_copy = tmp_path / "copy.cache"
+    shutil.copy(DATA / "e2e.cache", cache_copy)
+    cache = ResponseCache(cache_copy)
+    try:
+        cache.put(OracleQuery(QueryKind.PHRASE_COUNT, ("fresh",)), 9)
+        before = cache_copy.read_bytes()
+        code, out, err = run(["cache", "compact", str(cache_copy)], capsys)
+    finally:
+        cache.close()
+    assert (code, out) == (2, "")
+    assert err == f"error: {cache_copy} is open for appending; compact it once no run writes to it\n"
+    assert cache_copy.read_bytes() == before
+    assert run(["cache", "compact", str(cache_copy)], capsys)[:2] == (0, f"compacted {cache_copy} to 161 records\n")
 
 
 def test_local_backend_end_to_end_without_cache(tmp_path, capsys):

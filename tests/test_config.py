@@ -1,8 +1,9 @@
 import io
+from dataclasses import fields
 
 import pytest
 
-from lexiforge.config import API_KEY_ENV, ConfigError, InputError, RunConfig, load_config, read_rows
+from lexiforge.config import API_KEY_ENV, KEY_MAP, ConfigError, InputError, RunConfig, load_config, read_rows
 
 
 def write_config(tmp_path, text):
@@ -33,6 +34,54 @@ def test_parse_and_apply_sections(tmp_path):
     assert cfg.use_an is True
     assert cfg.workers == 2
     assert cfg.tagset_overrides == {"NOM": "NOUN"}
+
+
+# Every config key, each with a value other than its default: key -> (the
+# file's text, the value its field reads).
+EVERY_KEY = {
+    "corpus.path": ("c.tsv", "c.tsv"),
+    "corpus.tagset": ("treetagger-fr", "treetagger-fr"),
+    "dictionary.path": ("d.tsv", "d.tsv"),
+    "output.dir": ("run", "run"),
+    "lang.source": ("de", "de"),
+    "lang.target": ("it", "it"),
+    "oracle.backend": ("http", "http"),
+    "oracle.cache": ("run.cache", "run.cache"),
+    "oracle.docs": ("docs.jsonl", "docs.jsonl"),
+    "oracle.endpoint": ("http://engine", "http://engine"),
+    "oracle.api_key": ("k", "k"),
+    "oracle.rate_per_sec": ("0.5", 0.5),
+    "oracle.parallelism": ("3", 3),
+    "extract.corpus_freq_min": ("11", 11),
+    "extract.literal_freq_min": ("12", 12),
+    "extract.article_freq_min": ("13", 13),
+    "extract.max_ulcs": ("14", 14),
+    "generation.use_an": ("yes", True),
+    "phase2.snippet_limit": ("15", 15),
+    "phase2.world_size": ("16", 16),
+    "phase2.noun_jaccard_min": ("0.25", 0.25),
+    "phase2.adj_jaccard_min": ("0.5", 0.5),
+    "phase3.snippet_limit": ("17", 17),
+    "phase3.min_pair_freq": ("18", 18),
+    "phase3.top_pairs": ("19", 19),
+    "pipeline.workers": ("20", 20),
+}
+
+
+def test_every_key_sets_its_own_field(tmp_path, monkeypatch):
+    monkeypatch.delenv(API_KEY_ENV, raising=False)
+    assert sorted(KEY_MAP) == sorted(EVERY_KEY)
+    # Each field but the tagset overrides and the CLI-only tagger paths has one key.
+    assert sorted(KEY_MAP.values()) == sorted(
+        f.name for f in fields(RunConfig)
+        if f.name not in ("tagset_overrides", "source_tagger_path", "target_tagger_path")
+    )
+    path = write_config(tmp_path, "".join(f"{key} = {text}\n" for key, (text, _) in EVERY_KEY.items()))
+    cfg = load_config(path)
+    cfg.validate()
+    for key, (_, value) in EVERY_KEY.items():
+        attr = KEY_MAP[key]
+        assert getattr(cfg, attr) == value != getattr(RunConfig(), attr), key
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -35,6 +35,7 @@ from lexiforge.oracle import (
     ResponseCache,
     SearchOracle,
     _format_record,
+    compact,
     split_or_query,
 )
 from lexiforge.phase2 import build_lexical_world
@@ -522,7 +523,8 @@ def test_cache_record_with_lone_surrogate_escape_is_skipped_and_compacts(tmp_pat
         f"{path}:3: skipping corrupt cache record",
     ]
     assert len(cache) == 1
-    assert cache.compact() == 1
+    cache.close()
+    assert compact(path) == 1
     assert path.read_text(encoding="utf-8") == "PHRASE_COUNT\tok\t\t-\t-\t7\n"
 
 
@@ -540,7 +542,8 @@ def test_cache_reads_text_lists_and_older_text_id_pairs_alike(tmp_path):
     assert cache.get(OracleQuery(QueryKind.SNIPPETS, ("old",), limit=5)) == texts
     assert cache.get(OracleQuery(QueryKind.MIXED_SNIPPETS, ("none",), "en", 5)) == []
     # Compaction rewrites every snippet list as plain texts.
-    cache.compact()
+    cache.close()
+    compact(path)
     assert path.read_text(encoding="utf-8").splitlines()[2] == (
         'SNIPPETS\told\t\t-\t5\t["La caisse", "Une \\"messe\\""]'
     )
@@ -563,7 +566,8 @@ def test_snippet_texts_survive_put_reload_and_compact(texts):
         cache.close()
         reloaded = ResponseCache(path)
         assert reloaded.get(query) == texts
-        assert reloaded.compact() == 2
+        reloaded.close()
+        assert compact(path) == 2
         assert ResponseCache(path).get(query) == texts
 
 
@@ -617,7 +621,8 @@ def test_compact_dedupes_file(tmp_path):
     cache = ResponseCache(path)
     for value in (1, 2, 3):
         cache.put(q, value)
-    assert cache.compact() == 1
+    cache.close()
+    assert compact(path) == 1
     assert ResponseCache(path).get(q) == 3
     assert len(path.read_text().splitlines()) == 1
 
@@ -656,7 +661,8 @@ def test_put_after_compact_reaches_new_file(tmp_path):
     cache = ResponseCache(path)
     cache.put(q, 1)
     cache.put(q, 2)
-    cache.compact()
+    cache.close()
+    compact(path)
     cache.put(later, 5)
     cache.close()
     reloaded = ResponseCache(path)
@@ -734,7 +740,7 @@ def test_a_load_from_the_snapshot_equals_a_load_without_it(steps):
                 cache.put(step[1], step[2])
                 cache.close()
             else:
-                ResponseCache(path).compact()
+                compact(path)
             with_snapshot = load_logged(path)
             # The snapshot this load left, built on the last one, stays for
             # the next step.
@@ -788,8 +794,8 @@ def test_compact_makes_the_snapshot_stale(tmp_path, decoded):
     before = snapshot.read_bytes()
     cache = ResponseCache(path)
     entries = sorted(cache._entries.items())
-    cache.compact()
     cache.close()
+    compact(path)
     assert not snapshot.exists()  # compacting leaves no snapshot
     decoded.clear()
     assert load_logged(path) == (entries, [])
@@ -834,6 +840,77 @@ def test_two_processes_put_at_once_after_the_snapshot_and_every_record_reloads(t
     assert len(decoded) == 400
     Path(f"{path}.snapshot").unlink()
     assert load_logged(path) == reloaded
+
+
+def test_a_tab_alone_on_a_line_is_skipped_without_a_warning(tmp_path, decoded):
+    # A writer closes off what it takes for a torn tail with a tab and a
+    # newline; where that was another writer's record in flight, the tab
+    # stands alone on its line.
+    path = tmp_path / "run.cache"
+    path.write_bytes(CACHE_LINES[0] + b"\t\n" + CACHE_LINES[6])
+    expected = [
+        (("PHRASE_COUNT", ("midnight mass",), "-", "-"), 336000),
+        (("PAIR_COUNT", ("caisse centrale", "central fund"), "-", "-"), 4),
+    ]
+    assert load_logged(path) == (expected, [])
+    decoded.clear()
+    assert load_logged(path) == (expected, [])  # from the snapshot
+    assert decoded == []
+
+
+SHORT_SESSIONS = """
+import sys, time
+from lexiforge.oracle import OracleQuery, QueryKind, ResponseCache
+
+path, n = sys.argv[1], int(sys.argv[2])
+cache = ResponseCache(path)
+for i in range(n):
+    cache.put(OracleQuery(QueryKind.PHRASE_COUNT, (f"put {i}",)), i)
+    if i % 10 == 9:
+        cache.close()
+        time.sleep(0.001)  # room for a compaction
+"""
+
+COMPACTOR = """
+import os, sys, time
+from lexiforge.oracle import compact
+
+path, stop = sys.argv[1], sys.argv[2]
+done = 0
+while not os.path.exists(stop):
+    try:
+        compact(path)
+        done += 1
+    except BlockingIOError:
+        pass
+    time.sleep(0.001)
+print(done)
+"""
+
+
+def test_compact_keeps_every_record_of_a_writer_that_opens_and_closes_meanwhile(tmp_path):
+    path = tmp_path / "run.cache"
+    stop = tmp_path / "stop"
+    path.write_bytes(CACHE_LINES[0])
+    env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
+    writer = subprocess.Popen([sys.executable, "-c", SHORT_SESSIONS, str(path), "3000"], env=env)
+    compactor = subprocess.Popen([sys.executable, "-c", COMPACTOR, str(path), str(stop)], env=env,
+                                 stdout=subprocess.PIPE, text=True)
+    try:
+        assert writer.wait(timeout=60) == 0
+        stop.touch()
+        out, _ = compactor.communicate(timeout=60)
+    finally:
+        writer.kill()
+        compactor.kill()
+    assert compactor.returncode == 0
+    assert int(out) >= 1  # compactions done while the writer ran
+    entries, messages = load_logged(path)
+    assert messages == []
+    assert dict(entries) == {
+        ("PHRASE_COUNT", ("midnight mass",), "-", "-"): 336000,
+        **{("PHRASE_COUNT", (f"put {i}",), "-", "-"): i for i in range(3000)},
+    }
 
 
 # Taggers of two languages with different tables over the snippets of
@@ -928,7 +1005,7 @@ def test_worlds_from_saved_counts_equal_worlds_recounted(steps):
                         build_lexical_world("caisse", lang, fresh, LexiconTagger(entries), snippet_limit=5, world_size=5)
                 oracle.close()
             elif step[0] == "compact":
-                ResponseCache(path).compact()
+                compact(path)
             # Each run reads the counts the last one saved.
             assert replay(path)[0] == recounted(path)
 
@@ -977,7 +1054,7 @@ def test_saved_counts_are_read_unless_stale_and_then_rebuilt(tmp_path, decoded, 
         with open(path, "ab") as fh:
             fh.write(b'SNIPPETS\tcaisse\t\t-\t5\t["une caisse", "la caisse"]\n')
     elif change == "compact":
-        ResponseCache(path).compact()
+        compact(path)
     elif change == "torn":
         snapshot.write_bytes(good[:-10])
     elif change == "other format":  # the format before the snapshot held counts

@@ -9,7 +9,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from lexiforge.oracle import ResponseCache
+from lexiforge.oracle import compact
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DATA = Path(__file__).parent / "data"
@@ -37,12 +37,7 @@ def test_build_fixtures_regenerates_the_bundled_fixtures(tmp_path, monkeypatch, 
 
     # The cache holds the same entries; compacting orders them by key.
     bundled = shutil.copy(DATA / "e2e.cache", tmp_path / "bundled.cache")
-    caches = [ResponseCache(tmp_path / "e2e.cache"), ResponseCache(bundled)]
-    try:
-        assert [cache.compact() for cache in caches] == [160, 160]
-    finally:
-        for cache in caches:
-            cache.close()
+    assert [compact(path) for path in (tmp_path / "e2e.cache", bundled)] == [160, 160]
     assert (tmp_path / "e2e.cache").read_bytes() == Path(bundled).read_bytes()
 
 
@@ -61,11 +56,16 @@ def test_bench_pairs_flips_the_order_and_reports_quartiles_and_wins(tmp_path, ca
     shutil.copy(SCRIPTS.parent / "BENCHMARK.json", checkout)
     calls, paths = [], set()
 
+    def leave_bytecode():
+        (checkout / "src" / "lexiforge" / "__pycache__").mkdir()
+        (checkout / "src" / "lexiforge" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"stale")
+
     def stub_run(path, workload, seed, seconds, trace):
         # The change reads 10 MB less except at seed 3 (a tie), and fewer
         # units/s at seed 2 only.
         side = "parent" if path == checkout else "change"
         assert (path / "src" / "lexiforge" / "a.py").read_text(encoding="utf-8") == "x = 1\ny = 2\n"
+        assert not list(path.rglob("__pycache__"))  # deleted before the first pair
         calls.append((side, seed, workload, seconds, trace))
         paths.add(path)
         rss = 40.0 + seed - (10 if side == "change" and seed != 3 else 0)
@@ -74,6 +74,7 @@ def test_bench_pairs_flips_the_order_and_reports_quartiles_and_wins(tmp_path, ca
         return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
 
     argv = ["--workload", "cold-local", "--seeds", "1-3,4", "--seconds", "5", "--label", "t", "--out-dir", str(tmp_path)]
+    leave_bytecode()
     assert bench_pairs.main(["--aa", str(checkout), *argv], run=stub_run) == 0
     assert [call[:2] for call in calls] == [
         ("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
@@ -92,6 +93,7 @@ def test_bench_pairs_flips_the_order_and_reports_quartiles_and_wins(tmp_path, ca
     assert rows["units_per_s"].endswith("change better in 3/4 (higher is better)")
 
     # A second set joins the same files; both sides get the layout's keys.
+    leave_bytecode()
     assert bench_pairs.main(["--parent", str(checkout), "--change", str(checkout),
                              "--change-code", "def5678", *argv], run=stub_run) == 0
     for side in ("parent", "change"):
