@@ -1,6 +1,6 @@
 """Bilingual lexicon acquisition from a tagged corpus and a search oracle."""
 
-from .corpus import TaggedCorpus, TaggedToken, parse_tagged_corpus
+from .corpus import TaggedToken, parse_tagged_corpus
 from .dictionary import BilingualDictionary, Route, load_dictionary, route_ulc
 from .extraction import SourceUlc, UlcPattern, extract_ulcs, web_filter_ulc
 from .generation import CandidateTranslation, TranslationRule, build_validation_query, generate_candidates
@@ -20,7 +20,6 @@ __all__ = [
     "Route",
     "SearchOracle",
     "SourceUlc",
-    "TaggedCorpus",
     "TaggedToken",
     "TranslationRecord",
     "TranslationRule",

@@ -229,11 +229,11 @@ class HttpBackend:
     ``MAX_BACKOFF_S``. Either way the failure surfaces as an OracleError,
     which a later run may retry.
 
-    Requests go through ``session``: any object with ``get(url, params=)``
-    returning a response with ``status_code``, ``headers`` and ``json()``.
-    The default is a ``transport.HttpTransport`` with ``timeout``, which
-    keeps one keep-alive connection per worker thread; ``close()`` closes
-    them.
+    Requests go through ``session``: any object whose ``get(params)`` GETs
+    the endpoint and returns ``(status, headers, body)``, with the headers
+    a mapping and the body bytes. The default is a
+    ``transport.HttpTransport`` with ``timeout``, which keeps one keep-alive
+    connection per worker thread; ``close()`` closes them.
     The transport module is imported on first use: its ``http.client``,
     ``ssl`` and ``urllib.request`` imports would add ~7 MB of memory and
     ~60 ms to every run, HTTP or not.
@@ -257,7 +257,6 @@ class HttpBackend:
     ):
         if not endpoint:
             raise ValueError("http backend requires an endpoint")
-        self.endpoint = endpoint
         self.api_key = api_key
         self.min_interval = 1.0 / rate_per_sec if rate_per_sec > 0 else 0.0
         self.max_retries = max_retries
@@ -304,13 +303,12 @@ class HttpBackend:
             retry_after = 0.0
             self._throttle()
             try:
-                response = self._session.get(self.endpoint, params=params)
+                status, headers, body = self._session.get(params)
             except Exception as exc:  # connection errors and timeouts are retried
                 last_error = exc
                 continue
-            status = response.status_code
             if status == 200:
-                return self._parse(query, response)
+                return self._parse(query, body)
             last_error = OracleError(f"request failed with status {status}")
             # Asking again cannot change a client error's answer, except for
             # a request timeout or a rate limit.
@@ -319,7 +317,7 @@ class HttpBackend:
             if status in (429, 503):
                 from .transport import retry_after_s
 
-                retry_after = retry_after_s(response)
+                retry_after = retry_after_s(headers)
                 if retry_after > MAX_BACKOFF_S:
                     raise OracleError(
                         f"request failed with status {status}, retry after {retry_after:.0f} s"
@@ -327,9 +325,9 @@ class HttpBackend:
         raise OracleError(f"backend unavailable after {self.max_retries} attempts: {last_error}")
 
     @staticmethod
-    def _parse(query: OracleQuery, response) -> int | list[Snippet]:
+    def _parse(query: OracleQuery, body: bytes) -> int | list[Snippet]:
         try:
-            payload = response.json()
+            payload = json.loads(body)
         except ValueError:  # a body that is not JSON
             payload = None
         if not isinstance(payload, dict):

@@ -85,8 +85,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     corpus_file = _require_file(cfg.corpus_path, "corpus file")
     with open_utf8(corpus_file) as fh:
-        corpus = parse_tagged_corpus(fh, {**TAGSETS[cfg.tagset_name], **cfg.tagset_overrides})
-    units = extract_ulcs(corpus, cfg.corpus_freq_min)
+        sentences = parse_tagged_corpus(fh, {**TAGSETS[cfg.tagset_name], **cfg.tagset_overrides})
+    units = extract_ulcs(sentences, cfg.corpus_freq_min)
 
     oracle = build_oracle(cfg)
     try:

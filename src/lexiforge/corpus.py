@@ -36,18 +36,11 @@ class TaggedToken:
 Sentence = tuple[TaggedToken, ...]
 
 
-@dataclass(frozen=True)
-class TaggedCorpus:
-    """Immutable after parsing; safe for concurrent readers."""
-
-    sentences: tuple[Sentence, ...]
-
-
 def parse_tagged_corpus(
     source: io.TextIOBase | str | Iterable[str],
     tagset: Mapping[str, str] = TAGSETS["coarse"],
-) -> TaggedCorpus:
-    """Parse token-per-line tagger output into a TaggedCorpus.
+) -> tuple[Sentence, ...]:
+    """Parse token-per-line tagger output into its sentences.
 
     ``source`` may be an open text stream, a string, or an iterable of lines;
     ``tagset`` maps each raw tag to its coarse class (see ``TAGSETS``).
@@ -87,7 +80,7 @@ def parse_tagged_corpus(
             close_sentence()
 
     close_sentence()
-    return TaggedCorpus(tuple(sentences))
+    return tuple(sentences)
 
 
 def _parse_token_line(line: str, path: str, lineno: int, tagset: Mapping[str, str]) -> TaggedToken:

@@ -13,27 +13,13 @@ have exactly one translation each.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from .config import InputError, read_rows
-from .extraction import SourceUlc, UlcPattern
+from .extraction import D_APOSTROPHE_SURFACES, DE_SURFACES, SourceUlc, UlcPattern
 
-LINK_WORDS = {"de", "d'", "d’"}
-
-
-@dataclass(frozen=True)
-class DictEntry:
-    lemma: str
-    pos: str
-    translations: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.translations:
-            raise ValueError(f"entry {self.lemma!r} has no translations")
-        if len(set(self.translations)) != len(self.translations):
-            raise ValueError(f"entry {self.lemma!r} has duplicate translations")
+LINK_WORDS = DE_SURFACES | D_APOSTROPHE_SURFACES
 
 
 class Route(enum.Enum):
@@ -52,40 +38,30 @@ class Route(enum.Enum):
 
 
 class BilingualDictionary:
-    """Immutable after load; concurrent reads are safe."""
+    """Two tables: (lemma, pos) -> translations, and (head, modifier) ->
+    translations for multiword entries. Rows with the same key merge: each
+    translation is kept once, in the order first seen. Immutable after
+    construction; concurrent reads are safe."""
 
     def __init__(
         self,
-        entries: Iterable[DictEntry] = (),
-        multiword: Iterable[tuple[tuple[str, str], tuple[str, ...]]] = (),
+        entries: Iterable[tuple[str, str, Iterable[str]]] = (),
+        multiword: Iterable[tuple[tuple[str, str], Iterable[str]]] = (),
     ):
-        self._entries: dict[tuple[str, str], DictEntry] = {}
-        for entry in entries:
-            self._add(entry)
+        self._entries: dict[tuple[str, str], tuple[str, ...]] = {}
+        for lemma, pos, translations in entries:
+            self._merge(self._entries, (lemma, pos), translations)
         self._multiword: dict[tuple[str, str], tuple[str, ...]] = {}
         for pair, translations in multiword:
-            self._add_multiword(pair, translations)
+            self._merge(self._multiword, pair, translations)
 
-    def _add(self, entry: DictEntry):
-        key = (entry.lemma, entry.pos)
-        existing = self._entries.get(key)
-        if existing is None:
-            self._entries[key] = entry
-        else:
-            merged = existing.translations + tuple(
-                t for t in entry.translations if t not in existing.translations
-            )
-            self._entries[key] = DictEntry(entry.lemma, entry.pos, merged)
-
-    def _add_multiword(self, pair: tuple[str, str], translations: tuple[str, ...]):
-        existing = self._multiword.get(pair, ())
-        merged = existing + tuple(t for t in translations if t not in existing)
-        self._multiword[pair] = merged
+    @staticmethod
+    def _merge(table: dict, key: tuple[str, str], translations: Iterable[str]) -> None:
+        table[key] = tuple(dict.fromkeys((*table.get(key, ()), *translations)))
 
     def lookup(self, lemma: str, pos: str) -> tuple[str, ...]:
         """Translations for (lemma, pos); empty tuple on a miss."""
-        entry = self._entries.get((lemma, pos))
-        return entry.translations if entry else ()
+        return self._entries.get((lemma, pos), ())
 
     def multiword_lookup(self, head_lemma: str, modifier_lemma: str) -> tuple[str, ...]:
         return self._multiword.get((head_lemma, modifier_lemma), ())
@@ -106,13 +82,10 @@ def _multiword_pair(lemma_field: str) -> tuple[str, str] | None:
 def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
     """Load a dictionary file; duplicate (lemma, pos) entries are merged.
     A malformed line raises ``InputError`` naming the file and line."""
-    dictionary = BilingualDictionary()
+    entries = []
+    multiword = []
     for path, lineno, (lemma, pos, translation_field) in read_rows(source, 3):
-        translations = []
-        for t in translation_field.split("|"):
-            t = t.strip()
-            if t and t not in translations:
-                translations.append(t)
+        translations = [t for t in map(str.strip, translation_field.split("|")) if t]
         if not lemma or not pos or not translations:
             raise InputError(path, lineno, "empty field")
         if "_" in lemma:
@@ -121,10 +94,10 @@ def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
                 raise InputError(
                     path, lineno, f"multiword lemma {lemma!r} does not reduce to a (head, modifier) pair"
                 )
-            dictionary._add_multiword(pair, tuple(t.replace("_", " ") for t in translations))
+            multiword.append((pair, [t.replace("_", " ") for t in translations]))
         else:
-            dictionary._add(DictEntry(lemma, pos, tuple(translations)))
-    return dictionary
+            entries.append((lemma, pos, translations))
+    return BilingualDictionary(entries, multiword)
 
 
 def modifier_pos(pattern: UlcPattern) -> str:

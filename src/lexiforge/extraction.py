@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
 from .config import InputError, read_rows
-from .corpus import Sentence, TaggedCorpus
-from .oracle import OracleError, SearchOracle, is_count
+from .corpus import Sentence
+from .oracle import OracleError, SearchOracle, is_count, or_query
 
 DE_SURFACES = {"de"}
 D_APOSTROPHE_SURFACES = {"d'", "d’"}
@@ -96,8 +96,8 @@ def _match_at(sentence: Sentence, i: int) -> tuple[UlcPattern, str, str, str] | 
     return None
 
 
-def extract_ulcs(corpus: TaggedCorpus, min_corpus_freq: int) -> list[SourceUlc]:
-    """Scan the corpus for pattern matches and keep the recurrent ones.
+def extract_ulcs(sentences: Iterable[Sentence], min_corpus_freq: int) -> list[SourceUlc]:
+    """Scan the corpus's sentences for pattern matches and keep the recurrent ones.
 
     Results are de-duplicated on (head, modifier, pattern); inflectional
     variants pool their counts and the unit keeps its most frequent surface
@@ -107,7 +107,7 @@ def extract_ulcs(corpus: TaggedCorpus, min_corpus_freq: int) -> list[SourceUlc]:
     """
     counts: dict[tuple[str, str, UlcPattern], int] = {}
     surfaces: dict[tuple[str, str, UlcPattern], dict[str, int]] = {}
-    for sentence in corpus.sentences:
+    for sentence in sentences:
         for i in range(len(sentence)):
             match = _match_at(sentence, i)
             if match is None:
@@ -133,11 +133,9 @@ def extract_ulcs(corpus: TaggedCorpus, min_corpus_freq: int) -> list[SourceUlc]:
 
 def build_article_query(surface: str) -> str:
     """OR-combined exact-phrase query over the article-preceded variants."""
-    disjuncts = []
-    for article in ARTICLES:
-        phrase = f"{article}{surface}" if article.endswith("'") else f"{article} {surface}"
-        disjuncts.append(f'"{phrase}"')
-    return " OR ".join(disjuncts)
+    return or_query(
+        f"{article}{surface}" if article.endswith("'") else f"{article} {surface}" for article in ARTICLES
+    )
 
 
 def web_filter_ulc(

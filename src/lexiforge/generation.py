@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .dictionary import BilingualDictionary, modifier_pos
 from .extraction import SourceUlc, UlcPattern
+from .oracle import or_query
 
 VOWELS = "aeiou"
 
@@ -109,4 +110,4 @@ def build_validation_query(candidate: CandidateTranslation, use_an: bool = False
     phrase = candidate.target_surface
     if not phrase:
         raise ValueError("candidate has no target surface")
-    return f'"the {phrase}" OR "{_article(phrase, use_an)} {phrase}"'
+    return or_query((f"the {phrase}", f"{_article(phrase, use_an)} {phrase}"))

@@ -23,7 +23,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterator, Protocol
+from typing import BinaryIO, Iterable, Iterator, Protocol
 
 from . import savefile
 from .config import RunConfig
@@ -68,6 +68,11 @@ class OracleQuery:
             self.lang_restrict or "-",
             "-" if self.limit is None else str(self.limit),
         )
+
+
+def or_query(phrases: Iterable[str]) -> str:
+    """The OR-query of exact phrases: each quoted, joined by `` OR ``."""
+    return " OR ".join(f'"{phrase}"' for phrase in phrases)
 
 
 def split_or_query(query: str) -> list[str]:

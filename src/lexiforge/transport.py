@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import email.utils
 import http.client
-import json
 import ssl
 import threading
 import time
@@ -19,20 +18,6 @@ from urllib.parse import unquote, urlencode, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
 from .config import ConfigError
-
-
-class HttpResponse:
-    """Status, headers and body of one answered GET."""
-
-    __slots__ = ("status_code", "headers", "body")
-
-    def __init__(self, status_code: int, headers, body: bytes):
-        self.status_code = status_code
-        self.headers = headers
-        self.body = body
-
-    def json(self):
-        return json.loads(self.body)
 
 
 class HttpTransport:
@@ -50,7 +35,6 @@ class HttpTransport:
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(f"oracle.endpoint must be an http or https URL, got {endpoint!r}")
-        self.endpoint = endpoint
         self._timeout = timeout
         https = url.scheme == "https"
         host, port = url.hostname, url.port or (443 if https else 80)
@@ -95,10 +79,9 @@ class HttpTransport:
                 self._connections.append(conn)
         return conn
 
-    def get(self, url: str, params=None) -> HttpResponse:
-        if url != self.endpoint:
-            raise ValueError(f"transport for {self.endpoint!r} asked for {url!r}")
-        target = self._target + urlencode(params or {})
+    def get(self, params: dict[str, str]) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """GET the endpoint with ``params``; its status, headers and body."""
+        target = self._target + urlencode(params)
         conn = self._connection()
         reused = conn.sock is not None
         try:
@@ -110,7 +93,7 @@ class HttpTransport:
                 raise
             return self._send(conn, target)
 
-    def _send(self, conn: http.client.HTTPConnection, target: str) -> HttpResponse:
+    def _send(self, conn: http.client.HTTPConnection, target: str) -> tuple:
         try:
             conn.request("GET", target, headers=self._headers)
             response = conn.getresponse()
@@ -120,7 +103,7 @@ class HttpTransport:
             raise
         # When the response says the server will close (HTTP/1.0, or
         # "Connection: close"), getresponse has already closed conn.
-        return HttpResponse(response.status, response.headers, body)
+        return response.status, response.headers, body
 
     def close(self) -> None:
         """Close every connection opened so far; later requests reconnect."""
@@ -129,10 +112,10 @@ class HttpTransport:
                 conn.close()
 
 
-def retry_after_s(response) -> float:
+def retry_after_s(headers) -> float:
     """Seconds a response's ``Retry-After`` header (delta-seconds or an
     HTTP-date) asks the client to wait; 0 when absent or unreadable."""
-    value = (response.headers.get("Retry-After") or "").strip()
+    value = (headers.get("Retry-After") or "").strip()
     if value.isascii() and value.isdigit():
         return float(value)
     try:

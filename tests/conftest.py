@@ -1,7 +1,7 @@
 import pytest
 
 from lexiforge.config import RunConfig
-from lexiforge.dictionary import BilingualDictionary, DictEntry
+from lexiforge.dictionary import BilingualDictionary
 from lexiforge.extraction import SourceUlc, UlcPattern
 from lexiforge.backends import Snippet
 from lexiforge.oracle import OracleError, OracleQuery, QueryKind, SearchOracle
@@ -35,10 +35,7 @@ def make_ulc(head, modifier, pattern=UlcPattern.NOUN_DE_NOUN, surface=None, corp
 
 def make_dictionary(entries=(), multiword=()):
     """entries: (lemma, pos, [translations]); multiword: ((head, mod), [translations])."""
-    return BilingualDictionary(
-        entries=[DictEntry(lemma, pos, tuple(trs)) for lemma, pos, trs in entries],
-        multiword=[(pair, tuple(trs)) for pair, trs in multiword],
-    )
+    return BilingualDictionary(entries, multiword)
 
 
 class FakeBackend:

@@ -1,5 +1,6 @@
 import gc
 import io
+import json
 import logging
 import os
 import re
@@ -370,6 +371,29 @@ def local_translate_args(out_dir, cache):
     return ["translate", "--ulcs", str(DATA / "ulcs.tsv"), "--dictionary", str(DATA / "dictionary.tsv"),
             "--config", str(DATA / "run.config"), "--backend", "local", "--docs", str(DATA / "docs.jsonl"),
             "--cache", str(cache), "--out-dir", str(out_dir)]
+
+
+LOADED_AFTER = """
+import json, sys
+from lexiforge.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(sorted({"lexiforge.transport", "http.client", "ssl"} & set(sys.modules)))
+"""
+
+
+def test_runs_without_http_never_import_the_transport(tmp_path):
+    # The HTTP backend imports its transport on first use: http.client and
+    # ssl cost every run ~6 MB of memory otherwise.
+    extract = ["extract", "--corpus", str(DATA / "corpus.tsv"), "--config", str(DATA / "run.config"),
+               "--backend", "local", "--docs", str(DATA / "docs.jsonl"), "--cache", str(tmp_path / "x.cache"),
+               "--out", str(tmp_path / "ulcs.tsv")]
+    argvs = [translate_args(tmp_path / "offline"), extract]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_poisoned_cache_record_is_skipped_and_its_unit_translates(tmp_path, capsys, caplog):

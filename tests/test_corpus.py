@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lexiforge.config import COARSE_TAGS, TAGSETS, InputError
-from lexiforge.corpus import TaggedCorpus, TaggedToken, parse_tagged_corpus
+from lexiforge.corpus import TaggedToken, parse_tagged_corpus
 from lexiforge.extraction import UlcPattern, extract_ulcs
 
 SIMPLE = "appareil\tNOUN\tappareil\n"
@@ -35,12 +35,12 @@ central\tADJ\tcentral
 
 def test_single_token_line():
     corpus = parse_tagged_corpus(SIMPLE)
-    assert corpus.sentences == ((TaggedToken("appareil", "NOUN", "appareil"),),)
+    assert corpus == ((TaggedToken("appareil", "NOUN", "appareil"),),)
 
 
 def test_empty_stream_gives_empty_corpus():
-    assert parse_tagged_corpus("").sentences == ()
-    assert parse_tagged_corpus(io.StringIO("")).sentences == ()
+    assert parse_tagged_corpus("") == ()
+    assert parse_tagged_corpus(io.StringIO("")) == ()
 
 
 def test_fixture_token_count_matches_line_count():
@@ -50,13 +50,13 @@ def test_fixture_token_count_matches_line_count():
     lines = FIXTURE.splitlines()
     expected = sum(1 for line in lines if len(line.split("\t")) == 3)
     corpus = parse_tagged_corpus(FIXTURE)
-    assert sum(len(s) for s in corpus.sentences) == expected == 17
-    assert len(corpus.sentences) == sum(1 for line in lines if "\tSENT\t" in line) + 1 == 5
+    assert sum(len(s) for s in corpus) == expected == 17
+    assert len(corpus) == sum(1 for line in lines if "\tSENT\t" in line) + 1 == 5
 
 
 def test_sentence_boundaries_from_sent_and_blank_lines():
     corpus = parse_tagged_corpus(FIXTURE)
-    assert [[t.surface for t in s] for s in corpus.sentences[2:]] == [
+    assert [[t.surface for t in s] for s in corpus[2:]] == [
         ["appareil", "auditif", "."],  # ended by its SENT token
         ["machine", "simple"],  # ended by the "#DOC d3" line
         ["chauffage", "central", "."],
@@ -81,7 +81,7 @@ def test_empty_lemma_rejected():
 def test_treetagger_tagset_maps_fine_tags():
     text = "la\tDET:ART\tle\nmaison\tNOM\tmaison\nest\tVER:pres\têtre\n"
     corpus = parse_tagged_corpus(text, TAGSETS["treetagger-fr"])
-    tags = [t.pos for t in corpus.sentences[0]]
+    tags = [t.pos for t in corpus[0]]
     assert tags == ["DET", "NOUN", "VERB"]
 
 
@@ -91,11 +91,11 @@ def test_tagset_rejects_bad_coarse_class():
         parse_tagged_corpus("maison\tNOM\tmaison\n", {"NOM": "NOMINAL"})
 
 
-def brute_force_count(corpus: TaggedCorpus, lemmas) -> int:
+def brute_force_count(corpus, lemmas) -> int:
     """Contiguous, within-sentence occurrences of a lemma sequence."""
     target = list(lemmas)
     hits = 0
-    for sentence in corpus.sentences:
+    for sentence in corpus:
         sent = [t.lemma for t in sentence]
         for i in range(len(sent)):
             if sent[i : i + len(target)] == target:
@@ -103,7 +103,7 @@ def brute_force_count(corpus: TaggedCorpus, lemmas) -> int:
     return hits
 
 
-def unit_counts(corpus: TaggedCorpus) -> dict[tuple[str, ...], int]:
+def unit_counts(corpus) -> dict[tuple[str, ...], int]:
     """Each extracted unit's lemma sequence -> its corpus frequency."""
     counts = {}
     for u in extract_ulcs(corpus, 1):
@@ -176,8 +176,8 @@ def test_extending_phrase_never_increases_count(corpus):
 @given(small_corpora())
 def test_per_sentence_counts_sum_to_corpus_count(corpus):
     per_sentence: dict[tuple[str, ...], int] = {}
-    for sentence in corpus.sentences:
-        for lemmas, freq in unit_counts(TaggedCorpus((sentence,))).items():
+    for sentence in corpus:
+        for lemmas, freq in unit_counts((sentence,)).items():
             per_sentence[lemmas] = per_sentence.get(lemmas, 0) + freq
     assert per_sentence == unit_counts(corpus)
 
@@ -213,7 +213,7 @@ def per_line_parse(lines, tagset):
                 tokens = []
     if tokens:
         sentences.append(tuple(tokens))
-    return TaggedCorpus(tuple(sentences))
+    return tuple(sentences)
 
 
 CORPUS_LINES = st.sampled_from(
@@ -241,5 +241,5 @@ def test_memo_parse_equals_per_line_parse(lines):
 
 def test_repeated_lines_share_one_token():
     corpus = parse_tagged_corpus(FIXTURE)
-    machines = [tok for sent in corpus.sentences for tok in sent if tok.lemma == "machine"]
+    machines = [tok for sent in corpus for tok in sent if tok.lemma == "machine"]
     assert len(machines) == 2 and machines[0] is machines[1]

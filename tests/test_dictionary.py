@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from lexiforge.config import InputError
 from lexiforge.dictionary import (
     BilingualDictionary,
-    DictEntry,
     Route,
     load_dictionary,
     route_ulc,
@@ -62,10 +61,17 @@ def test_multiword_entries_kept_separately():
 
 
 def test_entry_invariants():
-    with pytest.raises(ValueError):
-        DictEntry("x", "NOUN", ())
-    with pytest.raises(ValueError):
-        DictEntry("x", "NOUN", ("a", "a"))
+    # An entry lists at least one translation, and each translation once.
+    with pytest.raises(InputError, match=":1: empty field$"):
+        load_dictionary(io.StringIO("x\tNOUN\t | \n"))
+    assert load_dictionary(io.StringIO("x\tNOUN\ta|a\n")).lookup("x", "NOUN") == ("a",)
+    assert BilingualDictionary([("x", "NOUN", ("a", "a"))]).lookup("x", "NOUN") == ("a",)
+
+
+def test_multiword_translation_listed_twice_is_kept_once():
+    # The underscore form is the same translation as the spaced one.
+    d = load_dictionary(io.StringIO("caisse_claire\tNOUN\tsnare_drum|snare drum\n"))
+    assert d.multiword_lookup("caisse", "claire") == ("snare drum",)
 
 
 def test_classify_non_polysemous():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lexiforge.corpus import TaggedCorpus, parse_tagged_corpus
+from lexiforge.corpus import parse_tagged_corpus
 from lexiforge.extraction import (
     FilterStatus,
     UlcPattern,
@@ -19,7 +19,7 @@ from conftest import CFG, FakeBackend, make_ulc, tok
 
 
 def corpus_of(sentences):
-    return TaggedCorpus(tuple(tuple(s) for s in sentences))
+    return tuple(tuple(s) for s in sentences)
 
 
 def sent_noun_de_noun(head="appareil", mod="chauffage", link="de"):

@@ -163,6 +163,6 @@ def test_bench_parse_corpus(benchmark):
     # The fixture corpus ten times over: 12,740 lines, most of them repeats,
     # as in a real tagged corpus.
     lines = (Path(__file__).parent / "data" / "corpus.tsv").read_text(encoding="utf-8").splitlines(True) * 10
-    corpus = benchmark.pedantic(parse_tagged_corpus, args=(lines,), rounds=3)
+    sentences = benchmark.pedantic(parse_tagged_corpus, args=(lines,), rounds=3)
     tenth = parse_tagged_corpus(lines[: len(lines) // 10])
-    assert sum(map(len, corpus.sentences)) == 10 * sum(map(len, tenth.sentences))
+    assert sum(map(len, sentences)) == 10 * sum(map(len, tenth))

@@ -36,6 +36,7 @@ from lexiforge.oracle import (
     SearchOracle,
     _format_record,
     compact,
+    or_query,
     split_or_query,
 )
 from lexiforge.phase2 import build_lexical_world
@@ -79,6 +80,16 @@ def test_split_or_query():
         "a snare drum",
     ]
     assert split_or_query("midnight mass") == ["midnight mass"]
+
+
+# Phrases as the cascade builds them: words, apostrophes and spaces, never an
+# upper-case "OR" or a double quote.
+PHRASES = st.lists(st.text(alphabet="abcdeéèhlnorstu'’ ", min_size=1, max_size=12), min_size=1, max_size=6)
+
+
+@given(PHRASES)
+def test_or_query_round_trips_through_split_or_query(phrases):
+    assert split_or_query(or_query(phrases)) == phrases
 
 
 def test_phrase_count_counts_documents(index):
@@ -1391,14 +1402,9 @@ def test_many_threads_many_keys_one_backend_call_each(tmp_path):
     assert per_key == dict.fromkeys(keys, 1)
 
 
-class StubResponse:
-    def __init__(self, status_code, payload, headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.headers = headers or {}
-
-    def json(self):
-        return self._payload
+def stub_response(status, payload, headers=None):
+    """What a session's ``get`` answers: status, headers and JSON body."""
+    return status, headers or {}, json.dumps(payload).encode()
 
 
 class StubSession:
@@ -1406,8 +1412,8 @@ class StubSession:
         self.responses = list(responses)
         self.requests = []
 
-    def get(self, url, params=None):
-        self.requests.append((url, dict(params or {})))
+    def get(self, params):
+        self.requests.append(dict(params))
         response = self.responses.pop(0)
         if isinstance(response, Exception):
             raise response
@@ -1415,28 +1421,27 @@ class StubSession:
 
 
 def test_http_backend_count_roundtrip():
-    session = StubSession([StubResponse(200, {"count": 336_000})])
+    session = StubSession([stub_response(200, {"count": 336_000})])
     backend = HttpBackend("https://search.example/api", api_key="k", rate_per_sec=0, session=session)
     oracle = SearchOracle(backend)
     assert oracle.phrase_count("midnight mass") == 336_000
-    url, params = session.requests[0]
-    assert params == {"kind": "count", "q": "midnight mass", "key": "k"}
+    assert session.requests[0] == {"kind": "count", "q": "midnight mass", "key": "k"}
 
 
 def test_http_backend_snippets_and_lang():
     session = StubSession(
-        [StubResponse(200, {"snippets": [{"text": "mixed page", "doc_id": "d1"}]})]
+        [stub_response(200, {"snippets": [{"text": "mixed page", "doc_id": "d1"}]})]
     )
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     snippets = SearchOracle(backend).mixed_snippets("souris d'agneau", "en", 10)
     assert snippets == ["mixed page"]
-    assert session.requests[0][1]["lang"] == "en"
-    assert session.requests[0][1]["limit"] == "10"
+    assert session.requests[0]["lang"] == "en"
+    assert session.requests[0]["limit"] == "10"
 
 
 def test_http_backend_retries_server_errors(monkeypatch):
     monkeypatch.setattr("time.sleep", lambda s: None)
-    session = StubSession([StubResponse(500, {}), StubResponse(200, {"count": 3})])
+    session = StubSession([stub_response(500, {}), stub_response(200, {"count": 3})])
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
     assert len(session.requests) == 2
@@ -1444,7 +1449,7 @@ def test_http_backend_retries_server_errors(monkeypatch):
 
 @pytest.mark.parametrize(
     "response",
-    [StubResponse(404, {}), StubResponse(403, {}), StubResponse(200, {"count": True}), StubResponse(200, [3])],
+    [stub_response(404, {}), stub_response(403, {}), stub_response(200, {"count": True}), stub_response(200, [3])],
 )
 def test_http_backend_fails_fast_on_client_errors_and_bad_payloads(monkeypatch, response):
     sleeps = []
@@ -1459,12 +1464,12 @@ def test_http_backend_fails_fast_on_client_errors_and_bad_payloads(monkeypatch, 
 
 @pytest.mark.parametrize(
     "failure",
-    [StubResponse(503, {}), StubResponse(408, {}), StubResponse(429, {}), TimeoutError("read timed out")],
+    [stub_response(503, {}), stub_response(408, {}), stub_response(429, {}), TimeoutError("read timed out")],
 )
 def test_http_backend_retries_transient_failures(monkeypatch, failure):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
-    session = StubSession([failure, StubResponse(200, {"count": 3})])
+    session = StubSession([failure, stub_response(200, {"count": 3})])
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
     assert len(session.requests) == 2
@@ -1475,7 +1480,7 @@ def test_http_backend_retries_transient_failures(monkeypatch, failure):
 def test_http_backend_waits_as_long_as_retry_after_asks(monkeypatch, status):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
-    session = StubSession([StubResponse(status, {}, {"Retry-After": "2"}), StubResponse(200, {"count": 3})])
+    session = StubSession([stub_response(status, {}, {"Retry-After": "2"}), stub_response(200, {"count": 3})])
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
     assert len(session.requests) == 2
@@ -1486,7 +1491,7 @@ def test_http_backend_retry_after_as_http_date(monkeypatch):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
     later = email.utils.formatdate(time.time() + 4, usegmt=True)
-    session = StubSession([StubResponse(429, {}, {"Retry-After": later}), StubResponse(200, {"count": 3})])
+    session = StubSession([stub_response(429, {}, {"Retry-After": later}), stub_response(200, {"count": 3})])
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
     assert len(sleeps) == 1 and 2.0 < sleeps[0] <= 4.0
@@ -1495,7 +1500,7 @@ def test_http_backend_retry_after_as_http_date(monkeypatch):
 def test_http_backend_shorter_retry_after_keeps_the_backoff(monkeypatch):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
-    session = StubSession([StubResponse(503, {}, {"Retry-After": "0"}), StubResponse(200, {"count": 3})])
+    session = StubSession([stub_response(503, {}, {"Retry-After": "0"}), stub_response(200, {"count": 3})])
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
     assert sleeps == [0.5]
@@ -1505,7 +1510,7 @@ def test_http_backend_shorter_retry_after_keeps_the_backoff(monkeypatch):
 def test_http_backend_fails_at_once_when_retry_after_exceeds_the_cap(monkeypatch, retry_after):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
-    session = StubSession([StubResponse(429, {}, {"Retry-After": retry_after})] * 3)
+    session = StubSession([stub_response(429, {}, {"Retry-After": retry_after})] * 3)
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, max_retries=3, session=session)
     with pytest.raises(OracleError, match=f"retry after {retry_after} s"):
         backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",)))
@@ -1515,7 +1520,7 @@ def test_http_backend_fails_at_once_when_retry_after_exceeds_the_cap(monkeypatch
 
 def test_http_backend_gives_up_with_oracle_error(monkeypatch):
     monkeypatch.setattr("time.sleep", lambda s: None)
-    session = StubSession([StubResponse(500, {})] * 3)
+    session = StubSession([stub_response(500, {})] * 3)
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, max_retries=3, session=session)
     with pytest.raises(OracleError):
         backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",)))
@@ -1538,7 +1543,7 @@ def test_http_backend_gives_up_with_oracle_error(monkeypatch):
 def test_http_backend_rejects_malformed_payloads(kind, payload):
     phrases = ("a", "b") if kind is QueryKind.PAIR_COUNT else ("a",)
     query = OracleQuery(kind, phrases, limit=None if kind is not QueryKind.SNIPPETS else 5)
-    session = StubSession([StubResponse(200, payload)])
+    session = StubSession([stub_response(200, payload)])
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, max_retries=1, session=session)
     with pytest.raises(OracleError, match="malformed"):
         backend.execute(query)
@@ -1546,7 +1551,7 @@ def test_http_backend_rejects_malformed_payloads(kind, payload):
 
 def test_http_snippet_with_lone_surrogate_raises_and_is_not_cached(tmp_path):
     # Valid JSON (the body held the escape ``\ud800``), but not writable as UTF-8.
-    session = StubSession([StubResponse(200, {"snippets": [{"text": "page"}, {"text": "caf\ud800"}]})])
+    session = StubSession([stub_response(200, {"snippets": [{"text": "page"}, {"text": "caf\ud800"}]})])
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     cache = ResponseCache(tmp_path / "c")
     oracle = SearchOracle(backend, cache)
@@ -1558,6 +1563,6 @@ def test_http_snippet_with_lone_surrogate_raises_and_is_not_cached(tmp_path):
 
 
 def test_http_backend_accepts_zero_count():
-    session = StubSession([StubResponse(200, {"count": 0})])
+    session = StubSession([stub_response(200, {"count": 0})])
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 0
