@@ -103,29 +103,35 @@ def open_utf8(path: str | Path, binary: BinaryIO | None = None) -> Iterator[Text
         raise
 
 
-def read_rows(source: TextIO | str | Path, n_fields: int) -> Iterator[tuple[str, int, list[str]]]:
+def read_rows(
+    source: TextIO | str | Path, n_fields: int, optional: tuple[int, ...] = ()
+) -> Iterator[tuple[str, int, list[str]]]:
     """``(path, lineno, fields)`` for each row of a tab-separated input file.
 
     ``source`` is a path, opened through ``open_utf8``, or an open stream,
-    named by its ``name``. Every such file follows one rule: each line is
-    stripped, blank and ``#`` lines are skipped, and the rest is split on
-    tabs into stripped fields. A row without ``n_fields`` fields raises
-    ``InputError``."""
+    named by its ``name``. Every such file follows one rule: blank,
+    whitespace-only and ``#`` lines are skipped (a ``#`` after leading
+    whitespace too), and every other line, its line ending cut off, is
+    split on tabs into stripped fields. A row without ``n_fields`` fields,
+    or with an empty field other than one whose index is ``optional``,
+    raises ``InputError``."""
     if isinstance(source, (str, Path)):
         with open_utf8(source) as fh:
-            yield from read_rows(fh, n_fields)
+            yield from read_rows(fh, n_fields, optional)
         return
     path = getattr(source, "name", "<input>")
     for lineno, raw_line in enumerate(source, start=1):
         line = raw_line.strip()
         if not line or line[0] == "#":
             continue
-        fields = line.split("\t")
+        fields = [f.strip() for f in raw_line.rstrip("\r\n").split("\t")]
         if len(fields) != n_fields:
             raise InputError(
                 path, lineno, f"expected {n_fields} tab-separated fields, got {len(fields)}"
             )
-        yield path, lineno, [f.strip() for f in fields]
+        if "" in fields and any(not value and i not in optional for i, value in enumerate(fields)):
+            raise InputError(path, lineno, "empty field")
+        yield path, lineno, fields
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:

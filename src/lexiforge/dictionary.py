@@ -86,7 +86,7 @@ def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
     multiword = []
     for path, lineno, (lemma, pos, translation_field) in read_rows(source, 3):
         translations = [t for t in map(str.strip, translation_field.split("|")) if t]
-        if not lemma or not pos or not translations:
+        if not translations:
             raise InputError(path, lineno, "empty field")
         if "_" in lemma:
             pair = _multiword_pair(lemma)

@@ -21,6 +21,7 @@ import sys
 import threading
 import zlib
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Protocol
@@ -137,27 +138,68 @@ def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list
 
 # The snapshot beside a cache file (see ``savefile``), keyed on the bytes of
 # the complete lines it covers. Its first part holds the number of those
-# lines, the line numbers of the corrupt records among them, and the
-# lexical-world counts of its snippet records: cache key, then a tagger's
+# lines, the line numbers of the corrupt records among them, the
+# lexical-world counts of its SNIPPETS records (cache key, then a tagger's
 # table CRC-32, then what that tagger's ``count`` returned for the record's
-# texts. Each later part holds about _SNAPSHOT_PART_BYTES of entries, in file
-# order, so that no load or save holds the bytes of the whole snapshot at once.
+# texts), the number of texts of each SNIPPETS record, and the number of
+# entry parts that follow. Those hold the other entries; the last parts hold
+# the texts of the SNIPPETS records, which a load leaves undecoded, since a
+# run with saved counts needs only their number. Each entry part holds about
+# _SNAPSHOT_PART_BYTES, in file order, so that no load or save holds the
+# bytes of the whole snapshot at once.
 _SNAPSHOT_MAGIC = b"lexiforge-cache\n"
-_SNAPSHOT_FORMAT = 3  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
+_SNAPSHOT_FORMAT = 4  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
 _SNAPSHOT_PART_BYTES = 1 << 20
 
 
-def _snapshot_parts(lines: int, skipped: list[int], counts: dict, entries: dict) -> Iterator:
-    yield lines, skipped, counts
-    part, size = {}, 0
-    for key, value in entries.items():
+def _chunked(entries: Iterable[tuple]) -> list[dict]:
+    """``entries`` as dicts of about _SNAPSHOT_PART_BYTES each, in order."""
+    parts, part, size = [], {}, 0
+    for key, value in entries:
         part[key] = value
         size += 64 + (sum(map(len, value)) if type(value) is list else 0)  # about its marshal bytes
         if size >= _SNAPSHOT_PART_BYTES:
-            yield part
+            parts.append(part)
             part, size = {}, 0
-    if part:
-        yield part
+    return parts + [part] if part else parts
+
+
+def _snapshot_parts(lines: int, skipped: list[int], counts: dict, entries: dict) -> Iterator:
+    texts = {key: value for key, value in entries.items() if key[0] == "SNIPPETS"}
+    others = _chunked((key, value) for key, value in entries.items() if key[0] != "SNIPPETS")
+    yield lines, skipped, counts, {key: len(value) for key, value in texts.items()}, len(others)
+    yield from others
+    yield from _chunked(texts.items())
+
+
+class _Texts(Sequence):
+    """The snippet texts of a SNIPPETS record whose texts the load left in
+    the snapshot: its length is known at once, its texts are decoded on
+    first access, with those of every such record."""
+
+    __slots__ = ("_len", "_decode", "texts")
+
+    def __init__(self, length: int, decode):
+        self._len = length
+        self._decode = decode
+        self.texts: list[str] | None = None  # set by ``ResponseCache._decode``
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _list(self) -> list[str]:
+        if self.texts is None:
+            self._decode()
+        return self.texts
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        return self._list() == other if isinstance(other, (list, _Texts)) else NotImplemented
 
 
 class ResponseCache:
@@ -185,12 +227,15 @@ class ResponseCache:
     later load reads that and parses only the records appended after them.
     Appends leave those lines as they are; a snapshot that no longer fits
     the file is rebuilt. Only ``close`` saves it, and only if this cache
-    appended nothing and the snapshot lacks lines or counts it has.
+    appended nothing and the snapshot lacks lines or counts it has. A load
+    from the snapshot leaves the texts of the SNIPPETS records in it: each
+    such entry is a read-only sequence (``_Texts``) whose first item access
+    decodes them all, once, under the cache's lock.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[tuple, int | list[str]] = {}
+        self._entries: dict[tuple, int | Sequence[str]] = {}
         self._lock = threading.Lock()
         self._append: BinaryIO | None = None
         # Cache key -> tagger table -> counts; see ``counts``.
@@ -201,6 +246,8 @@ class ResponseCache:
         # the snapshot on disk lacks some of those lines, or counts made since.
         self._covered: tuple[savefile.Key, int, list[int]] | None = None
         self._unsaved = False
+        # The texts the load left in the snapshot, and the entry of each.
+        self._deferred: tuple[savefile.Deferred, dict[tuple, _Texts]] | None = None
         if self.path.exists():
             self._load()
 
@@ -211,12 +258,17 @@ class ResponseCache:
             # A snapshot fits if made from the file's first bytes, which
             # leaves ``fh`` just after them.
             saved = savefile.load(
-                self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, lambda key: key == savefile.key_of(fh, key[1])
+                self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, lambda key: key == savefile.key_of(fh, key[1]),
+                eager=lambda first: 1 + first[-1],
             )
             if saved:
-                (crc, covered), ((lines, skipped, self._counts), *parts) = saved
+                (crc, covered), ((lines, skipped, self._counts, lengths, _), *parts, deferred) = saved
                 for part in parts:
                     self._entries.update(part)
+                if lengths:
+                    texts = {key: _Texts(n, self._decode_texts) for key, n in lengths.items()}
+                    self._entries.update(texts)
+                    self._deferred = deferred, texts
                 for lineno in skipped:
                     log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
             else:
@@ -254,7 +306,29 @@ class ResponseCache:
         self._covered = (crc, covered), lines, skipped
         self._unsaved = covered != saved_covered
 
-    def get(self, query: OracleQuery) -> int | list[str] | None:
+    def _decode_texts(self) -> None:
+        with self._lock:
+            self._decode()
+
+    def _decode(self) -> None:
+        """Decode the texts the load left in the snapshot, if not yet done;
+        caller holds the lock. An entry still holding its ``_Texts`` takes
+        the plain list. OracleError if the snapshot changed in place."""
+        if self._deferred is None:
+            return
+        deferred, texts = self._deferred
+        try:
+            parts = deferred.decode()
+        except (OSError, ValueError) as exc:
+            raise OracleError(f"{self._snapshot}: {exc}") from None
+        for part in parts:
+            for key, value in part.items():
+                texts[key].texts = value
+                if self._entries[key] is texts[key]:
+                    self._entries[key] = value
+        self._deferred = None
+
+    def get(self, query: OracleQuery) -> int | Sequence[str] | None:
         with self._lock:
             return self._entries.get(query.cache_key())
 
@@ -281,7 +355,7 @@ class ResponseCache:
             self._append = fh
         return self._append
 
-    def counts(self, query: OracleQuery, snippets: list[str], tagger) -> dict[tuple[str, str], int]:
+    def counts(self, query: OracleQuery, snippets: Sequence[str], tagger) -> dict[tuple[str, str], int]:
         """``tagger.count(snippets)`` for the answer ``snippets`` this cache
         gave to the snippet ``query``. For a record the load covered, and a
         tagger that names its table by a ``table_crc``, the counts are kept
@@ -310,6 +384,7 @@ class ResponseCache:
                 self._append.close()
                 self._append = None
             if self._unsaved and self._covered is not None:
+                self._decode()  # marshal needs plain lists
                 key, lines, skipped = self._covered
                 savefile.save(
                     self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, key,
@@ -349,6 +424,7 @@ def compact(path: str | Path) -> int:
     path = Path(path)
     with _locked(path, "rb", fcntl.LOCK_EX | fcntl.LOCK_NB):
         cache = ResponseCache(path)
+        cache._decode_texts()  # JSON needs plain lists
         entries = cache._entries
         tmp = path.with_suffix(path.suffix + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -409,7 +485,7 @@ class SearchOracle:
         if close_backend is not None:
             close_backend()
 
-    def execute(self, query: OracleQuery) -> int | list[str]:
+    def execute(self, query: OracleQuery) -> int | Sequence[str]:
         cache = self._cache
         while True:
             # A leader puts its answer before it leaves the in-flight table,
@@ -456,7 +532,7 @@ class SearchOracle:
     def pair_count(self, phrase_a: str, phrase_b: str) -> int:
         return self.execute(OracleQuery(QueryKind.PAIR_COUNT, (phrase_a, phrase_b)))
 
-    def counted_snippets(self, phrase: str, limit: int, tagger) -> tuple[list[str], dict]:
+    def counted_snippets(self, phrase: str, limit: int, tagger) -> tuple[Sequence[str], dict]:
         """The snippets for ``phrase`` and ``tagger.count`` of them, through
         the counts the cache keeps (``ResponseCache.counts``)."""
         query = OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit)

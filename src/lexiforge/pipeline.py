@@ -196,7 +196,7 @@ def read_lexicon(path: str | Path) -> list[tuple[str, str | None, Phase]]:
     surface, but not a translation too: evaluation would grade it twice."""
     rows = []
     translated: dict[tuple[str, str], int] = {}
-    for path, lineno, (surface, translation, state, _scores) in read_rows(path, 4):
+    for path, lineno, (surface, translation, state, _scores) in read_rows(path, 4, optional=(1,)):
         try:
             row = (surface, translation or None, Phase(state))
             check_translation(*row)

@@ -317,6 +317,21 @@ def test_cache_stats_and_compact(tmp_path, capsys):
     assert code == 0
 
 
+def test_cache_stats_and_compact_print_and_write_the_same_from_a_snapshot(tmp_path, capsys):
+    # A load from the snapshot leaves the snippet texts in it; compact
+    # decodes them, and stats needs only their records.
+    cache_copy = tmp_path / "copy.cache"
+    results = []
+    for snapshot in (False, True):
+        shutil.copy(DATA / "e2e.cache", cache_copy)
+        if snapshot:
+            ResponseCache(cache_copy).close()
+        stats = run(["cache", "stats", str(cache_copy)], capsys)
+        results.append((stats, run(["cache", "compact", str(cache_copy)], capsys), cache_copy.read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0][1].startswith(f"160 entries in {cache_copy}\n")
+
+
 def test_cache_stats_and_compact_save_no_file_beside_the_cache(tmp_path, capsys):
     cache_copy = tmp_path / "copy.cache"
     shutil.copy(DATA / "e2e.cache", cache_copy)

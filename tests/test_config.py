@@ -1,9 +1,15 @@
 import io
+import re
 from dataclasses import fields
 
 import pytest
 
 from lexiforge.config import API_KEY_ENV, KEY_MAP, ConfigError, InputError, RunConfig, load_config, read_rows
+from lexiforge.dictionary import load_dictionary
+from lexiforge.evaluation import load_gold
+from lexiforge.extraction import read_ulcs
+from lexiforge.pipeline import read_lexicon
+from lexiforge.tagging import LexiconTagger
 
 
 def write_config(tmp_path, text):
@@ -153,7 +159,45 @@ def test_read_rows_applies_one_rule_to_paths_and_streams(tmp_path):
     path = tmp_path / "rows.tsv"
     path.write_text(text, encoding="utf-8")
     rows = [(3, ["a", "b", "c"]), (6, ["d", "", "f"])]
-    assert list(read_rows(path, 3)) == [(str(path), n, fields) for n, fields in rows]
-    assert list(read_rows(io.StringIO(text), 3)) == [("<input>", n, fields) for n, fields in rows]
+    assert list(read_rows(path, 3, optional=(1,))) == [(str(path), n, fields) for n, fields in rows]
+    assert list(read_rows(io.StringIO(text), 3, optional=(1,))) == [("<input>", n, fields) for n, fields in rows]
     with pytest.raises(InputError, match=r"rows\.tsv:3: expected 4 tab-separated fields, got 3$"):
         list(read_rows(path, 4))
+    with pytest.raises(InputError, match=r"rows\.tsv:6: empty field$"):
+        list(read_rows(path, 3))
+
+
+@pytest.mark.parametrize("line", ["x\tNOUN\t\n", "\tNOUN\tx\n", " \tNOUN\tx \r\n", "x\tNOUN\t \n"])
+def test_read_rows_counts_an_empty_first_or_last_field(line):
+    # Only the line ending is cut before the split, so a first or last
+    # field keeps its tab and is reported as empty, not as missing.
+    with pytest.raises(InputError, match=r"^<input>:2: empty field$"):
+        list(read_rows(io.StringIO("# x\tNOUN\ty\n" + line), 3))
+    assert [fields for _, _, fields in read_rows(io.StringIO(line), 3, optional=(0, 2))] == [
+        [field.strip() for field in line.rstrip("\r\n").split("\t")]
+    ]
+    with pytest.raises(InputError, match=r"^<input>:1: expected 2 tab-separated fields, got 3$"):
+        list(read_rows(io.StringIO(line), 2))
+
+
+# Each reader of a tab-separated input, and a row it loads.
+READERS = {
+    "unit file": (read_ulcs, "caisse\tcentral\tNOUN_ADJ\tcaisse centrale\t12\t3\t-"),
+    "gold": (load_gold, "caisse centrale\tcentral fund\tA"),
+    "lexicon": (read_lexicon, "caisse centrale\tcentral fund\tPHASE2\tweb_count=3"),
+    "tagger lexicon": (LexiconTagger.from_file, "caisse\tNOUN\tcaisse"),
+    "dictionary": (load_dictionary, "caisse\tNOUN\tfund|till"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_each_reader_reports_an_empty_first_or_last_field(tmp_path, reader):
+    read, row = READERS[reader]
+    path = tmp_path / "input.tsv"
+    path.write_text(f"  # indented comment\n{row}\n", encoding="utf-8")
+    read(path)
+    fields = row.split("\t")
+    for blank in (0, len(fields) - 1):
+        path.write_text("\t".join("" if i == blank else f for i, f in enumerate(fields)) + "\n", encoding="utf-8")
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}:1: empty field$"):
+            read(path)

@@ -7,6 +7,7 @@ end-to-end numbers come from ``perfbench/run.py``.
 """
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -95,19 +96,27 @@ def test_bench_thousand_oracle_misses(benchmark, tmp_path):
     assert benchmark.pedantic(miss_all, setup=fresh_oracle, rounds=3) == [3] * 1_000
 
 
-@pytest.mark.parametrize("snapshot", [False, True], ids=["parsed", "from-snapshot"])
-def test_bench_recorded_cache_load(benchmark, tmp_path, snapshot):
-    # 300 snippet records of 15 texts of 30 words, as a recorded cache holds.
+def recorded_cache(tmp_path) -> tuple[Path, int]:
+    """A recorded cache of 300 snippet records of 15 texts of 30 words, and
+    the UTF-8 bytes of its texts; replayed once, so its snapshot is saved."""
     rng = random.Random(11)
     path = tmp_path / "recorded.cache"
     recording = ResponseCache(path)
+    text_bytes = 0
     for i in range(300):
         texts = [" ".join(rng.choice(CONTENT_WORDS + FUNCTION_WORDS) for _ in range(30)) for _ in range(15)]
         recording.put(OracleQuery(QueryKind.SNIPPETS, (f"phrase {i}",), limit=15), texts)
+        text_bytes += sum(len(text.encode("utf-8")) for text in texts)
     recording.close()
-    saved = Path(f"{path}.snapshot")
     SearchOracle(None, ResponseCache(path)).close()  # a replay, which saves the snapshot
-    assert saved.is_file()
+    assert Path(f"{path}.snapshot").is_file()
+    return path, text_bytes
+
+
+@pytest.mark.parametrize("snapshot", [False, True], ids=["parsed", "from-snapshot"])
+def test_bench_recorded_cache_load(benchmark, tmp_path, snapshot):
+    path, _ = recorded_cache(tmp_path)
+    saved = Path(f"{path}.snapshot")
 
     def setup():
         if not snapshot:
@@ -116,6 +125,19 @@ def test_bench_recorded_cache_load(benchmark, tmp_path, snapshot):
 
     cache = benchmark.pedantic(ResponseCache, setup=setup, rounds=5)
     assert len(cache) == 300 and saved.is_file() is snapshot
+
+
+def test_a_snapshot_load_leaves_the_snippet_texts_in_the_file(tmp_path):
+    # What a warm replay's memory is made of: a load from the snapshot holds
+    # the number of each record's texts, not the texts.
+    path, text_bytes = recorded_cache(tmp_path)
+    tracemalloc.start()
+    try:
+        cache = ResponseCache(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 300 and held < text_bytes / 4
 
 
 @pytest.mark.parametrize("saved", [False, True], ids=["recount", "saved"])

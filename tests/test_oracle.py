@@ -2,6 +2,7 @@ import contextlib
 import email.utils
 import json
 import logging
+import marshal
 import os
 import random
 import shutil
@@ -26,7 +27,7 @@ from lexiforge.backends import (
     Snippet,
     tokenize,
 )
-from lexiforge.cli import build_oracle
+from lexiforge.cli import build_oracle, main
 from lexiforge.config import InputError, RunConfig
 from lexiforge.oracle import (
     OracleError,
@@ -705,9 +706,15 @@ PUT_QUERIES = [
 ]
 
 
+def entries_of(cache):
+    """The entries of ``cache`` by key, every snippet list decoded."""
+    return {key: value if type(value) is int else list(value) for key, value in cache._entries.items()}
+
+
 def load_logged(path):
-    """The entries of ``ResponseCache(path)``, in order, and the warnings
-    its load logged. The cache is closed, so that it saves its snapshot."""
+    """The entries of ``ResponseCache(path)`` (``entries_of``) and the
+    warnings its load logged. The cache is closed, so that it saves its
+    snapshot, before its entries are read."""
     messages = []
     handler = logging.Handler()
     handler.emit = lambda record: messages.append(record.getMessage())
@@ -718,7 +725,7 @@ def load_logged(path):
     finally:
         logger.removeHandler(handler)
     cache.close()
-    return list(cache._entries.items()), messages
+    return entries_of(cache), messages
 
 
 @settings(max_examples=80, deadline=None)
@@ -804,7 +811,7 @@ def test_compact_makes_the_snapshot_stale(tmp_path, decoded):
     load_logged(path)
     before = snapshot.read_bytes()
     cache = ResponseCache(path)
-    entries = sorted(cache._entries.items())
+    entries = entries_of(cache)
     cache.close()
     compact(path)
     assert not snapshot.exists()  # compacting leaves no snapshot
@@ -859,10 +866,10 @@ def test_a_tab_alone_on_a_line_is_skipped_without_a_warning(tmp_path, decoded):
     # stands alone on its line.
     path = tmp_path / "run.cache"
     path.write_bytes(CACHE_LINES[0] + b"\t\n" + CACHE_LINES[6])
-    expected = [
-        (("PHRASE_COUNT", ("midnight mass",), "-", "-"), 336000),
-        (("PAIR_COUNT", ("caisse centrale", "central fund"), "-", "-"), 4),
-    ]
+    expected = {
+        ("PHRASE_COUNT", ("midnight mass",), "-", "-"): 336000,
+        ("PAIR_COUNT", ("caisse centrale", "central fund"), "-", "-"): 4,
+    }
     assert load_logged(path) == (expected, [])
     decoded.clear()
     assert load_logged(path) == (expected, [])  # from the snapshot
@@ -918,7 +925,7 @@ def test_compact_keeps_every_record_of_a_writer_that_opens_and_closes_meanwhile(
     assert int(out) >= 1  # compactions done while the writer ran
     entries, messages = load_logged(path)
     assert messages == []
-    assert dict(entries) == {
+    assert entries == {
         ("PHRASE_COUNT", ("midnight mass",), "-", "-"): 336000,
         **{("PHRASE_COUNT", (f"put {i}",), "-", "-"): i for i in range(3000)},
     }
@@ -1021,7 +1028,13 @@ def test_worlds_from_saved_counts_equal_worlds_recounted(steps):
             assert replay(path)[0] == recounted(path)
 
 
-@pytest.mark.parametrize("damage", ["none", "torn", "corrupt part", "stale key", "other format", "other kind"])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        "none", "torn", "header alone", "corrupt part", "stale key",
+        "other format", "format 3", "other marshal version", "other kind",
+    ],
+)
 def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, damage):
     path, snapshot = recorded_cache(tmp_path)
     first = load_logged(path)
@@ -1029,12 +1042,18 @@ def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, d
     good = snapshot.read_bytes()
     if damage == "torn":
         snapshot.write_bytes(good[:-10])
+    elif damage == "header alone":  # torn before its first part
+        snapshot.write_bytes(good[: savefile._HEADER.size])
     elif damage == "corrupt part":
         snapshot.write_bytes(good[:-5] + bytes([good[-5] ^ 1]) + good[-4:])
     elif damage == "stale key":  # an edit of the cache that keeps its size
         path.write_bytes(path.read_bytes().replace(b"336000", b"336001"))
     elif damage == "other format":  # the format before the snapshot held counts
         snapshot.write_bytes(good[:16] + (1).to_bytes(4, "little") + good[20:])
+    elif damage == "format 3":  # the format that held the snippet texts with the other entries
+        snapshot.write_bytes(good[:16] + (3).to_bytes(4, "little") + good[20:])
+    elif damage == "other marshal version":
+        snapshot.write_bytes(good[:20] + (marshal.version + 1).to_bytes(4, "little") + good[24:])
     elif damage == "other kind":
         snapshot.write_bytes(index_file(tmp_path))
     decoded.clear()
@@ -1162,6 +1181,108 @@ def test_workers_counting_at_once_save_every_count(tmp_path):
     oracle.close()
     worlds, calls = replay(path)
     assert calls == 0 and len(worlds) == 80 and worlds == recounted(path)
+
+
+@pytest.fixture
+def deferred_reads(monkeypatch):
+    """The ``(offset, length)`` of each snapshot part read after its load."""
+    reads = []
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, offset: reads.append((offset, n)) or pread(fd, n, offset))
+    return reads
+
+
+def long_snippets(tmp_path):
+    """A cache of 12 snippet records of about 100 KB each, so that their
+    texts fill two snapshot parts, and the texts of each record by key."""
+    path = tmp_path / "run.cache"
+    recording = ResponseCache(path)
+    texts = {}
+    for i in range(12):
+        query = OracleQuery(QueryKind.SNIPPETS, (f"caisse {i}",), limit=5)
+        texts[query.cache_key()] = [f"la caisse verte {i}", f"une {i} " + "x" * 100_000]
+        recording.put(query, texts[query.cache_key()])
+    recording.close()
+    return path, texts
+
+
+def test_a_warm_translate_decodes_no_snippet_text(tmp_path, deferred_reads, capsys):
+    from test_cli import translate_args
+
+    cache = tmp_path / "e2e.cache"
+    shutil.copyfile(Path(__file__).parent / "data" / "e2e.cache", cache)
+
+    def translate(out_dir):
+        argv = translate_args(out_dir)
+        argv[argv.index("--cache") + 1] = str(cache)
+        assert main(argv) == 0
+        return (out_dir / "lexicon.tsv").read_bytes()
+
+    parsed = translate(tmp_path / "parsed")  # counts with both taggers, then saves the snapshot
+    snapshot = Path(f"{cache}.snapshot")
+    _, (first, *_) = savefile.load(snapshot, oracle._SNAPSHOT_MAGIC, oracle._SNAPSHOT_FORMAT, lambda key: True)
+    assert len(first[3]) == 22  # the SNIPPETS records whose texts the snapshot defers
+    before = snapshot.read_bytes()
+    assert translate(tmp_path / "replayed") == parsed
+    assert deferred_reads == [] and snapshot.read_bytes() == before
+    capsys.readouterr()
+
+
+def test_workers_asking_at_once_decode_each_text_once(tmp_path, deferred_reads):
+    path, _ = long_snippets(tmp_path)
+    expected = recounted(path)  # parsed; saves the snapshot, without counts
+    taggers = (Recounting(FR_ENTRIES), Recounting(EN_ENTRIES))
+    oracle = SearchOracle(None, ResponseCache(path))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start_and_join([
+            threading.Thread(target=lambda: results.append(cached_worlds(oracle, taggers))) for _ in range(8)
+        ])
+    finally:
+        sys.setswitchinterval(interval)
+    oracle.close()
+    assert results == [expected] * 8 and len(expected) == 24
+    assert len(deferred_reads) == len(set(deferred_reads)) == 2
+
+
+REPLACER = """
+import sys
+from lexiforge.oracle import ResponseCache
+
+ResponseCache(sys.argv[1]).close()
+"""
+
+
+@pytest.mark.parametrize("after", ["close", "replace", "compact", "change in place"])
+def test_texts_left_in_the_snapshot_are_read_from_the_file_loaded(tmp_path, deferred_reads, after):
+    path, texts = long_snippets(tmp_path)
+    snapshot = Path(f"{path}.snapshot")
+    ResponseCache(path).close()
+    good = snapshot.read_bytes()
+    cache = ResponseCache(path)
+    cache.close()
+    assert deferred_reads == []
+    if after == "replace":  # another process parses an appended record and saves afresh
+        with open(path, "ab") as fh:
+            fh.write(CACHE_LINES[0])
+        env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", REPLACER, str(path)], env=env, check=True, timeout=60)
+        assert snapshot.read_bytes() != good
+    elif after == "compact":
+        compact(path)
+        assert not snapshot.exists()
+    elif after == "change in place":  # no save does this: each writes a new file
+        with open(snapshot, "r+b") as fh:
+            fh.seek(-5, os.SEEK_END)
+            fh.write(bytes([good[-5] ^ 1]))
+    deferred_reads.clear()  # those of the compaction's own load
+    if after == "change in place":
+        with pytest.raises(OracleError, match="changed since it was loaded"):
+            list(cache.get(OracleQuery(QueryKind.SNIPPETS, ("caisse 0",), limit=5)))
+    else:
+        assert entries_of(cache) == texts and len(deferred_reads) == 2
 
 
 def test_a_run_that_appends_or_counts_unrecorded_answers_saves_no_counts(tmp_path):
