@@ -22,7 +22,9 @@ file can hold the pair sets of several workloads.
 
 Last, for each metric: each side's median and quartiles, the change's median
 relative to the parent's, and the pairs the change won (by the direction in
-the change's BENCHMARK.json; ties count for neither side).
+the change's BENCHMARK.json; ties count for neither side). A checkout
+without BENCHMARK.json stops the script before the first pair, with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -191,6 +193,13 @@ def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
     neither = args.parent is None and args.change is None
     if not (neither if args.aa else paired):
         parser.error("give either --parent and --change, or --aa")
+    # Read from both checkouts before the first pair, so that a missing file stops the run at once.
+    checked = [args.aa] if args.aa else [args.parent, args.change]
+    try:
+        better = [directions(checkout) for checkout in checked][-1]
+    except FileNotFoundError as exc:
+        print(f"error: {exc.filename} not found", file=sys.stderr)
+        return 2
 
     # Made before the first pair, so that no pair's runs are lost to it.
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,7 +225,6 @@ def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
         benches = {side: load_or_start(out[side], f"{args.label}-{side}", codes[side],
                                        source_loc(checkouts[side]), args.seconds, pairing) for side in SIDES}
         new = run_pairs(checkouts, benches, out, args, run)
-        better = directions(checkouts["change"])
 
     incorrect = {side: sum(1 for r in new[side] if not r["result"].get("correct")) for side in SIDES}
     print(f"{args.workload}, {len(args.seeds)} pairs, median [q1, q3] per side; incorrect runs: "

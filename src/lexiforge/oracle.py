@@ -19,6 +19,7 @@ import os
 import queue
 import sys
 import threading
+import weakref
 import zlib
 from collections import Counter
 from collections.abc import Sequence
@@ -136,61 +137,94 @@ def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list
     return "\t".join([kind, phrases[0], p2, lang, limit, payload]) + "\n"
 
 
+def _parse_record(line: bytes) -> tuple[tuple[str, tuple[str, ...], str, str], int | list[str]]:
+    """The ``cache_key`` and value of one cache file line; ValueError or
+    TypeError unless it is a UTF-8 record whose payload fits its kind."""
+    kind, p1, p2, lang, limit, payload = line.decode("utf-8").rstrip("\r\n").split("\t")
+    value = _decode_response(payload)
+    if not is_answer(QueryKind(kind), value):
+        raise ValueError(f"payload is no {kind} answer")
+    phrases = (p1,) if not p2 else (p1, p2)
+    return (kind, tuple(sorted(phrases)), lang, limit), value
+
+
 # The snapshot beside a cache file (see ``savefile``), keyed on the bytes of
 # the complete lines it covers. Its first part holds the number of those
 # lines, the line numbers of the corrupt records among them, the
 # lexical-world counts of its SNIPPETS records (cache key, then a tagger's
 # table CRC-32, then what that tagger's ``count`` returned for the record's
-# texts), the number of texts of each SNIPPETS record, and the number of
-# entry parts that follow. Those hold the other entries; the last parts hold
-# the texts of the SNIPPETS records, which a load leaves undecoded, since a
-# run with saved counts needs only their number. Each entry part holds about
-# _SNAPSHOT_PART_BYTES, in file order, so that no load or save holds the
-# bytes of the whole snapshot at once.
+# texts), and where each SNIPPETS record is: the number of its texts, then
+# the offset, length and CRC-32 of its line in the cache file. Their texts
+# stay in that file, since a run with saved counts needs only their number.
+# Each later part holds about _SNAPSHOT_PART_BYTES of the other entries, in
+# file order, so that no load or save holds the bytes of the whole snapshot
+# at once.
 _SNAPSHOT_MAGIC = b"lexiforge-cache\n"
-_SNAPSHOT_FORMAT = 4  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
+_SNAPSHOT_FORMAT = 5  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
 _SNAPSHOT_PART_BYTES = 1 << 20
 
 
-def _chunked(entries: Iterable[tuple]) -> list[dict]:
-    """``entries`` as dicts of about _SNAPSHOT_PART_BYTES each, in order."""
-    parts, part, size = [], {}, 0
-    for key, value in entries:
+def _snapshot_parts(lines: int, skipped: list[int], counts: dict, snippet_lines: dict, entries: dict) -> Iterator:
+    yield lines, skipped, counts, snippet_lines
+    part, size = {}, 0
+    for key, value in entries.items():
+        if key[0] == "SNIPPETS":
+            continue
         part[key] = value
         size += 64 + (sum(map(len, value)) if type(value) is list else 0)  # about its marshal bytes
         if size >= _SNAPSHOT_PART_BYTES:
-            parts.append(part)
+            yield part
             part, size = {}, 0
-    return parts + [part] if part else parts
+    if part:
+        yield part
 
 
-def _snapshot_parts(lines: int, skipped: list[int], counts: dict, entries: dict) -> Iterator:
-    texts = {key: value for key, value in entries.items() if key[0] == "SNIPPETS"}
-    others = _chunked((key, value) for key, value in entries.items() if key[0] != "SNIPPETS")
-    yield lines, skipped, counts, {key: len(value) for key, value in texts.items()}, len(others)
-    yield from others
-    yield from _chunked(texts.items())
+class _CacheFile:
+    """The cache file a load from the snapshot checked, open on a duplicate
+    descriptor while an entry it serves is left, so that a file replaced or
+    deleted since still serves them."""
+
+    def __init__(self, fh: BinaryIO):
+        self._fd = os.dup(fh.fileno())
+        weakref.finalize(self, os.close, self._fd)
+        self.name = fh.name
+        self.lock = threading.Lock()
+
+    def texts(self, offset: int, length: int, crc: int) -> list[str]:
+        """The texts of the SNIPPETS line at ``offset``, read, checked and
+        parsed as the load parses it; OracleError if the line changed in
+        place since the load, which no lexiforge write does."""
+        try:
+            line = os.pread(self._fd, length, offset)
+            if len(line) != length or zlib.crc32(line) != crc:
+                raise ValueError("changed since it was loaded")
+            return _parse_record(line)[1]
+        except (OSError, ValueError, TypeError) as exc:
+            raise OracleError(f"{self.name}: line at byte {offset}: {exc}") from None
 
 
 class _Texts(Sequence):
-    """The snippet texts of a SNIPPETS record whose texts the load left in
-    the snapshot: its length is known at once, its texts are decoded on
-    first access, with those of every such record."""
+    """The snippet texts of a SNIPPETS record that a load from the snapshot
+    left in the cache file: its length is known at once, its texts are read
+    from its line on first access."""
 
-    __slots__ = ("_len", "_decode", "texts")
+    __slots__ = ("_file", "_len", "_line", "_texts")
 
-    def __init__(self, length: int, decode):
+    def __init__(self, file: _CacheFile, length: int, *line: int):
+        self._file = file
         self._len = length
-        self._decode = decode
-        self.texts: list[str] | None = None  # set by ``ResponseCache._decode``
+        self._line = line  # offset, length and CRC-32
+        self._texts: list[str] | None = None
 
     def __len__(self) -> int:
         return self._len
 
     def _list(self) -> list[str]:
-        if self.texts is None:
-            self._decode()
-        return self.texts
+        if self._texts is None:
+            with self._file.lock:  # so that workers asking at once read it once
+                if self._texts is None:
+                    self._texts = self._file.texts(*self._line)
+        return self._texts
 
     def __getitem__(self, index):
         return self._list()[index]
@@ -227,10 +261,12 @@ class ResponseCache:
     later load reads that and parses only the records appended after them.
     Appends leave those lines as they are; a snapshot that no longer fits
     the file is rebuilt. Only ``close`` saves it, and only if this cache
-    appended nothing and the snapshot lacks lines or counts it has. A load
-    from the snapshot leaves the texts of the SNIPPETS records in it: each
-    such entry is a read-only sequence (``_Texts``) whose first item access
-    decodes them all, once, under the cache's lock.
+    appended nothing and the snapshot lacks lines or counts it has. The
+    snapshot holds no snippet text: for each SNIPPETS record it holds the
+    number of its texts and where its line is. A load from it makes each
+    such entry a read-only sequence (``_Texts``) whose first item access
+    reads, checks and parses that record's line, once, from the file the
+    load checked.
     """
 
     def __init__(self, path: str | Path):
@@ -246,8 +282,9 @@ class ResponseCache:
         # the snapshot on disk lacks some of those lines, or counts made since.
         self._covered: tuple[savefile.Key, int, list[int]] | None = None
         self._unsaved = False
-        # The texts the load left in the snapshot, and the entry of each.
-        self._deferred: tuple[savefile.Deferred, dict[tuple, _Texts]] | None = None
+        # Each SNIPPETS record the load covered: the number of its texts and
+        # the offset, length and CRC-32 of its line.
+        self._snippet_lines: dict[tuple, tuple[int, int, int, int]] = {}
         if self.path.exists():
             self._load()
 
@@ -258,17 +295,15 @@ class ResponseCache:
             # A snapshot fits if made from the file's first bytes, which
             # leaves ``fh`` just after them.
             saved = savefile.load(
-                self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, lambda key: key == savefile.key_of(fh, key[1]),
-                eager=lambda first: 1 + first[-1],
+                self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, lambda key: key == savefile.key_of(fh, key[1])
             )
             if saved:
-                (crc, covered), ((lines, skipped, self._counts, lengths, _), *parts, deferred) = saved
+                (crc, covered), ((lines, skipped, self._counts, self._snippet_lines), *parts) = saved
                 for part in parts:
                     self._entries.update(part)
-                if lengths:
-                    texts = {key: _Texts(n, self._decode_texts) for key, n in lengths.items()}
-                    self._entries.update(texts)
-                    self._deferred = deferred, texts
+                if self._snippet_lines:
+                    file = _CacheFile(fh)
+                    self._entries.update((key, _Texts(file, *line)) for key, line in self._snippet_lines.items())
                 for lineno in skipped:
                     log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
             else:
@@ -281,52 +316,29 @@ class ResponseCache:
                 # what is left parses, as a count cut short does. The
                 # snapshot covers complete lines only.
                 complete = raw_line.endswith(b"\n")
+                offset = covered
                 if complete:
                     crc = zlib.crc32(raw_line, crc)
                     covered += len(raw_line)
                     lines = lineno
                 try:
-                    line = raw_line.decode("utf-8").rstrip("\r\n")
-                    if line in ("", "\t"):  # a tab alone closes off a torn line
-                        continue
-                    kind, p1, p2, lang, limit, payload = line.split("\t")
-                    value = _decode_response(payload)
-                    fits = is_answer(QueryKind(kind), value) and complete
+                    key, value = _parse_record(raw_line)
+                    fits = complete
                 except (ValueError, TypeError):
+                    if raw_line.rstrip(b"\r\n") in (b"", b"\t"):  # a tab alone closes off a torn line
+                        continue
                     fits = False
                 if not fits:
                     log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
                     if complete:
                         skipped.append(lineno)
                     continue
-                phrases = (p1,) if not p2 else (p1, p2)
-                key = (kind, tuple(sorted(phrases)), lang, limit)
                 self._entries[key] = value
                 self._counts.pop(key, None)  # counted from the record this one replaces
+                if key[0] == "SNIPPETS":
+                    self._snippet_lines[key] = len(value), offset, len(raw_line), zlib.crc32(raw_line)
         self._covered = (crc, covered), lines, skipped
         self._unsaved = covered != saved_covered
-
-    def _decode_texts(self) -> None:
-        with self._lock:
-            self._decode()
-
-    def _decode(self) -> None:
-        """Decode the texts the load left in the snapshot, if not yet done;
-        caller holds the lock. An entry still holding its ``_Texts`` takes
-        the plain list. OracleError if the snapshot changed in place."""
-        if self._deferred is None:
-            return
-        deferred, texts = self._deferred
-        try:
-            parts = deferred.decode()
-        except (OSError, ValueError) as exc:
-            raise OracleError(f"{self._snapshot}: {exc}") from None
-        for part in parts:
-            for key, value in part.items():
-                texts[key].texts = value
-                if self._entries[key] is texts[key]:
-                    self._entries[key] = value
-        self._deferred = None
 
     def get(self, query: OracleQuery) -> int | Sequence[str] | None:
         with self._lock:
@@ -384,11 +396,10 @@ class ResponseCache:
                 self._append.close()
                 self._append = None
             if self._unsaved and self._covered is not None:
-                self._decode()  # marshal needs plain lists
                 key, lines, skipped = self._covered
                 savefile.save(
                     self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, key,
-                    _snapshot_parts(lines, skipped, self._counts, self._entries),
+                    _snapshot_parts(lines, skipped, self._counts, self._snippet_lines, self._entries),
                 )
             self._unsaved = False
 
@@ -424,11 +435,13 @@ def compact(path: str | Path) -> int:
     path = Path(path)
     with _locked(path, "rb", fcntl.LOCK_EX | fcntl.LOCK_NB):
         cache = ResponseCache(path)
-        cache._decode_texts()  # JSON needs plain lists
         entries = cache._entries
         tmp = path.with_suffix(path.suffix + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(_format_record(key, entries[key]) for key in sorted(entries))
+            fh.writelines(
+                _format_record(key, list(value) if isinstance(value, _Texts) else value)
+                for key, value in sorted(entries.items())
+            )
         tmp.replace(path)
         cache._snapshot.unlink(missing_ok=True)
     return len(entries)

@@ -318,8 +318,8 @@ def test_cache_stats_and_compact(tmp_path, capsys):
 
 
 def test_cache_stats_and_compact_print_and_write_the_same_from_a_snapshot(tmp_path, capsys):
-    # A load from the snapshot leaves the snippet texts in it; compact
-    # decodes them, and stats needs only their records.
+    # A load from the snapshot leaves the snippet texts in the cache file;
+    # compact reads them, and stats needs only their records.
     cache_copy = tmp_path / "copy.cache"
     results = []
     for snapshot in (False, True):

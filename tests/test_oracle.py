@@ -771,10 +771,25 @@ def test_a_load_from_the_snapshot_equals_a_load_without_it(steps):
 
 @pytest.fixture
 def decoded(monkeypatch):
-    """The payloads a cache load parses from its file."""
-    payloads = []
-    decode = oracle._decode_response
-    monkeypatch.setattr(oracle, "_decode_response", lambda payload: payloads.append(payload) or decode(payload))
+    """The payloads cache loads parse from their files; not those of the
+    snippet lines read after a load (``line_reads``)."""
+    payloads, loading = [], []
+    decode, load = oracle._decode_response, ResponseCache._load
+
+    def counted_load(cache):
+        loading.append(cache)
+        try:
+            load(cache)
+        finally:
+            loading.pop()
+
+    def counted_decode(payload):
+        if loading:
+            payloads.append(payload)
+        return decode(payload)
+
+    monkeypatch.setattr(ResponseCache, "_load", counted_load)
+    monkeypatch.setattr(oracle, "_decode_response", counted_decode)
     return payloads
 
 
@@ -1032,7 +1047,7 @@ def test_worlds_from_saved_counts_equal_worlds_recounted(steps):
     "damage",
     [
         "none", "torn", "header alone", "corrupt part", "stale key",
-        "other format", "format 3", "other marshal version", "other kind",
+        "other format", "format 3", "format 4", "other marshal version", "other kind",
     ],
 )
 def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, damage):
@@ -1052,6 +1067,8 @@ def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, d
         snapshot.write_bytes(good[:16] + (1).to_bytes(4, "little") + good[20:])
     elif damage == "format 3":  # the format that held the snippet texts with the other entries
         snapshot.write_bytes(good[:16] + (3).to_bytes(4, "little") + good[20:])
+    elif damage == "format 4":  # the format that held a copy of the snippet texts in its last parts
+        snapshot.write_bytes(good[:16] + (4).to_bytes(4, "little") + good[20:])
     elif damage == "other marshal version":
         snapshot.write_bytes(good[:20] + (marshal.version + 1).to_bytes(4, "little") + good[24:])
     elif damage == "other kind":
@@ -1184,8 +1201,8 @@ def test_workers_counting_at_once_save_every_count(tmp_path):
 
 
 @pytest.fixture
-def deferred_reads(monkeypatch):
-    """The ``(offset, length)`` of each snapshot part read after its load."""
+def line_reads(monkeypatch):
+    """The ``(offset, length)`` of each cache file line read after its load."""
     reads = []
     pread = os.pread
     monkeypatch.setattr(os, "pread", lambda fd, n, offset: reads.append((offset, n)) or pread(fd, n, offset))
@@ -1193,8 +1210,8 @@ def deferred_reads(monkeypatch):
 
 
 def long_snippets(tmp_path):
-    """A cache of 12 snippet records of about 100 KB each, so that their
-    texts fill two snapshot parts, and the texts of each record by key."""
+    """A cache of 12 snippet records of about 100 KB each, and the texts of
+    each record by key."""
     path = tmp_path / "run.cache"
     recording = ResponseCache(path)
     texts = {}
@@ -1206,7 +1223,19 @@ def long_snippets(tmp_path):
     return path, texts
 
 
-def test_a_warm_translate_decodes_no_snippet_text(tmp_path, deferred_reads, capsys):
+CAISSE_0 = OracleQuery(QueryKind.SNIPPETS, ("caisse 0",), limit=5)  # the first record of long_snippets
+
+
+def test_the_snapshot_holds_no_snippet_text(tmp_path, line_reads):
+    path, texts = long_snippets(tmp_path)
+    ResponseCache(path).close()
+    snapshot = Path(f"{path}.snapshot")
+    assert snapshot.stat().st_size < len(texts[CAISSE_0.cache_key()][1])
+    cache = ResponseCache(path)
+    assert entries_of(cache) == texts and len(line_reads) == 12
+
+
+def test_a_warm_translate_decodes_no_snippet_text(tmp_path, line_reads, capsys):
     from test_cli import translate_args
 
     cache = tmp_path / "e2e.cache"
@@ -1221,14 +1250,14 @@ def test_a_warm_translate_decodes_no_snippet_text(tmp_path, deferred_reads, caps
     parsed = translate(tmp_path / "parsed")  # counts with both taggers, then saves the snapshot
     snapshot = Path(f"{cache}.snapshot")
     _, (first, *_) = savefile.load(snapshot, oracle._SNAPSHOT_MAGIC, oracle._SNAPSHOT_FORMAT, lambda key: True)
-    assert len(first[3]) == 22  # the SNIPPETS records whose texts the snapshot defers
+    assert len(first[3]) == 22  # the SNIPPETS records whose lines the snapshot points to
     before = snapshot.read_bytes()
     assert translate(tmp_path / "replayed") == parsed
-    assert deferred_reads == [] and snapshot.read_bytes() == before
+    assert line_reads == [] and snapshot.read_bytes() == before
     capsys.readouterr()
 
 
-def test_workers_asking_at_once_decode_each_text_once(tmp_path, deferred_reads):
+def test_workers_asking_at_once_decode_each_text_once(tmp_path, line_reads):
     path, _ = long_snippets(tmp_path)
     expected = recounted(path)  # parsed; saves the snapshot, without counts
     taggers = (Recounting(FR_ENTRIES), Recounting(EN_ENTRIES))
@@ -1244,7 +1273,7 @@ def test_workers_asking_at_once_decode_each_text_once(tmp_path, deferred_reads):
         sys.setswitchinterval(interval)
     oracle.close()
     assert results == [expected] * 8 and len(expected) == 24
-    assert len(deferred_reads) == len(set(deferred_reads)) == 2
+    assert len(line_reads) == len(set(line_reads)) == 12
 
 
 REPLACER = """
@@ -1256,15 +1285,15 @@ ResponseCache(sys.argv[1]).close()
 
 
 @pytest.mark.parametrize("after", ["close", "replace", "compact", "change in place"])
-def test_texts_left_in_the_snapshot_are_read_from_the_file_loaded(tmp_path, deferred_reads, after):
+def test_texts_left_in_the_cache_file_are_read_from_the_file_loaded(tmp_path, line_reads, after):
     path, texts = long_snippets(tmp_path)
     snapshot = Path(f"{path}.snapshot")
     ResponseCache(path).close()
     good = snapshot.read_bytes()
     cache = ResponseCache(path)
     cache.close()
-    assert deferred_reads == []
-    if after == "replace":  # another process parses an appended record and saves afresh
+    assert line_reads == []
+    if after == "replace":  # another process appends a record, parses it and saves afresh
         with open(path, "ab") as fh:
             fh.write(CACHE_LINES[0])
         env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
@@ -1273,16 +1302,18 @@ def test_texts_left_in_the_snapshot_are_read_from_the_file_loaded(tmp_path, defe
     elif after == "compact":
         compact(path)
         assert not snapshot.exists()
-    elif after == "change in place":  # no save does this: each writes a new file
-        with open(snapshot, "r+b") as fh:
-            fh.seek(-5, os.SEEK_END)
-            fh.write(bytes([good[-5] ^ 1]))
-    deferred_reads.clear()  # those of the compaction's own load
+    elif after == "change in place":  # no write does this: appends leave covered lines, compact writes a new file
+        with open(path, "r+b") as fh:
+            fh.seek(path.read_bytes().index(b"une 0 x") + 10)
+            fh.write(b"y")
+    line_reads.clear()  # those of the compaction's own load
     if after == "change in place":
         with pytest.raises(OracleError, match="changed since it was loaded"):
-            list(cache.get(OracleQuery(QueryKind.SNIPPETS, ("caisse 0",), limit=5)))
+            list(cache.get(CAISSE_0))
+        del texts[CAISSE_0.cache_key()]
+        assert {key: list(cache._entries[key]) for key in texts} == texts and len(line_reads) == 12
     else:
-        assert entries_of(cache) == texts and len(deferred_reads) == 2
+        assert entries_of(cache) == texts and len(line_reads) == 12
 
 
 def test_a_run_that_appends_or_counts_unrecorded_answers_saves_no_counts(tmp_path):

@@ -9,6 +9,8 @@ import shutil
 import sys
 from pathlib import Path
 
+import pytest
+
 from lexiforge.oracle import compact
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -120,3 +122,25 @@ def test_bench_pairs_makes_a_missing_out_dir_before_the_first_pair(tmp_path, cap
             "--label", "t", "--out-dir", str(out_dir)]
     assert bench_pairs.main(argv, run=stub_run) == 0
     assert sorted(p.name for p in out_dir.iterdir()) == ["BENCH_t-change.json", "BENCH_t-parent.json"]
+
+
+@pytest.mark.parametrize("missing", ["parent", "change"])
+def test_bench_pairs_stops_before_the_first_pair_without_benchmark_json(tmp_path, capsys, missing):
+    bench_pairs = load_bench_pairs()
+    checkouts = {}
+    for side in ("parent", "change"):
+        checkout = checkouts[side] = tmp_path / side
+        (checkout / "src" / "lexiforge").mkdir(parents=True)
+        if side != missing:
+            shutil.copy(SCRIPTS.parent / "BENCHMARK.json", checkout)
+    runs = []
+
+    def stub_run(path, workload, seed, seconds, trace):
+        runs.append(path)
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+
+    argv = ["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]), "--workload", "cold-local",
+            "--seeds", "1-10", "--label", "t", "--out-dir", str(tmp_path / "out")]
+    assert bench_pairs.main(argv, run=stub_run) == 2
+    assert runs == [] and not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"error: {checkouts[missing] / 'BENCHMARK.json'} not found\n"
