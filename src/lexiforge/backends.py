@@ -15,6 +15,7 @@ import re
 import threading
 import time
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -59,11 +60,12 @@ class _SummedFile(io.FileIO):
         return n
 
 
-# A saved index (see ``savefile``) has three parts: the documents, their
-# token strings, and token -> documents.
+# A saved index (see ``savefile``) has the parts that ``_build_index``
+# returns. The id offsets and language codes are arrays in the host's byte
+# order.
 _INDEX_MAGIC = b"lexiforge-index\n"
-_INDEX_FORMAT = 1  # bump when the parts, or how ``_add`` builds them, change
-_PARTS = 3
+_INDEX_FORMAT = 2  # bump when the parts, or how ``_build_index`` builds them, change
+_PARTS = 7
 
 
 class JsonlCollection:
@@ -114,16 +116,59 @@ class JsonlCollection:
             savefile.save(self.index_path, _INDEX_MAGIC, _INDEX_FORMAT, self.key, parts)
 
 
+def _build_index(documents: Iterable[dict]) -> tuple:
+    """The parts of the index of ``documents``: each document's text, its
+    lowercased tokens as one space-delimited string, token -> documents,
+    the UTF-8 bytes of the ids one after another, the offset of each id in
+    them and of their end, language name -> code, and each document's
+    language code."""
+    texts: list[str] = []
+    spaced: list[str] = []
+    token_docs: dict[str, list[int]] = {}
+    ids = bytearray()
+    id_offsets = array("Q", [0])
+    langs: dict[str, int] = {}
+    lang_codes = array("I")
+    for idx, doc in enumerate(documents):
+        text = doc["text"]
+        texts.append(text)
+        ids += str(doc.get("id", idx)).encode("utf-8", "surrogatepass")
+        id_offsets.append(len(ids))
+        lang_codes.append(langs.setdefault(doc.get("lang", ""), len(langs)))
+        # Equal to lowercasing each token: a space is neither cased nor
+        # case-ignorable, so it ends a final-sigma context as a token end does.
+        joined = " ".join(WORD_RE.findall(text)).lower()
+        spaced.append(f" {joined} ")
+        for token in set(joined.split(" ")) if joined else ():
+            docs = token_docs.get(token)
+            if docs is None:
+                token_docs[token] = [idx]
+            else:
+                docs.append(idx)
+    # Ascending, as documents arrive in order. Most tokens are in one
+    # document, which a bare int holds in the least memory; a tuple holds
+    # the others.
+    postings: dict[str, int | tuple[int, ...]] = {}
+    for token, docs in token_docs.items():
+        postings[token] = docs[0] if len(docs) == 1 else tuple(docs)
+    return texts, spaced, postings, bytes(ids), id_offsets.tobytes(), langs, lang_codes.tobytes()
+
+
 class LocalIndexBackend:
     """Exact-phrase search over documents with language tags.
 
     Documents are dicts with ``id``, ``lang`` and ``text`` keys (or one JSON
     object per line in a file). Phrase counts are numbers of documents
     containing the phrase; OR-queries count the union of their disjuncts.
-    Each lowercased token maps to the ascending tuple of its documents, and
-    each document keeps its lowercased tokens as one space-delimited string.
-    A phrase walks its rarest token's documents and keeps those whose string
-    holds the phrase's tokens as a space-delimited run.
+    The documents are kept in columns: the texts as a list of strings, the
+    ids as their UTF-8 bytes one after another with the offset of each, and
+    the languages as one small code each with a table from name to code.
+    Each document also keeps its lowercased tokens as one space-delimited
+    string. Each lowercased token maps to its only document, or to the
+    ascending tuple of its documents. A phrase walks its rarest token's
+    documents and keeps those whose string holds the phrase's tokens as a
+    space-delimited run. A snippet hit is the document's text, cut to
+    ``SNIPPET_MAX_CHARS``, and its id.
     """
 
     def __init__(self, documents: Iterable[dict]):
@@ -131,42 +176,21 @@ class LocalIndexBackend:
         collection's saved index, which is loaded when it was built from the
         collection's present bytes; otherwise the index is built and saved."""
         collection = documents if isinstance(documents, JsonlCollection) else None
-        saved = collection.load() if collection else None
-        if saved is not None:
-            self._docs, self._spaced, self._token_docs = saved
-            return
-        self._docs: list[tuple[str, str, str]] = []  # (id, lang, text)
-        self._token_docs: dict[str, Sequence[int]] = {}
-        self._spaced: list[str] = []
-        for doc in documents:
-            self._add(doc)
-        # Ascending, as documents arrive in order; a tuple is the smallest holder.
-        for token, docs in self._token_docs.items():
-            self._token_docs[token] = tuple(docs)
-        if collection:
-            collection.save((self._docs, self._spaced, self._token_docs))
+        parts = collection.load() if collection else None
+        if parts is None:
+            parts = _build_index(documents)
+            if collection:
+                collection.save(parts)
+        self._texts, self._spaced, self._token_docs, self._ids, id_offsets, self._langs, lang_codes = parts
+        self._id_offsets = memoryview(id_offsets).cast("Q")
+        self._lang_codes = memoryview(lang_codes).cast("I")
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "LocalIndexBackend":
         return cls(JsonlCollection(path))
 
-    def _add(self, doc: dict):
-        idx = len(self._docs)
-        self._docs.append((str(doc.get("id", idx)), doc.get("lang", ""), doc["text"]))
-        # Equal to lowercasing each token: a space is neither cased nor
-        # case-ignorable, so it ends a final-sigma context as a token end does.
-        joined = " ".join(WORD_RE.findall(doc["text"])).lower()
-        self._spaced.append(f" {joined} ")
-        token_docs = self._token_docs
-        for token in set(joined.split(" ")) if joined else ():
-            docs = token_docs.get(token)
-            if docs is None:
-                token_docs[token] = [idx]
-            else:
-                docs.append(idx)
-
     def __len__(self) -> int:
-        return len(self._docs)
+        return len(self._texts)
 
     def _phrase_docs(self, phrase: str) -> set[int]:
         """Indexes of the documents holding the phrase, in a fresh set: those
@@ -174,7 +198,17 @@ class LocalIndexBackend:
         tokens = tokenize(phrase)
         if not tokens:
             return set()
-        rarest = min((self._token_docs.get(token, ()) for token in tokens), key=len)
+        token_docs = self._token_docs
+        rarest = None
+        for token in tokens:
+            docs = token_docs.get(token)
+            if docs is None:
+                return set()  # no document holds an absent token
+            if type(docs) is int:
+                rarest = (docs,)  # no present token is rarer
+                break
+            if rarest is None or len(docs) < len(rarest):
+                rarest = docs
         if len(tokens) == 1:
             return set(rarest)
         # No token holds a space, so a space-delimited substring is exactly
@@ -190,10 +224,12 @@ class LocalIndexBackend:
         return docs
 
     def _snippet(self, doc_idx: int) -> Snippet:
-        doc_id, _, text = self._docs[doc_idx]
+        text = self._texts[doc_idx]
         if len(text) > SNIPPET_MAX_CHARS:
             cut = text.rfind(" ", 0, SNIPPET_MAX_CHARS)
             text = text[: cut if cut > 0 else SNIPPET_MAX_CHARS]
+        offsets = self._id_offsets
+        doc_id = self._ids[offsets[doc_idx] : offsets[doc_idx + 1]].decode("utf-8", "surrogatepass")
         return Snippet(text, doc_id)
 
     def execute(self, query: OracleQuery) -> int | list[Snippet]:
@@ -204,7 +240,8 @@ class LocalIndexBackend:
             return len(self._query_docs(a) & self._query_docs(b))
         hits = sorted(self._query_docs(query.phrases[0]))
         if query.kind is QueryKind.MIXED_SNIPPETS:
-            hits = [i for i in hits if self._docs[i][1] == query.lang_restrict]
+            code, codes = self._langs.get(query.lang_restrict), self._lang_codes
+            hits = [i for i in hits if codes[i] == code]
         return [self._snippet(i) for i in hits[: query.limit]]
 
 

@@ -22,6 +22,7 @@ first worlds a call does little beyond the split and one filtered count.
 
 from __future__ import annotations
 
+import sys
 import zlib
 from collections import Counter
 from functools import cached_property
@@ -48,12 +49,18 @@ class SnippetTagger(Protocol):
 
 
 class LexiconTagger:
-    """Word-list tagger: surface form -> (lemma, pos), unknown -> OTHER."""
+    """Word-list tagger: surface form -> (lemma, pos), unknown -> OTHER.
+
+    The table is keyed on the lowercased surface; the last row of a surface
+    wins. Its entries share their strings: each pos is interned, and a
+    lemma that lowercases to the key is the key itself."""
 
     def __init__(self, entries: Iterable[tuple[str, str, str]]):
-        self._table: dict[str, tuple[str, str]] = {}
+        table: dict[str, tuple[str, str]] = {}
         for surface, pos, lemma in entries:
-            self._table[surface.lower()] = (lemma.lower(), pos)
+            key, lemma = surface.lower(), lemma.lower()
+            table[key] = (key if lemma == key else lemma, sys.intern(pos))
+        self._table = table
         # Whitespace-free chunk -> its NOUN and ADJ tags (only chunks that
         # have any), and every chunk tagged so far. Tags are stored before
         # their chunk is marked seen, so workers sharing a tagger need no lock.

@@ -188,11 +188,28 @@ def scan_docs(texts, query):
     return hits
 
 
+ABSENT = object()  # a key the document leaves out
+doc_ids = st.one_of(
+    st.just(ABSENT),  # the document's index is its id
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),  # non-ASCII too
+    st.just("\ud800"),  # a lone surrogate, which the JSON file holds as an escape
+)
+
+
+def as_doc(lang, pieces, doc_id):
+    doc = {"lang": lang, "id": doc_id, "text": " ".join(pieces)}
+    return {key: value for key, value in doc.items() if value is not ABSENT}
+
+
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["fr", "en"]),
+            st.sampled_from(["fr", "en", "de", ABSENT]),
             st.lists(st.one_of(st.sampled_from(VOCAB), st.text()), min_size=1, max_size=8),
+            doc_ids,
         ),
         min_size=1,
         max_size=12,
@@ -201,17 +218,17 @@ def scan_docs(texts, query):
     st.integers(1, 4),
 )
 @example(
-    [("fr", ["de", "la", "de", "la"]), ("en", ["la", "de", "la", "de"]), ("fr", ["de", "de", "la"])],
+    [("fr", ["de", "la", "de", "la"], "d0"), ("en", ["la", "de", "la", "de"], 7), ("fr", ["de", "de", "la"], ABSENT)],
     ["de la de", "de", "absent", "la de la de la"],
     2,
 )
 @example(
     [
-        ("fr", ["ΟΔΟΣ ΣΑ", "de"]),
-        ("en", ["İstanbul\xa0la", "caisse"]),
-        ("fr", ["ǅungla,fund", "ǄUNGLA"]),
-        ("en", ["la caisse de la caisse de la", "fund"]),
-        ("fr", ["caisse la caisses de lac"]),
+        ("fr", ["ΟΔΟΣ ΣΑ", "de"], "δ0"),
+        ("en", ["İstanbul\xa0la", "caisse"], "\ud800"),
+        ("de", ["ǅungla,fund", "ǄUNGLA"], ABSENT),
+        (ABSENT, ["la caisse de la caisse de la", "fund"], -3),
+        ("fr", ["caisse la caisses de lac"], None),
     ],
     ["οδος σα", "İSTANBUL LA CAISSE", "ǆungla fund ǆungla", "la caisse de la", "de la"],
     3,
@@ -220,23 +237,25 @@ def scan_docs(texts, query):
     # Every document holds every token of the phrases, but only the first
     # and third hold them as a run: the substring test alone decides.
     [
-        ("fr", ["caisse de la"]),
-        ("en", ["la de caisse"]),
-        ("fr", ["de caisse", "la caisse de la"]),
-        ("en", ["la", "fund de caisse"]),
+        ("fr", ["caisse de la"], "d0"),
+        ("en", ["la de caisse"], "d1"),
+        ("fr", ["de caisse", "la caisse de la"], "d2"),
+        ("en", ["la", "fund de caisse"], "d3"),
     ],
     ["caisse de la", "de la", "la caisse", "de caisse la"],
     2,
 )
 def test_local_index_matches_brute_force_scan(docs, query_phrases, limit):
-    texts = [" ".join(pieces) for _, pieces in docs]
-    dicts = [{"id": f"d{i}", "lang": lang, "text": text} for i, ((lang, _), text) in enumerate(zip(docs, texts))]
+    dicts = [as_doc(*doc) for doc in docs]
+    texts = [doc["text"] for doc in dicts]
+    ids = [str(doc.get("id", i)) for i, doc in enumerate(dicts)]
+    langs = [doc.get("lang", "") for doc in dicts]
     fresh = LocalIndexBackend(iter(dicts))
     # The same documents from a file: built and saved, then loaded.
     with tempfile.TemporaryDirectory() as tmp:
         path = write_jsonl(Path(tmp) / "docs.jsonl", dicts)
         LocalIndexBackend.from_jsonl(path)
-        with mock.patch.object(LocalIndexBackend, "_add", side_effect=AssertionError("rebuilt")):
+        with mock.patch.object(JsonlCollection, "__iter__", side_effect=AssertionError("rebuilt")):
             loaded = LocalIndexBackend.from_jsonl(path)
 
     def execute(query):
@@ -248,9 +267,10 @@ def test_local_index_matches_brute_force_scan(docs, query_phrases, limit):
         hits = sorted(scan_docs(texts, phrase))
         assert execute(OracleQuery(QueryKind.PHRASE_COUNT, (phrase,))) == len(hits)
         snippets = execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
-        assert [s.doc_id for s in snippets] == [f"d{i}" for i in hits][:limit]
-        mixed = execute(OracleQuery(QueryKind.MIXED_SNIPPETS, (phrase,), lang_restrict="en", limit=limit))
-        assert [s.doc_id for s in mixed] == [f"d{i}" for i in hits if docs[i][0] == "en"][:limit]
+        assert [s.doc_id for s in snippets] == [ids[i] for i in hits][:limit]
+        for lang in ("en", "de", "xx"):
+            mixed = execute(OracleQuery(QueryKind.MIXED_SNIPPETS, (phrase,), lang_restrict=lang, limit=limit))
+            assert [s.doc_id for s in mixed] == [ids[i] for i in hits if langs[i] == lang][:limit]
     first, last = query_phrases[0], query_phrases[-1]
     pair = execute(OracleQuery(QueryKind.PAIR_COUNT, (first, last)))
     assert pair == len(scan_docs(texts, first) & scan_docs(texts, last))
@@ -288,9 +308,10 @@ def test_single_token_lookup_hands_out_a_fresh_set(index):
 
 
 def write_jsonl(path, docs):
-    with open(path, "w", encoding="utf-8") as fh:
+    # UTF-8 cannot encode a lone surrogate, so it is written as its JSON escape.
+    with open(path, "wb") as fh:
         for doc in docs:
-            fh.write(json.dumps(doc, ensure_ascii=False) + "\n")
+            fh.write((json.dumps(doc, ensure_ascii=False) + "\n").encode("utf-8", "backslashreplace"))
     return path
 
 
