@@ -124,7 +124,7 @@ def _build_index(documents: Iterable[dict]) -> tuple:
     language code."""
     texts: list[str] = []
     spaced: list[str] = []
-    token_docs: dict[str, list[int]] = {}
+    token_docs: dict[str, list[int] | int | tuple[int, ...]] = {}
     ids = bytearray()
     id_offsets = array("Q", [0])
     langs: dict[str, int] = {}
@@ -148,10 +148,9 @@ def _build_index(documents: Iterable[dict]) -> tuple:
     # Ascending, as documents arrive in order. Most tokens are in one
     # document, which a bare int holds in the least memory; a tuple holds
     # the others.
-    postings: dict[str, int | tuple[int, ...]] = {}
     for token, docs in token_docs.items():
-        postings[token] = docs[0] if len(docs) == 1 else tuple(docs)
-    return texts, spaced, postings, bytes(ids), id_offsets.tobytes(), langs, lang_codes.tobytes()
+        token_docs[token] = docs[0] if len(docs) == 1 else tuple(docs)
+    return texts, spaced, token_docs, bytes(ids), id_offsets.tobytes(), langs, lang_codes.tobytes()
 
 
 class LocalIndexBackend:

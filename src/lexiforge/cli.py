@@ -246,8 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GoldError, InputError, FileNotFoundError, FileExistsError, IsADirectoryError,
-            NotADirectoryError) as exc:
+    except (ConfigError, GoldError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

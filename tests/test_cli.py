@@ -1,3 +1,4 @@
+import errno
 import gc
 import io
 import json
@@ -203,6 +204,16 @@ def test_translate_out_dir_that_cannot_be_a_directory_exits_2_before_the_run(tmp
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and str(tmp_path / out_dir) in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_report_file_that_cannot_be_written_exits_2_in_one_line(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "summary.tsv").symlink_to("/dev/full")  # every write fails: no space left
+    code, out, err = run(translate_args(out_dir), capsys)
+    assert code == 2
+    assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
 
 
 def test_translate_cold_cache_exits_3(tmp_path, capsys):

@@ -6,6 +6,7 @@ Few rounds each, so they add well under a second to the suite; the
 end-to-end numbers come from ``perfbench/run.py``.
 """
 
+import json
 import random
 import tracemalloc
 from pathlib import Path
@@ -138,6 +139,21 @@ def test_a_snapshot_load_leaves_the_snippet_texts_in_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(cache) == 300 and held < text_bytes / 4
+
+
+def test_a_loaded_index_holds_less_than_two_and_a_half_times_its_collection(tmp_path, thousand_docs):
+    # What a cold run's memory is made of: the texts and their token strings
+    # as strings, the ids and languages packed, the postings as tuples.
+    path = tmp_path / "docs.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in thousand_docs), encoding="utf-8")
+    LocalIndexBackend.from_jsonl(path)  # builds and saves the index
+    tracemalloc.start()
+    try:
+        index = LocalIndexBackend.from_jsonl(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(index) == 1_000 and held < 2.5 * path.stat().st_size
 
 
 class Unnamed:

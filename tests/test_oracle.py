@@ -359,6 +359,8 @@ def test_torn_or_garbage_index_file_is_rebuilt_and_rewritten(data):
                 flip.map(lambda at: good[: at[0]] + bytes([good[at[0]] ^ at[1]]) + good[at[0] + 1 :]),
                 st.binary(max_size=len(good)),
                 st.binary(min_size=1).map(lambda tail: good + tail),
+                # An index of format 1, whose parts held the documents as tuples.
+                st.just(good[:16] + (1).to_bytes(4, "little") + good[20:]),
             )
         )
         saved.write_bytes(bad)

@@ -116,6 +116,33 @@ def test_default_taggers_load_and_cover_core_vocabulary():
     assert len(fr) > 100 and len(en) > 100
 
 
+# Duplicate surfaces, of mixed case, in which the last row wins; lemmas
+# equal to their surface and lemmas that only lowercase to it.
+PINNED_ROWS = (
+    "Caisse\tNOUN\tcaisse\ncaisse\tADJ\tCaisse\nCAISSES\tNOUN\tcaisse\n"
+    "Étude\tNOUN\tÉtude\nétude\tNOUN\tétude\nMusicale\tADJ\tMusical\nΟΔΟΣ\tNOUN\tοδος\n"
+)
+
+
+def test_table_crc_is_pinned():
+    # Saved world counts are keyed on table_crc: a change to the table that
+    # moved it would make every saved count unreachable.
+    assert default_tagger("fr").table_crc == 635405100
+    assert default_tagger("en").table_crc == 1466190223
+    tagger = LexiconTagger.from_file(io.StringIO(PINNED_ROWS))
+    assert tagger.table_crc == 4286498446
+    assert tagger.tag("CAISSE caisses Étude musicale") == [
+        ("caisse", "ADJ"), ("caisse", "NOUN"), ("étude", "NOUN"), ("musical", "ADJ"),
+    ]
+
+
+def test_table_entries_share_their_strings():
+    entries = [("Caisse", "NOUN", "caisse"), ("Étude", "NOUN", "ÉTUDE"), ("musicale", "ADJ", "musical")]
+    table = LexiconTagger(entries)._table
+    assert [lemma is key for key, (lemma, _) in table.items()] == [True, True, False]
+    assert all(pos is sys.intern(pos) for _, pos in table.values())
+
+
 def test_stopword_lists_load():
     fr = load_stopwords("fr")
     en = load_stopwords("en")
