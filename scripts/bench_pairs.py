@@ -22,9 +22,14 @@ file can hold the pair sets of several workloads.
 
 Last, for each metric: each side's median and quartiles, the change's median
 relative to the parent's, and the pairs the change won (by the direction in
-the change's BENCHMARK.json; ties count for neither side). A checkout
-without BENCHMARK.json stops the script before the first pair, with exit
-code 2.
+the change's BENCHMARK.json; ties count for neither side). Then, for each
+end-to-end metric, the no-regression verdict against its bound in that
+file: ``within bound``, ``worse beyond bound`` when the change's median is
+worse than the parent's by more than the bound, or ``unresolved`` when the
+parent's runs spread from first to third quartile wider than the bound,
+unless every run of the change reads better than every run of the parent.
+A checkout without BENCHMARK.json stops the script before the first pair,
+with exit code 2.
 """
 
 from __future__ import annotations
@@ -75,10 +80,13 @@ def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trac
         return dict(NO_RESULT)
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    """Metric name -> ``"lower"`` or ``"higher"``, from BENCHMARK.json."""
+def read_metrics(checkout: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """From BENCHMARK.json: metric name -> ``"lower"`` or ``"higher"``, and
+    end-to-end metric name -> its bound, a share of the parent's median."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    end_to_end = spec.get("end_to_end", [])
+    better = {m["name"]: m["better"] for m in end_to_end + spec.get("per_layer", [])}
+    return better, {m["name"]: m["bound"] for m in end_to_end}
 
 
 def source_loc(checkout: Path) -> int:
@@ -107,7 +115,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> list[dict]:
     """Per metric of the paired runs: both sides' quartiles, the change's
-    wins and the number of pairs that report the metric."""
+    wins, whether every change run beats every parent run, and the number
+    of pairs that report the metric."""
     values: dict[str, dict[str, dict]] = {}  # metric -> side -> pair key -> value
     for side, side_runs in runs.items():
         for run in side_runs:
@@ -125,8 +134,22 @@ def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> list[dict]:
         sign = -1 if direction == "lower" else 1
         wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
         rows.append({"metric": name, "better": direction, "pairs": len(keys),
-                     "wins": wins, "parent": quartiles(parent), "change": quartiles(change)})
+                     "wins": wins, "parent": quartiles(parent), "change": quartiles(change),
+                     "all_better": min(sign * c for c in change) > max(sign * p for p in parent)})
     return rows
+
+
+def verdict(row: dict | None, bound: float) -> str:
+    """The no-regression verdict on one end-to-end metric's ``compare`` row."""
+    if row is None:
+        return "unresolved: no pair reports it"
+    (q1, p, q3), c = row["parent"], row["change"][1]
+    if row["all_better"]:
+        return "within bound"
+    if q3 - q1 > bound * abs(p):
+        return "unresolved"
+    worse = c - p if row["better"] == "lower" else p - c
+    return "worse beyond bound" if worse > bound * abs(p) else "within bound"
 
 
 def format_rows(rows: list[dict]) -> str:
@@ -136,6 +159,19 @@ def format_rows(rows: list[dict]) -> str:
         ratio = f"{c / p:.3f}" if p else "-"
         lines.append(f"{row['metric']}: parent {p:.6g} [{p1:.6g}, {p3:.6g}], change {c:.6g} [{c1:.6g}, {c3:.6g}], "
                      f"change/parent {ratio}, change better in {row['wins']}/{row['pairs']} ({row['better']} is better)")
+    return "\n".join(lines)
+
+
+def format_verdicts(rows: list[dict], bounds: dict[str, float]) -> str:
+    by_name = {row["metric"]: row for row in rows}
+    lines = []
+    for name, bound in bounds.items():
+        row = by_name.get(name)
+        detail = f"bound {bound:g}"
+        if row and row["parent"][1]:
+            q1, p, q3 = row["parent"]
+            detail += f", parent spread (q3 - q1) / median {(q3 - q1) / p:.3f}"
+        lines.append(f"{name} verdict: {verdict(row, bound)} ({detail})")
     return "\n".join(lines)
 
 
@@ -196,7 +232,7 @@ def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
     # Read from both checkouts before the first pair, so that a missing file stops the run at once.
     checked = [args.aa] if args.aa else [args.parent, args.change]
     try:
-        better = [directions(checkout) for checkout in checked][-1]
+        better, bounds = [read_metrics(checkout) for checkout in checked][-1]
     except FileNotFoundError as exc:
         print(f"error: {exc.filename} not found", file=sys.stderr)
         return 2
@@ -229,7 +265,9 @@ def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
     incorrect = {side: sum(1 for r in new[side] if not r["result"].get("correct")) for side in SIDES}
     print(f"{args.workload}, {len(args.seeds)} pairs, median [q1, q3] per side; incorrect runs: "
           + ", ".join(f"{side} {n}" for side, n in incorrect.items()))
-    print(format_rows(compare(new, better)))
+    rows = compare(new, better)
+    print(format_rows(rows))
+    print(format_verdicts(rows, bounds))
     return 1 if any(incorrect.values()) else 0
 
 

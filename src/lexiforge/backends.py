@@ -106,8 +106,8 @@ class JsonlCollection:
             with open(self.path, "rb") as fh:
                 return key == savefile.key_of(fh)
 
-        saved = savefile.load(self.index_path, _INDEX_MAGIC, _INDEX_FORMAT, fits)
-        return saved[1] if saved and len(saved[1]) == _PARTS else None
+        saved = savefile.load(self.index_path, _INDEX_MAGIC, _INDEX_FORMAT, _PARTS, fits)
+        return saved[1] if saved else None
 
     def save(self, parts: Sequence) -> None:
         """Save ``parts`` as the collection's index, keyed on the bytes they
@@ -139,7 +139,8 @@ def _build_index(documents: Iterable[dict]) -> tuple:
         # case-ignorable, so it ends a final-sigma context as a token end does.
         joined = " ".join(WORD_RE.findall(text)).lower()
         spaced.append(f" {joined} ")
-        for token in set(joined.split(" ")) if joined else ():
+        # First-seen order, unlike a set's, keeps the saved bytes free of string hashing.
+        for token in dict.fromkeys(joined.split(" ")) if joined else ():
             docs = token_docs.get(token)
             if docs is None:
                 token_docs[token] = [idx]

@@ -7,7 +7,8 @@ it reads its units only from the file ``extract`` writes), ``evaluate``
 phrase) and ``cache`` (inspect or compact a response cache). The scripts
 run these commands rather than wiring the layers themselves. Exit codes:
 0 success, 2 usage, configuration or input error, 3 finished but some
-units are still unresolved at the oracle.
+units are still unresolved at the oracle, or (``world``) the oracle could
+not answer.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .config import BACKENDS, TAGSETS, ConfigError, InputError, RunConfig, load_
 from .corpus import parse_tagged_corpus
 from .dictionary import load_dictionary, route_ulc
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
-from .oracle import ResponseCache, SearchOracle, compact
+from .oracle import OracleError, ResponseCache, SearchOracle, compact
 from .pipeline import read_lexicon, run_pipeline, summarize, write_report
 from .evaluation import GoldError, compute_metrics, format_metrics, load_gold
 from .phase2 import WorldContext, build_lexical_world, write_world
@@ -249,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, GoldError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OracleError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNRESOLVED
 
 
 if __name__ == "__main__":

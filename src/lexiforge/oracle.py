@@ -25,7 +25,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Protocol
+from typing import BinaryIO, Iterable, Protocol
 
 from . import savefile
 from .config import RunConfig
@@ -149,34 +149,17 @@ def _parse_record(line: bytes) -> tuple[tuple[str, tuple[str, ...], str, str], i
 
 
 # The snapshot beside a cache file (see ``savefile``), keyed on the bytes of
-# the complete lines it covers. Its first part holds the number of those
-# lines, the line numbers of the corrupt records among them, the
+# the complete lines it covers, in two parts. The first holds the number of
+# those lines, the line numbers of the corrupt records among them, the
 # lexical-world counts of its SNIPPETS records (cache key, then a tagger's
 # table CRC-32, then what that tagger's ``count`` returned for the record's
-# texts), and where each SNIPPETS record is: the number of its texts, then
-# the offset, length and CRC-32 of its line in the cache file. Their texts
-# stay in that file, since a run with saved counts needs only their number.
-# Each later part holds about _SNAPSHOT_PART_BYTES of the other entries, in
-# file order, so that no load or save holds the bytes of the whole snapshot
-# at once.
+# texts), and where each snippet record, of either kind, is: the number of
+# its texts, then the offset, length and CRC-32 of its line in the cache
+# file. Their texts stay in that file, since a run with saved counts needs
+# only their number, and a run reads the others when it asks for them. The
+# second part holds the count records, by cache key.
 _SNAPSHOT_MAGIC = b"lexiforge-cache\n"
-_SNAPSHOT_FORMAT = 5  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
-_SNAPSHOT_PART_BYTES = 1 << 20
-
-
-def _snapshot_parts(lines: int, skipped: list[int], counts: dict, snippet_lines: dict, entries: dict) -> Iterator:
-    yield lines, skipped, counts, snippet_lines
-    part, size = {}, 0
-    for key, value in entries.items():
-        if key[0] == "SNIPPETS":
-            continue
-        part[key] = value
-        size += 64 + (sum(map(len, value)) if type(value) is list else 0)  # about its marshal bytes
-        if size >= _SNAPSHOT_PART_BYTES:
-            yield part
-            part, size = {}, 0
-    if part:
-        yield part
+_SNAPSHOT_FORMAT = 6  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
 
 
 class _CacheFile:
@@ -191,7 +174,7 @@ class _CacheFile:
         self.lock = threading.Lock()
 
     def texts(self, offset: int, length: int, crc: int) -> list[str]:
-        """The texts of the SNIPPETS line at ``offset``, read, checked and
+        """The texts of the snippet line at ``offset``, read, checked and
         parsed as the load parses it; OracleError if the line changed in
         place since the load, which no lexiforge write does."""
         try:
@@ -204,7 +187,7 @@ class _CacheFile:
 
 
 class _Texts(Sequence):
-    """The snippet texts of a SNIPPETS record that a load from the snapshot
+    """The texts of a snippet record that a load from the snapshot
     left in the cache file: its length is known at once, its texts are read
     from its line on first access."""
 
@@ -231,9 +214,6 @@ class _Texts(Sequence):
 
     def __iter__(self):
         return iter(self._list())
-
-    def __eq__(self, other):
-        return self._list() == other if isinstance(other, (list, _Texts)) else NotImplemented
 
 
 class ResponseCache:
@@ -262,11 +242,11 @@ class ResponseCache:
     Appends leave those lines as they are; a snapshot that no longer fits
     the file is rebuilt. Only ``close`` saves it, and only if this cache
     appended nothing and the snapshot lacks lines or counts it has. The
-    snapshot holds no snippet text: for each SNIPPETS record it holds the
-    number of its texts and where its line is. A load from it makes each
-    such entry a read-only sequence (``_Texts``) whose first item access
-    reads, checks and parses that record's line, once, from the file the
-    load checked.
+    snapshot holds no snippet text: for each snippet record, SNIPPETS or
+    MIXED_SNIPPETS, it holds the number of its texts and where its line is.
+    A load from it makes each such entry a read-only sequence (``_Texts``)
+    whose first item access reads, checks and parses that record's line,
+    once, from the file the load checked.
     """
 
     def __init__(self, path: str | Path):
@@ -282,9 +262,9 @@ class ResponseCache:
         # the snapshot on disk lacks some of those lines, or counts made since.
         self._covered: tuple[savefile.Key, int, list[int]] | None = None
         self._unsaved = False
-        # Each SNIPPETS record the load covered: the number of its texts and
+        # Each snippet record the load covered: the number of its texts and
         # the offset, length and CRC-32 of its line.
-        self._snippet_lines: dict[tuple, tuple[int, int, int, int]] = {}
+        self._text_lines: dict[tuple, tuple[int, int, int, int]] = {}
         if self.path.exists():
             self._load()
 
@@ -295,15 +275,14 @@ class ResponseCache:
             # A snapshot fits if made from the file's first bytes, which
             # leaves ``fh`` just after them.
             saved = savefile.load(
-                self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, lambda key: key == savefile.key_of(fh, key[1])
+                self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, 2, lambda key: key == savefile.key_of(fh, key[1])
             )
             if saved:
-                (crc, covered), ((lines, skipped, self._counts, self._snippet_lines), *parts) = saved
-                for part in parts:
-                    self._entries.update(part)
-                if self._snippet_lines:
+                (crc, covered), ((lines, skipped, self._counts, self._text_lines), hit_counts) = saved
+                self._entries.update(hit_counts)
+                if self._text_lines:
                     file = _CacheFile(fh)
-                    self._entries.update((key, _Texts(file, *line)) for key, line in self._snippet_lines.items())
+                    self._entries.update((key, _Texts(file, *line)) for key, line in self._text_lines.items())
                 for lineno in skipped:
                     log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
             else:
@@ -335,8 +314,8 @@ class ResponseCache:
                     continue
                 self._entries[key] = value
                 self._counts.pop(key, None)  # counted from the record this one replaces
-                if key[0] == "SNIPPETS":
-                    self._snippet_lines[key] = len(value), offset, len(raw_line), zlib.crc32(raw_line)
+                if type(value) is list:
+                    self._text_lines[key] = len(value), offset, len(raw_line), zlib.crc32(raw_line)
         self._covered = (crc, covered), lines, skipped
         self._unsaved = covered != saved_covered
 
@@ -396,10 +375,11 @@ class ResponseCache:
                 self._append.close()
                 self._append = None
             if self._unsaved and self._covered is not None:
-                key, lines, skipped = self._covered
+                covered, lines, skipped = self._covered
+                hit_counts = {key: value for key, value in self._entries.items() if type(value) is int}
                 savefile.save(
-                    self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, key,
-                    _snapshot_parts(lines, skipped, self._counts, self._snippet_lines, self._entries),
+                    self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, covered,
+                    [(lines, skipped, self._counts, self._text_lines), hit_counts],
                 )
             self._unsaved = False
 
@@ -554,7 +534,7 @@ class SearchOracle:
             return snippets, tagger.count(snippets)
         return snippets, self._cache.counts(query, snippets, tagger)
 
-    def mixed_snippets(self, phrase: str, lang: str, limit: int) -> list[str]:
+    def mixed_snippets(self, phrase: str, lang: str, limit: int) -> Sequence[str]:
         return self.execute(
             OracleQuery(QueryKind.MIXED_SNIPPETS, (phrase,), lang_restrict=lang, limit=limit)
         )

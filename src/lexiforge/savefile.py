@@ -5,14 +5,15 @@ cache, with the lexical-world counts of its snippets, are saved files.
 
 A saved file is a header, then one record per part: the part's length, its
 CRC-32 and its ``marshal`` bytes. marshal, unlike pickle, runs no code on
-load. The header names the kind of file, its format and the marshal
-version, and holds a key: the CRC-32 and length of the source bytes the
-parts were made from. Like a stale ``.pyc``, a saved file that is missing,
-of another kind or format, stale, torn or corrupt is not an error: it loads
-as None, and its owner makes it again. Since the key pins the source
+load. Each kind of file has a fixed number of parts. The header names the
+kind of file, its format and the marshal version, and holds a key: the
+CRC-32 and length of the source bytes the parts were made from. Like a
+stale ``.pyc``, a saved file that is missing, of another kind or format,
+stale, torn, corrupt or of another number of parts is not an error: it
+loads as None, and its owner makes it again. Since the key pins the source
 bytes, a part may point into them instead of copying them: the cache
 snapshot holds the offset, length and CRC-32 of the lines that hold the
-snippet texts, not the texts.
+snippet texts of either kind, not the texts.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ def key_of(fh: BinaryIO, limit: int = -1) -> Key:
     return crc, size
 
 
-def load(path: Path, magic: bytes, fmt: int, fits: Callable[[Key], bool]) -> tuple[Key, list] | None:
-    """The key and the parts of the saved file at ``path``, each part read,
-    checked and decoded before the next, if the file is a ``magic`` file of
-    format ``fmt`` whose key ``fits``; else None. Every file is saved with
-    a part, so one without is torn after its header and loads as None."""
+def load(path: Path, magic: bytes, fmt: int, n_parts: int, fits: Callable[[Key], bool]) -> tuple[Key, list] | None:
+    """The key and the ``n_parts`` parts of the saved file at ``path``,
+    each part read, checked and decoded before the next, if the file is a
+    ``magic`` file of format ``fmt`` whose key ``fits`` and which holds
+    exactly ``n_parts`` parts; else None."""
     try:
         with open(path, "rb") as fh:
             left = os.fstat(fh.fileno()).st_size - _HEADER.size
@@ -58,7 +59,7 @@ def load(path: Path, magic: bytes, fmt: int, fits: Callable[[Key], bool]) -> tup
             if header != [magic, fmt, marshal.version] or not fits((crc, size)):
                 return None
             parts = []
-            while left:
+            for _ in range(n_parts):
                 length, part_crc = _RECORD.unpack(fh.read(_RECORD.size))
                 left -= _RECORD.size + length
                 if left < 0:  # a torn file, or a length no read may trust
@@ -68,7 +69,7 @@ def load(path: Path, magic: bytes, fmt: int, fits: Callable[[Key], bool]) -> tup
                     return None
                 parts.append(marshal.loads(data))
                 del data
-            return ((crc, size), parts) if parts else None
+            return None if left else ((crc, size), parts)
     except (OSError, struct.error, EOFError, ValueError, TypeError):
         return None
 

@@ -285,6 +285,16 @@ def test_world_subcommand_prints_profile(capsys):
     assert "pension:" in fields[3]
 
 
+def test_world_ends_an_oracle_failure_in_one_line(capsys):
+    code, out, err = run(
+        ["world", "--phrase", "nulle part", "--lang", "fr", "--offline", "--cache", str(DATA / "e2e.cache")],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: offline: no cached response for ('SNIPPETS', ('nulle part',), '-', '1000')\n"
+
+
 @pytest.mark.parametrize("command", ["world", "extract"])
 @pytest.mark.parametrize("flag", ["--source-lang", "--target-lang"])
 def test_language_pair_flags_are_usage_errors_where_unread(capsys, command, flag):

@@ -361,6 +361,8 @@ def test_torn_or_garbage_index_file_is_rebuilt_and_rewritten(data):
                 st.binary(min_size=1).map(lambda tail: good + tail),
                 # An index of format 1, whose parts held the documents as tuples.
                 st.just(good[:16] + (1).to_bytes(4, "little") + good[20:]),
+                st.just(good + part_records(good)[-1]),  # one part more
+                st.just(b"".join(part_records(good)[:-1])),  # one part fewer
             )
         )
         saved.write_bytes(bad)
@@ -371,6 +373,37 @@ def test_torn_or_garbage_index_file_is_rebuilt_and_rewritten(data):
         query = OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=10)
         assert index.execute(query) == fresh.execute(query)
     assert len(index) == len(DOCS)
+
+
+def part_records(saved):
+    """The bytes of a saved file: its header, then the record of each part."""
+    records, at = [saved[: savefile._HEADER.size]], savefile._HEADER.size
+    while at < len(saved):
+        length, _ = savefile._RECORD.unpack_from(saved, at)
+        records.append(saved[at : at + savefile._RECORD.size + length])
+        at += savefile._RECORD.size + length
+    return records
+
+
+INDEX_BUILDER = """
+import sys
+from lexiforge.backends import LocalIndexBackend
+
+LocalIndexBackend.from_jsonl(sys.argv[1])
+"""
+
+
+def test_the_saved_index_does_not_depend_on_string_hashing(tmp_path):
+    saved = []
+    for seed in ("1", "2"):
+        path = tmp_path / seed / "docs.jsonl"
+        path.parent.mkdir()
+        shutil.copyfile(Path(__file__).parent / "data" / "docs.jsonl", path)
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", INDEX_BUILDER, str(path)], env=env, check=True, timeout=60)
+        saved.append(Path(f"{path}.index").read_bytes())
+    assert saved[0] == saved[1]
 
 
 @contextlib.contextmanager
@@ -1069,8 +1102,8 @@ def test_worlds_from_saved_counts_equal_worlds_recounted(steps):
 @pytest.mark.parametrize(
     "damage",
     [
-        "none", "torn", "header alone", "corrupt part", "stale key",
-        "other format", "format 3", "format 4", "other marshal version", "other kind",
+        "none", "torn", "header alone", "one part fewer", "one part more", "corrupt part", "stale key",
+        "other format", "format 3", "format 4", "format 5", "other marshal version", "other kind",
     ],
 )
 def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, damage):
@@ -1082,6 +1115,10 @@ def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, d
         snapshot.write_bytes(good[:-10])
     elif damage == "header alone":  # torn before its first part
         snapshot.write_bytes(good[: savefile._HEADER.size])
+    elif damage == "one part fewer":
+        snapshot.write_bytes(b"".join(part_records(good)[:-1]))
+    elif damage == "one part more":
+        snapshot.write_bytes(good + part_records(good)[-1])
     elif damage == "corrupt part":
         snapshot.write_bytes(good[:-5] + bytes([good[-5] ^ 1]) + good[-4:])
     elif damage == "stale key":  # an edit of the cache that keeps its size
@@ -1092,6 +1129,8 @@ def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, d
         snapshot.write_bytes(good[:16] + (3).to_bytes(4, "little") + good[20:])
     elif damage == "format 4":  # the format that held a copy of the snippet texts in its last parts
         snapshot.write_bytes(good[:16] + (4).to_bytes(4, "little") + good[20:])
+    elif damage == "format 5":  # the format that held a copy of the MIXED_SNIPPETS texts in its later parts
+        snapshot.write_bytes(good[:16] + (5).to_bytes(4, "little") + good[20:])
     elif damage == "other marshal version":
         snapshot.write_bytes(good[:20] + (marshal.version + 1).to_bytes(4, "little") + good[24:])
     elif damage == "other kind":
@@ -1251,11 +1290,16 @@ CAISSE_0 = OracleQuery(QueryKind.SNIPPETS, ("caisse 0",), limit=5)  # the first 
 
 def test_the_snapshot_holds_no_snippet_text(tmp_path, line_reads):
     path, texts = long_snippets(tmp_path)
+    mixed = OracleQuery(QueryKind.MIXED_SNIPPETS, ("caisse 0",), lang_restrict="en", limit=5)
+    texts[mixed.cache_key()] = ["the caisse 0 " + "y" * 100_000]
+    recording = ResponseCache(path)
+    recording.put(mixed, texts[mixed.cache_key()])
+    recording.close()
     ResponseCache(path).close()
     snapshot = Path(f"{path}.snapshot")
-    assert snapshot.stat().st_size < len(texts[CAISSE_0.cache_key()][1])
+    assert snapshot.stat().st_size < len(texts[mixed.cache_key()][0])
     cache = ResponseCache(path)
-    assert entries_of(cache) == texts and len(line_reads) == 12
+    assert entries_of(cache) == texts and len(line_reads) == 13
 
 
 def test_a_warm_translate_decodes_no_snippet_text(tmp_path, line_reads, capsys):
@@ -1272,11 +1316,16 @@ def test_a_warm_translate_decodes_no_snippet_text(tmp_path, line_reads, capsys):
 
     parsed = translate(tmp_path / "parsed")  # counts with both taggers, then saves the snapshot
     snapshot = Path(f"{cache}.snapshot")
-    _, (first, *_) = savefile.load(snapshot, oracle._SNAPSHOT_MAGIC, oracle._SNAPSHOT_FORMAT, lambda key: True)
-    assert len(first[3]) == 22  # the SNIPPETS records whose lines the snapshot points to
+    _, (first, _) = savefile.load(snapshot, oracle._SNAPSHOT_MAGIC, oracle._SNAPSHOT_FORMAT, 2, lambda key: True)
+    assert len(first[3]) == 28  # the snippet records, of both kinds, whose lines the snapshot points to
     before = snapshot.read_bytes()
     assert translate(tmp_path / "replayed") == parsed
-    assert line_reads == [] and snapshot.read_bytes() == before
+    # Phase 3 reads the MIXED_SNIPPETS lines it mines, each once; the
+    # SNIPPETS texts are counted already.
+    data = cache.read_bytes()
+    assert line_reads and len(line_reads) == len(set(line_reads))
+    assert all(data[offset:].startswith(b"MIXED_SNIPPETS\t") for offset, _ in line_reads)
+    assert snapshot.read_bytes() == before
     capsys.readouterr()
 
 

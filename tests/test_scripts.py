@@ -106,6 +106,35 @@ def test_bench_pairs_flips_the_order_and_reports_quartiles_and_wins(tmp_path, ca
     assert bench["code"] == "def5678"
 
 
+def test_bench_pairs_gives_each_end_to_end_metric_a_no_regression_verdict(tmp_path, capsys):
+    bench_pairs = load_bench_pairs()
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "lexiforge").mkdir(parents=True)
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", checkout)
+
+    def stub_run(path, workload, seed, seconds, trace):
+        change = path != checkout
+        values = {
+            "units_per_s": (100 + seed) * (0.9 if change else 1),  # 10% worse, bound 25%
+            "cpu_s": (1 + seed / 100) * (1.5 if change else 1),  # 50% worse, bound 25%
+            "peak_rss_mb": 10.0 * seed - (1 if change else 0),  # parent spread 60%, bound 10%
+            "setup_s": 0.5 if change else float(seed),  # spread 60%, but every change run is better
+        }  # queries_per_unit: no run reports it
+        metrics = {name: {"value": value} for name, value in values.items()}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    argv = ["--aa", str(checkout), "--workload", "cold-local", "--seeds", "1-4", "--label", "t",
+            "--out-dir", str(tmp_path)]
+    assert bench_pairs.main(argv, run=stub_run) == 0
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "units_per_s verdict: within bound (bound 0.25, parent spread (q3 - q1) / median 0.015)",
+        "queries_per_unit verdict: unresolved: no pair reports it (bound 0.05)",
+        "cpu_s verdict: worse beyond bound (bound 0.25, parent spread (q3 - q1) / median 0.015)",
+        "peak_rss_mb verdict: unresolved (bound 0.1, parent spread (q3 - q1) / median 0.600)",
+        "setup_s verdict: within bound (bound 0.25, parent spread (q3 - q1) / median 0.600)",
+    ]
+
+
 def test_bench_pairs_makes_a_missing_out_dir_before_the_first_pair(tmp_path, capsys):
     bench_pairs = load_bench_pairs()
     checkout = tmp_path / "checkout"
