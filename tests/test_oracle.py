@@ -1324,7 +1324,7 @@ def test_a_warm_translate_decodes_no_snippet_text(tmp_path, line_reads, capsys):
     # SNIPPETS texts are counted already.
     data = cache.read_bytes()
     assert line_reads and len(line_reads) == len(set(line_reads))
-    assert all(data[offset:].startswith(b"MIXED_SNIPPETS\t") for offset, _ in line_reads)
+    assert all(data.startswith(b"MIXED_SNIPPETS\t", offset) for offset, _ in line_reads)
     assert snapshot.read_bytes() == before
     capsys.readouterr()
 
