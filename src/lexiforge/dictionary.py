@@ -16,10 +16,14 @@ import enum
 from pathlib import Path
 from typing import Iterable, TextIO
 
+from . import savefile
 from .config import InputError, read_rows
 from .extraction import D_APOSTROPHE_SURFACES, DE_SURFACES, SourceUlc, UlcPattern
 
 LINK_WORDS = DE_SURFACES | D_APOSTROPHE_SURFACES
+
+_PARSE_MAGIC = b"lexiforge-bidict"  # a dictionary file's saved parse (``savefile.parsed``)
+_PARSE_FORMAT = 1  # bump when the two tables, or how ``load_dictionary`` fills them, change
 
 
 class Route(enum.Enum):
@@ -82,6 +86,11 @@ def _multiword_pair(lemma_field: str) -> tuple[str, str] | None:
 def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
     """Load a dictionary file; duplicate (lemma, pos) entries are merged.
     A malformed line raises ``InputError`` naming the file and line."""
+    if isinstance(source, (str, Path)):
+        dictionary = BilingualDictionary()
+        names = ("_entries", "_multiword")
+        dictionary._entries, dictionary._multiword = savefile.parsed(source, _PARSE_MAGIC, _PARSE_FORMAT, load_dictionary, names)
+        return dictionary
     entries = []
     multiword = []
     for path, lineno, (lemma, pos, translation_field) in read_rows(source, 3):

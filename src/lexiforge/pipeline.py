@@ -13,6 +13,7 @@ share one ``WorldContext`` and read every setting from its ``cfg``, a
 from __future__ import annotations
 
 import enum
+import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -157,37 +158,30 @@ def write_report(records: Sequence[TranslationRecord], out_dir: str | Path) -> t
     """Write the lexicon and summary files; returns their paths.
 
     Output is fully deterministic for given records, so re-runs against a
-    warm cache produce byte-identical files.
+    warm cache produce byte-identical files. Both are moved into place once
+    both are written, so a failed write keeps the previous run's files.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lexicon_path = out_dir / "lexicon.tsv"
-    summary_path = out_dir / "summary.tsv"
-
-    with open(lexicon_path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(
-                "\t".join(
-                    [
-                        record.source.surface,
-                        record.translation or "",
-                        record.phase.value,
-                        _score_summary(record.scores),
-                    ]
-                )
-                + "\n"
-            )
-
-    summary = summarize(records)
-    translated = summary["translated"]
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        for label, count in summary.items():
-            if label.startswith("phase\t"):
+    paths = out_dir / "lexicon.tsv", out_dir / "summary.tsv"
+    temps = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        with open(temps[0], "w", encoding="utf-8") as fh:
+            for record in records:
+                fields = (record.source.surface, record.translation or "", record.phase.value, _score_summary(record.scores))
+                fh.write("\t".join(fields) + "\n")
+        summary = summarize(records)
+        translated = summary["translated"]
+        with open(temps[1], "w", encoding="utf-8") as fh:
+            for label, count in summary.items():
                 share = (100.0 * count / translated) if translated else 0.0
-                fh.write(f"{label}\t{count}\t{share:.2f}%\n")
-            else:
-                fh.write(f"{label}\t{count}\n")
-    return lexicon_path, summary_path
+                fh.write(f"{label}\t{count}\t{share:.2f}%\n" if label.startswith("phase\t") else f"{label}\t{count}\n")
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+    return paths
 
 
 def read_lexicon(path: str | Path) -> list[tuple[str, str | None, Phase]]:

@@ -1,17 +1,18 @@
 """Saved files: what a run parsed or built from a source file, saved beside
-it so that later runs load it instead of doing that work again. The local
-index beside its document collection and the snapshot beside a response
-cache, with the lexical-world counts of its snippets, are saved files.
+it so that later runs load it instead of doing that work again: the local
+index of a document collection, the snapshot of a response cache with the
+lexical-world counts of its snippets, and the tables parsed from a
+dictionary or tagger lexicon file (``parsed``).
 
 A saved file is a header, then one record per part: the part's length, its
 CRC-32 and its ``marshal`` bytes. marshal, unlike pickle, runs no code on
-load. Each kind of file has a fixed number of parts. The header names the
-kind of file, its format and the marshal version, and holds a key: the
-CRC-32 and length of the source bytes the parts were made from. Like a
-stale ``.pyc``, a saved file that is missing, of another kind or format,
-stale, torn, corrupt or of another number of parts is not an error: it
-loads as None, and its owner makes it again. Since the key pins the source
-bytes, a part may point into them instead of copying them: the cache
+load. Each kind of file has a fixed number of parts. The header holds a
+16-byte magic naming the kind of file, the format, the marshal version and
+a key: the CRC-32 and length of the source bytes the parts were made from.
+Like a stale ``.pyc``, a saved file that is missing, of another kind or
+format, stale, torn, corrupt or of another number of parts is not an error:
+it loads as None, and its owner makes it again. Since the key pins the
+source bytes, a part may point into them instead of copying them: the cache
 snapshot holds the offset, length and CRC-32 of the lines that hold the
 snippet texts of either kind, not the texts.
 """
@@ -19,13 +20,16 @@ snippet texts of either kind, not the texts.
 from __future__ import annotations
 
 import contextlib
+import io
 import marshal
 import os
 import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Callable, Iterable, TextIO
+
+from .config import open_utf8
 
 Key = tuple[int, int]  # CRC-32 and length of source bytes
 
@@ -52,6 +56,8 @@ def load(path: Path, magic: bytes, fmt: int, n_parts: int, fits: Callable[[Key],
     each part read, checked and decoded before the next, if the file is a
     ``magic`` file of format ``fmt`` whose key ``fits`` and which holds
     exactly ``n_parts`` parts; else None."""
+    if len(magic) != 16:  # the header would pad it, and no load would match
+        raise ValueError(f"a magic of {len(magic)} bytes, not 16")
     try:
         with open(path, "rb") as fh:
             left = os.fstat(fh.fileno()).st_size - _HEADER.size
@@ -78,6 +84,8 @@ def save(path: Path, magic: bytes, fmt: int, key: Key, parts: Iterable) -> None:
     """Write ``parts``, each marshalled and written before the next, under a
     unique temporary name, then move it over ``path``. A directory that
     refuses the write keeps no file."""
+    if len(magic) != 16:
+        raise ValueError(f"a magic of {len(magic)} bytes, not 16")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "xb") as fh:
@@ -91,3 +99,22 @@ def save(path: Path, magic: bytes, fmt: int, key: Key, parts: Iterable) -> None:
     except OSError:
         with contextlib.suppress(OSError):
             tmp.unlink()
+
+
+def parsed(path: str | Path, magic: bytes, fmt: int, parse: Callable[[TextIO], object], names: tuple[str, ...]) -> list:
+    """The attributes ``names`` of what ``parse`` makes of the UTF-8 file at
+    ``path``, read once: loaded from ``<path>.parsed`` if saved from the same
+    bytes, else parsed from them and, for a regular file, saved there."""
+    data = Path(path).read_bytes()
+    key, saved_path, regular = (zlib.crc32(data), len(data)), Path(f"{path}.parsed"), Path(path).is_file()
+    saved = regular and load(saved_path, magic, fmt, len(names), lambda found: found == key)
+    if saved:
+        return saved[1]
+    buffer = io.BytesIO(data)
+    buffer.name = path  # names the file in ``InputError``
+    with open_utf8(path, buffer) as fh:
+        made = parse(fh)
+    parts = [getattr(made, name) for name in names]
+    if regular:
+        save(saved_path, magic, fmt, key, parts)
+    return parts

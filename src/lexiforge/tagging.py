@@ -30,8 +30,12 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Protocol, TextIO
 
+from . import savefile
 from .backends import tokenize
 from .config import read_rows
+
+_PARSE_MAGIC = b"lexiforge-tagger"  # a lexicon file's saved parse (``savefile.parsed``)
+_PARSE_FORMAT = 1  # bump when the table or table_crc, or how they are made, change
 
 
 class SnippetTagger(Protocol):
@@ -75,7 +79,12 @@ class LexiconTagger:
 
     @classmethod
     def from_file(cls, source: TextIO | str | Path) -> "LexiconTagger":
-        return cls(fields for _, _, fields in read_rows(source, 3))
+        """The tagger of a lexicon file, saved beside it if it is at a path."""
+        if not isinstance(source, (str, Path)):
+            return cls(fields for _, _, fields in read_rows(source, 3))
+        tagger = cls(())
+        tagger._table, tagger.table_crc = savefile.parsed(source, _PARSE_MAGIC, _PARSE_FORMAT, cls.from_file, ("_table", "table_crc"))
+        return tagger
 
     def tag(self, text: str) -> list[tuple[str, str]]:
         table = self._table

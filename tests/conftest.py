@@ -1,5 +1,9 @@
+import contextlib
+import os
+
 import pytest
 
+import lexiforge.savefile as savefile
 from lexiforge.config import RunConfig
 from lexiforge.dictionary import BilingualDictionary
 from lexiforge.extraction import SourceUlc, UlcPattern
@@ -88,3 +92,25 @@ def make_oracle(backend=None, **kwargs):
 @pytest.fixture
 def data_dir(tmp_path):
     return tmp_path
+
+
+@contextlib.contextmanager
+def refusing_saved_files(monkeypatch, directory, refused):
+    """``directory`` refuses to create (``"create"``) or to move into place
+    (``"replace"``) a saved file while the block runs."""
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    # The mode bits refuse a user other than root; the patches refuse root.
+    if refused == "create":
+        monkeypatch.setattr(savefile, "open", lambda file, mode="r", *a, **kw: (
+            refuse() if "x" in mode else open(file, mode, *a, **kw)), raising=False)
+    else:
+        monkeypatch.setattr(os, "replace", refuse)
+    directory.chmod(0o555)
+    try:
+        yield
+    finally:
+        directory.chmod(0o755)
+        monkeypatch.undo()

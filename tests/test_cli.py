@@ -210,10 +210,13 @@ def test_translate_out_dir_that_cannot_be_a_directory_exits_2_before_the_run(tmp
 def test_a_report_file_that_cannot_be_written_exits_2_in_one_line(tmp_path, capsys):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    (out_dir / "summary.tsv").symlink_to("/dev/full")  # every write fails: no space left
+    # The report is written under temporary names first; every write to
+    # this one fails: no space left.
+    (out_dir / f"summary.tsv.{os.getpid()}.tmp").symlink_to("/dev/full")
     code, out, err = run(translate_args(out_dir), capsys)
     assert code == 2
     assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+    assert list(out_dir.iterdir()) == []  # no report file, and no temporary one
 
 
 def test_translate_cold_cache_exits_3(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import io
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import lexiforge.dictionary as dictionary_module
 from lexiforge.config import InputError
 from lexiforge.dictionary import (
     BilingualDictionary,
@@ -12,7 +15,7 @@ from lexiforge.dictionary import (
 )
 from lexiforge.extraction import UlcPattern
 
-from conftest import make_dictionary, make_ulc
+from conftest import make_dictionary, make_ulc, refusing_saved_files
 
 SAMPLE_FILE = """\
 ambiance\tNOUN\tatmosphere
@@ -72,6 +75,84 @@ def test_multiword_translation_listed_twice_is_kept_once():
     # The underscore form is the same translation as the spaced one.
     d = load_dictionary(io.StringIO("caisse_claire\tNOUN\tsnare_drum|snare drum\n"))
     assert d.multiword_lookup("caisse", "claire") == ("snare drum",)
+
+
+def dictionary_file(tmp_path, text=SAMPLE_FILE):
+    path = tmp_path / "dictionary.tsv"
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    return path
+
+
+def assert_same_dictionary(d, parsed):
+    assert d._entries == parsed._entries and d._multiword == parsed._multiword and len(d) == len(parsed)
+    for lemma, pos in [("caisse", "NOUN"), ("clair", "ADJ"), ("ambiance", "NOUN"), ("absent", "NOUN")]:
+        assert d.lookup(lemma, pos) == parsed.lookup(lemma, pos)
+    for pair in [("caisse", "clair"), ("pomme", "terre"), ("caisse", "absent")]:
+        assert d.multiword_lookup(*pair) == parsed.multiword_lookup(*pair)
+
+
+def test_a_dictionary_file_loads_the_parse_saved_beside_it(tmp_path, monkeypatch):
+    path = dictionary_file(tmp_path)
+    parsed = load_dictionary(io.StringIO(SAMPLE_FILE))
+    first = load_dictionary(path)
+    assert Path(f"{path}.parsed").is_file()
+    monkeypatch.setattr(dictionary_module, "read_rows", lambda *args: pytest.fail("parsed again"))
+    for d in (first, load_dictionary(path), load_dictionary(str(path))):
+        assert_same_dictionary(d, parsed)
+    assert len(parsed) == 7 and parsed.multiword_lookup("caisse", "clair") == ("snare drum",)
+
+
+def test_a_dictionary_edit_that_keeps_the_file_size_is_parsed_again(tmp_path):
+    path = dictionary_file(tmp_path)
+    load_dictionary(path)
+    saved = Path(f"{path}.parsed").read_bytes()
+    edited = SAMPLE_FILE.replace("atmosphere", "atmosphera")
+    path.write_text(edited, encoding="utf-8")
+    d = load_dictionary(path)
+    assert d.lookup("ambiance", "NOUN") == ("atmosphera",)
+    assert_same_dictionary(d, load_dictionary(io.StringIO(edited)))
+    assert Path(f"{path}.parsed").read_bytes() != saved
+    assert_same_dictionary(load_dictionary(path), d)
+
+
+@pytest.mark.parametrize("damage", ["torn", "corrupt", "empty"])
+def test_a_damaged_saved_dictionary_parse_is_ignored_and_rewritten(tmp_path, damage):
+    path = dictionary_file(tmp_path)
+    load_dictionary(path)
+    saved = Path(f"{path}.parsed")
+    good = saved.read_bytes()
+    saved.write_bytes({"torn": good[: len(good) // 2], "corrupt": good[:-1] + bytes([good[-1] ^ 1]), "empty": b""}[damage])
+    assert_same_dictionary(load_dictionary(path), load_dictionary(io.StringIO(SAMPLE_FILE)))
+    assert saved.read_bytes() == good
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"a\tNOUN\tx\nbad line\n", "2: expected 3 tab-separated fields, got 1"),
+    (b"a\tNOUN\tx\na_de\tNOUN\ty\n", "2: multiword lemma 'a_de' does not reduce to a (head, modifier) pair"),
+    (b"a\tNOUN\tx\n\xe9\tNOUN\ty\n", "2: not valid UTF-8"),
+])
+def test_a_malformed_dictionary_file_raises_its_line_and_saves_no_parse(tmp_path, text, message):
+    path = dictionary_file(tmp_path, text)
+    with pytest.raises(InputError, match=re.escape(f"{path}:{message}")):
+        load_dictionary(path)
+    assert not Path(f"{path}.parsed").exists()
+    # Nor does a parse saved from the file before it went bad stand in for it.
+    path.write_text(SAMPLE_FILE, encoding="utf-8")
+    load_dictionary(path)
+    path.write_bytes(text)
+    with pytest.raises(InputError, match=re.escape(f"{path}:{message}")):
+        load_dictionary(str(path))
+
+
+@pytest.mark.parametrize("refused", ["create", "replace"])
+def test_no_dictionary_parse_is_saved_from_a_refusing_directory_or_a_stream(tmp_path, monkeypatch, refused):
+    path = dictionary_file(tmp_path)
+    with refusing_saved_files(monkeypatch, tmp_path, refused):
+        assert_same_dictionary(load_dictionary(path), load_dictionary(io.StringIO(SAMPLE_FILE)))
+    assert list(tmp_path.iterdir()) == [path]
+    with open(path, encoding="utf-8") as fh:
+        assert len(load_dictionary(fh)) == 7
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_classify_non_polysemous():

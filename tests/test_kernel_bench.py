@@ -6,6 +6,7 @@ Few rounds each, so they add well under a second to the suite; the
 end-to-end numbers come from ``perfbench/run.py``.
 """
 
+import io
 import json
 import random
 import tracemalloc
@@ -126,6 +127,27 @@ def test_bench_recorded_cache_load(benchmark, tmp_path, snapshot):
 
     cache = benchmark.pedantic(ResponseCache, setup=setup, rounds=5)
     assert len(cache) == 300 and saved.is_file() is snapshot
+
+
+@pytest.mark.parametrize("saved", [False, True], ids=["parsed", "saved"])
+def test_bench_tagger_from_file(benchmark, tmp_path, saved):
+    # A lexicon file of 8,000 rows, about the size of each benchmark
+    # lexicon: parsed, which saves the parse beside it, or loaded from that.
+    rng = random.Random(3)
+    words = {"".join(rng.choice("abcdefghijklmnopqrstuvwxyzéè") for _ in range(rng.randint(3, 12))) for _ in range(8_000)}
+    text = "".join(f"{word}\t{rng.choice(['NOUN', 'ADJ', 'VERB'])}\t{word[:-1] if rng.random() < 0.3 else word}\n" for word in words)
+    path = tmp_path / "tagger.tsv"
+    path.write_text(text, encoding="utf-8")
+    parse = Path(f"{path}.parsed")
+
+    def setup():
+        if not saved:
+            parse.unlink(missing_ok=True)
+        return (path,), {}
+
+    tagger = benchmark.pedantic(LexiconTagger.from_file, setup=setup, rounds=5)
+    assert len(tagger) == len(words) and parse.is_file()
+    assert tagger.table_crc == LexiconTagger.from_file(io.StringIO(text)).table_crc
 
 
 def test_a_snapshot_load_leaves_the_snippet_texts_in_the_file(tmp_path):

@@ -1,4 +1,3 @@
-import contextlib
 import email.utils
 import json
 import logging
@@ -43,7 +42,7 @@ from lexiforge.oracle import (
 from lexiforge.phase2 import build_lexical_world
 from lexiforge.tagging import LexiconTagger
 
-from conftest import FakeBackend
+from conftest import FakeBackend, refusing_saved_files
 
 DOCS = [
     {"id": "fr1", "lang": "fr", "text": "La caisse centrale finance la caisse de retraite."},
@@ -404,28 +403,6 @@ def test_the_saved_index_does_not_depend_on_string_hashing(tmp_path):
         subprocess.run([sys.executable, "-c", INDEX_BUILDER, str(path)], env=env, check=True, timeout=60)
         saved.append(Path(f"{path}.index").read_bytes())
     assert saved[0] == saved[1]
-
-
-@contextlib.contextmanager
-def refusing_saved_files(monkeypatch, directory, refused):
-    """``directory`` refuses to create (``"create"``) or to move into place
-    (``"replace"``) a saved file while the block runs."""
-
-    def refuse(*args, **kwargs):
-        raise PermissionError(13, "Permission denied")
-
-    # The mode bits refuse a user other than root; the patches refuse root.
-    if refused == "create":
-        monkeypatch.setattr(savefile, "open", lambda file, mode="r", *a, **kw: (
-            refuse() if "x" in mode else open(file, mode, *a, **kw)), raising=False)
-    else:
-        monkeypatch.setattr(os, "replace", refuse)
-    directory.chmod(0o555)
-    try:
-        yield
-    finally:
-        directory.chmod(0o755)
-        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("refused", ["create", "replace"])

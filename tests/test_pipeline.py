@@ -1,3 +1,5 @@
+import errno
+import os
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -6,6 +8,7 @@ from tempfile import TemporaryDirectory
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import lexiforge.pipeline as pipeline
 from lexiforge.dictionary import BilingualDictionary
 from lexiforge.extraction import UlcPattern
 from lexiforge.generation import build_validation_query
@@ -247,6 +250,27 @@ def test_write_report_deterministic_and_readable(tmp_path):
     assert sum1.read_bytes() == sum2.read_bytes()
 
     assert read_lexicon(lex1) == [(r.source.surface, r.translation, r.phase) for r in records]
+
+
+def test_a_failed_report_write_keeps_the_previous_run_files(tmp_path, monkeypatch):
+    units, dictionary, backend = build_50_clu_fixture()
+    records = run_pipeline(units, make_ctx(backend, dictionary))
+    paths = write_report(records, tmp_path)
+    before = [path.read_bytes() for path in paths]
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if "summary" in str(file):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        write_report(records[:3], tmp_path)  # another run, whose summary write fails
+    assert [path.read_bytes() for path in paths] == before
+    assert sorted(tmp_path.iterdir()) == sorted(paths)  # no temporary file is left
+    monkeypatch.undo()
+    assert write_report(records[:3], tmp_path) == paths
+    assert len(paths[0].read_text(encoding="utf-8").splitlines()) == 3
 
 
 def test_warm_cache_pipeline_replay_zero_backend_calls(tmp_path):

@@ -1,13 +1,20 @@
 import io
+import re
 import sys
 import threading
 from collections import Counter
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import lexiforge.tagging as tagging
 from lexiforge.backends import tokenize
+from lexiforge.config import InputError
 from lexiforge.tagging import LexiconTagger, default_tagger, load_stopwords
+
+from conftest import refusing_saved_files
 
 
 def test_tokenize_splits_on_punctuation_and_digits():
@@ -141,6 +148,94 @@ def test_table_entries_share_their_strings():
     table = LexiconTagger(entries)._table
     assert [lemma is key for key, (lemma, _) in table.items()] == [True, True, False]
     assert all(pos is sys.intern(pos) for _, pos in table.values())
+
+
+def lexicon_file(tmp_path, text=PINNED_ROWS):
+    path = tmp_path / "lexicon.tsv"
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    return path
+
+
+def assert_same_tagger(tagger, parsed):
+    assert tagger._table == parsed._table and len(tagger) == len(parsed)
+    assert tagger.table_crc == parsed.table_crc
+    text = "CAISSE caisses Étude musicale inconnue ΟΔΟΣ"
+    assert tagger.tag(text) == parsed.tag(text) and tagger.count([text]) == parsed.count([text])
+
+
+def test_a_lexicon_file_loads_the_parse_saved_beside_it(tmp_path, monkeypatch):
+    path = lexicon_file(tmp_path)
+    parsed = LexiconTagger.from_file(io.StringIO(PINNED_ROWS))
+    first = LexiconTagger.from_file(path)
+    assert Path(f"{path}.parsed").is_file()
+    monkeypatch.setattr(tagging, "read_rows", lambda *args: pytest.fail("parsed again"))
+    loaded = LexiconTagger.from_file(path)
+    for tagger in (first, loaded):
+        assert_same_tagger(tagger, parsed)
+        assert tagger.table_crc == 4286498446  # as pinned: saved world counts still match
+    # A loaded table shares its strings as a parsed one does.
+    def shared(tagger):
+        return [lemma is key for key, (lemma, _) in tagger._table.items()]
+
+    assert shared(loaded) == shared(parsed) and any(shared(parsed))
+    assert all(pos is sys.intern(pos) for _, pos in loaded._table.values())
+
+
+def test_an_edit_that_keeps_the_file_size_is_parsed_again(tmp_path):
+    path = lexicon_file(tmp_path)
+    LexiconTagger.from_file(path)
+    saved = Path(f"{path}.parsed").read_bytes()
+    edited = PINNED_ROWS.replace("Musicale\tADJ\tMusical", "Musicale\tADJ\tMusicam")
+    path.write_text(edited, encoding="utf-8")
+    tagger = LexiconTagger.from_file(path)
+    assert tagger.tag("musicale") == [("musicam", "ADJ")]
+    assert_same_tagger(tagger, LexiconTagger.from_file(io.StringIO(edited)))
+    assert Path(f"{path}.parsed").read_bytes() != saved
+    assert_same_tagger(LexiconTagger.from_file(path), tagger)
+
+
+@pytest.mark.parametrize("damage", ["torn", "corrupt", "empty"])
+def test_a_damaged_saved_parse_is_ignored_and_rewritten(tmp_path, damage):
+    path = lexicon_file(tmp_path)
+    LexiconTagger.from_file(path)
+    saved = Path(f"{path}.parsed")
+    good = saved.read_bytes()
+    saved.write_bytes({"torn": good[: len(good) // 2], "corrupt": good[:-1] + bytes([good[-1] ^ 1]), "empty": b""}[damage])
+    assert_same_tagger(LexiconTagger.from_file(path), LexiconTagger.from_file(io.StringIO(PINNED_ROWS)))
+    assert saved.read_bytes() == good
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"caisse\tNOUN\tcaisse\nonly two\tfields\n", "2: expected 3 tab-separated fields, got 2"),
+    (b"caisse\tNOUN\tcaisse\n\xff\tNOUN\tx\n", "2: not valid UTF-8"),
+])
+def test_a_malformed_lexicon_file_raises_its_line_and_saves_no_parse(tmp_path, text, message):
+    path = lexicon_file(tmp_path, text)
+    with pytest.raises(InputError, match=re.escape(f"{path}:{message}")):
+        LexiconTagger.from_file(path)
+    assert not Path(f"{path}.parsed").exists()
+    # Nor does a parse saved from the file before it went bad stand in for it.
+    path.write_text(PINNED_ROWS, encoding="utf-8")
+    LexiconTagger.from_file(path)
+    path.write_bytes(text)
+    with pytest.raises(InputError, match=re.escape(f"{path}:{message}")):
+        LexiconTagger.from_file(str(path))
+
+
+@pytest.mark.parametrize("refused", ["create", "replace"])
+def test_no_parse_is_saved_from_a_refusing_directory_a_stream_or_the_shipped_lexicons(tmp_path, monkeypatch, refused):
+    path = lexicon_file(tmp_path)
+    with refusing_saved_files(monkeypatch, tmp_path, refused):
+        assert LexiconTagger.from_file(path).table_crc == 4286498446
+    assert list(tmp_path.iterdir()) == [path]
+    with open(path, encoding="utf-8") as fh:
+        assert LexiconTagger.from_file(fh).table_crc == 4286498446
+    assert list(tmp_path.iterdir()) == [path]
+    shipped = resources.files("lexiforge.data")
+    before = sorted(entry.name for entry in shipped.iterdir())
+    default_tagger("fr"), default_tagger("en")
+    assert sorted(entry.name for entry in shipped.iterdir()) == before
+    assert not any(name.endswith(".parsed") for name in before)
 
 
 def test_stopword_lists_load():
