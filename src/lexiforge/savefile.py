@@ -106,7 +106,8 @@ def parsed(path: str | Path, magic: bytes, fmt: int, parse: Callable[[TextIO], o
     ``path``, read once: loaded from ``<path>.parsed`` if saved from the same
     bytes, else parsed from them and, for a regular file, saved there."""
     data = Path(path).read_bytes()
-    key, saved_path, regular = (zlib.crc32(data), len(data)), Path(f"{path}.parsed"), Path(path).is_file()
+    key, saved_path = (zlib.crc32(data), len(data)), Path(f"{path}.parsed")
+    regular = Path(path).is_file()
     saved = regular and load(saved_path, magic, fmt, len(names), lambda found: found == key)
     if saved:
         return saved[1]

@@ -79,7 +79,7 @@ class LexiconTagger:
 
     @classmethod
     def from_file(cls, source: TextIO | str | Path) -> "LexiconTagger":
-        """The tagger of a lexicon file, saved beside it if it is at a path."""
+        """The tagger of a lexicon file; a path's parse is saved beside it."""
         if not isinstance(source, (str, Path)):
             return cls(fields for _, _, fields in read_rows(source, 3))
         tagger = cls(())
