@@ -3,25 +3,24 @@
 * HttpBackend — generic HTTP search API client with rate limiting and retry,
   over one keep-alive ``http.client`` connection per worker thread.
 * LocalIndexBackend — document index over a local collection; counts are
-  true document counts, not engine estimates. A collection read from a
-  file saves its index beside it, and later runs load that.
+  true document counts, not engine estimates. A JSONL collection file is
+  read line by line through ``savefile.parsed``, which saves its index
+  beside it, and later runs load that.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import threading
 import time
-import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, TextIO
 
 from . import savefile
-from .config import InputError, RunConfig, open_utf8
+from .config import InputError, RunConfig
 from .oracle import OracleError, OracleQuery, QueryKind, is_count, split_or_query
 
 WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
@@ -47,73 +46,28 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in WORD_RE.findall(text)]
 
 
-class _SummedFile(io.FileIO):
-    """A file read in binary, summing up what was read: CRC-32 and length."""
-
-    crc = size = 0
-
-    def readinto(self, buffer) -> int:
-        n = super().readinto(buffer)
-        if n:
-            self.crc = zlib.crc32(memoryview(buffer)[:n], self.crc)
-            self.size += n
-        return n
-
-
-# A saved index (see ``savefile``) has the parts that ``_build_index``
+# A saved index (see ``savefile``) has the seven parts that ``_build_index``
 # returns. The id offsets and language codes are arrays in the host's byte
 # order.
 _INDEX_MAGIC = b"lexiforge-index\n"
 _INDEX_FORMAT = 2  # bump when the parts, or how ``_build_index`` builds them, change
-_PARTS = 7
 
 
-class JsonlCollection:
-    """The documents of a JSONL file, one object per line, and the index
-    saved beside it as ``<path>.index``, keyed on the CRC-32 and length of
-    exactly the bytes indexed. A path that is not a regular file gets no
-    saved index."""
-
-    def __init__(self, path: str | Path):
-        self.path = path
-        self.index_path = Path(f"{path}.index") if Path(path).is_file() else None
-        self.key: tuple[int, int] | None = None  # (CRC-32, length), once every line is read
-
-    def __iter__(self) -> Iterator[dict]:
-        raw = _SummedFile(self.path)
-        with open_utf8(self.path, io.BufferedReader(raw)) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(self.path, lineno, f"invalid JSON: {exc.msg}") from None
-                if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
-                    raise InputError(self.path, lineno, 'expected an object with a string "text"')
-                if not isinstance(doc.get("lang", ""), str):
-                    raise InputError(self.path, lineno, 'expected a string "lang"')
-                yield doc
-        self.key = (raw.crc, raw.size)
-
-    def load(self) -> list | None:
-        """The saved parts, if the saved index was built from the
-        collection's present bytes; else None, and the index is rebuilt."""
-        if self.index_path is None:
-            return None
-
-        def fits(key: savefile.Key) -> bool:
-            with open(self.path, "rb") as fh:
-                return key == savefile.key_of(fh)
-
-        saved = savefile.load(self.index_path, _INDEX_MAGIC, _INDEX_FORMAT, _PARTS, fits)
-        return saved[1] if saved else None
-
-    def save(self, parts: Sequence) -> None:
-        """Save ``parts`` as the collection's index, keyed on the bytes they
-        were built from."""
-        if self.index_path is not None and self.key is not None:
-            savefile.save(self.index_path, _INDEX_MAGIC, _INDEX_FORMAT, self.key, parts)
+def _read_jsonl(fh: TextIO) -> Iterator[dict]:
+    """The documents of a JSONL text stream, one object per line; a line
+    that is not one raises ``InputError`` naming the stream and line."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(fh.name, lineno, f"invalid JSON: {exc.msg}") from None
+        if not isinstance(doc, dict) or not isinstance(doc.get("text"), str):
+            raise InputError(fh.name, lineno, 'expected an object with a string "text"')
+        if not isinstance(doc.get("lang", ""), str):
+            raise InputError(fh.name, lineno, 'expected a string "lang"')
+        yield doc
 
 
 def _build_index(documents: Iterable[dict]) -> tuple:
@@ -171,23 +125,20 @@ class LocalIndexBackend:
     ``SNIPPET_MAX_CHARS``, and its id.
     """
 
-    def __init__(self, documents: Iterable[dict]):
-        """Index ``documents``. Those of ``from_jsonl`` come with their
-        collection's saved index, which is loaded when it was built from the
-        collection's present bytes; otherwise the index is built and saved."""
-        collection = documents if isinstance(documents, JsonlCollection) else None
-        parts = collection.load() if collection else None
-        if parts is None:
+    def __init__(self, documents: Iterable[dict] | str | Path):
+        """Index ``documents``, or the JSONL file at that path, whose index
+        ``savefile.parsed`` saves beside it as ``<path>.index``."""
+        if isinstance(documents, (str, Path)):
+            parts = savefile.parsed(documents, ".index", _INDEX_MAGIC, _INDEX_FORMAT, 7, lambda fh: _build_index(_read_jsonl(fh)))
+        else:
             parts = _build_index(documents)
-            if collection:
-                collection.save(parts)
         self._texts, self._spaced, self._token_docs, self._ids, id_offsets, self._langs, lang_codes = parts
         self._id_offsets = memoryview(id_offsets).cast("Q")
         self._lang_codes = memoryview(lang_codes).cast("I")
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "LocalIndexBackend":
-        return cls(JsonlCollection(path))
+        return cls(path)
 
     def __len__(self) -> int:
         return len(self._texts)

@@ -8,7 +8,8 @@ phrase) and ``cache`` (inspect or compact a response cache). The scripts
 run these commands rather than wiring the layers themselves. Exit codes:
 0 success, 2 usage, configuration or input error, 3 finished but some
 units are still unresolved at the oracle, or (``world``) the oracle could
-not answer.
+not answer, 4 any other exception: no unit starts after it, no report is
+written, and the run ends in one ``error: <type>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .tagging import LexiconTagger, default_tagger, load_stopwords
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNRESOLVED = 3
+EXIT_FAILED = 4
 
 
 def build_oracle(cfg: RunConfig) -> SearchOracle:
@@ -253,6 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -83,13 +83,18 @@ def _multiword_pair(lemma_field: str) -> tuple[str, str] | None:
     return content[0], content[1]
 
 
+def _tables(fh: TextIO) -> tuple[dict, dict]:
+    """The two tables of the dictionary file open as ``fh``."""
+    dictionary = load_dictionary(fh)
+    return dictionary._entries, dictionary._multiword
+
+
 def load_dictionary(source: TextIO | str | Path) -> BilingualDictionary:
     """Load a dictionary file; duplicate (lemma, pos) entries are merged.
     A malformed line raises ``InputError`` naming the file and line."""
     if isinstance(source, (str, Path)):
         dictionary = BilingualDictionary()
-        names = ("_entries", "_multiword")
-        dictionary._entries, dictionary._multiword = savefile.parsed(source, _PARSE_MAGIC, _PARSE_FORMAT, load_dictionary, names)
+        dictionary._entries, dictionary._multiword = savefile.parsed(source, ".parsed", _PARSE_MAGIC, _PARSE_FORMAT, 2, _tables)
         return dictionary
     entries = []
     multiword = []

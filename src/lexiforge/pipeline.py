@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -115,11 +116,24 @@ def translate_ulc(ulc: SourceUlc, ctx: WorldContext) -> TranslationRecord:
 def run_pipeline(ulcs: Sequence[SourceUlc], ctx: WorldContext) -> list[TranslationRecord]:
     """Translate every unit, ``pipeline.workers`` at a time; records come
     back ordered by source surface regardless of scheduling, so warm-cache
-    runs are reproducible."""
+    runs are reproducible. Any exception but ``OracleError`` ends the run:
+    no unit starts after it, the started ones finish, and it is raised."""
     workers = ctx.cfg.workers
     if workers > 1 and len(ulcs) > 1:
+        failed = threading.Event()
+
+        def translate(ulc: SourceUlc) -> TranslationRecord | None:
+            if failed.is_set():
+                return None  # skipped: a unit taken earlier raised
+            try:
+                return translate_ulc(ulc, ctx)
+            except BaseException:
+                failed.set()
+                raise
+
+        # Units are taken in order, so ``map`` raises before any skipped unit.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda u: translate_ulc(u, ctx), ulcs))
+            records = list(pool.map(translate, ulcs))
     else:
         records = [translate_ulc(u, ctx) for u in ulcs]
     records.sort(key=lambda r: (r.source.surface, r.source.pattern.value))

@@ -1,8 +1,8 @@
 """Saved files: what a run parsed or built from a source file, saved beside
-it so that later runs load it instead of doing that work again: the local
-index of a document collection, the snapshot of a response cache with the
-lexical-world counts of its snippets, and the tables parsed from a
-dictionary or tagger lexicon file (``parsed``).
+it so that later runs load it instead of doing that work again. ``parsed``
+serves every input file: the index of a document collection, and the
+tables of a dictionary or tagger lexicon. The response cache saves its
+snapshot, with the lexical-world counts of its snippets, through ``load``.
 
 A saved file is a header, then one record per part: the part's length, its
 CRC-32 and its ``marshal`` bytes. marshal, unlike pickle, runs no code on
@@ -27,7 +27,7 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, TextIO
+from typing import BinaryIO, Callable, Iterable, Sequence, TextIO
 
 from .config import open_utf8
 
@@ -101,21 +101,36 @@ def save(path: Path, magic: bytes, fmt: int, key: Key, parts: Iterable) -> None:
             tmp.unlink()
 
 
-def parsed(path: str | Path, magic: bytes, fmt: int, parse: Callable[[TextIO], object], names: tuple[str, ...]) -> list:
-    """The attributes ``names`` of what ``parse`` makes of the UTF-8 file at
-    ``path``, read once: loaded from ``<path>.parsed`` if saved from the same
-    bytes, else parsed from them and, for a regular file, saved there."""
-    data = Path(path).read_bytes()
-    key, saved_path = (zlib.crc32(data), len(data)), Path(f"{path}.parsed")
-    regular = Path(path).is_file()
-    saved = regular and load(saved_path, magic, fmt, len(names), lambda found: found == key)
-    if saved:
-        return saved[1]
-    buffer = io.BytesIO(data)
-    buffer.name = path  # names the file in ``InputError``
-    with open_utf8(path, buffer) as fh:
-        made = parse(fh)
-    parts = [getattr(made, name) for name in names]
+class _SummedFile(io.FileIO):
+    """A file read in binary, summing up what was read: CRC-32 and length."""
+
+    crc = size = 0
+
+    def readinto(self, buffer) -> int:
+        n = super().readinto(buffer)
+        if n:
+            self.crc = zlib.crc32(memoryview(buffer)[:n], self.crc)
+            self.size += n
+        return n
+
+
+def parsed(path: str | Path, suffix: str, magic: bytes, fmt: int, n_parts: int, parse: Callable[[TextIO], Sequence]) -> Sequence:
+    """The ``n_parts`` parts that ``parse`` makes of the UTF-8 file at
+    ``path``, streamed as text. A regular file loads them from
+    ``<path><suffix>`` if saved from its present bytes, else saves them
+    there, keyed on exactly the bytes parsed. Any other file is parsed."""
+    saved_path, regular = Path(f"{path}{suffix}"), Path(path).is_file()
     if regular:
-        save(saved_path, magic, fmt, key, parts)
+        def fits(key: Key) -> bool:
+            with open(path, "rb") as fh:
+                return key == key_of(fh)
+
+        saved = load(saved_path, magic, fmt, n_parts, fits)
+        if saved:
+            return saved[1]
+    raw = _SummedFile(path)
+    with open_utf8(path, io.BufferedReader(raw)) as fh:
+        parts = parse(fh)
+    if regular:
+        save(saved_path, magic, fmt, (raw.crc, raw.size), parts)
     return parts

@@ -35,7 +35,7 @@ from .backends import tokenize
 from .config import read_rows
 
 _PARSE_MAGIC = b"lexiforge-tagger"  # a lexicon file's saved parse (``savefile.parsed``)
-_PARSE_FORMAT = 1  # bump when the table or table_crc, or how they are made, change
+_PARSE_FORMAT = 2  # bump when the table or table_crc, or how they are made, change
 
 
 class SnippetTagger(Protocol):
@@ -61,8 +61,10 @@ class LexiconTagger:
 
     def __init__(self, entries: Iterable[tuple[str, str, str]]):
         table: dict[str, tuple[str, str]] = {}
+        keys: dict[str, str] = {}  # each key as the table holds it: the first row's string
         for surface, pos, lemma in entries:
-            key, lemma = surface.lower(), lemma.lower()
+            key = surface.lower()
+            key, lemma = keys.setdefault(key, key), lemma.lower()
             table[key] = (key if lemma == key else lemma, sys.intern(pos))
         self._table = table
         # Whitespace-free chunk -> its NOUN and ADJ tags (only chunks that
@@ -82,8 +84,12 @@ class LexiconTagger:
         """The tagger of a lexicon file; a path's parse is saved beside it."""
         if not isinstance(source, (str, Path)):
             return cls(fields for _, _, fields in read_rows(source, 3))
+        def parts(fh: TextIO) -> tuple[dict, int]:
+            parsed = cls.from_file(fh)
+            return parsed._table, parsed.table_crc
+
         tagger = cls(())
-        tagger._table, tagger.table_crc = savefile.parsed(source, _PARSE_MAGIC, _PARSE_FORMAT, cls.from_file, ("_table", "table_crc"))
+        tagger._table, tagger.table_crc = savefile.parsed(source, ".parsed", _PARSE_MAGIC, _PARSE_FORMAT, 2, parts)
         return tagger
 
     def tag(self, text: str) -> list[tuple[str, str]]:

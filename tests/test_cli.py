@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -20,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import lexiforge.cli as cli
 import lexiforge.phase2 as phase2
 import lexiforge.phase3 as phase3
-from lexiforge.backends import Snippet
+from lexiforge.backends import LocalIndexBackend, Snippet
 from lexiforge.cli import main
 from lexiforge.oracle import OracleQuery, QueryKind, ResponseCache, SearchOracle
 
@@ -527,6 +528,42 @@ def test_a_run_killed_mid_way_resumes_to_the_clean_bytes(clean_local_run, tmp_pa
         assert main(local_translate_args(tmp_path / "out", cache)) == 0
     for name in ("lexicon.tsv", "summary.tsv"):
         assert (tmp_path / "out" / name).read_bytes() == clean_local_run[name], name
+
+
+def test_an_exception_that_is_no_oracle_error_ends_the_run_in_one_line_with_exit_4(clean_local_run, tmp_path, capsys, monkeypatch):
+    # The local backend raises KeyError on its 60th call of a 2-worker run.
+    out_dir, cache = tmp_path / "out", tmp_path / "run.cache"
+    out_dir.mkdir()
+    for name in ("lexicon.tsv", "summary.tsv"):
+        (out_dir / name).write_bytes(clean_local_run[name])
+    answered, calls, lock, execute = [], [0], threading.Lock(), LocalIndexBackend.execute
+
+    def execute_or_fail(self, query):
+        with lock:
+            calls[0] += 1
+            if calls[0] == 60:
+                raise KeyError("lost")
+        answer = execute(self, query)
+        answered.append(query)
+        return answer
+
+    closed, close = [], SearchOracle.close
+    monkeypatch.setattr(LocalIndexBackend, "execute", execute_or_fail)
+    monkeypatch.setattr(SearchOracle, "close", lambda self: closed.append(self) or close(self))
+    code, out, err = run(local_translate_args(out_dir, cache) + ["--workers", "2"], capsys)
+    assert (code, out, err) == (4, "", "error: KeyError: 'lost'\n")
+    assert len(closed) == 1
+    # No unit started after the failure: the clean run makes 118 calls, and a
+    # unit at most 16. Past the 59 answered first come at most the other
+    # worker's unit and one it took while the failure unwound.
+    assert 59 <= len(answered) <= 59 + 2 * 16
+    # Every answer the backend gave was put before the run ended.
+    recorded = ResponseCache(cache)
+    assert len(recorded) == len(answered) and all(recorded.get(query) is not None for query in answered)
+    recorded.close()
+    for name in ("lexicon.tsv", "summary.tsv"):
+        assert (out_dir / name).read_bytes() == clean_local_run[name], name
+    assert sorted(p.name for p in out_dir.iterdir()) == ["lexicon.tsv", "summary.tsv"]
 
 
 def test_translate_with_cache_leaves_no_open_file(tmp_path, capsys):

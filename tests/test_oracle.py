@@ -16,18 +16,19 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lexiforge.backends as backends
 import lexiforge.oracle as oracle
 import lexiforge.savefile as savefile
 from lexiforge.backends import (
     WORD_RE,
     HttpBackend,
-    JsonlCollection,
     LocalIndexBackend,
     Snippet,
     tokenize,
 )
 from lexiforge.cli import build_oracle, main
 from lexiforge.config import InputError, RunConfig
+from lexiforge.dictionary import load_dictionary
 from lexiforge.oracle import (
     OracleError,
     OracleQuery,
@@ -254,7 +255,7 @@ def test_local_index_matches_brute_force_scan(docs, query_phrases, limit):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_jsonl(Path(tmp) / "docs.jsonl", dicts)
         LocalIndexBackend.from_jsonl(path)
-        with mock.patch.object(JsonlCollection, "__iter__", side_effect=AssertionError("rebuilt")):
+        with mock.patch.object(backends, "_read_jsonl", side_effect=AssertionError("rebuilt")):
             loaded = LocalIndexBackend.from_jsonl(path)
 
     def execute(query):
@@ -325,8 +326,8 @@ def count(index, phrase):
 
 def test_saved_index_is_loaded_until_the_collection_changes(tmp_path, monkeypatch):
     builds = []  # collections whose documents were read to build an index
-    iterate = JsonlCollection.__iter__
-    monkeypatch.setattr(JsonlCollection, "__iter__", lambda self: builds.append(Path(self.path)) or iterate(self))
+    read = backends._read_jsonl
+    monkeypatch.setattr(backends, "_read_jsonl", lambda fh: builds.append(Path(fh.name)) or read(fh))
     path = write_jsonl(tmp_path / "docs.jsonl", DOCS)
     assert count(LocalIndexBackend.from_jsonl(path), "lamb shank") == 3
     assert Path(f"{path}.index").is_file()
@@ -416,16 +417,26 @@ def test_unwritable_directory_still_answers_and_keeps_no_file(tmp_path, monkeypa
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_collection_that_is_not_a_regular_file_is_built_and_not_saved(tmp_path):
-    fifo = tmp_path / "docs.jsonl"
-    os.mkfifo(fifo)
-    lines = "".join(json.dumps(doc) + "\n" for doc in DOCS)
-    writer = threading.Thread(target=fifo.write_text, args=(lines,), kwargs={"encoding": "utf-8"}, daemon=True)
-    writer.start()
-    index = LocalIndexBackend.from_jsonl(fifo)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
+    # Every input file with a saved parse takes one path: a named pipe is
+    # parsed and saves nothing, whether it holds documents, a dictionary or
+    # a tagger lexicon.
+    def through_fifo(name, text, load):
+        fifo = tmp_path / name
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,), kwargs={"encoding": "utf-8"}, daemon=True)
+        writer.start()
+        loaded = load(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        return loaded
+
+    index = through_fifo("docs.jsonl", "".join(json.dumps(doc) + "\n" for doc in DOCS), LocalIndexBackend.from_jsonl)
     assert count(index, "lamb shank") == 3
-    assert [p.name for p in tmp_path.iterdir()] == ["docs.jsonl"]
+    dictionary = through_fifo("dictionary.tsv", "caisse\tNOUN\tdrum|fund\n", load_dictionary)
+    assert dictionary.lookup("caisse", "NOUN") == ("drum", "fund")
+    tagger = through_fifo("tagger.tsv", "Caisses\tNOUN\tcaisse\n", LexiconTagger.from_file)
+    assert tagger.tag("les caisses") == [("les", "OTHER"), ("caisse", "NOUN")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dictionary.tsv", "docs.jsonl", "tagger.tsv"]
 
 
 @pytest.mark.parametrize(

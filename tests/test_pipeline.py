@@ -1,5 +1,6 @@
 import errno
 import os
+import time
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -238,6 +239,25 @@ def test_pipeline_deterministic_across_worker_counts():
     serial = run_pipeline(units, replace(ctx, cfg=replace(CFG, workers=1)))
     threaded = run_pipeline(units, replace(ctx, cfg=replace(CFG, workers=8)))
     assert serial == threaded
+
+
+def test_a_unit_that_raises_ends_the_run_and_cancels_the_units_not_started(monkeypatch):
+    # The first unit is slow and the second raises at once: the run stops
+    # handing out units then, not once the slow unit is done.
+    units, dictionary, backend = build_50_clu_fixture()
+    started = []
+
+    def translate(ulc, ctx):
+        started.append(ulc)
+        if ulc is units[1]:
+            raise KeyError("lost")
+        time.sleep(0.5 if ulc is units[0] else 0.01)
+        return TranslationRecord(ulc, None, Phase.UNTRANSLATED)
+
+    monkeypatch.setattr(pipeline, "translate_ulc", translate)
+    with pytest.raises(KeyError, match="lost"):
+        run_pipeline(units, make_ctx(backend, dictionary, workers=2))
+    assert len(started) < 10  # the two first, and at most a few the workers took meanwhile
 
 
 def test_write_report_deterministic_and_readable(tmp_path):

@@ -179,6 +179,11 @@ def test_a_lexicon_file_loads_the_parse_saved_beside_it(tmp_path, monkeypatch):
 
     assert shared(loaded) == shared(parsed) and any(shared(parsed))
     assert all(pos is sys.intern(pos) for _, pos in loaded._table.values())
+    # A surface listed twice keeps the first row's key, which a later row's
+    # equal lemma shares too.
+    for tagger in (parsed, first, loaded):
+        assert [key for key, (lemma, _) in tagger._table.items() if lemma == key] == ["caisse", "étude", "οδος"]
+        assert all(lemma is key for key, (lemma, _) in tagger._table.items() if lemma == key)
 
 
 def test_an_edit_that_keeps_the_file_size_is_parsed_again(tmp_path):
