@@ -84,7 +84,6 @@ def _multiword_pair(lemma_field: str) -> tuple[str, str] | None:
 
 
 def _tables(fh: TextIO) -> tuple[dict, dict]:
-    """The two tables of the dictionary file open as ``fh``."""
     dictionary = load_dictionary(fh)
     return dictionary._entries, dictionary._multiword
 

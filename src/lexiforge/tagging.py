@@ -84,6 +84,7 @@ class LexiconTagger:
         """The tagger of a lexicon file; a path's parse is saved beside it."""
         if not isinstance(source, (str, Path)):
             return cls(fields for _, _, fields in read_rows(source, 3))
+
         def parts(fh: TextIO) -> tuple[dict, int]:
             parsed = cls.from_file(fh)
             return parsed._table, parsed.table_crc
