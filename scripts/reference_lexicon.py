@@ -8,7 +8,8 @@ files. It deliberately imports nothing from the package under test, so the
 acceptance suite can compare the pipeline's lexicon against a second,
 unrelated code path.
 
-Writes tests/data/golden_lexicon.tsv with source<TAB>translation<TAB>phase.
+Writes tests/data/golden_ulcs.tsv with the units the web filter keeps, and
+tests/data/golden_lexicon.tsv with source<TAB>translation<TAB>phase.
 """
 
 import json
@@ -120,16 +121,10 @@ class Cache:
         return self.table[("PAIR_COUNT", tuple(sorted((a, b))), "-", "-")]
 
     def snippets(self, phrase, limit=1000):
-        return texts(self.table[("SNIPPETS", (phrase,), "-", str(limit))])
+        return self.table[("SNIPPETS", (phrase,), "-", str(limit))]
 
     def mixed(self, phrase, lang, limit=1000):
-        return texts(self.table[("MIXED_SNIPPETS", (phrase,), lang, str(limit))])
-
-
-def texts(payload):
-    """Snippet texts of a cache payload: plain strings, or the [text, doc_id]
-    pairs of caches written before."""
-    return [s if isinstance(s, str) else s[0] for s in payload]
+        return self.table[("MIXED_SNIPPETS", (phrase,), lang, str(limit))]
 
 
 # ---------------------------------------------------------------- extraction

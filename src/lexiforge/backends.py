@@ -36,10 +36,6 @@ class Snippet:
     text: str
     doc_id: str | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.text, str) or not self.text:
-            raise ValueError("snippet text must be a non-empty string")
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercased maximal letter runs; punctuation and digits split tokens."""

@@ -79,10 +79,11 @@ class ConfigError(ValueError):
 
 
 class InputError(ValueError):
-    """A malformed line in an input file, reported as ``path:line: msg``."""
+    """A malformed line in an input file, reported as ``path:line: msg``, or
+    as ``path: msg`` where the line cannot be found."""
 
-    def __init__(self, path: str | Path, lineno: int, msg: str):
-        super().__init__(f"{path}:{lineno}: {msg}")
+    def __init__(self, path: str | Path, lineno: int | None, msg: str):
+        super().__init__(f"{path}:{lineno}: {msg}" if lineno else f"{path}: {msg}")
 
 
 @contextmanager
@@ -90,11 +91,13 @@ def open_utf8(path: str | Path, binary: BinaryIO | None = None) -> Iterator[Text
     """Open a UTF-8 text file for reading, or decode ``binary``, a binary
     stream of it. A byte sequence that is not UTF-8 raises ``InputError``
     naming its line; only that error path re-reads the file, as bytes, to
-    find the line."""
+    find the line, and only a regular file, since a pipe reads only once."""
     try:
         with open(path, encoding="utf-8") if binary is None else io.TextIOWrapper(binary, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError:
+        if not Path(path).is_file():
+            raise InputError(path, None, "not valid UTF-8") from None
         data = Path(path).read_bytes()
         try:
             data.decode("utf-8")

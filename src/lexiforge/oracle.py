@@ -91,7 +91,7 @@ def split_or_query(query: str) -> list[str]:
 
 class Backend(Protocol):
     """A search engine: ``execute`` answers a count for the count kinds, and
-    for the snippet kinds a list of hits with a ``text`` (``backends.Snippet``)."""
+    for the snippet kinds hits (``backends.Snippet``) whose ``text`` the oracle keeps."""
 
     def execute(self, query: OracleQuery) -> int | list: ...
 
@@ -117,15 +117,6 @@ def is_answer(kind: QueryKind, value: object) -> bool:
     return True
 
 
-def _decode_response(payload: str) -> object:
-    """A count or a list of snippet texts, for ``is_answer`` to check; the
-    ``[text, doc_id]`` pairs of older records give their texts."""
-    value = json.loads(payload)
-    if isinstance(value, list) and value and all(type(p) is list and len(p) == 2 for p in value):
-        return [text for text, _doc_id in value]
-    return value
-
-
 _JSON = json.JSONEncoder(ensure_ascii=False)  # json.dumps builds one per call
 
 
@@ -139,9 +130,10 @@ def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list
 
 def _parse_record(line: bytes) -> tuple[tuple[str, tuple[str, ...], str, str], int | list[str]]:
     """The ``cache_key`` and value of one cache file line; ValueError or
-    TypeError unless it is a UTF-8 record whose payload fits its kind."""
+    TypeError unless it is a UTF-8 record whose payload fits its kind
+    (``is_answer``), as a list of ``[text, doc_id]`` pairs fits none."""
     kind, p1, p2, lang, limit, payload = line.decode("utf-8").rstrip("\r\n").split("\t")
-    value = _decode_response(payload)
+    value = json.loads(payload)
     if not is_answer(QueryKind(kind), value):
         raise ValueError(f"payload is no {kind} answer")
     phrases = (p1,) if not p2 else (p1, p2)

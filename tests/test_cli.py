@@ -842,6 +842,24 @@ def test_input_that_is_not_utf8_exits_2_with_line_number(tmp_path, capsys, sourc
     assert err == f"error: {bad}:{lineno}: not valid UTF-8\n"
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_named_pipe_that_is_not_utf8_exits_2_without_being_opened_again(tmp_path):
+    # A pipe reads only once, so its bad line cannot be found; opening it
+    # again to look would wait for a writer that has gone. The run is a
+    # subprocess with a timeout, so a hang fails the test.
+    fifo = tmp_path / "dictionary.tsv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"a\tNOUN\tx\n\xffb\tNOUN\ty\n",), daemon=True)
+    writer.start()
+    argv = replaced(translate_args(tmp_path / "out"), "--dictionary", fifo)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", "import sys; from lexiforge.cli import main; sys.exit(main(sys.argv[1:]))",
+                           *argv], env=env, capture_output=True, text=True, timeout=30)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (done.returncode, done.stderr) == (2, f"error: {fifo}: not valid UTF-8\n")
+
+
 @pytest.mark.parametrize("total", ["-5", "3"])
 def test_evaluate_rejects_a_total_below_the_acceptable_translations(tmp_path, capsys, total):
     run(translate_args(tmp_path / "run"), capsys)

@@ -22,6 +22,7 @@ import lexiforge.savefile as savefile
 from lexiforge.backends import (
     WORD_RE,
     HttpBackend,
+    SNIPPET_MAX_CHARS,
     LocalIndexBackend,
     Snippet,
     tokenize,
@@ -71,8 +72,6 @@ def test_query_invariants():
         OracleQuery(QueryKind.MIXED_SNIPPETS, ("x",), limit=10)  # no lang
     with pytest.raises(ValueError):
         OracleQuery(QueryKind.SNIPPETS, ("x",), limit=0)
-    with pytest.raises(ValueError):
-        Snippet("")
 
 
 def test_split_or_query():
@@ -146,6 +145,15 @@ def test_snippets_truncate_to_limit(index):
     oracle = SearchOracle(index)
     assert len(oracle.execute(OracleQuery(QueryKind.SNIPPETS, ("lamb shank",), limit=2))) == 2
     assert len(oracle.execute(OracleQuery(QueryKind.SNIPPETS, ("lamb shank",), limit=1000))) == 3
+
+
+def test_long_snippets_are_cut_at_the_last_space_before_the_limit_or_hard():
+    words = " ".join(f"w{i:03d}" for i in range(100))  # 499 characters, a space every fifth
+    glued = "x" * (SNIPPET_MAX_CHARS + 50)
+    index = LocalIndexBackend([{"id": "spaced", "text": f"lamb {words}"}, {"id": "glued", "text": f"{glued} lamb"}])
+    spaced, hard = (hit.text for hit in index.execute(OracleQuery(QueryKind.SNIPPETS, ("lamb",), limit=5)))
+    assert spaced == f"lamb {words}"[:299] and spaced.endswith(" w058")  # the space at 299 is cut too
+    assert hard == glued[:SNIPPET_MAX_CHARS]
 
 
 def test_mixed_snippets_filter_language(index):
@@ -499,6 +507,7 @@ def test_offline_cache_miss_raises(tmp_path):
         (OracleQuery(QueryKind.PAIR_COUNT, ("a", "b")), True),
         (OracleQuery(QueryKind.SNIPPETS, ("atmosphere",), limit=5), 3),
         (OracleQuery(QueryKind.MIXED_SNIPPETS, ("a",), lang_restrict="en", limit=5), ["x"]),
+        (OracleQuery(QueryKind.SNIPPETS, ("atmosphere",), limit=5), [Snippet("")]),
     ],
 )
 def test_backend_answer_of_wrong_shape_raises_and_is_not_cached(tmp_path, query, answer):
@@ -584,7 +593,9 @@ def test_cache_record_with_lone_surrogate_escape_is_skipped_and_compacts(tmp_pat
     assert path.read_text(encoding="utf-8") == "PHRASE_COUNT\tok\t\t-\t-\t7\n"
 
 
-def test_cache_reads_text_lists_and_older_text_id_pairs_alike(tmp_path):
+def test_cache_reads_text_lists_and_skips_text_id_pairs_as_corrupt(tmp_path, caplog):
+    # A snippet answer is stored as a list of texts; the [text, doc_id]
+    # pairs that caches once held are a corrupt record, asked again.
     path = tmp_path / "run.cache"
     path.write_text(
         'SNIPPETS\tnew\t\t-\t5\t["La caisse", "Une \\"messe\\""]\n'
@@ -592,17 +603,20 @@ def test_cache_reads_text_lists_and_older_text_id_pairs_alike(tmp_path):
         'MIXED_SNIPPETS\tnone\t\ten\t5\t[]\n',
         encoding="utf-8",
     )
-    cache = ResponseCache(path)
-    texts = ["La caisse", 'Une "messe"']
-    assert cache.get(OracleQuery(QueryKind.SNIPPETS, ("new",), limit=5)) == texts
-    assert cache.get(OracleQuery(QueryKind.SNIPPETS, ("old",), limit=5)) == texts
-    assert cache.get(OracleQuery(QueryKind.MIXED_SNIPPETS, ("none",), "en", 5)) == []
-    # Compaction rewrites every snippet list as plain texts.
-    cache.close()
-    compact(path)
-    assert path.read_text(encoding="utf-8").splitlines()[2] == (
-        'SNIPPETS\told\t\t-\t5\t["La caisse", "Une \\"messe\\""]'
-    )
+    backend = FakeBackend().snips("old", 5, ["La caisse verte"])
+    with caplog.at_level(logging.WARNING, logger="lexiforge.oracle"):
+        oracle = SearchOracle(backend, ResponseCache(path))
+    assert caplog.messages == [f"{path}:2: skipping corrupt cache record"]
+    assert oracle.execute(OracleQuery(QueryKind.SNIPPETS, ("new",), limit=5)) == ["La caisse", 'Une "messe"']
+    assert oracle.mixed_snippets("none", "en", 5) == []
+    assert backend.calls == 0
+    assert oracle.execute(OracleQuery(QueryKind.SNIPPETS, ("old",), limit=5)) == ["La caisse verte"]
+    assert backend.calls == 1
+    oracle.close()
+    # Compaction drops the pair record and keeps the answer asked again.
+    assert compact(path) == 3
+    assert 'SNIPPETS\told\t\t-\t5\t["La caisse verte"]\n' in path.read_text(encoding="utf-8")
+    assert "fr1" not in path.read_text(encoding="utf-8")
 
 
 @settings(max_examples=50, deadline=None)
@@ -727,10 +741,11 @@ def test_put_after_compact_reaches_new_file(tmp_path):
     assert len(path.read_text().splitlines()) == 2
 
 
-# Cache file lines of every sort a load meets: records of each kind, the
-# older [text, doc_id] pair form, a later write of one key, a blank line,
-# and corrupt records (a wrong field count, a byte that is not UTF-8, a
-# payload that does not fit its kind).
+# Cache file lines of every sort a load meets: records of each kind, a
+# later write of one key, a blank line, and corrupt records (the
+# [text, doc_id] pairs that caches once held, a wrong field count, a byte
+# that is not UTF-8, a payload that does not fit its kind). The last line
+# records the texts of those pairs, so two SNIPPETS records are counted.
 CACHE_LINES = [
     b"PHRASE_COUNT\tmidnight mass\t\t-\t-\t336000\n",
     b'SNIPPETS\tcaisse\t\t-\t5\t["La caisse", "Une caisse \\"verte\\""]\n',
@@ -742,6 +757,7 @@ CACHE_LINES = [
     b'MIXED_SNIPPETS\tsouris\t\ten\t5\t["Lamb shank", "Souris d\'agneau"]\n',
     b"SNIPPETS\tcount\t\t-\t5\t3\n",
     b"PHRASE_COUNT\tmidnight mass\t\t-\t-\t7\n",
+    b'SNIPPETS\told\t\t-\t5\t["La caisse", "Une"]\n',
 ]
 PUT_QUERIES = [
     OracleQuery(QueryKind.PHRASE_COUNT, ("midnight mass",)),
@@ -815,10 +831,11 @@ def test_a_load_from_the_snapshot_equals_a_load_without_it(steps):
 
 @pytest.fixture
 def decoded(monkeypatch):
-    """The payloads cache loads parse from their files; not those of the
+    """The payloads cache loads parse from their files, each through
+    ``json.loads``, which nothing else in a load calls; not those of the
     snippet lines read after a load (``line_reads``)."""
     payloads, loading = [], []
-    decode, load = oracle._decode_response, ResponseCache._load
+    decode, load = json.loads, ResponseCache._load
 
     def counted_load(cache):
         loading.append(cache)
@@ -833,7 +850,7 @@ def decoded(monkeypatch):
         return decode(payload)
 
     monkeypatch.setattr(ResponseCache, "_load", counted_load)
-    monkeypatch.setattr(oracle, "_decode_response", counted_decode)
+    monkeypatch.setattr(json, "loads", counted_decode)
     return payloads
 
 
@@ -860,7 +877,7 @@ def test_a_snapshot_parses_only_the_records_appended_after_it(tmp_path, decoded)
     decoded.clear()
     with_snapshot = load_logged(path)
     assert decoded == ["9", "12"]
-    assert with_snapshot[1][-2:] == [f"{path}:12: skipping corrupt cache record", f"{path}:13: skipping corrupt cache record"]
+    assert with_snapshot[1][-2:] == [f"{path}:13: skipping corrupt cache record", f"{path}:14: skipping corrupt cache record"]
     snapshot.unlink()
     assert load_logged(path) == with_snapshot
 
@@ -897,7 +914,7 @@ def test_two_processes_put_at_once_after_the_snapshot_and_every_record_reloads(t
     # PIPE_BUF) from two writers never interleave, and the bytes a snapshot
     # covers are never rewritten.
     path = tmp_path / "run.cache"
-    path.write_bytes(b"".join(CACHE_LINES[:3]))
+    path.write_bytes(b"".join(CACHE_LINES[:2]))
     before = len(load_logged(path)[0])
     env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).resolve().parents[1])}
     writers = [
@@ -1750,6 +1767,8 @@ def test_http_backend_gives_up_with_oracle_error(monkeypatch):
         (QueryKind.SNIPPETS, {"snippets": [{"text": "", "doc_id": "d1"}]}),
         (QueryKind.SNIPPETS, {"snippets": [{"text": "page"}, {"text": ""}]}),
         (QueryKind.PHRASE_COUNT, {"count": 10**400}),  # too large for a float
+        (QueryKind.SNIPPETS, {"snippets": "page"}),
+        (QueryKind.SNIPPETS, {"count": 3}),
     ],
 )
 def test_http_backend_rejects_malformed_payloads(kind, payload):

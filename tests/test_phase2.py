@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from lexiforge.dictionary import BilingualDictionary
 from lexiforge.extraction import UlcPattern
 from lexiforge.generation import CandidateOrigin, CandidateTranslation, TranslationRule
-from lexiforge.oracle import OracleError, SearchOracle
+from lexiforge.oracle import OracleError, OracleQuery, QueryKind, SearchOracle
 from lexiforge.phase2 import (
     LexicalWorld,
     WorldContext,
@@ -421,9 +421,11 @@ def test_filters_compose_monotonically():
     )
 
 
-def test_run_phase2_end_to_end_selects_central_fund():
+def central_fund_phase2(literal_freq):
+    """``run_phase2`` on "caisse centrale" with a unit-file literal count of
+    ``literal_freq`` (None for ``-``), and the backend it asked."""
     ulc = make_ulc("caisse", "central", UlcPattern.NOUN_ADJ, "caisse centrale",
-                   literal_freq=2)
+                   literal_freq=literal_freq)
     d = make_dictionary(
         [
             ("caisse", "NOUN", ["drum", "fund", "case"]),
@@ -438,6 +440,7 @@ def test_run_phase2_end_to_end_selects_central_fund():
     backend = FakeBackend(default_count=0)
     backend.pair("caisse centrale", "central fund", 2)
     backend.count("central fund", 5)
+    backend.count("caisse centrale", 2)
     backend.snips("caisse centrale", 1000, ["La banque financière garde la caisse centrale et l'argent."])
     backend.snips("central fund", 1000, ["The financial bank keeps money for the central fund."])
     fr_tagger = LexiconTagger(
@@ -455,10 +458,23 @@ def test_run_phase2_end_to_end_selects_central_fund():
         source_tagger=fr_tagger,
         target_tagger=en_tagger,
     )
-    result = run_phase2(ulc, candidates, ctx)
+    return run_phase2(ulc, candidates, ctx), backend
+
+
+def test_run_phase2_end_to_end_selects_central_fund():
+    result, backend = central_fund_phase2(2)
     assert result.winner.target_surface == "central fund"
     assert result.winner.scores["noun_jaccard"] == 1.0
     assert result.winner.scores["adj_jaccard"] == 1.0
+    assert OracleQuery(QueryKind.PHRASE_COUNT, ("caisse centrale",)) not in backend.seen
+
+
+def test_run_phase2_asks_the_source_count_that_the_unit_file_left_out():
+    # A unit left unresolved at extract holds "-" for its literal count.
+    result, backend = central_fund_phase2(None)
+    assert OracleQuery(QueryKind.PHRASE_COUNT, ("caisse centrale",)) in backend.seen
+    given = central_fund_phase2(2)[0].winner
+    assert (result.winner.target_surface, result.winner.scores) == (given.target_surface, given.scores)
 
 
 def test_write_world_format(tmp_path):

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts: the demo replays its own run offline, the
-fixture builder regenerates ``tests/data`` byte for byte, and the pair runner
-alternates its sides and sums up their runs (with a stub for the benchmark)."""
+fixture builder and the reference lexicon regenerate ``tests/data`` byte for
+byte, and the pair runner alternates its sides and sums up their runs (with a
+stub for the benchmark)."""
 
 import importlib.util
 import json
@@ -11,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from lexiforge.oracle import compact
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DATA = Path(__file__).parent / "data"
@@ -34,13 +34,20 @@ def test_build_fixtures_regenerates_the_bundled_fixtures(tmp_path, monkeypatch, 
     build_fixtures.main()
     capsys.readouterr()
 
-    for name in ("corpus.tsv", "dictionary.tsv", "docs.jsonl", "run.config", "ulcs.tsv", "gold.tsv"):
+    for name in ("corpus.tsv", "dictionary.tsv", "docs.jsonl", "run.config", "ulcs.tsv", "gold.tsv", "e2e.cache"):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
-    # The cache holds the same entries; compacting orders them by key.
-    bundled = shutil.copy(DATA / "e2e.cache", tmp_path / "bundled.cache")
-    assert [compact(path) for path in (tmp_path / "e2e.cache", bundled)] == [160, 160]
-    assert (tmp_path / "e2e.cache").read_bytes() == Path(bundled).read_bytes()
+
+def test_reference_lexicon_regenerates_the_golden_files(tmp_path, monkeypatch, capsys):
+    data = shutil.copytree(DATA, tmp_path / "data", ignore=shutil.ignore_patterns("golden_*"))
+    spec = importlib.util.spec_from_file_location("reference_lexicon", SCRIPTS / "reference_lexicon.py")
+    reference_lexicon = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference_lexicon)
+    monkeypatch.setattr(reference_lexicon, "DATA", data)
+    reference_lexicon.main()
+    capsys.readouterr()
+    for name in ("golden_ulcs.tsv", "golden_lexicon.tsv"):
+        assert (data / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 def load_bench_pairs():
