@@ -131,7 +131,7 @@ def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list
 def _parse_record(line: bytes) -> tuple[tuple[str, tuple[str, ...], str, str], int | list[str]]:
     """The ``cache_key`` and value of one cache file line; ValueError or
     TypeError unless it is a UTF-8 record whose payload fits its kind
-    (``is_answer``), as a list of ``[text, doc_id]`` pairs fits none."""
+    (``is_answer``): a snippet payload is a list of texts, never of pairs."""
     kind, p1, p2, lang, limit, payload = line.decode("utf-8").rstrip("\r\n").split("\t")
     value = json.loads(payload)
     if not is_answer(QueryKind(kind), value):

@@ -20,9 +20,9 @@ import lexiforge.backends as backends
 import lexiforge.oracle as oracle
 import lexiforge.savefile as savefile
 from lexiforge.backends import (
+    SNIPPET_MAX_CHARS,
     WORD_RE,
     HttpBackend,
-    SNIPPET_MAX_CHARS,
     LocalIndexBackend,
     Snippet,
     tokenize,

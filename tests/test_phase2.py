@@ -473,8 +473,8 @@ def test_run_phase2_asks_the_source_count_that_the_unit_file_left_out():
     # A unit left unresolved at extract holds "-" for its literal count.
     result, backend = central_fund_phase2(None)
     assert OracleQuery(QueryKind.PHRASE_COUNT, ("caisse centrale",)) in backend.seen
-    given = central_fund_phase2(2)[0].winner
-    assert (result.winner.target_surface, result.winner.scores) == (given.target_surface, given.scores)
+    counted = central_fund_phase2(2)[0].winner
+    assert (result.winner.target_surface, result.winner.scores) == (counted.target_surface, counted.scores)
 
 
 def test_write_world_format(tmp_path):

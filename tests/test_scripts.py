@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DATA = Path(__file__).parent / "data"
 
