@@ -151,7 +151,7 @@ def _parse_record(line: bytes) -> tuple[tuple[str, tuple[str, ...], str, str], i
 # only their number, and a run reads the others when it asks for them. The
 # second part holds the count records, by cache key.
 _SNAPSHOT_MAGIC = b"lexiforge-cache\n"
-_SNAPSHOT_FORMAT = 6  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
+_SNAPSHOT_FORMAT = 7  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
 
 
 class _CacheFile:

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -619,6 +620,39 @@ def test_cache_reads_text_lists_and_skips_text_id_pairs_as_corrupt(tmp_path, cap
     assert "fr1" not in path.read_text(encoding="utf-8")
 
 
+def test_a_snapshot_that_lists_a_text_id_pair_record_as_texts_is_rebuilt(tmp_path, caplog):
+    # A format-6 snapshot, saved when [text, doc_id] pairs were still read
+    # as texts, lists such a record as a snippet line with saved counts. It
+    # must not bring that record back: the load is the one without it.
+    path = tmp_path / "run.cache"
+    lines = [
+        b'SNIPPETS\tcaisse\t\t-\t5\t["la caisse"]\n',
+        b'SNIPPETS\told\t\t-\t5\t[["La caisse", "fr1"], ["Une", null]]\n',
+    ]
+    path.write_bytes(b"".join(lines))
+    tagger = LexiconTagger(FR_ENTRIES)
+    old = OracleQuery(QueryKind.SNIPPETS, ("old",), limit=5).cache_key()
+    text_lines = {
+        CAISSE.cache_key(): (1, 0, len(lines[0]), zlib.crc32(lines[0])),
+        old: (2, len(lines[0]), len(lines[1]), zlib.crc32(lines[1])),
+    }
+    counts = {old: {tagger.table_crc: {("caisse", "NOUN"): 9}}}
+    data = path.read_bytes()
+    snapshot = Path(f"{path}.snapshot")
+    savefile.save(snapshot, oracle._SNAPSHOT_MAGIC, 6, (zlib.crc32(data), len(data)), [(2, [], counts, text_lines), {}])
+    backend = FakeBackend().snips("old", 5, ["la caisse verte"])
+    with caplog.at_level(logging.WARNING, logger="lexiforge.oracle"):
+        search = SearchOracle(backend, ResponseCache(path))
+    assert caplog.messages == [f"{path}:2: skipping corrupt cache record"]
+    snippets, totals = search.counted_snippets("old", 5, tagger)
+    assert list(snippets) == ["la caisse verte"] and totals == tagger.count(["la caisse verte"])
+    assert backend.calls == 1
+    search.close()  # appended, so the old snapshot stays on disk for compact
+    assert snapshot.is_file()
+    assert compact(path) == 2
+    assert path.read_bytes() == lines[0] + b'SNIPPETS\told\t\t-\t5\t["la caisse verte"]\n'
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
@@ -1108,7 +1142,7 @@ def test_worlds_from_saved_counts_equal_worlds_recounted(steps):
     "damage",
     [
         "none", "torn", "header alone", "one part fewer", "one part more", "corrupt part", "stale key",
-        "other format", "format 3", "format 4", "format 5", "other marshal version", "other kind",
+        "other format", "format 3", "format 4", "format 5", "format 6", "other marshal version", "other kind",
     ],
 )
 def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, damage):
@@ -1136,6 +1170,8 @@ def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, d
         snapshot.write_bytes(good[:16] + (4).to_bytes(4, "little") + good[20:])
     elif damage == "format 5":  # the format that held a copy of the MIXED_SNIPPETS texts in its later parts
         snapshot.write_bytes(good[:16] + (5).to_bytes(4, "little") + good[20:])
+    elif damage == "format 6":  # the format that listed [text, doc_id] pair records as texts
+        snapshot.write_bytes(good[:16] + (6).to_bytes(4, "little") + good[20:])
     elif damage == "other marshal version":
         snapshot.write_bytes(good[:20] + (marshal.version + 1).to_bytes(4, "little") + good[24:])
     elif damage == "other kind":
