@@ -3,7 +3,7 @@
 files and print how each metric moved.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload cold-local --seeds 901-910 --label lean-index
+        --workload warm-replay --seeds 901-910 --label lean-index --claim peak_rss_mb
     python3 scripts/bench_pairs.py --aa . --workload warm-replay --seeds 1-20 --label aa
 
 Each seed is one pair: ``python3 perfbench/run.py --workload W --seed N
@@ -28,8 +28,12 @@ file: ``within bound``, ``worse beyond bound`` when the change's median is
 worse than the parent's by more than the bound, or ``unresolved`` when the
 parent's runs spread from first to third quartile wider than the bound,
 unless every run of the change reads better than every run of the parent.
-A checkout without BENCHMARK.json stops the script before the first pair,
-with exit code 2.
+With ``--claim METRIC`` it prints, last, the gain verdict on that metric:
+``met`` when the change won at least nine tenths of the pairs run (ties
+count for neither side) and its median beats the parent's by more than the
+parent's spread from first to third quartile, ``not met`` otherwise. A
+checkout without BENCHMARK.json, or a claimed metric it does not list,
+stops the script before the first pair, with exit code 2.
 """
 
 from __future__ import annotations
@@ -175,6 +179,20 @@ def format_verdicts(rows: list[dict], bounds: dict[str, float]) -> str:
     return "\n".join(lines)
 
 
+def format_claim(name: str, row: dict | None, pairs_run: int) -> str:
+    """The gain verdict on the claimed metric's ``compare`` row."""
+    if row is None:
+        return f"{name} claim: not met (no pair reports it)"
+    (q1, p, q3), c = row["parent"], row["change"][1]
+    gain = p - c if row["better"] == "lower" else c - p
+    met = 10 * row["wins"] >= 9 * pairs_run and gain > q3 - q1
+    detail = f"change better in {row['wins']}/{pairs_run} pairs"
+    if p:
+        detail += (f", median gain / parent median {gain / abs(p):.3f}, "
+                   f"parent spread (q3 - q1) / median {(q3 - q1) / abs(p):.3f}")
+    return f"{name} claim: {'met' if met else 'not met'} ({detail})"
+
+
 def load_or_start(path: Path, label: str, code: str, loc: int, seconds: float, pairing: str) -> dict:
     if path.exists():
         bench = json.loads(path.read_text(encoding="utf-8"))
@@ -224,6 +242,7 @@ def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
     parser.add_argument("--parent-code", help="commit named in the parent's BENCH file")
     parser.add_argument("--change-code", help="commit named in the change's BENCH file")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
+    parser.add_argument("--claim", metavar="METRIC", help="give the gain verdict on this metric")
     args = parser.parse_args(argv)
     paired = args.parent is not None and args.change is not None
     neither = args.parent is None and args.change is None
@@ -235,6 +254,9 @@ def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
         better, bounds = [read_metrics(checkout) for checkout in checked][-1]
     except FileNotFoundError as exc:
         print(f"error: {exc.filename} not found", file=sys.stderr)
+        return 2
+    if args.claim and args.claim not in better:
+        print(f"error: --claim {args.claim}: BENCHMARK.json lists no such metric", file=sys.stderr)
         return 2
 
     # Made before the first pair, so that no pair's runs are lost to it.
@@ -268,6 +290,8 @@ def main(argv: list[str] | None = None, run: Runner = run_benchmark) -> int:
     rows = compare(new, better)
     print(format_rows(rows))
     print(format_verdicts(rows, bounds))
+    if args.claim:
+        print(format_claim(args.claim, next((r for r in rows if r["metric"] == args.claim), None), len(args.seeds)))
     return 1 if any(incorrect.values()) else 0
 
 

@@ -148,6 +148,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_world(args: argparse.Namespace) -> int:
+    if not args.phrase or any(c in args.phrase for c in "\t\r\n"):
+        raise ConfigError(f"--phrase must be non-empty, without a tab or a line break: {args.phrase!r}")
     cfg = _config_from_args(args)
     tagger = _tagger(args.tagger, args.lang)
     oracle = build_oracle(cfg)

@@ -57,19 +57,20 @@ class OracleQuery:
             raise ValueError(f"{self.kind.value} takes {expected} phrase(s)")
         if not all(self.phrases):
             raise ValueError("empty phrase")
+        fields = "".join((*self.phrases, self.lang_restrict or ""))
+        if "\t" in fields or "\r" in fields or "\n" in fields:  # they would split the cache record
+            raise ValueError("a phrase or language holds a tab or a line break")
         if self.kind is QueryKind.MIXED_SNIPPETS and not self.lang_restrict:
             raise ValueError("MIXED_SNIPPETS requires lang_restrict")
         if self.kind in (QueryKind.SNIPPETS, QueryKind.MIXED_SNIPPETS):
             if self.limit is None or self.limit < 1:
                 raise ValueError("snippet queries require limit >= 1")
 
-    def cache_key(self) -> tuple[str, tuple[str, ...], str, str]:
-        return (
-            self.kind.value,
-            tuple(sorted(self.phrases)),
-            self.lang_restrict or "-",
-            "-" if self.limit is None else str(self.limit),
-        )
+    def cache_key(self) -> str:
+        """The first five fields of its cache record, tab-separated: kind, the phrases
+        sorted (the second empty for one), language and limit (``-`` where absent)."""
+        p1, p2 = sorted(self.phrases) if len(self.phrases) > 1 else (self.phrases[0], "")
+        return f"{self.kind.value}\t{p1}\t{p2}\t{self.lang_restrict or '-'}\t{'-' if self.limit is None else self.limit}"
 
 
 def or_query(phrases: Iterable[str]) -> str:
@@ -120,24 +121,23 @@ def is_answer(kind: QueryKind, value: object) -> bool:
 _JSON = json.JSONEncoder(ensure_ascii=False)  # json.dumps builds one per call
 
 
-def _format_record(key: tuple[str, tuple[str, ...], str, str], value: int | list[str]) -> str:
+def _format_record(key: str, value: int | list[str]) -> str:
     """One cache file line, newline included, for a ``cache_key`` and its value."""
-    kind, phrases, lang, limit = key
-    p2 = phrases[1] if len(phrases) > 1 else ""
-    payload = str(value) if type(value) is int else _JSON.encode(value)
-    return "\t".join([kind, phrases[0], p2, lang, limit, payload]) + "\n"
+    return f"{key}\t{value if type(value) is int else _JSON.encode(value)}\n"
 
 
-def _parse_record(line: bytes) -> tuple[tuple[str, tuple[str, ...], str, str], int | list[str]]:
+def _parse_record(line: bytes) -> tuple[str, int | list[str]]:
     """The ``cache_key`` and value of one cache file line; ValueError or
     TypeError unless it is a UTF-8 record whose payload fits its kind
     (``is_answer``): a snippet payload is a list of texts, never of pairs."""
-    kind, p1, p2, lang, limit, payload = line.decode("utf-8").rstrip("\r\n").split("\t")
+    key, payload = line.decode("utf-8").rstrip("\r\n").rsplit("\t", 1)
+    kind, p1, p2, lang, limit = key.split("\t")
     value = json.loads(payload)
     if not is_answer(QueryKind(kind), value):
         raise ValueError(f"payload is no {kind} answer")
-    phrases = (p1,) if not p2 else (p1, p2)
-    return (kind, tuple(sorted(phrases)), lang, limit), value
+    if p2 and p2 < p1:  # a pair written out of order
+        key = f"{kind}\t{p2}\t{p1}\t{lang}\t{limit}"
+    return key, value
 
 
 # The snapshot beside a cache file (see ``savefile``), keyed on the bytes of
@@ -149,9 +149,9 @@ def _parse_record(line: bytes) -> tuple[tuple[str, tuple[str, ...], str, str], i
 # its texts, then the offset, length and CRC-32 of its line in the cache
 # file. Their texts stay in that file, since a run with saved counts needs
 # only their number, and a run reads the others when it asks for them. The
-# second part holds the count records, by cache key.
+# second part holds the count records. Each table is keyed by ``cache_key``.
 _SNAPSHOT_MAGIC = b"lexiforge-cache\n"
-_SNAPSHOT_FORMAT = 7  # bump when the parts, which records ``_load`` keeps, or what ``count`` returns change
+_SNAPSHOT_FORMAT = 8  # bump when the parts, their keys, which records ``_load`` keeps, or what ``count`` returns change
 
 
 class _CacheFile:
@@ -213,9 +213,9 @@ class ResponseCache:
 
     Record layout: kind, phrase1, phrase2 (empty when absent), language,
     limit, then the JSON payload (a count or a list of snippet texts), all
-    tab-separated. Corrupt lines, and records whose payload does not fit
-    their kind, are skipped with a warning so the query can simply be
-    re-issued.
+    tab-separated; the first five are the ``cache_key`` that keys the
+    entries. Corrupt lines, and records whose payload does not fit their
+    kind, are skipped with a warning so the query can simply be re-issued.
 
     The file is opened for appending once, on the first ``put``, and
     flushed after every record, so a crash loses at most the record being
@@ -243,11 +243,11 @@ class ResponseCache:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[tuple, int | Sequence[str]] = {}
+        self._entries: dict[str, int | Sequence[str]] = {}
         self._lock = threading.Lock()
         self._append: BinaryIO | None = None
         # Cache key -> tagger table -> counts; see ``counts``.
-        self._counts: dict[tuple, dict[int, dict[tuple[str, str], int]]] = {}
+        self._counts: dict[str, dict[int, dict[tuple[str, str], int]]] = {}
         self._snapshot = Path(f"{self.path}.snapshot")
         # What the load covered: the key of its bytes, its number of lines
         # and its corrupt lines; None once a put changes the file. Unsaved:
@@ -256,7 +256,7 @@ class ResponseCache:
         self._unsaved = False
         # Each snippet record the load covered: the number of its texts and
         # the offset, length and CRC-32 of its line.
-        self._text_lines: dict[tuple, tuple[int, int, int, int]] = {}
+        self._text_lines: dict[str, tuple[int, int, int, int]] = {}
         if self.path.exists():
             self._load()
 
@@ -382,7 +382,7 @@ class ResponseCache:
     def kind_counts(self) -> Counter[str]:
         """Number of entries of each query kind, by kind name."""
         with self._lock:
-            return Counter(key[0] for key in self._entries)
+            return Counter(key[: key.index("\t")] for key in self._entries)
 
 
 def _locked(path: Path, mode: str, how: int) -> BinaryIO:
@@ -456,7 +456,7 @@ class SearchOracle:
         self._backend = backend
         self._cache = cache
         self._lock = threading.Lock()
-        self._inflight: dict[tuple, _Flight] = {}
+        self._inflight: dict[str, _Flight] = {}
         self._slots: queue.SimpleQueue[None] = queue.SimpleQueue()  # a token a slot; C, unlike Semaphore
         for _ in range(max(1, max_parallel)):
             self._slots.put(None)
@@ -480,7 +480,9 @@ class SearchOracle:
                 if cached is not None:
                     return cached
                 if self._backend is None:
-                    raise OracleError(f"offline: no cached response for {query.cache_key()}")
+                    shown = (query.kind.value, tuple(sorted(query.phrases)), query.lang_restrict or "-",
+                             "-" if query.limit is None else str(query.limit))
+                    raise OracleError(f"offline: no cached response for {shown}")
                 key = query.cache_key()
                 flight = self._inflight.get(key)
                 if flight is None:

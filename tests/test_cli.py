@@ -299,6 +299,22 @@ def test_world_ends_an_oracle_failure_in_one_line(capsys):
     assert err == "error: offline: no cached response for ('SNIPPETS', ('nulle part',), '-', '1000')\n"
 
 
+@pytest.mark.parametrize("phrase", ["", "caisse\tcentrale", "caisse\ncentrale", "caisse\rcentrale"])
+def test_world_rejects_a_phrase_a_cache_record_cannot_hold(tmp_path, capsys, phrase):
+    # A tab or a line break would split the phrase's cache record; the run
+    # ends before it opens the cache, which it leaves unwritten.
+    cache = tmp_path / "t.cache"
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"id": "d1", "lang": "fr", "text": "la caisse centrale"}\n', encoding="utf-8")
+    code, out, err = run(
+        ["world", "--phrase", phrase, "--lang", "fr", "--backend", "local", "--docs", str(docs), "--cache", str(cache)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --phrase must be non-empty, without a tab or a line break: {phrase!r}\n"
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("command", ["world", "extract"])
 @pytest.mark.parametrize("flag", ["--source-lang", "--target-lang"])
 def test_language_pair_flags_are_usage_errors_where_unread(capsys, command, flag):

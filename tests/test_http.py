@@ -135,7 +135,8 @@ def echo_server():
         yield server
 
 
-phrases = st.text(min_size=1, max_size=40)
+# A query phrase holds no tab or line break: OracleQuery rejects them.
+phrases = st.text(st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",)), min_size=1, max_size=40)
 
 
 @settings(max_examples=60, deadline=None)

@@ -163,6 +163,25 @@ def test_a_snapshot_load_leaves_the_snippet_texts_in_the_file(tmp_path):
     assert len(cache) == 300 and held < text_bytes / 4
 
 
+def test_a_snapshot_load_holds_under_200_bytes_per_count_record(tmp_path):
+    # What a warm replay's count entries are made of: one key string (the
+    # record's first five fields) and one int each, not a tuple of tuples.
+    path = tmp_path / "counts.cache"
+    recording = ResponseCache(path)
+    for i in range(3_000):
+        recording.put(OracleQuery(QueryKind.PHRASE_COUNT, (f"caisse centrale {i}",)), 1_000 + i)
+        recording.put(OracleQuery(QueryKind.PAIR_COUNT, (f"caisse centrale {i}", f"central fund {i}")), i)
+    recording.close()
+    ResponseCache(path).close()  # a replay, which saves the snapshot
+    tracemalloc.start()
+    try:
+        cache = ResponseCache(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 6_000 and held / 6_000 < 200
+
+
 def test_a_loaded_index_holds_less_than_two_and_a_half_times_its_collection(tmp_path, thousand_docs):
     # What a cold run's memory is made of: the texts and their token strings
     # as strings, the ids and languages packed, the postings as tuples.

@@ -73,6 +73,14 @@ def test_query_invariants():
         OracleQuery(QueryKind.MIXED_SNIPPETS, ("x",), limit=10)  # no lang
     with pytest.raises(ValueError):
         OracleQuery(QueryKind.SNIPPETS, ("x",), limit=0)
+    # A tab or a line break would split the query's cache record.
+    for bad in ("a\tb", "a\nb", "a\rb", "\t"):
+        with pytest.raises(ValueError, match="tab or a line break"):
+            OracleQuery(QueryKind.SNIPPETS, (bad,), limit=5)
+        with pytest.raises(ValueError, match="tab or a line break"):
+            OracleQuery(QueryKind.PAIR_COUNT, ("ok", bad))
+        with pytest.raises(ValueError, match="tab or a line break"):
+            OracleQuery(QueryKind.MIXED_SNIPPETS, ("ok",), lang_restrict=bad, limit=5)
 
 
 def test_split_or_query():
@@ -181,6 +189,7 @@ def test_tokenize_equals_match_object_form(text):
 
 
 VOCAB = ["de", "la", "caisse", "fund"]
+NO_BREAKS = st.characters(blacklist_characters="\t\r\n", blacklist_categories=("Cs",))  # what a query phrase may hold
 vocab_phrases = st.lists(st.sampled_from(VOCAB + ["absent"]), min_size=1, max_size=3).map(" ".join)
 
 
@@ -223,7 +232,8 @@ def as_doc(lang, pieces, doc_id):
         min_size=1,
         max_size=12,
     ),
-    st.lists(st.one_of(vocab_phrases, st.text(min_size=1)), min_size=1, max_size=3),
+    # A query phrase holds no tab or line break (OracleQuery rejects them); a document may.
+    st.lists(st.one_of(vocab_phrases, st.text(NO_BREAKS, min_size=1)), min_size=1, max_size=3),
     st.integers(1, 4),
 )
 @example(
@@ -532,6 +542,64 @@ def test_pair_key_is_order_insensitive(tmp_path):
     assert backend.calls == 1
 
 
+def tuple_key(query):
+    """The cache key in the nested tuple form it had before it was one string."""
+    return (query.kind.value, tuple(sorted(query.phrases)), query.lang_restrict or "-",
+            "-" if query.limit is None else str(query.limit))
+
+
+@st.composite
+def queries(draw, text):
+    kind = draw(st.sampled_from(QueryKind))
+    n = 2 if kind is QueryKind.PAIR_COUNT else 1
+    phrases = tuple(draw(st.lists(text, min_size=n, max_size=n)))
+    lang = draw(text if kind is QueryKind.MIXED_SNIPPETS else st.none() | st.just("") | text)
+    snippets = kind in (QueryKind.SNIPPETS, QueryKind.MIXED_SNIPPETS)
+    limit = draw(st.integers(1, 2000) if snippets else st.none() | st.integers(0, 2000))
+    return OracleQuery(kind, phrases, lang, limit)
+
+
+# Short fields that are prefixes of each other, and "-", which an absent
+# language or limit reads as.
+KEY_WORDS = ["a", "ab", "a b", "b", "-", "é", "5", "50"]
+# Any text a key field may hold; and that text without the characters below
+# TAB, which sort before the separator.
+KEY_TEXT = st.sampled_from(KEY_WORDS) | st.text(NO_BREAKS, min_size=1)
+ORDER_TEXT = st.sampled_from(KEY_WORDS) | st.text(
+    st.characters(min_codepoint=0x0B, blacklist_characters="\r", blacklist_categories=("Cs",)), min_size=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(queries(KEY_TEXT), min_size=2, max_size=6))
+def test_the_string_key_tells_apart_exactly_the_queries_the_tuple_key_did(batch):
+    for a in batch:
+        for b in batch:
+            assert (a.cache_key() == b.cache_key()) is (tuple_key(a) == tuple_key(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(queries(ORDER_TEXT), st.integers(0, 99)), min_size=1, max_size=6))
+def test_string_keys_sort_in_tuple_key_order_so_compact_writes_the_same_bytes(puts):
+    answers = {}  # by tuple key, the last put of each
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cache"
+        cache = ResponseCache(path)
+        for query, value in puts:
+            answer = value if query.kind in (QueryKind.PHRASE_COUNT, QueryKind.PAIR_COUNT) else [f"text {value}"]
+            cache.put(query, answer)
+            answers[tuple_key(query)] = answer
+        cache.close()
+        compact(path)
+        compacted = path.read_text(encoding="utf-8")
+    # What compact wrote when it sorted tuple keys.
+    expected = "".join(
+        "\t".join([kind, phrases[0], phrases[1] if len(phrases) > 1 else "", lang, limit,
+                   json.dumps(answers[kind, phrases, lang, limit], ensure_ascii=False)]) + "\n"
+        for kind, phrases, lang, limit in sorted(answers)
+    )
+    assert compacted == expected
+
+
 def test_corrupt_cache_lines_skipped(tmp_path):
     path = tmp_path / "run.cache"
     good = OracleQuery(QueryKind.PHRASE_COUNT, ("ok",))
@@ -631,9 +699,9 @@ def test_a_snapshot_that_lists_a_text_id_pair_record_as_texts_is_rebuilt(tmp_pat
     ]
     path.write_bytes(b"".join(lines))
     tagger = LexiconTagger(FR_ENTRIES)
-    old = OracleQuery(QueryKind.SNIPPETS, ("old",), limit=5).cache_key()
+    old = ("SNIPPETS", ("old",), "-", "5")  # the tuple keys of its time
     text_lines = {
-        CAISSE.cache_key(): (1, 0, len(lines[0]), zlib.crc32(lines[0])),
+        ("SNIPPETS", ("caisse",), "-", "5"): (1, 0, len(lines[0]), zlib.crc32(lines[0])),
         old: (2, len(lines[0]), len(lines[1]), zlib.crc32(lines[1])),
     }
     counts = {old: {tagger.table_crc: {("caisse", "NOUN"): 9}}}
@@ -699,10 +767,11 @@ def test_cache_record_bytes_match_json_dumps_and_reload(kind_and_answer, phrases
         query = OracleQuery(kind, (phrases[0],), "en" if kind is QueryKind.MIXED_SNIPPETS else None,
                             None if kind is QueryKind.PHRASE_COUNT else 5)
     key = query.cache_key()
-    p2 = key[1][1] if len(key[1]) > 1 else ""
-    layout = [key[0], key[1][0], p2, key[2], key[3], json.dumps(answer, ensure_ascii=False)]
+    p1, p2 = sorted(phrases) if kind is QueryKind.PAIR_COUNT else (phrases[0], "")
+    layout = [kind.value, p1, p2, query.lang_restrict or "-", "-" if query.limit is None else str(query.limit)]
+    assert key == "\t".join(layout)
     record = _format_record(key, answer)
-    assert record == "\t".join(layout) + "\n"
+    assert record == "\t".join(layout + [json.dumps(answer, ensure_ascii=False)]) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cache"
         path.write_bytes(record.encode("utf-8"))
@@ -977,8 +1046,8 @@ def test_a_tab_alone_on_a_line_is_skipped_without_a_warning(tmp_path, decoded):
     path = tmp_path / "run.cache"
     path.write_bytes(CACHE_LINES[0] + b"\t\n" + CACHE_LINES[6])
     expected = {
-        ("PHRASE_COUNT", ("midnight mass",), "-", "-"): 336000,
-        ("PAIR_COUNT", ("caisse centrale", "central fund"), "-", "-"): 4,
+        "PHRASE_COUNT\tmidnight mass\t\t-\t-": 336000,
+        "PAIR_COUNT\tcaisse centrale\tcentral fund\t-\t-": 4,
     }
     assert load_logged(path) == (expected, [])
     decoded.clear()
@@ -1036,8 +1105,8 @@ def test_compact_keeps_every_record_of_a_writer_that_opens_and_closes_meanwhile(
     entries, messages = load_logged(path)
     assert messages == []
     assert entries == {
-        ("PHRASE_COUNT", ("midnight mass",), "-", "-"): 336000,
-        **{("PHRASE_COUNT", (f"put {i}",), "-", "-"): i for i in range(3000)},
+        "PHRASE_COUNT\tmidnight mass\t\t-\t-": 336000,
+        **{f"PHRASE_COUNT\tput {i}\t\t-\t-": i for i in range(3000)},
     }
 
 
@@ -1068,10 +1137,10 @@ def counting_taggers(fr=FR_ENTRIES):
 
 def cached_worlds(oracle, taggers):
     """The fr and en worlds of every snippet record of ``oracle``'s cache."""
-    keys = sorted(key for key in oracle._cache._entries if key[0] == "SNIPPETS")
+    keys = sorted(key for key in oracle._cache._entries if key.startswith("SNIPPETS\t"))
     return [
-        build_lexical_world(phrases[0], lang, oracle, tagger, snippet_limit=int(limit), world_size=5)
-        for _, phrases, _, limit in keys
+        build_lexical_world(phrase, lang, oracle, tagger, snippet_limit=int(limit), world_size=5)
+        for _, phrase, _, _, limit in (key.split("\t") for key in keys)
         for lang, tagger in zip(("fr", "en"), taggers)
     ]
 
@@ -1142,7 +1211,8 @@ def test_worlds_from_saved_counts_equal_worlds_recounted(steps):
     "damage",
     [
         "none", "torn", "header alone", "one part fewer", "one part more", "corrupt part", "stale key",
-        "other format", "format 3", "format 4", "format 5", "format 6", "other marshal version", "other kind",
+        "other format", "format 3", "format 4", "format 5", "format 6", "format 7", "other marshal version",
+        "other kind",
     ],
 )
 def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, damage):
@@ -1172,6 +1242,8 @@ def test_a_snapshot_is_read_unless_damaged_and_then_rebuilt(tmp_path, decoded, d
         snapshot.write_bytes(good[:16] + (5).to_bytes(4, "little") + good[20:])
     elif damage == "format 6":  # the format that listed [text, doc_id] pair records as texts
         snapshot.write_bytes(good[:16] + (6).to_bytes(4, "little") + good[20:])
+    elif damage == "format 7":  # the format that keyed its tables by nested tuples
+        snapshot.write_bytes(good[:16] + (7).to_bytes(4, "little") + good[20:])
     elif damage == "other marshal version":
         snapshot.write_bytes(good[:20] + (marshal.version + 1).to_bytes(4, "little") + good[24:])
     elif damage == "other kind":

@@ -179,3 +179,53 @@ def test_bench_pairs_stops_before_the_first_pair_without_benchmark_json(tmp_path
     assert bench_pairs.main(argv, run=stub_run) == 2
     assert runs == [] and not (tmp_path / "out").exists()
     assert capsys.readouterr().err == f"error: {checkouts[missing] / 'BENCHMARK.json'} not found\n"
+
+
+@pytest.mark.parametrize("claim", ["peak_rss_mb", "units_per_s", "cpu_s", "queries_per_unit"])
+def test_bench_pairs_gives_a_claimed_metric_a_gain_verdict(tmp_path, capsys, claim):
+    bench_pairs = load_bench_pairs()
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "lexiforge").mkdir(parents=True)
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", checkout)
+
+    def stub_run(path, workload, seed, seconds, trace):
+        change = path != checkout
+        values = {
+            # 2 MB less in 9 of 10 pairs, 1 MB more at seed 5; parent spread 0.045 MB
+            "peak_rss_mb": 30 + seed / 100 + (0 if not change else 1 if seed == 5 else -2),
+            "units_per_s": 100 + seed + change,  # better in 10/10, by less than the spread of 4.5
+            "cpu_s": (1 + seed / 100) * (1 if not change else 0.5 if seed <= 8 else 1.1),  # better in 8/10
+        }  # queries_per_unit: no run reports it
+        metrics = {name: {"value": value} for name, value in values.items()}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    argv = ["--aa", str(checkout), "--workload", "warm-replay", "--seeds", "1-10", "--label", "t",
+            "--out-dir", str(tmp_path), "--claim", claim]
+    assert bench_pairs.main(argv, run=stub_run) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == {
+        "peak_rss_mb": "peak_rss_mb claim: met (change better in 9/10 pairs, "
+                       "median gain / parent median 0.066, parent spread (q3 - q1) / median 0.001)",
+        "units_per_s": "units_per_s claim: not met (change better in 10/10 pairs, "
+                       "median gain / parent median 0.009, parent spread (q3 - q1) / median 0.043)",
+        "cpu_s": "cpu_s claim: not met (change better in 8/10 pairs, "
+                 "median gain / parent median 0.500, parent spread (q3 - q1) / median 0.043)",
+        "queries_per_unit": "queries_per_unit claim: not met (no pair reports it)",
+    }[claim]
+
+
+def test_bench_pairs_stops_before_the_first_pair_on_a_claim_of_an_unlisted_metric(tmp_path, capsys):
+    bench_pairs = load_bench_pairs()
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "lexiforge").mkdir(parents=True)
+    shutil.copy(SCRIPTS.parent / "BENCHMARK.json", checkout)
+    runs = []
+
+    def stub_run(path, workload, seed, seconds, trace):
+        runs.append(path)
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+
+    argv = ["--aa", str(checkout), "--workload", "warm-replay", "--seeds", "1-10", "--label", "t",
+            "--out-dir", str(tmp_path / "out"), "--claim", "peak_rss"]
+    assert bench_pairs.main(argv, run=stub_run) == 2
+    assert runs == [] and not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == "error: --claim peak_rss: BENCHMARK.json lists no such metric\n"
