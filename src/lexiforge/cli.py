@@ -173,7 +173,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     path = _require_file(args.cache_file, "cache file")
     if args.action == "stats":
         cache = ResponseCache(path)
-        by_kind = cache.kind_counts()
+        by_kind = cache.kinds()
         print(f"{len(cache)} entries in {path}")
         for kind in sorted(by_kind):
             print(f"  {kind}\t{by_kind[kind]}")

@@ -179,26 +179,26 @@ class _CacheFile:
 
 
 class _Texts(Sequence):
-    """The texts of a snippet record that a load from the snapshot
-    left in the cache file: its length is known at once, its texts are read
-    from its line on first access."""
+    """A snippet record a load covered, equal to the list of its texts. It
+    holds its ``line`` (the number of its texts, then the offset, length and
+    CRC-32 of its line in the cache file), its texts, which a load from the
+    snapshot leaves in the file until the first item access, and its
+    lexical-world ``counts`` by tagger table (see ``ResponseCache.counts``)."""
 
-    __slots__ = ("_file", "_len", "_line", "_texts")
+    __slots__ = ("_file", "line", "_texts", "counts")
 
-    def __init__(self, file: _CacheFile, length: int, *line: int):
-        self._file = file
-        self._len = length
-        self._line = line  # offset, length and CRC-32
-        self._texts: list[str] | None = None
+    def __init__(self, line: tuple[int, int, int, int], texts: list[str] | None, file: _CacheFile | None = None,
+                 counts: dict[int, dict[tuple[str, str], int]] | None = None):
+        self.line, self._texts, self._file, self.counts = line, texts, file, counts
 
     def __len__(self) -> int:
-        return self._len
+        return self.line[0]
 
     def _list(self) -> list[str]:
         if self._texts is None:
             with self._file.lock:  # so that workers asking at once read it once
                 if self._texts is None:
-                    self._texts = self._file.texts(*self._line)
+                    self._texts = self._file.texts(*self.line[1:])
         return self._texts
 
     def __getitem__(self, index):
@@ -206,6 +206,12 @@ class _Texts(Sequence):
 
     def __iter__(self):
         return iter(self._list())
+
+    def __eq__(self, other):
+        other = other._list() if isinstance(other, _Texts) else other
+        return self._list() == other if isinstance(other, list) else NotImplemented
+
+    __hash__ = None
 
 
 class ResponseCache:
@@ -227,36 +233,33 @@ class ResponseCache:
     ``flock`` until ``close``, so that ``compact`` never replaces the file
     under a writer.
 
-    What a load checked, and the lexical-world counts of its snippet
-    records (see ``counts``), are saved beside the file as
+    The entries are one table, by ``cache_key``: a count record holds its
+    count, and a snippet record the load covered, SNIPPETS or
+    MIXED_SNIPPETS, is a read-only sequence equal to its list of texts
+    (``_Texts``) that also holds where its line is and its lexical-world
+    counts (see ``counts``). A ``put`` holds the list it was given. What a
+    load checked, and those records, are saved beside the file as
     ``<path>.snapshot``, keyed on the complete lines the load covered. A
     later load reads that and parses only the records appended after them.
     Appends leave those lines as they are; a snapshot that no longer fits
     the file is rebuilt. Only ``close`` saves it, and only if this cache
     appended nothing and the snapshot lacks lines or counts it has. The
-    snapshot holds no snippet text: for each snippet record, SNIPPETS or
-    MIXED_SNIPPETS, it holds the number of its texts and where its line is.
-    A load from it makes each such entry a read-only sequence (``_Texts``)
-    whose first item access reads, checks and parses that record's line,
-    once, from the file the load checked.
+    snapshot holds no snippet text: a record loaded from it reads, checks
+    and parses its line on first item access, once, from the file the load
+    checked.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._entries: dict[str, int | Sequence[str]] = {}
+        self._entries: dict[str, int | _Texts | list[str]] = {}
         self._lock = threading.Lock()
         self._append: BinaryIO | None = None
-        # Cache key -> tagger table -> counts; see ``counts``.
-        self._counts: dict[str, dict[int, dict[tuple[str, str], int]]] = {}
         self._snapshot = Path(f"{self.path}.snapshot")
         # What the load covered: the key of its bytes, its number of lines
         # and its corrupt lines; None once a put changes the file. Unsaved:
         # the snapshot on disk lacks some of those lines, or counts made since.
         self._covered: tuple[savefile.Key, int, list[int]] | None = None
         self._unsaved = False
-        # Each snippet record the load covered: the number of its texts and
-        # the offset, length and CRC-32 of its line.
-        self._text_lines: dict[str, tuple[int, int, int, int]] = {}
         if self.path.exists():
             self._load()
 
@@ -270,11 +273,10 @@ class ResponseCache:
                 self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, 2, lambda key: key == savefile.key_of(fh, key[1])
             )
             if saved:
-                (crc, covered), ((lines, skipped, self._counts, self._text_lines), hit_counts) = saved
-                self._entries.update(hit_counts)
-                if self._text_lines:
-                    file = _CacheFile(fh)
-                    self._entries.update((key, _Texts(file, *line)) for key, line in self._text_lines.items())
+                (crc, covered), ((lines, skipped, counts, text_lines), hits) = saved
+                self._entries.update(hits)
+                file = _CacheFile(fh) if text_lines else None
+                self._entries.update((key, _Texts(line, None, file, counts.get(key))) for key, line in text_lines.items())
                 for lineno in skipped:
                     log.warning("%s:%d: skipping corrupt cache record", self.path, lineno)
             else:
@@ -304,10 +306,9 @@ class ResponseCache:
                     if complete:
                         skipped.append(lineno)
                     continue
-                self._entries[key] = value
-                self._counts.pop(key, None)  # counted from the record this one replaces
                 if type(value) is list:
-                    self._text_lines[key] = len(value), offset, len(raw_line), zlib.crc32(raw_line)
+                    value = _Texts((len(value), offset, len(raw_line), zlib.crc32(raw_line)), value)
+                self._entries[key] = value
         self._covered = (crc, covered), lines, skipped
         self._unsaved = covered != saved_covered
 
@@ -321,7 +322,6 @@ class ResponseCache:
         record = _format_record(key, value).encode("utf-8")
         with self._lock:
             self._entries[key] = value
-            self._counts.pop(key, None)
             self._covered = None  # a snapshot would be stale once this is written
             fh = self._append_handle()
             fh.write(record)
@@ -338,24 +338,21 @@ class ResponseCache:
             self._append = fh
         return self._append
 
-    def counts(self, query: OracleQuery, snippets: Sequence[str], tagger) -> dict[tuple[str, str], int]:
-        """``tagger.count(snippets)`` for the answer ``snippets`` this cache
-        gave to the snippet ``query``. For a record the load covered, and a
-        tagger that names its table by a ``table_crc``, the counts are kept
-        and saved in the snapshot by ``close``, so that later loads of the
-        same bytes read them instead of counting again."""
-        key = query.cache_key()
+    def counts(self, snippets: Sequence[str], tagger) -> dict[tuple[str, str], int]:
+        """``tagger.count(snippets)`` for an answer ``snippets`` this cache
+        gave. A record the load covered keeps the counts of a tagger that
+        names its table by a ``table_crc``, and ``close`` saves them in the
+        snapshot, so that later loads of the same bytes read them instead of
+        counting again. A put's list is counted and not kept."""
         table = getattr(tagger, "table_crc", None)
-        with self._lock:
-            totals = self._counts.get(key, {}).get(table)
+        if table is None or type(snippets) is not _Texts:
+            return tagger.count(snippets)
+        totals = (snippets.counts or {}).get(table)  # replaced, never changed: read without the lock
         if totals is None:
             totals = tagger.count(snippets)
             with self._lock:
-                # Until the first put every record is one the load covered; a
-                # put drops the counts of the record it replaces.
-                if table is not None and self._covered is not None:
-                    self._counts.setdefault(key, {})[table] = totals
-                    self._unsaved = True
+                snippets.counts = {**(snippets.counts or {}), table: totals}
+                self._unsaved = True
         return totals
 
     def close(self) -> None:
@@ -368,18 +365,19 @@ class ResponseCache:
                 self._append = None
             if self._unsaved and self._covered is not None:
                 covered, lines, skipped = self._covered
-                hit_counts = {key: value for key, value in self._entries.items() if type(value) is int}
-                savefile.save(
-                    self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, covered,
-                    [(lines, skipped, self._counts, self._text_lines), hit_counts],
-                )
+                # Until the first put every snippet record is one the load covered.
+                texts = [(key, value) for key, value in self._entries.items() if type(value) is _Texts]
+                savefile.save(self._snapshot, _SNAPSHOT_MAGIC, _SNAPSHOT_FORMAT, covered, [
+                    (lines, skipped, {key: t.counts for key, t in texts if t.counts}, {key: t.line for key, t in texts}),
+                    {key: value for key, value in self._entries.items() if type(value) is int},
+                ])
             self._unsaved = False
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def kind_counts(self) -> Counter[str]:
+    def kinds(self) -> Counter[str]:
         """Number of entries of each query kind, by kind name."""
         with self._lock:
             return Counter(key[: key.index("\t")] for key in self._entries)
@@ -411,7 +409,7 @@ def compact(path: str | Path) -> int:
         tmp = path.with_suffix(path.suffix + ".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(
-                _format_record(key, list(value) if isinstance(value, _Texts) else value)
+                _format_record(key, value if type(value) is int else list(value))
                 for key, value in sorted(entries.items())
             )
         tmp.replace(path)
@@ -522,11 +520,10 @@ class SearchOracle:
     def counted_snippets(self, phrase: str, limit: int, tagger) -> tuple[Sequence[str], dict]:
         """The snippets for ``phrase`` and ``tagger.count`` of them, through
         the counts the cache keeps (``ResponseCache.counts``)."""
-        query = OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit)
-        snippets = self.execute(query)
+        snippets = self.execute(OracleQuery(QueryKind.SNIPPETS, (phrase,), limit=limit))
         if self._cache is None:
             return snippets, tagger.count(snippets)
-        return snippets, self._cache.counts(query, snippets, tagger)
+        return snippets, self._cache.counts(snippets, tagger)
 
     def mixed_snippets(self, phrase: str, lang: str, limit: int) -> Sequence[str]:
         return self.execute(

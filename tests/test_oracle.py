@@ -43,7 +43,7 @@ from lexiforge.oracle import (
     split_or_query,
 )
 from lexiforge.phase2 import build_lexical_world
-from lexiforge.tagging import LexiconTagger
+from lexiforge.tagging import LexiconTagger, default_tagger
 
 from conftest import FakeBackend, refusing_saved_files
 
@@ -1440,6 +1440,40 @@ def test_a_warm_translate_decodes_no_snippet_text(tmp_path, line_reads, capsys):
     assert all(data.startswith(b"MIXED_SNIPPETS\t", offset) for offset, _ in line_reads)
     assert snapshot.read_bytes() == before
     capsys.readouterr()
+
+
+def test_every_fixture_answer_loaded_from_the_snapshot_equals_it_parsed(tmp_path):
+    # For each snippet record of the fixture cache: its answer and its world
+    # counts after a parse load, then after a load from the snapshot that
+    # parse left.
+    path = tmp_path / "e2e.cache"
+    shutil.copyfile(Path(__file__).parent / "data" / "e2e.cache", path)
+    taggers = [default_tagger("fr"), default_tagger("en")]
+
+    def answers():
+        search = SearchOracle(None, ResponseCache(path))
+        answered = {}
+        for key in [key for key in search._cache._entries if "SNIPPETS\t" in key]:
+            kind, phrase, _, lang, limit = key.split("\t")
+            if kind == "SNIPPETS":
+                answered[key] = [search.counted_snippets(phrase, int(limit), tagger) for tagger in taggers]
+            else:
+                answered[key] = [(search.mixed_snippets(phrase, lang, int(limit)), None)]
+        search.close()
+        return answered
+
+    parsed = answers()
+    assert Path(f"{path}.snapshot").is_file()
+    loaded = answers()
+    assert list(parsed) == list(loaded) and len(parsed) == 28
+    for key, answers_parsed in parsed.items():
+        for (texts, counts), (texts_loaded, counts_loaded) in zip(answers_parsed, loaded[key]):
+            assert texts == texts_loaded and texts_loaded == texts, key
+            assert list(texts) == texts_loaded and texts_loaded == list(texts), key
+            assert not texts_loaded != texts
+            assert counts == counts_loaded, key
+            with pytest.raises(TypeError):
+                hash(texts_loaded)
 
 
 def test_workers_asking_at_once_decode_each_text_once(tmp_path, line_reads):
