@@ -20,7 +20,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .backends import HttpBackend, LocalIndexBackend
-from .config import BACKENDS, TAGSETS, ConfigError, InputError, RunConfig, load_config, open_utf8
+from .config import BACKENDS, TAGSETS, ConfigError, InputError, RunConfig, check_lang, load_config, open_utf8
 from .corpus import parse_tagged_corpus
 from .dictionary import load_dictionary, route_ulc
 from .extraction import FilterStatus, extract_ulcs, filter_ulcs, read_ulcs, write_ulcs
@@ -151,6 +151,7 @@ def cmd_world(args: argparse.Namespace) -> int:
     if not args.phrase or any(c in args.phrase for c in "\t\r\n"):
         raise ConfigError(f"--phrase must be non-empty, without a tab or a line break: {args.phrase!r}")
     cfg = _config_from_args(args)
+    check_lang("--lang", args.lang, args.tagger)
     tagger = _tagger(args.tagger, args.lang)
     oracle = build_oracle(cfg)
     try:

@@ -19,6 +19,7 @@ import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from importlib import resources
 from pathlib import Path
 from typing import BinaryIO, Iterator, Mapping, TextIO
 
@@ -227,6 +228,19 @@ class RunConfig:
             raise ConfigError("local backend requires oracle.docs")
         if self.backend == "cache" and not self.cache_path:
             raise ConfigError("cache backend requires oracle.cache")
+        check_lang("lang.source", self.source_lang, self.source_tagger_path)
+        check_lang("lang.target", self.target_lang, self.target_tagger_path)
+
+
+def check_lang(setting: str, lang: str, tagger_path: str | None) -> None:
+    """ConfigError unless the package ships a stopword list for ``lang``,
+    and a tagger lexicon too where no ``tagger_path`` is given."""
+    names = {entry.name for entry in resources.files("lexiforge.data").iterdir()}
+    wanted = ("stopwords_{}.txt",) if tagger_path else ("stopwords_{}.txt", "tagger_{}.tsv")
+    codes = {name.partition("_")[2].partition(".")[0] for name in names}
+    offered = sorted(code for code in codes if all(name.format(code) in names for name in wanted))
+    if lang not in offered:
+        raise ConfigError(f"{setting}: no shipped data for {lang!r}; languages on offer: {', '.join(offered)}")
 
 
 def _check(attr: str, value: object) -> None:

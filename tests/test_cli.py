@@ -315,6 +315,22 @@ def test_world_rejects_a_phrase_a_cache_record_cannot_hold(tmp_path, capsys, phr
     assert not cache.exists()
 
 
+def test_translate_with_a_language_the_package_has_no_data_for_exits_2_naming_the_setting(tmp_path, capsys):
+    code, out, err = run(translate_args(tmp_path / "out", ["--target-lang", "de"]), capsys)
+    assert code == 2 and out == ""
+    assert err == "error: lang.target: no shipped data for 'de'; languages on offer: en, fr\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_world_with_a_language_the_package_has_no_data_for_exits_2_naming_the_flag(capsys):
+    code, out, err = run(
+        ["world", "--phrase", "caisse de retraite", "--lang", "de", "--offline", "--cache", str(DATA / "e2e.cache")],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: --lang: no shipped data for 'de'; languages on offer: en, fr\n"
+
+
 @pytest.mark.parametrize("command", ["world", "extract"])
 @pytest.mark.parametrize("flag", ["--source-lang", "--target-lang"])
 def test_language_pair_flags_are_usage_errors_where_unread(capsys, command, flag):

@@ -49,8 +49,8 @@ EVERY_KEY = {
     "corpus.tagset": ("treetagger-fr", "treetagger-fr"),
     "dictionary.path": ("d.tsv", "d.tsv"),
     "output.dir": ("run", "run"),
-    "lang.source": ("de", "de"),
-    "lang.target": ("it", "it"),
+    "lang.source": ("en", "en"),  # the pair swapped: the package ships data for these two only
+    "lang.target": ("fr", "fr"),
     "oracle.backend": ("http", "http"),
     "oracle.cache": ("run.cache", "run.cache"),
     "oracle.docs": ("docs.jsonl", "docs.jsonl"),
@@ -122,6 +122,25 @@ def test_validate_rejects_negative_thresholds():
     cfg = RunConfig(backend="cache", cache_path="x", max_ulcs=-3)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "settings, error",
+    [
+        ({"source_lang": "de"}, "lang.source: no shipped data for 'de'; languages on offer: en, fr"),
+        ({"target_lang": "en\tx"}, "lang.target: no shipped data for 'en\\tx'; languages on offer: en, fr"),
+        # A tagger lexicon stands in for the shipped one, but not for the stopword list.
+        ({"target_lang": "de", "target_tagger_path": "de.tsv"}, "lang.target: no shipped data for 'de'"),
+        ({"source_lang": "en", "target_lang": "fr", "target_tagger_path": "fr.tsv"}, None),
+    ],
+)
+def test_validate_checks_each_language_against_the_shipped_data(settings, error):
+    cfg = RunConfig(backend="cache", cache_path="x", **settings)
+    if error is None:
+        cfg.validate()
+    else:
+        with pytest.raises(ConfigError, match=re.escape(error)):
+            cfg.validate()
 
 
 @pytest.mark.parametrize("attr", ["noun_jaccard_min", "adj_jaccard_min", "rate_per_sec"])
