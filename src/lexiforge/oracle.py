@@ -412,6 +412,8 @@ def compact(path: str | Path) -> int:
                 _format_record(key, value if type(value) is int else list(value))
                 for key, value in sorted(entries.items())
             )
+            fh.flush()
+            os.fsync(fh.fileno())  # on disk before it replaces the only copy of every answer
         tmp.replace(path)
         cache._snapshot.unlink(missing_ok=True)
     return len(entries)

@@ -800,6 +800,29 @@ def test_compact_dedupes_file(tmp_path):
     assert len(path.read_text().splitlines()) == 1
 
 
+def test_compact_syncs_the_rewritten_file_before_it_replaces_the_cache(tmp_path, monkeypatch):
+    # The rewrite replaces the only copy of every answer: a crash after the
+    # rename must not leave a file whose bytes never reached the disk.
+    path = tmp_path / "run.cache"
+    path.write_bytes(b"".join(CACHE_LINES))
+    events = []
+    fsync, replace = os.fsync, Path.replace
+
+    def synced(fd):
+        events.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+        fsync(fd)
+
+    def replaced(self, target):
+        events.append(("replace", os.stat(self).st_ino, os.stat(self).st_size))
+        return replace(self, target)
+
+    monkeypatch.setattr(os, "fsync", synced)
+    monkeypatch.setattr(Path, "replace", replaced)
+    assert compact(path) == 5
+    # The file synced is the one moved into place, with all of its bytes.
+    assert events == [("fsync", *events[1][1:]), ("replace", path.stat().st_ino, path.stat().st_size)]
+
+
 def test_torn_tail_does_not_swallow_next_record(tmp_path):
     path = tmp_path / "run.cache"
     path.write_text('PHRASE_COUNT\tok\t\t-\t-\t7\nSNIPPETS\ttorn\t\t-\t5\t[["half a rec', encoding="utf-8")
