@@ -105,7 +105,7 @@ def extract_ulcs(sentences: Iterable[Sentence], min_corpus_freq: int) -> list[So
     descending corpus frequency, then surface, so it is independent of
     document order.
     """
-    counts: dict[tuple[str, str, UlcPattern], int] = {}
+    # (head, modifier, pattern) -> surface -> count; a unit's frequency is the sum.
     surfaces: dict[tuple[str, str, UlcPattern], dict[str, int]] = {}
     for sentence in sentences:
         for i in range(len(sentence)):
@@ -113,19 +113,12 @@ def extract_ulcs(sentences: Iterable[Sentence], min_corpus_freq: int) -> list[So
             if match is None:
                 continue
             pattern, head, modifier, surface = match
-            key = (head, modifier, pattern)
-            counts[key] = counts.get(key, 0) + 1
-            variants = surfaces.setdefault(key, {})
+            variants = surfaces.setdefault((head, modifier, pattern), {})
             variants[surface] = variants.get(surface, 0) + 1
-
-    def best_surface(key) -> str:
-        variants = surfaces[key]
-        return min(variants, key=lambda s: (-variants[s], s))
-
     units = [
-        SourceUlc(head, modifier, pattern, best_surface((head, modifier, pattern)), freq)
-        for (head, modifier, pattern), freq in counts.items()
-        if freq >= min_corpus_freq
+        SourceUlc(head, modifier, pattern, min(variants, key=lambda s: (-variants[s], s)), freq)
+        for (head, modifier, pattern), variants in surfaces.items()
+        if (freq := sum(variants.values())) >= min_corpus_freq
     ]
     units.sort(key=lambda u: (-u.corpus_freq, u.surface, u.pattern.value))
     return units
