@@ -239,8 +239,6 @@ class HttpBackend:
         timeout: float = 10.0,
         session=None,
     ):
-        if not endpoint:
-            raise ValueError("http backend requires an endpoint")
         self.api_key = api_key
         self.min_interval = 1.0 / rate_per_sec if rate_per_sec > 0 else 0.0
         self.max_retries = max_retries

@@ -19,6 +19,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from . import savefile
 from .backends import HttpBackend, LocalIndexBackend
 from .config import BACKENDS, TAGSETS, ConfigError, InputError, RunConfig, check_lang, load_config, open_utf8
 from .corpus import parse_tagged_corpus
@@ -103,7 +104,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     out_path = Path(args.out) if args.out else Path(cfg.output_dir) / "ulcs.tsv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with savefile.replacing(out_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         write_ulcs(kept, fh)
     print(f"extracted {len(units)} units, kept {len(kept)} -> {out_path}")
     if unresolved:

@@ -108,6 +108,4 @@ def _article(phrase: str, use_an: bool) -> str:
 def build_validation_query(candidate: CandidateTranslation, use_an: bool = False) -> str:
     """Exact-phrase OR-query testing the candidate behind "the" and "a"."""
     phrase = candidate.target_surface
-    if not phrase:
-        raise ValueError("candidate has no target surface")
     return or_query((f"the {phrase}", f"{_article(phrase, use_an)} {phrase}"))

@@ -406,15 +406,13 @@ def compact(path: str | Path) -> int:
     with _locked(path, "rb", fcntl.LOCK_EX | fcntl.LOCK_NB):
         cache = ResponseCache(path)
         entries = cache._entries
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with savefile.replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(
                 _format_record(key, value if type(value) is int else list(value))
                 for key, value in sorted(entries.items())
             )
             fh.flush()
             os.fsync(fh.fileno())  # on disk before it replaces the only copy of every answer
-        tmp.replace(path)
         cache._snapshot.unlink(missing_ok=True)
     return len(entries)
 

@@ -13,7 +13,6 @@ share one ``WorldContext`` and read every setting from its ``cfg``, a
 from __future__ import annotations
 
 import enum
-import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from . import savefile
 from .config import InputError, read_rows
 from .dictionary import Route, route_ulc
 from .extraction import SourceUlc, UlcPattern
@@ -172,29 +172,24 @@ def write_report(records: Sequence[TranslationRecord], out_dir: str | Path) -> t
     """Write the lexicon and summary files; returns their paths.
 
     Output is fully deterministic for given records, so re-runs against a
-    warm cache produce byte-identical files. Both are moved into place once
-    both are written, so a failed write keeps the previous run's files.
+    warm cache produce byte-identical files. Both are written before either
+    moves into place, the lexicon first (its block is the inner one), so a
+    failed write keeps the previous run's files.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = out_dir / "lexicon.tsv", out_dir / "summary.tsv"
-    temps = [path.with_name(f"{path.name}.{os.getpid()}.tmp") for path in paths]
-    try:
-        with open(temps[0], "w", encoding="utf-8") as fh:
+    with savefile.replacing(paths[1]) as summary_tmp, savefile.replacing(paths[0]) as lexicon_tmp:
+        with open(lexicon_tmp, "w", encoding="utf-8") as fh:
             for record in records:
                 fields = (record.source.surface, record.translation or "", record.phase.value, _score_summary(record.scores))
                 fh.write("\t".join(fields) + "\n")
         summary = summarize(records)
         translated = summary["translated"]
-        with open(temps[1], "w", encoding="utf-8") as fh:
+        with open(summary_tmp, "w", encoding="utf-8") as fh:
             for label, count in summary.items():
                 share = (100.0 * count / translated) if translated else 0.0
                 fh.write(f"{label}\t{count}\t{share:.2f}%\n" if label.startswith("phase\t") else f"{label}\t{count}\n")
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    finally:
-        for temp in temps:
-            temp.unlink(missing_ok=True)
     return paths
 
 

@@ -15,6 +15,9 @@ it loads as None, and its owner makes it again. Since the key pins the
 source bytes, a part may point into them instead of copying them: the cache
 snapshot holds the offset, length and CRC-32 of the lines that hold the
 snippet texts of either kind, not the texts.
+
+Every file lexiforge writes whole, saved or output, replaces its path
+through ``replacing``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .config import open_utf8
 
@@ -80,25 +83,31 @@ def load(path: Path, magic: bytes, fmt: int, n_parts: int, fits: Callable[[Key],
         return None
 
 
-def save(path: Path, magic: bytes, fmt: int, key: Key, parts: Iterable) -> None:
-    """Write ``parts``, each marshalled and written before the next, under a
-    unique temporary name, then move it over ``path``. A directory that
-    refuses the write keeps no file."""
-    if len(magic) != 16:
-        raise ValueError(f"a magic of {len(magic)} bytes, not 16")
+@contextlib.contextmanager
+def replacing(path: Path) -> Iterator[Path]:
+    """A temporary name beside ``path`` to write a whole file under: moved
+    over ``path`` if the block raises nothing, and gone once it ends."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
-            fh.write(_HEADER.pack(magic, fmt, marshal.version, *key))
-            for part in parts:
-                data = marshal.dumps(part)
-                fh.write(_RECORD.pack(len(data), zlib.crc32(data)))
-                fh.write(data)
-                del data
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        yield tmp
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save(path: Path, magic: bytes, fmt: int, key: Key, parts: Iterable) -> None:
+    """Write ``parts``, each marshalled and written before the next, and
+    replace ``path`` with them. A directory that refuses the write keeps no
+    file."""
+    if len(magic) != 16:
+        raise ValueError(f"a magic of {len(magic)} bytes, not 16")
+    with contextlib.suppress(OSError), replacing(path) as tmp, open(tmp, "xb") as fh:
+        fh.write(_HEADER.pack(magic, fmt, marshal.version, *key))
+        for part in parts:
+            data = marshal.dumps(part)
+            fh.write(_RECORD.pack(len(data), zlib.crc32(data)))
+            fh.write(data)
+            del data
 
 
 class _SummedFile(io.FileIO):

@@ -54,6 +54,23 @@ def test_extract_offline_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (DATA / "golden_ulcs.tsv").read_bytes()
 
 
+def test_an_extract_whose_unit_file_write_fails_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "ulcs.tsv"
+    out.write_bytes(b"a previous run's units\n")
+    write_ulcs = cli.write_ulcs
+
+    def failing_write(ulcs, fh):  # one line written, then the disk is full
+        write_ulcs(ulcs[:1], fh)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_ulcs", failing_write)
+    code, _, err = run(extract_args(tmp_path, DATA / "corpus.tsv"), capsys)
+    assert code == 2
+    assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+    assert out.read_bytes() == b"a previous run's units\n"
+    assert list(tmp_path.iterdir()) == [out]  # and no temporary file
+
+
 def test_extract_missing_corpus_exits_2(tmp_path, capsys):
     code, _, err = run(
         ["extract", "--corpus", str(tmp_path / "nope.tsv"), "--offline",
@@ -62,6 +79,12 @@ def test_extract_missing_corpus_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "not found" in err
+
+
+def test_translate_without_a_dictionary_exits_2(tmp_path, capsys):
+    argv = translate_args(tmp_path / "out")
+    del argv[argv.index("--dictionary"):argv.index("--dictionary") + 2]
+    assert run(argv, capsys) == (2, "", "error: missing dictionary file\n")
 
 
 def test_extract_offline_with_cold_cache_reports_unresolved(tmp_path, capsys):
@@ -213,7 +236,7 @@ def test_a_report_file_that_cannot_be_written_exits_2_in_one_line(tmp_path, caps
     out_dir.mkdir()
     # The report is written under temporary names first; every write to
     # this one fails: no space left.
-    (out_dir / f"summary.tsv.{os.getpid()}.tmp").symlink_to("/dev/full")
+    (out_dir / f"summary.tsv.{os.getpid()}.{threading.get_ident()}.tmp").symlink_to("/dev/full")
     code, out, err = run(translate_args(out_dir), capsys)
     assert code == 2
     assert err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"

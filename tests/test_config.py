@@ -1,6 +1,7 @@
 import io
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,13 @@ def test_every_key_sets_its_own_field(tmp_path, monkeypatch):
         assert getattr(cfg, attr) == value != getattr(RunConfig(), attr), key
 
 
+def test_every_key_is_named_in_the_readme_configuration_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| key | default | meaning |"):].split("\n\n", 1)[0]
+    named = {name for row in table.splitlines()[2:] for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    assert sorted(set(KEY_MAP) - named) == []
+
+
 def test_unknown_key_rejected(tmp_path):
     path = write_config(tmp_path, "oracle.bogus = 1\n")
     with pytest.raises(ConfigError, match="oracle.bogus"):
@@ -171,6 +179,11 @@ def test_none_knobs_parse_off_values(tmp_path):
     for off in ("off", "none"):
         cfg = load_config(write_config(tmp_path, f"extract.max_ulcs = {off}\n"))
         assert cfg.max_ulcs is None
+
+
+def test_boolean_knobs_parse_off_values(tmp_path):
+    for off in ("no", "0", "false", "off"):
+        assert load_config(write_config(tmp_path, f"generation.use_an = {off}\n")).use_an is False
 
 
 def test_read_rows_applies_one_rule_to_paths_and_streams(tmp_path):

@@ -78,6 +78,11 @@ def test_empty_lemma_rejected():
         parse_tagged_corpus("a\tNOUN\t\n")
 
 
+def test_empty_surface_rejected():
+    with pytest.raises(InputError, match="^<corpus>:2: empty surface$"):
+        parse_tagged_corpus("a\tNOUN\ta\n\tNOUN\tb\n")
+
+
 def test_treetagger_tagset_maps_fine_tags():
     text = "la\tDET:ART\tle\nmaison\tNOM\tmaison\nest\tVER:pres\têtre\n"
     corpus = parse_tagged_corpus(text, TAGSETS["treetagger-fr"])

@@ -70,6 +70,12 @@ def test_candidates_are_lowercase():
     assert generate_candidates(ulc, d)[0].target_surface == "central station"
 
 
+def test_translations_equal_once_lowercased_give_one_candidate():
+    d = make_dictionary([("gare", "NOUN", ["Station", "station"]), ("central", "ADJ", ["central"])])
+    ulc = make_ulc("gare", "central", UlcPattern.NOUN_ADJ, "gare centrale")
+    assert [c.target_surface for c in generate_candidates(ulc, d)] == ["central station"]
+
+
 def test_rule_consistency_enforced():
     ulc = make_ulc("ambiance", "musical", UlcPattern.NOUN_ADJ, "ambiance musicale")
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import email.utils
+import errno
 import json
 import logging
 import marshal
@@ -44,6 +45,7 @@ from lexiforge.oracle import (
 )
 from lexiforge.phase2 import build_lexical_world
 from lexiforge.tagging import LexiconTagger, default_tagger
+from lexiforge.transport import retry_after_s
 
 from conftest import FakeBackend, refusing_saved_files
 
@@ -823,6 +825,26 @@ def test_compact_syncs_the_rewritten_file_before_it_replaces_the_cache(tmp_path,
     assert events == [("fsync", *events[1][1:]), ("replace", path.stat().st_ino, path.stat().st_size)]
 
 
+def test_a_compact_that_fails_keeps_the_cache_and_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "run.cache"
+    path.write_bytes(b"".join(CACHE_LINES))
+
+    def full(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", full)
+    with pytest.raises(OSError):
+        compact(path)
+    assert path.read_bytes() == b"".join(CACHE_LINES)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("kind, phrases", [(QueryKind.PHRASE_COUNT, ("",)), (QueryKind.PAIR_COUNT, ("a", ""))])
+def test_a_query_with_an_empty_phrase_is_rejected(kind, phrases):
+    with pytest.raises(ValueError, match="^empty phrase$"):
+        OracleQuery(kind, phrases)
+
+
 def test_torn_tail_does_not_swallow_next_record(tmp_path):
     path = tmp_path / "run.cache"
     path.write_text('PHRASE_COUNT\tok\t\t-\t-\t7\nSNIPPETS\ttorn\t\t-\t5\t[["half a rec', encoding="utf-8")
@@ -1465,6 +1487,15 @@ def test_a_warm_translate_decodes_no_snippet_text(tmp_path, line_reads, capsys):
     capsys.readouterr()
 
 
+def test_a_record_loaded_from_the_snapshot_indexes_like_its_list(tmp_path):
+    path, snapshot = recorded_cache(tmp_path)
+    ResponseCache(path).close()
+    assert snapshot.exists()
+    texts = ResponseCache(path).get(OracleQuery(QueryKind.SNIPPETS, ("caisse",), limit=5))
+    # Indexing comes first, so it reads the texts from the cache file.
+    assert (texts[0], texts[-1], texts[::-1]) == ("La caisse", 'Une caisse "verte"', ['Une caisse "verte"', "La caisse"])
+
+
 def test_every_fixture_answer_loaded_from_the_snapshot_equals_it_parsed(tmp_path):
     # For each snippet record of the fixture cache: its answer and its world
     # counts after a parse load, then after a load from the snapshot that
@@ -1889,6 +1920,28 @@ def test_http_backend_retry_after_as_http_date(monkeypatch):
     backend = HttpBackend("https://search.example/api", rate_per_sec=0, session=session)
     assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, ("x",))) == 3
     assert len(sleeps) == 1 and 2.0 < sleeps[0] <= 4.0
+
+
+def test_retry_after_reads_an_http_date_without_a_zone_as_utc(monkeypatch):
+    monkeypatch.setattr("time.time", lambda: 1_000_000_000.0)  # 2001-09-09 01:46:40 UTC
+    assert retry_after_s({"Retry-After": "Sun, 09 Sep 2001 01:46:44"}) == 4.0
+
+
+def test_http_backend_waits_between_requests_at_its_rate(monkeypatch):
+    clock = [100.0]  # a clock that moves only while the backend sleeps
+    sleeps = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        clock[0] += seconds
+
+    monkeypatch.setattr("time.monotonic", lambda: clock[0])
+    monkeypatch.setattr("time.sleep", sleep)
+    session = StubSession([stub_response(200, {"count": 3})] * 2)
+    backend = HttpBackend("https://search.example/api", rate_per_sec=2, session=session)
+    for phrase in ("x", "y"):
+        assert backend.execute(OracleQuery(QueryKind.PHRASE_COUNT, (phrase,))) == 3
+    assert sleeps == [0.5]
 
 
 def test_http_backend_shorter_retry_after_keeps_the_backoff(monkeypatch):
