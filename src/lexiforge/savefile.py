@@ -15,9 +15,6 @@ it loads as None, and its owner makes it again. Since the key pins the
 source bytes, a part may point into them instead of copying them: the cache
 snapshot holds the offset, length and CRC-32 of the lines that hold the
 snippet texts of either kind, not the texts.
-
-Every file lexiforge writes whole, saved or output, replaces its path
-through ``replacing``.
 """
 
 from __future__ import annotations
@@ -85,8 +82,11 @@ def load(path: Path, magic: bytes, fmt: int, n_parts: int, fits: Callable[[Key],
 
 @contextlib.contextmanager
 def replacing(path: Path) -> Iterator[Path]:
-    """A temporary name beside ``path`` to write a whole file under: moved
-    over ``path`` if the block raises nothing, and gone once it ends."""
+    """A temporary name beside ``path``: moved over ``path`` if the block
+    raises nothing, gone once it ends. A pipe or device is written through."""
+    if path.exists() and not path.is_file():
+        yield path
+        return
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         yield tmp

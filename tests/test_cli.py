@@ -71,6 +71,14 @@ def test_an_extract_whose_unit_file_write_fails_keeps_the_previous_file(tmp_path
     assert list(tmp_path.iterdir()) == [out]  # and no temporary file
 
 
+def test_an_extract_to_a_device_writes_through_it(tmp_path, capsys):
+    out = tmp_path / "ulcs.tsv"
+    out.symlink_to(os.devnull)
+    code, _, _ = run(extract_args(tmp_path, DATA / "corpus.tsv"), capsys)
+    assert code == 0
+    assert out.is_symlink() and list(tmp_path.iterdir()) == [out]
+
+
 def test_extract_missing_corpus_exits_2(tmp_path, capsys):
     code, _, err = run(
         ["extract", "--corpus", str(tmp_path / "nope.tsv"), "--offline",

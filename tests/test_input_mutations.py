@@ -19,10 +19,6 @@ from lexiforge.config import KEY_MAP
 DATA = Path(__file__).parent / "data"
 TAGGER = Path(lexiforge.__file__).parent / "data" / "tagger_fr.tsv"
 
-FILES = ("corpus.tsv", "ulcs.tsv", "dictionary.tsv", "docs.jsonl", "e2e.cache", "gold.tsv", "lexicon.tsv",
-         "run.config", "tagger.tsv")
-
-
 def translate(d):
     return ["translate", "--ulcs", d / "ulcs.tsv", "--dictionary", d / "dictionary.tsv", "--config", d / "run.config",
             "--offline", "--cache", d / "e2e.cache", "--source-tagger", d / "tagger.tsv", "--out-dir", d / "out"]
@@ -36,7 +32,7 @@ def evaluate(d):
     return ["evaluate", "--lexicon", d / "lexicon.tsv", "--gold", d / "gold.tsv"]
 
 
-# The command that reads each input file.
+# Each input file, and the command that reads it.
 COMMANDS = {
     "corpus.tsv": lambda d: extract(d, "--offline", "--cache", d / "e2e.cache"),
     "docs.jsonl": lambda d: extract(d, "--docs", d / "docs.jsonl"),
@@ -107,20 +103,20 @@ def inputs(tmp_path_factory):
     """The fixture inputs, the tagger lexicon and a lexicon ``translate``
     wrote from them, each read without error by its command."""
     d = tmp_path_factory.mktemp("inputs")
-    for name in FILES:
+    for name in COMMANDS:
         if name == "tagger.tsv":
             shutil.copyfile(TAGGER, d / name)
         elif name != "lexicon.tsv":
             shutil.copyfile(DATA / name, d / name)
     assert run(translate(d)) == (0, "")
     shutil.move(d / "out" / "lexicon.tsv", d / "lexicon.tsv")
-    for name in FILES:
-        assert run(COMMANDS[name](d)) == (0, ""), name
+    for name, command in COMMANDS.items():
+        assert run(command(d)) == (0, ""), name
     return d
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(st.sampled_from(FILES), st.sampled_from(sorted(MUTATIONS)), st.data())
+@given(st.sampled_from(sorted(COMMANDS)), st.sampled_from(sorted(MUTATIONS)), st.data())
 def test_a_mutated_input_line_exits_0_2_or_3_and_names_its_line(inputs, name, mutation, data):
     with tempfile.TemporaryDirectory(dir=inputs) as tmp:
         d = Path(tmp)

@@ -75,6 +75,10 @@ def test_query_invariants():
         OracleQuery(QueryKind.MIXED_SNIPPETS, ("x",), limit=10)  # no lang
     with pytest.raises(ValueError):
         OracleQuery(QueryKind.SNIPPETS, ("x",), limit=0)
+    with pytest.raises(ValueError, match="^empty phrase$"):
+        OracleQuery(QueryKind.PHRASE_COUNT, ("",))
+    with pytest.raises(ValueError, match="^empty phrase$"):
+        OracleQuery(QueryKind.PAIR_COUNT, ("a", ""))
     # A tab or a line break would split the query's cache record.
     for bad in ("a\tb", "a\nb", "a\rb", "\t"):
         with pytest.raises(ValueError, match="tab or a line break"):
@@ -837,12 +841,6 @@ def test_a_compact_that_fails_keeps_the_cache_and_leaves_no_temporary_file(tmp_p
         compact(path)
     assert path.read_bytes() == b"".join(CACHE_LINES)
     assert list(tmp_path.iterdir()) == [path]
-
-
-@pytest.mark.parametrize("kind, phrases", [(QueryKind.PHRASE_COUNT, ("",)), (QueryKind.PAIR_COUNT, ("a", ""))])
-def test_a_query_with_an_empty_phrase_is_rejected(kind, phrases):
-    with pytest.raises(ValueError, match="^empty phrase$"):
-        OracleQuery(kind, phrases)
 
 
 def test_torn_tail_does_not_swallow_next_record(tmp_path):

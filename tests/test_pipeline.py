@@ -293,6 +293,19 @@ def test_a_failed_report_write_keeps_the_previous_run_files(tmp_path, monkeypatc
     assert len(paths[0].read_text(encoding="utf-8").splitlines()) == 3
 
 
+def test_a_summary_path_that_is_a_directory_keeps_the_previous_lexicon(tmp_path):
+    units, dictionary, backend = build_50_clu_fixture()
+    records = run_pipeline(units, make_ctx(backend, dictionary))
+    lexicon, summary = write_report(records, tmp_path)
+    before = lexicon.read_bytes()
+    summary.unlink()
+    summary.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_report(records[:3], tmp_path)
+    assert lexicon.read_bytes() == before  # no lexicon of one run beside the summary of another
+    assert sorted(tmp_path.iterdir()) == [lexicon, summary]
+
+
 def test_warm_cache_pipeline_replay_zero_backend_calls(tmp_path):
     units, dictionary, backend = build_50_clu_fixture()
     cache = ResponseCache(tmp_path / "warm.cache")
